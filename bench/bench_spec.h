@@ -12,8 +12,6 @@
 //   VARBENCH_FULL=1   paper-faithful sizes (overrides SCALE)
 //   VARBENCH_SHARD    "i/N" — run one slice
 //   VARBENCH_OUT      artifact output directory
-//   VARBENCH_METRICS  metric selection for instrumented runs
-//                     ("all", a subsystem, or metric names — docs/metrics.md)
 #pragma once
 
 #include <cerrno>
@@ -35,7 +33,6 @@ struct BenchSpec {
   bool full = false;                  // VARBENCH_FULL
   std::optional<study::ShardSpec> shard;  // VARBENCH_SHARD
   std::string out_dir;                // VARBENCH_OUT
-  std::string metrics;                // VARBENCH_METRICS ("" = disabled)
 
   /// Parse the environment once. Malformed numeric values fall back to
   /// "unset" (the pre-BenchSpec behavior); a malformed VARBENCH_SHARD
@@ -92,7 +89,6 @@ inline BenchSpec BenchSpec::from_env() {
     spec.shard = study::ShardSpec::parse(v);
   }
   if (const char* v = get("VARBENCH_OUT")) spec.out_dir = v;
-  if (const char* v = get("VARBENCH_METRICS")) spec.metrics = v;
   return spec;
 }
 

@@ -46,7 +46,7 @@
 #include "src/exec/exec_context.h"
 #include "src/exec/parallel_for.h"
 #include "src/exec/parallel_replicate.h"
-#include "src/metrics/stopwatch.h"
+#include "src/metrics/clock.h"
 #include "src/rngx/rng.h"
 #include "src/stats/bootstrap.h"
 #include "src/stats/descriptive.h"

@@ -1,15 +1,15 @@
-#include "src/metrics/gate.h"
+#include "bench/gate.h"
 
 #include <cmath>
 #include <exception>
 #include <filesystem>
 #include <vector>
 
-#include "src/metrics/microbench.h"
-#include "src/metrics/trajectory.h"
+#include "bench/microbench.h"
+#include "bench/trajectory.h"
 #include "src/version.h"
 
-namespace varbench::metrics {
+namespace varbench::benchutil {
 
 namespace fs = std::filesystem;
 
@@ -117,4 +117,4 @@ int run_bench_gate(const GateOptions& opts, std::FILE* out) {
   return 0;
 }
 
-}  // namespace varbench::metrics
+}  // namespace varbench::benchutil

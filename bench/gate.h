@@ -1,16 +1,15 @@
-// The shared driver behind `varbench bench [--gate]` and tools/bench_gate:
-// run the instrumented microbench suites, print a markdown trajectory
-// table (terminal-readable, and exactly what CI pipes into its step
-// summary), append min-of-N rows to bench/BENCH_exec.json /
-// bench/BENCH_campaign.json / bench/BENCH_stats.json, and — in gate
-// mode — fail on regressions beyond the noise band
-// (src/metrics/trajectory.h).
+// The driver behind `varbench bench [--gate]`: run the instrumented
+// microbench suites, print a markdown trajectory table (terminal-readable,
+// and exactly what CI pipes into its step summary), append min-of-N rows
+// to bench/BENCH_exec.json / bench/BENCH_campaign.json /
+// bench/BENCH_stats.json, and — in gate mode — fail on regressions beyond
+// the noise band (bench/trajectory.h).
 #pragma once
 
 #include <cstdio>
 #include <string>
 
-namespace varbench::metrics {
+namespace varbench::benchutil {
 
 struct GateOptions {
   std::string bench_dir = "bench";  // holds the BENCH_*.json trajectories
@@ -22,7 +21,7 @@ struct GateOptions {
   bool append = true;               // record fresh rows into the trajectory
   std::string label;                // trajectory row context ("ci", "local")
   /// Multiply fresh timings before the gate compare — CI's self-test
-  /// injects 2.0 here and asserts the gate fails (VARBENCH_BENCH_INJECT).
+  /// injects 2.0 here and asserts the gate fails.
   double inject_slowdown = 1.0;
   std::string scratch_dir;          // work-queue scratch; "" = system temp
 };
@@ -31,4 +30,4 @@ struct GateOptions {
 /// regression (or a trajectory file was unreadable).
 int run_bench_gate(const GateOptions& opts, std::FILE* out);
 
-}  // namespace varbench::metrics
+}  // namespace varbench::benchutil

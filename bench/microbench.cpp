@@ -1,4 +1,4 @@
-#include "src/metrics/microbench.h"
+#include "bench/microbench.h"
 
 #include <atomic>
 #include <cmath>
@@ -11,16 +11,16 @@
 #include "src/exec/parallel_for.h"
 #include "src/exec/parallel_replicate.h"
 #include "src/exec/thread_pool.h"
+#include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
-#include "src/metrics/stopwatch.h"
 #include "src/rngx/rng.h"
 #include "src/stats/bootstrap.h"
 #include "src/stats/descriptive.h"
-#include "src/trace/trace.h"
 
-namespace varbench::metrics {
+namespace varbench::benchutil {
 
 namespace fs = std::filesystem;
+using metrics::Stopwatch;
 
 namespace {
 
@@ -79,8 +79,8 @@ std::vector<MicrobenchResult> run_exec_microbenches(
 
   // Same workload with every exec metric live on a local sink: the
   // difference against the row above is the measured overhead model.
-  Sink sink;
-  enable_selection(sink, "exec");
+  metrics::Sink sink;
+  metrics::enable_selection(sink, "exec");
   exec::ExecContext instrumented{opts.threads};
   instrumented.metrics = &sink;
   results.push_back(
@@ -88,15 +88,15 @@ std::vector<MicrobenchResult> run_exec_microbenches(
         return time_parallel_for(instrumented, n, out);
       }));
 
-  // And with exec spans live on a local tracer: the tracing analogue of
-  // the row above (region + per-chunk spans, two clock reads per chunk).
-  trace::Tracer tracer;
-  trace::enable_selection(tracer, "exec");
+  // And with exec spans live on a local sink: the tracing analogue of the
+  // row above (region + per-chunk spans, two clock reads per chunk).
+  metrics::Sink spans;
+  metrics::enable_selection(spans, "exec", metrics::Entries::kSpans);
   exec::ExecContext traced{opts.threads};
-  traced.tracer = &tracer;
+  traced.metrics = &spans;
   results.push_back(
       min_of("exec.parallel_for_trace", "ns", opts.repeats, [&] {
-        tracer.reset();
+        spans.reset();
         return time_parallel_for(traced, n, out);
       }));
 
@@ -272,4 +272,4 @@ double exec_metrics_overhead_percent(
          static_cast<double>(off->min_ns);
 }
 
-}  // namespace varbench::metrics
+}  // namespace varbench::benchutil

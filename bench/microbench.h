@@ -1,8 +1,8 @@
-// The instrumented microbench suite behind `varbench bench` and
-// tools/bench_gate: short, deterministic workloads over the hot layers
-// (exec fan-out, pool submit, campaign work-queue ops) timed min-of-N —
-// the minimum over repeats strips scheduler noise, which is what the
-// perf-trajectory gate (src/metrics/trajectory.h) compares across runs.
+// The instrumented microbench suite behind `varbench bench`: short,
+// deterministic workloads over the hot layers (exec fan-out, pool submit,
+// campaign work-queue ops) timed min-of-N — the minimum over repeats
+// strips scheduler noise, which is what the perf-trajectory gate
+// (bench/trajectory.h) compares across runs.
 #pragma once
 
 #include <cstddef>
@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-namespace varbench::metrics {
+namespace varbench::benchutil {
 
 struct MicrobenchOptions {
   std::size_t repeats = 5;  // min-of-N
@@ -57,4 +57,4 @@ struct MicrobenchResult {
 [[nodiscard]] double exec_metrics_overhead_percent(
     const std::vector<MicrobenchResult>& results);
 
-}  // namespace varbench::metrics
+}  // namespace varbench::benchutil

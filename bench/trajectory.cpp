@@ -1,11 +1,11 @@
-#include "src/metrics/trajectory.h"
+#include "bench/trajectory.h"
 
 #include <filesystem>
 #include <utility>
 
 #include "src/io/json.h"
 
-namespace varbench::metrics {
+namespace varbench::benchutil {
 
 namespace {
 
@@ -116,4 +116,4 @@ std::vector<GateCheck> gate_checks(const Trajectory& prior,
   return checks;
 }
 
-}  // namespace varbench::metrics
+}  // namespace varbench::benchutil

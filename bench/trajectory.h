@@ -5,8 +5,7 @@
 // an append-only log of min-of-N microbench timings:
 //   {"schema": "varbench.bench_trajectory.v1",
 //    "rows": [{"bench", "unit", "min_ns", "repeats", "version", "label"}]}
-// Each `tools/bench_gate` (or `varbench bench`) run appends one row per
-// microbench. The gate compares the fresh min-of-N against the BEST prior
+// Each `varbench bench` run appends one row per microbench. The gate compares the fresh min-of-N against the BEST prior
 // min for the same bench name: min-of-N already strips scheduler noise,
 // and comparing against the historical best means a slow machine can only
 // add new (higher) rows, never loosen the baseline.
@@ -16,7 +15,7 @@
 #include <string>
 #include <vector>
 
-namespace varbench::metrics {
+namespace varbench::benchutil {
 
 struct TrajectoryRow {
   std::string bench;   // "exec.parallel_for", "campaign.ticket_cycle", ...
@@ -70,4 +69,4 @@ struct GateCheck {
     const Trajectory& prior, const std::vector<TrajectoryRow>& fresh,
     double threshold = 1.5, std::uint64_t min_abs_ns = 5'000);
 
-}  // namespace varbench::metrics
+}  // namespace varbench::benchutil

@@ -11,13 +11,12 @@
 #include "src/io/columnar/stream_writer.h"
 #include "src/io/columnar/vbt.h"
 #include "src/io/json.h"
+#include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
+#include "src/metrics/trace_file.h"
 #include "src/rngx/rng.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
-#include "src/trace/file.h"
-#include "src/trace/stopwatch.h"
-#include "src/trace/trace.h"
 
 namespace varbench::campaign {
 
@@ -88,12 +87,12 @@ void write_manifest(const WorkQueue& queue, const CampaignConfig& cfg,
   doc.set("tasks", std::move(tasks));
   // Coordinator metrics ride along as provenance (identity lives in the
   // artifacts, not here): merged deterministically from the sink's
-  // shards, written only when something was enabled.
-  if (sink != nullptr && sink->any_enabled()) {
+  // slots, written only when some campaign metric was enabled.
+  if (sink != nullptr) {
     const metrics::Snapshot snap = sink->snapshot();
     io::Json block = io::Json::object();
     for (const metrics::MetricSnapshot& m : snap.metrics) {
-      const metrics::MetricDef& def = metrics::metric_defs()[m.id];
+      const metrics::MetricDef& def = metrics::kMetricDefs[m.id];
       if (def.subsystem != "campaign") continue;
       io::Json entry = io::Json::object();
       entry.set("count", io::Json{m.count});
@@ -104,7 +103,7 @@ void write_manifest(const WorkQueue& queue, const CampaignConfig& cfg,
         entry.set("p90", io::Json{m.percentile_upper(0.90)});
         entry.set("p99", io::Json{m.percentile_upper(0.99)});
       }
-      block.set(def.name, std::move(entry));
+      block.set(std::string{def.name}, std::move(entry));
     }
     if (!block.as_object().empty()) doc.set("metrics", std::move(block));
   }
@@ -246,26 +245,25 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
   const bool binary = cfg.format == study::ArtifactFormat::kBinary;
   const std::string ext = binary ? ".vbt" : ".json";
   WorkQueue queue{cfg.dir, ext};
+  // Metrics default to the process-global sink; lifecycle spans to a
+  // run-local one, which in_process_launcher()'s per-task drains of the
+  // global sink cannot reach (see CampaignConfig::metrics). Every span is
+  // one disabled branch unless cfg.trace turns the campaign spans on.
   metrics::Sink& sink =
       cfg.metrics != nullptr ? *cfg.metrics : metrics::global_sink();
-  // The coordinator's tracer is run-local by default — deliberately NOT
-  // trace::global_tracer(), which in_process_launcher() resets and drains
-  // per task and must not swallow coordinator lifecycle spans. All-disabled
-  // (every emit is one branch) unless cfg.trace turned the campaign
-  // subsystem on.
-  trace::Tracer local_tracer;
-  trace::Tracer& tracer = cfg.tracer != nullptr ? *cfg.tracer : local_tracer;
-  if (cfg.trace && cfg.tracer == nullptr) {
-    trace::enable_selection(local_tracer, "campaign");
+  metrics::Sink local_spans;
+  metrics::Sink& spans = cfg.metrics != nullptr ? *cfg.metrics : local_spans;
+  if (cfg.trace) {
+    metrics::enable_selection(spans, "campaign", metrics::Entries::kSpans);
   }
   // Lifecycle instants carry the task-id hash as their identity-derived
-  // ident, with the readable id attached as a label (docs/tracing.md).
-  const auto task_event = [&tracer](trace::SpanId id,
-                                    const std::string& task_id) {
-    if (!tracer.is_enabled(id)) return;
+  // ident, with the readable id attached as a label.
+  const auto task_event = [&spans](metrics::MetricId id,
+                                   const std::string& task_id) {
+    if (!spans.is_enabled(id)) return;
     const std::uint64_t ident = rngx::hash_tag(task_id);
-    tracer.set_label(ident, task_id);
-    trace::instant(tracer, id, ident);
+    spans.set_label(ident, task_id);
+    metrics::instant(spans, id, ident);
   };
   auto tasks = plan_tasks(studies, cfg.shards);
 
@@ -333,7 +331,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
     if (st.status == TaskState::Status::kPending && !queue.is_queued(id) &&
         !queue.is_claimed(id)) {
       queue.enqueue(Ticket{id, 0, ""});
-      task_event(trace::kCampaignTaskQueued, id);
+      task_event(metrics::kCampaignTaskQueued, id);
     }
   }
   write_manifest(queue, cfg, studies, states, &sink);
@@ -356,8 +354,8 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
       report.merged_outputs.push_back(out);
       return;
     }
-    const trace::ScopedSpan merge_span{tracer, trace::kCampaignStudyMerged,
-                                       static_cast<std::uint64_t>(k)};
+    const metrics::ScopedSpan merge_span{spans, metrics::kCampaignStudyMerged,
+                                         static_cast<std::uint64_t>(k)};
     try {
       std::vector<std::string> shard_paths;
       for (const auto& st : states) {
@@ -424,14 +422,14 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
     /// Last time the heartbeat rewrote the claim body with a status
     /// snapshot (full rewrites are throttled; mtime-only touches are not).
     std::chrono::steady_clock::time_point last_status;
-    /// trace::span_begin of the campaign.task_running span; 0 = disabled.
+    /// metrics::span_begin of the campaign.task_running span; 0 = disabled.
     std::uint64_t trace_begin = 0;
   };
   std::vector<Active> active;
 
   // The live progress snapshot a status-carrying heartbeat embeds in the
   // claim body — everything `varbench status` shows without touching the
-  // queue (docs/tracing.md).
+  // queue (docs/campaigns.md).
   const auto status_snapshot = [&](const Active& a) {
     const TaskState& st = states[a.state_index];
     std::size_t done = 0;
@@ -515,8 +513,8 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
       progressed = true;
       TaskState& st = states[it->state_index];
       const std::string& id = st.task.id;
-      trace::span_end(tracer, trace::kCampaignTaskRunning, rngx::hash_tag(id),
-                      it->trace_begin);
+      metrics::span_end(spans, metrics::kCampaignTaskRunning,
+                        rngx::hash_tag(id), it->trace_begin);
       const int code = it->handle->exit_code();
       const std::string part = queue.partial_artifact_path(id);
 
@@ -551,7 +549,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
         st.status = TaskState::Status::kDone;
         st.completed_this_run = true;
         queue.complete(it->ticket);
-        task_event(trace::kCampaignTaskPromoted, id);
+        task_event(metrics::kCampaignTaskPromoted, id);
         event(cfg, "task %s: done (attempt %zu)", id.c_str(), st.attempts);
         maybe_merge_study(st.task.study_index);
       } else {
@@ -560,7 +558,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
         const std::size_t used = it->ticket.attempts + 1;
         if (used < 1 + cfg.max_retries) {
           queue.release_for_retry(it->ticket, used);
-          task_event(trace::kCampaignTaskRetried, id);
+          task_event(metrics::kCampaignTaskRetried, id);
           ++report.retried;
           sink.add(metrics::kCampaignTaskRetries);
           event(cfg, "task %s: attempt %zu failed (%s; log: %s) — retrying",
@@ -622,12 +620,12 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
       }
       TaskState& st = states[idx];
       st.attempts = ticket->attempts + 1;
-      task_event(trace::kCampaignTaskClaimed, st.task.id);
+      task_event(metrics::kCampaignTaskClaimed, st.task.id);
       std::error_code ec;
       fs::remove(queue.partial_artifact_path(st.task.id), ec);
       const auto claimed_at = std::chrono::steady_clock::now();
       const std::uint64_t trace_begin =
-          trace::span_begin(tracer, trace::kCampaignTaskRunning);
+          metrics::span_begin(spans, metrics::kCampaignTaskRunning);
       auto handle = launcher(st.task, queue.spec_path(st.task.id),
                              queue.partial_artifact_path(st.task.id),
                              queue.log_path(st.task.id));
@@ -682,14 +680,13 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
   write_manifest(queue, cfg, studies, states, &sink);
   if (cfg.trace) {
     // Coordinator lifecycle spans, plus whatever the coordinator itself
-    // recorded on the process-global tracer (io spans from artifact loads
+    // recorded on the process-global sink (io spans from artifact loads
     // during validation/merge) when that is a different object.
-    trace::TraceFile coord = trace::drain(tracer, "coordinator");
-    if (&trace::global_tracer() != &tracer &&
-        trace::global_tracer().any_enabled()) {
-      trace::append(coord, trace::drain(trace::global_tracer(), "coordinator"));
+    metrics::TraceFile coord = spans.drain("coordinator");
+    if (&spans != &metrics::global_sink()) {
+      metrics::append(coord, metrics::global_sink().drain("coordinator"));
     }
-    trace::write_trace_file(
+    metrics::write_trace_file(
         (fs::path{queue.trace_dir()} / "coordinator.trace.json").string(),
         coord);
   }
@@ -728,7 +725,7 @@ WorkerLauncher subprocess_launcher(std::string varbench_binary, bool trace) {
             fs::path{artifact_path}.parent_path().parent_path();
         argv.push_back("--trace-out");
         argv.push_back(
-            (state_dir / "traces" / trace::worker_trace_name(task.id))
+            (state_dir / "traces" / metrics::worker_trace_name(task.id))
                 .string());
       }
       return std::make_unique<ProcessHandle>(
@@ -751,13 +748,14 @@ WorkerLauncher in_process_launcher(bool trace) {
                  const std::string& log_path) -> std::unique_ptr<WorkerHandle> {
     try {
       // Tracing mirrors what a subprocess worker with --trace-out does:
-      // the process-global tracer, reset before the run so the task's
-      // trace numbers exec regions from 0, drained to the task's worker
-      // trace file after.
-      trace::Tracer& g = trace::global_tracer();
+      // every span of the process-global sink, whose events are drained
+      // before the run (so the task's trace numbers exec regions from 0)
+      // and into the task's worker trace file after. Only events are
+      // drained: campaign metrics on the same sink keep accumulating.
+      metrics::Sink& g = metrics::global_sink();
       if (trace) {
-        g.reset();
-        g.enable_all();
+        (void)g.drain({});
+        metrics::enable_selection(g, "all", metrics::Entries::kSpans);
       }
       // Execute what the state dir records — exactly what a subprocess
       // worker would read — not the in-memory task.
@@ -774,10 +772,10 @@ WorkerLauncher in_process_launcher(bool trace) {
       if (trace) {
         const fs::path state_dir =
             fs::path{artifact_path}.parent_path().parent_path();
-        trace::write_trace_file(
-            (state_dir / "traces" / trace::worker_trace_name(task.id))
+        metrics::write_trace_file(
+            (state_dir / "traces" / metrics::worker_trace_name(task.id))
                 .string(),
-            trace::drain(g, "worker-" + task.id));
+            g.drain("worker-" + task.id));
       }
       return std::make_unique<CompletedHandle>(0);
     } catch (const std::exception& e) {

@@ -26,10 +26,6 @@ namespace varbench::metrics {
 class Sink;
 }  // namespace varbench::metrics
 
-namespace varbench::trace {
-class Tracer;
-}  // namespace varbench::trace
-
 namespace varbench::campaign {
 
 /// One schedulable unit: study `study_index` restricted to `spec.shard`.
@@ -78,23 +74,22 @@ struct CampaignConfig {
   /// was run with is fine: valid shards of either format are reused, and
   /// merge reads mixed .json/.vbt sets.
   study::ArtifactFormat format = study::ArtifactFormat::kJson;
-  /// Optional metrics sink (docs/metrics.md): claim-to-start latency,
-  /// retry counts, heartbeat jitter. nullptr resolves to
-  /// metrics::global_sink(). When any campaign metric is enabled, the
+  /// Optional instrumentation sink (docs/metrics.md) for the coordinator's
+  /// metrics — claim-to-start latency, retry counts, heartbeat jitter — and
+  /// its task-lifecycle spans. When any campaign metric is enabled, the
   /// merged totals are emitted into campaign.json as a "metrics"
-  /// provenance block next to the per-task wall_time_ms.
+  /// provenance block next to the per-task wall_time_ms. nullptr sends
+  /// metrics to metrics::global_sink() but spans to a run-local sink,
+  /// deliberately NOT the global one: in_process_launcher() drains the
+  /// global sink's spans into each task's worker trace file, which must not
+  /// swallow coordinator spans.
   metrics::Sink* metrics = nullptr;
   /// Record task-lifecycle spans (queued → claimed → running →
   /// promoted/retried, study merges) and flush them to
-  /// `<dir>/traces/coordinator.trace.json` at the end of the run
-  /// (docs/tracing.md). Traces are provenance only: artifacts stay
-  /// byte-identical with tracing on (pinned by tests/test_trace.cpp).
+  /// `<dir>/traces/coordinator.trace.json` at the end of the run. Traces
+  /// are provenance only: artifacts stay byte-identical with tracing on
+  /// (pinned by tests/test_trace.cpp).
   bool trace = false;
-  /// Tracer the coordinator records into when `trace` is set. nullptr — the
-  /// default — means a run-local tracer, deliberately NOT the process
-  /// global one: in_process_launcher() drains the global tracer into each
-  /// task's worker trace file, which must not swallow coordinator spans.
-  trace::Tracer* tracer = nullptr;
 };
 
 struct CampaignReport {
@@ -134,10 +129,10 @@ struct CampaignReport {
 
 /// Launcher that calls study::run_study() in this process (synchronously).
 /// The coordinator-under-test path, and the embedder path when process
-/// isolation is not wanted. With `trace` set, each task runs with the
-/// process-global tracer fully enabled (reset before, drained to the
-/// task's worker trace file after) — the in-process analogue of a worker
-/// subprocess's own tracer.
+/// isolation is not wanted. With `trace` set, each task runs with every
+/// span of the process-global sink enabled (its events drained before, and
+/// to the task's worker trace file after; metric cells are untouched) —
+/// the in-process analogue of a worker subprocess's own trace.
 [[nodiscard]] WorkerLauncher in_process_launcher(bool trace = false);
 
 }  // namespace varbench::campaign

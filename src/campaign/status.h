@@ -4,7 +4,7 @@
 // progress snapshots since the status-heartbeat change, and whose mtimes
 // are the liveness signal either way), and the queue listing — strictly
 // read-only: no WorkQueue is constructed, no ticket is moved, so watching
-// a campaign can never perturb it (docs/tracing.md).
+// a campaign can never perturb it (docs/campaigns.md).
 #pragma once
 
 #include <cstddef>

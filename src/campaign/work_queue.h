@@ -60,7 +60,7 @@ class WorkQueue {
   [[nodiscard]] std::string log_path(const std::string& task_id) const;
   [[nodiscard]] std::string manifest_path() const;
   [[nodiscard]] std::string merged_dir() const;
-  /// Where per-process trace files land (docs/tracing.md).
+  /// Where per-process trace files land (docs/metrics.md).
   [[nodiscard]] std::string trace_dir() const;
   [[nodiscard]] std::string trace_path(const std::string& task_id) const;
 

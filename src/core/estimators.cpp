@@ -60,7 +60,7 @@ void validate_k_and_range(const char* who, std::size_t k,
 HpoRunConfig nested_hpo_config(const HpoRunConfig& hpo,
                                const exec::ExecContext& ctx) {
   HpoRunConfig inner = hpo;
-  if (!ctx.is_serial()) inner.exec = exec::ExecContext::serial();
+  if (!ctx.is_serial()) inner.exec = ctx.inline_view();
   return inner;
 }
 

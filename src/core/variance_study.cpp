@@ -96,7 +96,7 @@ VarianceStudyResult run_variance_study(const LearningPipeline& pipeline,
     hpo_cfg.validation_fraction = config.validation_fraction;
     // The repetition loop owns the hardware; HOpt's trial loop stays serial
     // inside each repetition to avoid oversubscription.
-    hpo_cfg.exec = exec::ExecContext::serial();
+    hpo_cfg.exec = config.exec.inline_view();
     auto measures = exec::parallel_replicate_range<double>(
         config.exec, slice(config.hpo_repetitions), master, algo_name,
         [&](std::size_t, rngx::Rng& rng) {

@@ -8,8 +8,8 @@
 //                                                         (parallel_replicate.h)
 //
 // Consumers receive an ExecContext (exec_context.h) through their config
-// structs; ExecContext::serial() is both the default and what nested regions
-// use when an outer loop already owns the hardware.
+// structs; ExecContext::serial() is the default, and ctx.inline_view() is
+// what nested regions use when an outer loop owns the hardware.
 #pragma once
 
 #include "src/exec/exec_context.h"        // IWYU pragma: export

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "src/metrics/metrics.h"
-#include "src/trace/trace.h"
 
 namespace varbench::exec {
 
@@ -20,27 +19,17 @@ struct ExecContext {
   /// N → up to N OS threads per parallel region.
   std::size_t num_threads = 1;
 
-  /// Optional metrics sink (docs/metrics.md). nullptr — the default, so
-  /// every existing `ExecContext{n}` call site is source-compatible —
-  /// resolves to the process-wide metrics::global_sink(), which is all-
-  /// disabled unless a CLI flag or test enabled it. Metrics are pure
-  /// provenance: enabling them never changes result bytes
-  /// (docs/determinism.md).
+  /// Optional instrumentation sink for metrics and spans (docs/metrics.md).
+  /// nullptr — the default, so every existing `ExecContext{n}` call site is
+  /// source-compatible — resolves to the process-wide
+  /// metrics::global_sink(), which is all-disabled unless a CLI flag or
+  /// test enabled it. Instrumentation is pure provenance: enabling it never
+  /// changes result bytes (docs/determinism.md).
   metrics::Sink* metrics = nullptr;
 
   /// The sink instrumented code records into (never null).
   [[nodiscard]] metrics::Sink& sink() const {
     return metrics != nullptr ? *metrics : metrics::global_sink();
-  }
-
-  /// Optional span tracer (docs/tracing.md), same contract as `metrics`:
-  /// nullptr resolves to the all-disabled-by-default process tracer, and
-  /// traces are pure provenance — enabling them never changes result bytes.
-  trace::Tracer* tracer = nullptr;
-
-  /// The tracer instrumented code emits spans into (never null).
-  [[nodiscard]] trace::Tracer& spans() const {
-    return tracer != nullptr ? *tracer : trace::global_tracer();
   }
 
   /// The actual worker count to schedule with (never 0).
@@ -52,9 +41,18 @@ struct ExecContext {
 
   [[nodiscard]] bool is_serial() const { return resolved_threads() <= 1; }
 
-  /// Inline execution — what nested regions use when an outer region already
-  /// owns the hardware (avoids oversubscription).
+  /// Inline execution with the default sink — the entry point of callers
+  /// that have no context of their own.
   [[nodiscard]] static ExecContext serial() { return ExecContext{1}; }
+
+  /// This context run inline, recording into the same sink — what nested
+  /// regions use when an outer region already owns the hardware (avoids
+  /// oversubscription without dropping the caller's instrumentation).
+  [[nodiscard]] ExecContext inline_view() const {
+    ExecContext nested = *this;
+    nested.num_threads = 1;
+    return nested;
+  }
 
   /// All hardware threads.
   [[nodiscard]] static ExecContext hardware() { return ExecContext{0}; }

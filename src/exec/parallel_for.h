@@ -18,10 +18,8 @@
 
 #include "src/exec/exec_context.h"
 #include "src/exec/thread_pool.h"
+#include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
-#include "src/metrics/stopwatch.h"
-#include "src/trace/stopwatch.h"
-#include "src/trace/trace.h"
 
 namespace varbench::exec {
 
@@ -50,32 +48,31 @@ void parallel_for(const ExecContext& ctx, std::size_t begin, std::size_t end,
   if (detail::t_in_parallel_region) threads = 1;
 
   // Instrumentation (docs/metrics.md): every call below is a no-op branch
-  // unless the metric was enabled on this context's sink, and nothing
+  // unless the entry was enabled on this context's sink, and nothing
   // recorded here can reach artifact bytes — metrics are provenance only.
   metrics::Sink& sink = ctx.sink();
   sink.add(metrics::kExecRegions);
   sink.observe(metrics::kExecRegionThreads, threads);
 
-  // Span idents are identity-derived (docs/tracing.md): a tracer-wide
-  // region sequence number, with chunk idents packed as (region << 32) |
-  // chunk index — never a pointer, tid, or clock value, so the same work
-  // traced at any thread count yields the same (span, ident) multiset.
-  trace::Tracer& tracer = ctx.spans();
-  const bool trace_chunks = tracer.is_enabled(trace::kExecChunk);
+  // Span idents are identity-derived: a sink-wide region sequence number,
+  // with chunk idents packed as (region << 32) | chunk index — never a
+  // pointer, tid, or clock value, so the same work traced at any thread
+  // count yields the same (span, ident) multiset.
   const std::uint64_t region_ident =
-      (tracer.is_enabled(trace::kExecRegion) || trace_chunks)
-          ? tracer.next_sequence()
+      sink.is_enabled(metrics::kExecRegion) ||
+              sink.is_enabled(metrics::kExecChunk)
+          ? sink.next_sequence()
           : 0;
-  const trace::ScopedSpan region_span{tracer, trace::kExecRegion,
-                                      region_ident};
+  const metrics::ScopedSpan region_span{sink, metrics::kExecRegion,
+                                        region_ident};
 
   if (threads <= 1) {
     // An inline region is one chunk spanning the whole range.
     sink.add(metrics::kExecChunks);
     sink.observe(metrics::kExecChunkSize, n);
-    const metrics::ScopedTimer chunk_timer{sink, metrics::kExecChunkRunNs};
-    const trace::ScopedSpan chunk_span{tracer, trace::kExecChunk,
-                                       region_ident << 32};
+    const metrics::ScopedSpan chunk_span{sink, metrics::kExecChunk,
+                                         region_ident << 32,
+                                         metrics::kExecChunkRunNs};
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
@@ -99,10 +96,10 @@ void parallel_for(const ExecContext& ctx, std::size_t begin, std::size_t end,
       sink.add(metrics::kExecChunks);
       sink.observe(metrics::kExecChunkSize, hi - lo);
       try {
-        const metrics::ScopedTimer chunk_timer{sink, metrics::kExecChunkRunNs};
-        const trace::ScopedSpan chunk_span{
-            tracer, trace::kExecChunk,
-            (region_ident << 32) | static_cast<std::uint64_t>(c)};
+        const metrics::ScopedSpan chunk_span{
+            sink, metrics::kExecChunk,
+            (region_ident << 32) | static_cast<std::uint64_t>(c),
+            metrics::kExecChunkRunNs};
         for (std::size_t i = lo; i < hi; ++i) body(i);
       } catch (...) {
         {

@@ -4,12 +4,10 @@
 #include <cstring>
 #include <map>
 
+#include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
-#include "src/metrics/stopwatch.h"
 #include "src/rngx/rng.h"
 #include "src/study/result_table.h"
-#include "src/trace/stopwatch.h"
-#include "src/trace/trace.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -37,7 +35,7 @@ using study::Row;
 
 /// Identity-derived span ident for one artifact: hash of the file NAME
 /// only (e.g. "s0-0of2.vbt"), never the full path, so traces of the same
-/// campaign compare equal across state directories (docs/tracing.md).
+/// campaign compare equal across state directories (docs/metrics.md).
 std::uint64_t file_span_ident(std::string_view path) {
   const std::size_t slash = path.find_last_of('/');
   if (slash != std::string_view::npos) path.remove_prefix(slash + 1);
@@ -308,11 +306,11 @@ MappedTable::~MappedTable() {
 
 std::shared_ptr<const MappedTable> MappedTable::open(const std::string& path) {
   // Like the metrics adds below, spans are load-path provenance on the
-  // global tracer; the ident hash is only computed when the span is live.
-  trace::Tracer& tracer = trace::global_tracer();
-  const trace::ScopedSpan map_span{
-      tracer, trace::kIoVbtMap,
-      tracer.is_enabled(trace::kIoVbtMap) ? file_span_ident(path) : 0};
+  // global sink; the ident hash is only computed when the span is live.
+  metrics::Sink& sink = metrics::global_sink();
+  const metrics::ScopedSpan map_span{
+      sink, metrics::kIoVbtMap,
+      sink.is_enabled(metrics::kIoVbtMap) ? file_span_ident(path) : 0};
   std::shared_ptr<MappedTable> t{new MappedTable};
   t->path_ = path;
 
@@ -570,8 +568,8 @@ std::shared_ptr<const MappedTable> MappedTable::open(const std::string& path) {
   // Load-path telemetry only (docs/metrics.md): never feeds artifact
   // bytes. The global sink is the right scope — artifact loads happen on
   // paths (report, merge) with no ExecContext in reach.
-  metrics::global_sink().add(metrics::kIoTablesMapped);
-  metrics::global_sink().add(metrics::kIoBytesMapped, t->size_);
+  sink.add(metrics::kIoTablesMapped);
+  sink.add(metrics::kIoBytesMapped, t->size_);
   return t;
 }
 
@@ -679,14 +677,13 @@ Json MappedTable::cell(std::size_t row, std::size_t ci) const {
 // ----------------------------------------------------------- materialize
 
 study::ResultTable materialize(std::shared_ptr<const MappedTable> mapped) {
-  const metrics::ScopedTimer materialize_timer{metrics::global_sink(),
-                                               metrics::kIoMaterializeNs};
-  trace::Tracer& tracer = trace::global_tracer();
-  const trace::ScopedSpan materialize_span{
-      tracer, trace::kIoVbtMaterialize,
-      tracer.is_enabled(trace::kIoVbtMaterialize)
+  metrics::Sink& sink = metrics::global_sink();
+  const metrics::ScopedSpan materialize_span{
+      sink, metrics::kIoVbtMaterialize,
+      sink.is_enabled(metrics::kIoVbtMaterialize)
           ? file_span_ident(mapped->path())
-          : 0};
+          : 0,
+      metrics::kIoMaterializeNs};
   // Metadata rides the exact JSON document to_json writes (minus "rows"),
   // so the JSON reader's validation — schema, spec round-trip, shard
   // sanity — applies unchanged; the rows are then decoded column-wise.

@@ -96,11 +96,9 @@ void check_no_raw_random(const FileCtx& f, std::vector<Finding>& out) {
 
 /// no-wallclock: a wall-clock read anywhere near an artifact path makes
 /// output depend on when it ran. Timing belongs to the campaign
-/// heartbeat/provenance layer (src/campaign/), the metrics timers
-/// (src/metrics/ — the ScopedTimer/Stopwatch helpers every instrumented
-/// subsystem goes through, docs/metrics.md), the trace stopwatch
-/// (src/trace/stopwatch.h — the one clock site of the span layer,
-/// docs/tracing.md), and bench/ harnesses.
+/// heartbeat/provenance layer (src/campaign/), the instrumentation clock
+/// (src/metrics/clock.h — the one clock site every instrumented subsystem
+/// goes through, docs/metrics.md), and bench/ harnesses.
 void check_no_wallclock(const FileCtx& f, std::vector<Finding>& out) {
   const Tokens& t = f.code;
   for (std::size_t i = 0; i < t.size(); ++i) {
@@ -111,7 +109,7 @@ void check_no_wallclock(const FileCtx& f, std::vector<Finding>& out) {
       add(out, kNoWallclock, t[i].line,
           "wall-clock read '" + s +
               "' outside the provenance/heartbeat whitelist "
-              "(src/metrics/, src/campaign/, src/trace/stopwatch.h, bench/)");
+              "(src/metrics/clock.h, src/campaign/, bench/)");
       continue;
     }
     if (any_of(s, {"time", "clock"}) && is_punct(t, i + 1, "(") &&
@@ -119,7 +117,7 @@ void check_no_wallclock(const FileCtx& f, std::vector<Finding>& out) {
       add(out, kNoWallclock, t[i].line,
           "wall-clock read '" + s +
               "()' outside the provenance/heartbeat whitelist "
-              "(src/metrics/, src/campaign/, src/trace/stopwatch.h, bench/)");
+              "(src/metrics/clock.h, src/campaign/, bench/)");
       continue;
     }
     if (s == "now" && i > 0 && is_punct(t, i - 1, "::")) {
@@ -127,7 +125,7 @@ void check_no_wallclock(const FileCtx& f, std::vector<Finding>& out) {
       add(out, kNoWallclock, t[i].line,
           "wall-clock read '" + qualifier +
               "::now()' outside the provenance/heartbeat whitelist "
-              "(src/metrics/, src/campaign/, src/trace/stopwatch.h, bench/)");
+              "(src/metrics/clock.h, src/campaign/, bench/)");
     }
   }
 }
@@ -314,8 +312,7 @@ const std::vector<Rule>& rules() {
         "bans time()/clock_gettime/chrono ::now() so artifact bytes cannot "
         "depend on when they were produced",
         {},
-        {"src/metrics/", "src/campaign/", "src/trace/stopwatch.h",
-         "bench/"},
+        {"src/metrics/clock.h", "src/campaign/", "bench/"},
         false},
        &check_no_wallclock},
       {{std::string{kNoRawThread},

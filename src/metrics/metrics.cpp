@@ -1,34 +1,10 @@
 #include "src/metrics/metrics.h"
 
 #include <algorithm>
-#include <mutex>
+#include <memory>
 #include <stdexcept>
 
 namespace varbench::metrics {
-
-namespace {
-
-std::vector<MetricDef> builtin_defs() {
-  std::vector<MetricDef> defs;
-  defs.reserve(static_cast<std::size_t>(kNumBuiltinMetrics));
-#define VARBENCH_METRIC_DEF(sym, name, subsystem, unit, kind, help) \
-  defs.push_back(MetricDef{name, subsystem, unit, MetricKind::kind, help});
-  VARBENCH_BUILTIN_METRICS(VARBENCH_METRIC_DEF)
-#undef VARBENCH_METRIC_DEF
-  return defs;
-}
-
-struct Registry {
-  std::vector<MetricDef> defs = builtin_defs();
-  std::mutex mu;  // guards registration; id-indexed reads never resize away
-};
-
-Registry& registry() {
-  static Registry r;
-  return r;
-}
-
-}  // namespace
 
 std::string_view kind_name(MetricKind kind) {
   switch (kind) {
@@ -38,34 +14,20 @@ std::string_view kind_name(MetricKind kind) {
       return "timer";
     case MetricKind::kHistogram:
       return "histogram";
+    case MetricKind::kSpan:
+      return "span";
+    case MetricKind::kInstant:
+      return "instant";
   }
   return "counter";
 }
 
-const std::vector<MetricDef>& metric_defs() { return registry().defs; }
-
-std::size_t num_metrics() { return registry().defs.size(); }
-
 MetricId metric_id(std::string_view name) {
-  const auto& defs = registry().defs;
-  for (std::size_t i = 0; i < defs.size(); ++i) {
-    if (defs[i].name == name) return static_cast<MetricId>(i);
+  for (std::size_t i = 0; i < kMetricDefs.size(); ++i) {
+    if (kMetricDefs[i].name == name) return static_cast<MetricId>(i);
   }
   throw std::invalid_argument{"metrics: unknown metric name '" +
                               std::string{name} + "'"};
-}
-
-MetricId register_metric(MetricDef def) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock{r.mu};
-  for (const MetricDef& existing : r.defs) {
-    if (existing.name == def.name) {
-      throw std::invalid_argument{"metrics: metric name '" + def.name +
-                                  "' is already registered"};
-    }
-  }
-  r.defs.push_back(std::move(def));
-  return static_cast<MetricId>(r.defs.size() - 1);
 }
 
 std::uint64_t MetricSnapshot::percentile_upper(double p) const {
@@ -91,47 +53,30 @@ const MetricSnapshot* Snapshot::find(MetricId id) const {
   return nullptr;
 }
 
-Sink::Sink() : enabled_(num_metrics(), 0) {}
-
 Sink::~Sink() {
-  for (auto& slot : shards_) {
-    delete slot.load(std::memory_order_acquire);
-  }
+  for (auto& slot : slots_) delete slot.load(std::memory_order_acquire);
 }
 
 void Sink::enable(MetricId id) {
   if (id >= enabled_.size()) {
-    throw std::invalid_argument{
-        "metrics: enable() id out of range (metric registered after this "
-        "Sink was constructed?)"};
+    throw std::invalid_argument{"metrics: enable() id out of range"};
   }
-  if (enabled_[id] == 0) {
-    enabled_[id] = 1;
-    ++num_enabled_;
-  }
+  enabled_[id] = 1;
 }
 
 void Sink::disable(MetricId id) {
-  if (id < enabled_.size() && enabled_[id] != 0) {
-    enabled_[id] = 0;
-    --num_enabled_;
-  }
+  if (id < enabled_.size()) enabled_[id] = 0;
 }
 
-void Sink::enable_all() {
-  for (MetricId id = 0; id < enabled_.size(); ++id) enable(id);
-}
+void Sink::enable_all() { enabled_.fill(1); }
 
-void Sink::disable_all() {
-  std::fill(enabled_.begin(), enabled_.end(), std::uint8_t{0});
-  num_enabled_ = 0;
-}
+void Sink::disable_all() { enabled_.fill(0); }
 
 namespace {
 
-/// Stable per-thread shard slot: threads round-robin onto slots in the
-/// order they first record. (Slot choice only affects contention, never
-/// snapshot values — integer adds commute across shards.)
+/// Stable per-thread slot: threads round-robin onto slots in the order they
+/// first record. Slot choice only affects contention (integer adds commute
+/// across slots) and the events' presentation-only `tid`.
 std::size_t this_thread_slot(std::size_t num_slots) {
   static std::atomic<std::size_t> next{0};
   thread_local const std::size_t slot =
@@ -141,42 +86,63 @@ std::size_t this_thread_slot(std::size_t num_slots) {
 
 }  // namespace
 
-Sink::Shard& Sink::shard_for_this_thread() {
-  std::atomic<Shard*>& slot = shards_[this_thread_slot(kShardSlots)];
-  Shard* existing = slot.load(std::memory_order_acquire);
-  if (existing != nullptr) return *existing;
-  auto fresh = std::make_unique<Shard>(enabled_.size() * kCellsPerMetric);
-  Shard* expected = nullptr;
+std::pair<Sink::Slot&, std::size_t> Sink::slot_for_this_thread() {
+  const std::size_t index = this_thread_slot(kSlots);
+  std::atomic<Slot*>& slot = slots_[index];
+  Slot* existing = slot.load(std::memory_order_acquire);
+  if (existing != nullptr) return {*existing, index};
+  auto fresh = std::make_unique<Slot>();
+  Slot* expected = nullptr;
   if (slot.compare_exchange_strong(expected, fresh.get(),
                                    std::memory_order_acq_rel)) {
-    return *fresh.release();
+    return {*fresh.release(), index};
   }
-  return *expected;  // another thread on this slot won the race
+  return {*expected, index};  // another thread on this slot won the race
 }
 
 void Sink::record(MetricId id, std::uint64_t value) {
-  Shard& shard = shard_for_this_thread();
-  std::atomic<std::uint64_t>* cells = shard.cells.get() + id * kCellsPerMetric;
+  std::atomic<std::uint64_t>* cells =
+      slot_for_this_thread().first.cells.data() + id * kCellsPerMetric;
   cells[0].fetch_add(1, std::memory_order_relaxed);
   cells[1].fetch_add(value, std::memory_order_relaxed);
-  const MetricKind kind = metric_defs()[id].kind;
-  if (kind != MetricKind::kCounter) {
+  if (kMetricDefs[id].kind != MetricKind::kCounter) {
     cells[2 + bin_index(value)].fetch_add(1, std::memory_order_relaxed);
   }
 }
 
+void Sink::record_event(SpanEvent event) {
+  auto [slot, index] = slot_for_this_thread();
+  event.tid = index;
+  const std::lock_guard<std::mutex> lock{slot.mu};
+  if (slot.events.size() >= kMaxEventsPerSlot) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  slot.events.push_back(event);
+}
+
+void Sink::set_label(std::uint64_t ident, std::string label) {
+  const std::lock_guard<std::mutex> lock{labels_mu_};
+  for (auto& [known, text] : labels_) {
+    if (known == ident) {
+      text = std::move(label);
+      return;
+    }
+  }
+  labels_.emplace_back(ident, std::move(label));
+}
+
 Snapshot Sink::snapshot() const {
   Snapshot snap;
-  snap.metrics.reserve(num_enabled_);
-  for (MetricId id = 0; id < enabled_.size(); ++id) {
-    if (enabled_[id] == 0) continue;
+  for (MetricId id = 0; id < kNumMetrics; ++id) {
+    if (enabled_[id] == 0 || is_event(kMetricDefs[id].kind)) continue;
     MetricSnapshot m;
     m.id = id;
-    for (const auto& slot : shards_) {
-      const Shard* shard = slot.load(std::memory_order_acquire);
-      if (shard == nullptr) continue;
+    for (const auto& slot : slots_) {
+      const Slot* s = slot.load(std::memory_order_acquire);
+      if (s == nullptr) continue;
       const std::atomic<std::uint64_t>* cells =
-          shard->cells.get() + id * kCellsPerMetric;
+          s->cells.data() + id * kCellsPerMetric;
       m.count += cells[0].load(std::memory_order_relaxed);
       m.sum += cells[1].load(std::memory_order_relaxed);
       for (std::size_t b = 0; b < kNumBins; ++b) {
@@ -188,20 +154,41 @@ Snapshot Sink::snapshot() const {
   return snap;
 }
 
-void Sink::reset() {
-  for (auto& slot : shards_) {
-    Shard* shard = slot.load(std::memory_order_acquire);
-    if (shard == nullptr) continue;
-    const std::size_t n = enabled_.size() * kCellsPerMetric;
-    for (std::size_t i = 0; i < n; ++i) {
-      shard->cells[i].store(0, std::memory_order_relaxed);
-    }
+TraceFile Sink::drain(std::string process) {
+  TraceFile out;
+  out.process = std::move(process);
+  out.dropped = dropped_.exchange(0, std::memory_order_relaxed);
+  for (auto& slot : slots_) {
+    Slot* s = slot.load(std::memory_order_acquire);
+    if (s == nullptr) continue;
+    const std::lock_guard<std::mutex> lock{s->mu};
+    out.spans.insert(out.spans.end(), s->events.begin(), s->events.end());
+    s->events.clear();
   }
+  // Deterministic order for a given multiset of events, independent of
+  // which slot each thread landed on.
+  std::sort(out.spans.begin(), out.spans.end());
+  {
+    const std::lock_guard<std::mutex> lock{labels_mu_};
+    out.labels.swap(labels_);
+  }
+  std::sort(out.labels.begin(), out.labels.end());
+  sequence_.store(0, std::memory_order_relaxed);
+  return out;
 }
 
-std::size_t Sink::allocated_shards() const {
+void Sink::reset() {
+  for (auto& slot : slots_) {
+    Slot* s = slot.load(std::memory_order_acquire);
+    if (s == nullptr) continue;
+    for (auto& cell : s->cells) cell.store(0, std::memory_order_relaxed);
+  }
+  (void)drain({});
+}
+
+std::size_t Sink::allocated_slots() const {
   std::size_t n = 0;
-  for (const auto& slot : shards_) {
+  for (const auto& slot : slots_) {
     if (slot.load(std::memory_order_acquire) != nullptr) ++n;
   }
   return n;
@@ -212,7 +199,11 @@ Sink& global_sink() {
   return sink;
 }
 
-void enable_selection(Sink& sink, std::string_view selection) {
+void enable_selection(Sink& sink, std::string_view selection, Entries which) {
+  const bool spans = which == Entries::kSpans;
+  const auto selected = [&](MetricId id) {
+    return is_event(kMetricDefs[id].kind) == spans;
+  };
   std::size_t pos = 0;
   while (pos <= selection.size()) {
     std::size_t comma = selection.find(',', pos);
@@ -222,27 +213,23 @@ void enable_selection(Sink& sink, std::string_view selection) {
     while (!token.empty() && token.front() == ' ') token.remove_prefix(1);
     while (!token.empty() && token.back() == ' ') token.remove_suffix(1);
     if (token.empty()) continue;
-    if (token == "all") {
-      sink.enable_all();
-      continue;
-    }
-    if (token == "none") {
-      sink.disable_all();
-      continue;
-    }
-    const auto& defs = metric_defs();
-    bool matched = false;
-    for (std::size_t i = 0; i < defs.size(); ++i) {
-      if (defs[i].name == token || defs[i].subsystem == token) {
-        sink.enable(static_cast<MetricId>(i));
+    bool matched = token == "all" || token == "none";
+    for (MetricId id = 0; id < kNumMetrics; ++id) {
+      if (!selected(id)) continue;
+      const MetricDef& def = kMetricDefs[id];
+      if (token == "none") {
+        sink.disable(id);
+      } else if (token == "all" || def.name == token ||
+                 def.subsystem == token) {
+        sink.enable(id);
         matched = true;
       }
     }
     if (!matched) {
       throw std::invalid_argument{
-          "metrics: selection '" + std::string{token} +
-          "' matches no metric name or subsystem (try `varbench metrics "
-          "--list`)"};
+          "metrics: selection '" + std::string{token} + "' matches no " +
+          (spans ? "span" : "metric") +
+          " name or subsystem (try `varbench metrics --list`)"};
     }
   }
 }

@@ -11,17 +11,16 @@ study::ResultTable to_result_table(const Snapshot& snapshot,
   table.name = std::move(name);
   table.columns = {"seq",  "metric", "subsystem", "kind", "unit", "count",
                    "sum",  "mean",   "p50",       "p90",  "p99"};
-  const auto& defs = metric_defs();
   std::uint64_t seq = 0;
   for (const MetricSnapshot& m : snapshot.metrics) {
-    const MetricDef& def = defs[m.id];
+    const MetricDef& def = kMetricDefs[m.id];
     const bool binned = def.kind != MetricKind::kCounter;
     study::Row row;
     row.reserve(table.columns.size());
     row.push_back(io::Json{seq++});
     row.push_back(io::Json{def.name});
     row.push_back(io::Json{def.subsystem});
-    row.push_back(io::Json{std::string{kind_name(def.kind)}});
+    row.push_back(io::Json{kind_name(def.kind)});
     row.push_back(io::Json{def.unit});
     row.push_back(io::Json{m.count});
     row.push_back(io::Json{m.sum});
@@ -36,15 +35,15 @@ study::ResultTable to_result_table(const Snapshot& snapshot,
 
 io::Json registry_json() {
   io::Json items = io::Json::array();
-  const auto& defs = metric_defs();
-  for (std::size_t i = 0; i < defs.size(); ++i) {
+  for (std::size_t i = 0; i < kMetricDefs.size(); ++i) {
+    const MetricDef& def = kMetricDefs[i];
     io::Json item = io::Json::object();
     item.set("id", static_cast<std::uint64_t>(i));
-    item.set("name", defs[i].name);
-    item.set("subsystem", defs[i].subsystem);
-    item.set("kind", std::string{kind_name(defs[i].kind)});
-    item.set("unit", defs[i].unit);
-    item.set("help", defs[i].help);
+    item.set("name", def.name);
+    item.set("subsystem", def.subsystem);
+    item.set("kind", kind_name(def.kind));
+    item.set("unit", def.unit);
+    item.set("help", def.help);
     items.push_back(std::move(item));
   }
   return items;
@@ -52,12 +51,13 @@ io::Json registry_json() {
 
 std::string registry_text() {
   std::string out = "registered metrics (id order is stable; append-only):\n";
-  const auto& defs = metric_defs();
-  for (std::size_t i = 0; i < defs.size(); ++i) {
+  for (std::size_t i = 0; i < kMetricDefs.size(); ++i) {
+    const MetricDef& def = kMetricDefs[i];
     char line[256];
     std::snprintf(line, sizeof(line), "  %3zu  %-28s %-9s %-9s %s\n", i,
-                  defs[i].name.c_str(), kind_name(defs[i].kind).data(),
-                  defs[i].unit.c_str(), defs[i].help.c_str());
+                  std::string{def.name}.c_str(),
+                  std::string{kind_name(def.kind)}.c_str(),
+                  std::string{def.unit}.c_str(), std::string{def.help}.c_str());
     out += line;
   }
   return out;

@@ -1,4 +1,4 @@
-#include "src/trace/stitch.h"
+#include "src/metrics/trace_file.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -6,9 +6,16 @@
 #include <limits>
 #include <utility>
 
-namespace varbench::trace {
+namespace varbench::metrics {
 
 namespace {
+
+constexpr std::string_view kSchema = "varbench.trace.v1";
+constexpr std::string_view kSuffix = ".trace.json";
+
+[[noreturn]] void fail(const std::string& path, const std::string& what) {
+  throw io::JsonError{"trace file '" + path + "': " + what};
+}
 
 std::string hex_ident(std::uint64_t ident) {
   char buf[32];
@@ -25,6 +32,98 @@ const std::string* find_label(const TraceFile& file, std::uint64_t ident) {
 }
 
 }  // namespace
+
+void append(TraceFile& into, TraceFile&& extra) {
+  into.dropped += extra.dropped;
+  into.spans.insert(into.spans.end(), extra.spans.begin(), extra.spans.end());
+  std::sort(into.spans.begin(), into.spans.end());
+  for (auto& [ident, label] : extra.labels) {
+    if (find_label(into, ident) == nullptr) {
+      into.labels.emplace_back(ident, std::move(label));
+    }
+  }
+  std::sort(into.labels.begin(), into.labels.end());
+}
+
+std::string to_json_text(const TraceFile& file) {
+  io::Json doc = io::Json::object();
+  doc.set("schema", io::Json{kSchema});
+  doc.set("process", io::Json{file.process});
+  doc.set("dropped", io::Json{file.dropped});
+  io::Json spans = io::Json::array();
+  for (const SpanEvent& e : file.spans) {
+    io::Json row = io::Json::object();
+    row.set("span", io::Json{kMetricDefs[e.span].name});
+    row.set("ident", io::Json{e.ident});
+    row.set("tid", io::Json{e.tid});
+    row.set("start_ns", io::Json{e.start_ns});
+    row.set("dur_ns", io::Json{e.dur_ns});
+    spans.push_back(std::move(row));
+  }
+  doc.set("spans", std::move(spans));
+  io::Json labels = io::Json::array();
+  for (const auto& [ident, label] : file.labels) {
+    io::Json row = io::Json::object();
+    row.set("ident", io::Json{ident});
+    row.set("label", io::Json{label});
+    labels.push_back(std::move(row));
+  }
+  doc.set("labels", std::move(labels));
+  return doc.dump(2) + "\n";
+}
+
+TraceFile parse_trace_file(const std::string& text, const std::string& path) {
+  io::Json doc;
+  try {
+    doc = io::Json::parse(text);
+  } catch (const io::JsonError& e) {
+    fail(path, e.what());
+  }
+  if (!doc.is_object()) fail(path, "top level is not an object");
+  const io::Json* schema = doc.find("schema");
+  if (schema == nullptr || !schema->is_string() ||
+      schema->as_string() != kSchema) {
+    fail(path, "missing or unsupported schema (want '" + std::string{kSchema} +
+                   "')");
+  }
+  TraceFile out;
+  out.process = doc.at("process").as_string();
+  if (const io::Json* dropped = doc.find("dropped"); dropped != nullptr) {
+    out.dropped = dropped->as_uint64();
+  }
+  for (const io::Json& row : doc.at("spans").as_array()) {
+    SpanEvent e;
+    const std::string& name = row.at("span").as_string();
+    e.span = kNoMetric;
+    for (MetricId id = 0; id < kNumMetrics; ++id) {
+      const MetricDef& def = kMetricDefs[id];
+      if (def.name == name && is_event(def.kind)) e.span = id;
+    }
+    if (e.span == kNoMetric) fail(path, "unknown span name '" + name + "'");
+    e.ident = row.at("ident").as_uint64();
+    e.tid = row.at("tid").as_uint64();
+    e.start_ns = row.at("start_ns").as_uint64();
+    e.dur_ns = row.at("dur_ns").as_uint64();
+    out.spans.push_back(e);
+  }
+  for (const io::Json& row : doc.at("labels").as_array()) {
+    out.labels.emplace_back(row.at("ident").as_uint64(),
+                            row.at("label").as_string());
+  }
+  return out;
+}
+
+void write_trace_file(const std::string& path, const TraceFile& file) {
+  io::write_file(path, to_json_text(file));
+}
+
+TraceFile read_trace_file(const std::string& path) {
+  return parse_trace_file(io::read_file(path), path);
+}
+
+std::string worker_trace_name(const std::string& task_id) {
+  return "worker-" + task_id + std::string{kSuffix};
+}
 
 std::size_t StitchedTrace::total_spans() const {
   std::size_t n = 0;
@@ -43,10 +142,7 @@ StitchedTrace stitch_state_dir(const std::string& state_dir) {
   for (const auto& entry : fs::directory_iterator{traces_dir}) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
-    constexpr std::string_view kSuffix = ".trace.json";
-    if (name.size() > kSuffix.size() &&
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) ==
-            0) {
+    if (name.size() > kSuffix.size() && name.ends_with(kSuffix)) {
       paths.push_back(entry.path().string());
     }
   }
@@ -65,7 +161,6 @@ StitchedTrace stitch_state_dir(const std::string& state_dir) {
 }
 
 io::Json chrome_trace_json(const StitchedTrace& stitched) {
-  const auto& defs = span_defs();
   io::Json events = io::Json::array();
   for (std::size_t i = 0; i < stitched.processes.size(); ++i) {
     const TraceFile& file = stitched.processes[i];
@@ -81,25 +176,18 @@ io::Json chrome_trace_json(const StitchedTrace& stitched) {
       meta.set("args", std::move(args));
       events.push_back(std::move(meta));
     }
-    // Each process gets its own t=0: monotonic clocks are process-local,
-    // so cross-process offsets would be noise presented as signal.
     std::uint64_t base = std::numeric_limits<std::uint64_t>::max();
     for (const SpanEvent& e : file.spans) base = std::min(base, e.start_ns);
     for (const SpanEvent& e : file.spans) {
-      const SpanDef& def = defs[e.span];
+      const MetricDef& def = kMetricDefs[e.span];
+      const bool span = def.kind == MetricKind::kSpan;
       io::Json row = io::Json::object();
       row.set("name", io::Json{def.name});
       row.set("cat", io::Json{def.subsystem});
-      if (def.kind == SpanKind::kSpan) {
-        row.set("ph", io::Json{"X"});
-      } else {
-        row.set("ph", io::Json{"i"});
-        row.set("s", io::Json{"t"});  // instant scope: thread
-      }
+      row.set("ph", io::Json{span ? "X" : "i"});
+      if (!span) row.set("s", io::Json{"t"});  // instant scope: thread
       row.set("ts", io::Json{static_cast<double>(e.start_ns - base) / 1e3});
-      if (def.kind == SpanKind::kSpan) {
-        row.set("dur", io::Json{static_cast<double>(e.dur_ns) / 1e3});
-      }
+      if (span) row.set("dur", io::Json{static_cast<double>(e.dur_ns) / 1e3});
       row.set("pid", io::Json{pid});
       row.set("tid", io::Json{e.tid});
       io::Json args = io::Json::object();
@@ -119,13 +207,12 @@ io::Json chrome_trace_json(const StitchedTrace& stitched) {
 }
 
 study::ResultTable summary_table(const StitchedTrace& stitched) {
-  const auto& defs = span_defs();
   struct Agg {
     std::uint64_t count = 0;
     std::uint64_t total_ns = 0;
     std::uint64_t max_ns = 0;
   };
-  std::array<Agg, kNumSpans> aggs{};
+  std::array<Agg, kNumMetrics> aggs{};
   for (const TraceFile& file : stitched.processes) {
     for (const SpanEvent& e : file.spans) {
       Agg& a = aggs[e.span];
@@ -139,16 +226,16 @@ study::ResultTable summary_table(const StitchedTrace& stitched) {
   table.columns = {"seq",   "span",     "subsystem", "kind",
                    "count", "total_ms", "mean_ms",   "max_ms"};
   std::uint64_t seq = 0;
-  for (SpanId id = 0; id < kNumSpans; ++id) {
+  for (MetricId id = 0; id < kNumMetrics; ++id) {
     const Agg& a = aggs[id];
     if (a.count == 0) continue;
-    const SpanDef& def = defs[id];
+    const MetricDef& def = kMetricDefs[id];
     study::Row row;
     row.reserve(table.columns.size());
     row.push_back(io::Json{seq++});
     row.push_back(io::Json{def.name});
     row.push_back(io::Json{def.subsystem});
-    row.push_back(io::Json{std::string{kind_name(def.kind)}});
+    row.push_back(io::Json{kind_name(def.kind)});
     row.push_back(io::Json{a.count});
     row.push_back(io::Json{static_cast<double>(a.total_ns) / 1e6});
     row.push_back(io::Json{static_cast<double>(a.total_ns) / 1e6 /
@@ -159,17 +246,15 @@ study::ResultTable summary_table(const StitchedTrace& stitched) {
   return table;
 }
 
-std::vector<std::pair<SpanId, std::uint64_t>> span_shape(
+std::vector<std::pair<MetricId, std::uint64_t>> span_shape(
     const StitchedTrace& stitched) {
-  std::vector<std::pair<SpanId, std::uint64_t>> out;
+  std::vector<std::pair<MetricId, std::uint64_t>> out;
   out.reserve(stitched.total_spans());
   for (const TraceFile& file : stitched.processes) {
-    for (const SpanEvent& e : file.spans) {
-      out.emplace_back(e.span, e.ident);
-    }
+    for (const SpanEvent& e : file.spans) out.emplace_back(e.span, e.ident);
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-}  // namespace varbench::trace
+}  // namespace varbench::metrics

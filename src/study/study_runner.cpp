@@ -1,6 +1,5 @@
 #include "src/study/study_runner.h"
 
-#include <chrono>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -14,12 +13,12 @@
 #include "src/core/variance_study.h"
 #include "src/exec/parallel_replicate.h"
 #include "src/io/json.h"
+#include "src/metrics/clock.h"
+#include "src/metrics/metrics.h"
 #include "src/rngx/rng.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/prob_outperform.h"
 #include "src/study/figures/figures.h"
-#include "src/trace/stopwatch.h"
-#include "src/trace/trace.h"
 #include "src/version.h"
 
 namespace varbench::study {
@@ -465,21 +464,20 @@ void validate_study_spec(const StudySpec& spec) {
 ResultTable run_study(const StudySpec& spec) {
   validate_study_spec(spec);
   const auto it = runner_map().find(spec.kind);
-  trace::Tracer& tracer = trace::global_tracer();
+  metrics::Sink& sink = metrics::global_sink();
   std::uint64_t study_ident = 0;
-  if (tracer.is_enabled(trace::kStudyRun)) {
+  if (sink.is_enabled(metrics::kStudyRun)) {
     const std::string tag =
         std::string{to_string(spec.kind)} + ":" + spec.case_study;
     study_ident = rngx::hash_tag(tag);
-    tracer.set_label(study_ident, tag);
+    sink.set_label(study_ident, tag);
   }
-  const trace::ScopedSpan study_span{tracer, trace::kStudyRun, study_ident};
-  // varlint: allow(no-wallclock) -- wall_time_ms is provenance, not
-  // identity: it is stripped by --canonical and never merged or compared.
-  const auto start = std::chrono::steady_clock::now();
+  const metrics::ScopedSpan study_span{sink, metrics::kStudyRun, study_ident};
+  // wall_time_ms is provenance, not identity: it is stripped by
+  // --canonical and never merged or compared.
+  const metrics::Stopwatch stopwatch;
   ResultTable table = it->second(spec);
-  // varlint: allow(no-wallclock) -- closes the provenance interval above.
-  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const std::uint64_t elapsed_ns = stopwatch.elapsed_ns();
 
   table.name = std::string{to_string(spec.kind)} + ":" + spec.case_study;
   // The stored spec is the study's identity: shard and threads are
@@ -492,8 +490,7 @@ ResultTable run_study(const StudySpec& spec) {
   table.shard = spec.shard;
   table.seed = spec.seed;
   table.threads = spec.threads;
-  table.wall_time_ms =
-      std::chrono::duration<double, std::milli>(elapsed).count();
+  table.wall_time_ms = static_cast<double>(elapsed_ns) / 1e6;
   return table;
 }
 

@@ -155,11 +155,19 @@ TEST(LintRules, NoWallclockHitsMissesAndSuppression) {
   EXPECT_TRUE(lines_of(fs, "suppression-unused", false).empty());
 }
 
-TEST(LintRules, NoWallclockExemptUnderCampaignAndBench) {
-  for (const char* rel : {"src/campaign/fx.cpp", "bench/fx.cpp"}) {
+TEST(LintRules, NoWallclockExemptUnderCampaignBenchAndTheClockHeader) {
+  for (const char* rel :
+       {"src/campaign/fx.cpp", "bench/fx.cpp", "src/metrics/clock.h"}) {
     const auto fs = lint_fixture(rel, "no_wallclock.cpp");
     EXPECT_TRUE(lines_of(fs, "no-wallclock", false).empty()) << rel;
   }
+}
+
+TEST(LintRules, NoWallclockHitsInTheRestOfTheMetricsLayer) {
+  // The clock header is the one clock site: a steady_clock::now() anywhere
+  // else under src/metrics/ (line 7) is a finding like everywhere else.
+  const auto fs = lint_fixture("src/metrics/metrics.cpp", "no_wallclock.cpp");
+  EXPECT_EQ(lines_of(fs, "no-wallclock", false), (Lines{7, 8, 9, 10, 12}));
 }
 
 // ------------------------------------------------------------- no-raw-thread

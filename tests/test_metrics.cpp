@@ -1,7 +1,7 @@
-// The metrics-layer contract (docs/metrics.md): dense stable ids with
-// collision-rejecting registration, a disabled path that allocates
-// nothing and calls nothing, integer log2 histogram goldens, shard merges
-// that are bit-identical at any thread count, metrics-as-provenance
+// The metrics-layer contract (docs/metrics.md): dense stable ids, a
+// disabled path that allocates nothing and calls nothing, integer log2
+// histogram goldens, slot merges that are bit-identical at any thread
+// count, metrics-as-provenance
 // (enabling metrics never changes study artifact bytes), the snapshot →
 // ResultTable → report bridge, and the perf-trajectory gate's regression
 // arithmetic.
@@ -14,13 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "bench/trajectory.h"
 #include "src/exec/exec_context.h"
 #include "src/exec/parallel_for.h"
 #include "src/io/json.h"
+#include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
-#include "src/metrics/stopwatch.h"
 #include "src/metrics/table.h"
-#include "src/metrics/trajectory.h"
 #include "src/report/render.h"
 #include "src/report/summary.h"
 #include "src/rngx/rng.h"
@@ -32,6 +32,9 @@ namespace varbench::metrics {
 namespace {
 
 namespace fs = std::filesystem;
+using benchutil::gate_checks;
+using benchutil::Trajectory;
+using benchutil::TrajectoryRow;
 
 fs::path temp_dir(const std::string& leaf) {
   const fs::path dir = fs::temp_directory_path() / leaf;
@@ -43,8 +46,7 @@ fs::path temp_dir(const std::string& leaf) {
 // ----------------------------------------------------------- registry
 
 TEST(MetricsRegistry, BuiltinIdsAreIndices) {
-  const auto& defs = metric_defs();
-  ASSERT_GE(defs.size(), static_cast<std::size_t>(kNumBuiltinMetrics));
+  const auto& defs = kMetricDefs;
   EXPECT_EQ(metric_id("exec.parallel_regions"), kExecRegions);
   EXPECT_EQ(metric_id("exec.queue_wait_ns"), kExecQueueWaitNs);
   EXPECT_EQ(metric_id("campaign.claim_to_start_ns"), kCampaignClaimToStartNs);
@@ -54,22 +56,6 @@ TEST(MetricsRegistry, BuiltinIdsAreIndices) {
     EXPECT_EQ(metric_id(defs[i].name), static_cast<MetricId>(i));
   }
   EXPECT_THROW((void)metric_id("exec.no_such_metric"), std::invalid_argument);
-}
-
-TEST(MetricsRegistry, RegisterMetricRejectsCollisions) {
-  MetricDef def;
-  def.name = "test.extension_metric";
-  def.subsystem = "test";
-  def.unit = "count";
-  def.kind = MetricKind::kCounter;
-  const MetricId id = register_metric(def);
-  EXPECT_EQ(id, static_cast<MetricId>(num_metrics() - 1));
-  EXPECT_EQ(metric_id("test.extension_metric"), id);
-  // Same extension name again, and a builtin name: both ambiguous.
-  EXPECT_THROW(register_metric(def), std::invalid_argument);
-  MetricDef builtin_clash = def;
-  builtin_clash.name = "exec.chunks";
-  EXPECT_THROW(register_metric(builtin_clash), std::invalid_argument);
 }
 
 // ---------------------------------------------------- histogram geometry
@@ -127,29 +113,37 @@ TEST(MetricsSink, DisabledPathAllocatesNothingAndDefersWork) {
       lazy_called = true;
       return std::uint64_t{1};
     });
-    const ScopedTimer timer{sink, kExecChunkRunNs};
+    const ScopedSpan timer{sink, kExecChunk, 0, kExecChunkRunNs};
   }
   EXPECT_FALSE(lazy_called);
-  EXPECT_EQ(sink.allocated_shards(), 0u);  // no shard was ever touched
-  EXPECT_FALSE(sink.any_enabled());
+  EXPECT_EQ(sink.allocated_slots(), 0u);  // no slot was ever touched
   EXPECT_TRUE(sink.snapshot().empty());
 }
 
 TEST(MetricsSink, EnableSelectionBySubsystemNameAndAll) {
   Sink sink;
-  enable_selection(sink, "exec");
-  for (MetricId id = 0; id < kNumBuiltinMetrics; ++id) {
-    EXPECT_EQ(sink.is_enabled(id), metric_defs()[id].subsystem == "exec");
+  // A metrics selection never turns on spans, even of the same subsystem.
+  enable_selection(sink, "exec,rngx");
+  for (MetricId id = 0; id < kNumMetrics; ++id) {
+    const MetricDef& def = kMetricDefs[id];
+    EXPECT_EQ(sink.is_enabled(id),
+              (def.subsystem == "exec" || def.subsystem == "rngx") &&
+                  !is_event(def.kind))
+        << def.name;
   }
   enable_selection(sink, "none");
-  EXPECT_FALSE(sink.any_enabled());
+  for (MetricId id = 0; id < kNumMetrics; ++id) {
+    EXPECT_FALSE(sink.is_enabled(id));
+  }
   enable_selection(sink, "io.vbt_bytes_mapped,campaign");
   EXPECT_TRUE(sink.is_enabled(kIoBytesMapped));
   EXPECT_FALSE(sink.is_enabled(kIoTablesMapped));
   EXPECT_TRUE(sink.is_enabled(kCampaignTaskRetries));
   enable_selection(sink, "all");
   EXPECT_TRUE(sink.is_enabled(kExecChunks));
+  EXPECT_FALSE(sink.is_enabled(kExecChunk));
   EXPECT_THROW(enable_selection(sink, "nonesuch"), std::invalid_argument);
+  EXPECT_THROW(enable_selection(sink, "exec.chunk"), std::invalid_argument);
 }
 
 TEST(MetricsSink, CounterTotalsAndZeroCountEnabledMetrics) {
@@ -174,11 +168,11 @@ TEST(MetricsSink, CounterTotalsAndZeroCountEnabledMetrics) {
   EXPECT_EQ(cleared->count, 0u);
 }
 
-TEST(MetricsSink, ScopedTimerRecordsOnlyWhenEnabled) {
+TEST(MetricsSink, ScopedSpanFeedsAnEnabledTimerAlone) {
   Sink sink;
-  sink.enable(kExecChunkRunNs);
+  sink.enable(kExecChunkRunNs);  // the timer only, not the exec.chunk span
   {
-    const ScopedTimer timer{sink, kExecChunkRunNs};
+    const ScopedSpan timer{sink, kExecChunk, 0, kExecChunkRunNs};
     volatile double acc = 0.0;
     for (int i = 0; i < 10000; ++i) acc = acc + 1.0;
   }
@@ -187,6 +181,7 @@ TEST(MetricsSink, ScopedTimerRecordsOnlyWhenEnabled) {
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->count, 1u);
   EXPECT_GT(m->sum, 0u);
+  EXPECT_TRUE(sink.drain("proc").spans.empty());
 }
 
 // ------------------------------------------------- deterministic merge

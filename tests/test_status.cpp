@@ -1,4 +1,4 @@
-// Status-layer contract (docs/tracing.md): heartbeats may carry a live
+// Status-layer contract (docs/campaigns.md): heartbeats may carry a live
 // progress snapshot in the claim body without breaking anything that
 // already reads claims — mtime stays the liveness signal, parse_ticket
 // ignores the extra key so status-carrying claims still requeue and

@@ -1,9 +1,9 @@
-// Trace-layer contract (docs/tracing.md): zero overhead while disabled
-// (no allocation, no clock reads beyond one branch), identity-derived span
-// idents so the same campaign traced at any worker split yields the same
-// timestamp-free shape, deterministic serialization/stitching, and —
-// the hard invariant — traces are provenance, never identity: enabling
-// tracing changes no artifact bytes.
+// Span contract of the instrumentation layer (docs/metrics.md): zero
+// overhead while disabled (no allocation, no clock reads beyond one
+// branch), identity-derived span idents so the same campaign traced at any
+// worker split yields the same timestamp-free shape, deterministic
+// serialization/stitching, and — the hard invariant — traces are
+// provenance, never identity: enabling tracing changes no artifact bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,12 +22,11 @@
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
-#include "src/trace/file.h"
-#include "src/trace/stitch.h"
-#include "src/trace/stopwatch.h"
-#include "src/trace/trace.h"
+#include "src/metrics/clock.h"
+#include "src/metrics/metrics.h"
+#include "src/metrics/trace_file.h"
 
-namespace varbench::trace {
+namespace varbench::metrics {
 namespace {
 
 namespace fs = std::filesystem;
@@ -53,86 +52,115 @@ class TempDir {
 
 // ------------------------------------------------------------- registry
 
-TEST(SpanRegistry, NamesAreUniqueAndRoundTrip) {
-  const auto& defs = span_defs();
-  ASSERT_EQ(defs.size(), static_cast<std::size_t>(kNumSpans));
+TEST(SpanRegistry, SpansFollowTheMetricsWithUniqueNames) {
   std::set<std::string_view> names;
-  for (SpanId id = 0; id < kNumSpans; ++id) {
-    EXPECT_TRUE(names.insert(defs[id].name).second) << defs[id].name;
-    EXPECT_FALSE(defs[id].subsystem.empty());
-    EXPECT_FALSE(defs[id].help.empty());
-    EXPECT_EQ(span_id(defs[id].name), id);
+  for (MetricId id = 0; id < kNumMetrics; ++id) {
+    const MetricDef& def = kMetricDefs[id];
+    EXPECT_TRUE(names.insert(def.name).second) << def.name;
+    EXPECT_FALSE(def.subsystem.empty());
+    EXPECT_FALSE(def.help.empty());
+    // Spans were appended after the metrics, so no metric id moved.
+    EXPECT_EQ(is_event(def.kind), id >= kStudyRun) << def.name;
   }
-  EXPECT_EQ(span_id("exec.chunk"), static_cast<SpanId>(kExecChunk));
-  EXPECT_EQ(defs[kCampaignTaskQueued].kind, SpanKind::kInstant);
-  EXPECT_EQ(defs[kExecRegion].kind, SpanKind::kSpan);
+  EXPECT_EQ(metric_id("exec.chunk"), static_cast<MetricId>(kExecChunk));
+  EXPECT_EQ(kMetricDefs[kCampaignTaskQueued].kind, MetricKind::kInstant);
+  EXPECT_EQ(kMetricDefs[kExecRegion].kind, MetricKind::kSpan);
 }
 
-TEST(SpanRegistry, UnknownNameThrows) {
-  EXPECT_THROW((void)span_id("exec.nope"), std::invalid_argument);
-}
+// ---------------------------------------------------------------- sink
 
-// --------------------------------------------------------------- tracer
-
-TEST(TracerTest, DisabledTracerRecordsAndAllocatesNothing) {
-  Tracer t;
-  EXPECT_FALSE(t.any_enabled());
-  { const ScopedSpan s{t, kExecRegion, 7}; }
+TEST(SinkSpans, DisabledSpansRecordAndAllocateNothing) {
+  Sink t;
+  { const ScopedSpan s{t, kExecRegion, 7, kExecChunkRunNs}; }
   instant(t, kCampaignTaskQueued, 9);
   span_end(t, kCampaignTaskRunning, 1, span_begin(t, kCampaignTaskRunning));
   t.emit(kStudyRun, 1, 2, 3);
-  // The disabled path must not even allocate a buffer — that is the
+  // The disabled path must not even allocate a slot — that is the
   // "zero-overhead when off" half of the contract.
-  EXPECT_EQ(t.allocated_buffers(), 0u);
-  EXPECT_TRUE(t.take_events().empty());
-  EXPECT_EQ(t.dropped(), 0u);
+  EXPECT_EQ(t.allocated_slots(), 0u);
+  const TraceFile drained = t.drain("proc");
+  EXPECT_TRUE(drained.spans.empty());
+  EXPECT_EQ(drained.dropped, 0u);
 }
 
-TEST(TracerTest, EnableSelectionBySubsystemNameAndAll) {
-  Tracer t;
-  enable_selection(t, "exec");
+TEST(SinkSpans, EnableSelectionBySubsystemNameAndAll) {
+  Sink t;
+  enable_selection(t, "exec", Entries::kSpans);
   EXPECT_TRUE(t.is_enabled(kExecRegion));
   EXPECT_TRUE(t.is_enabled(kExecChunk));
+  EXPECT_FALSE(t.is_enabled(kExecChunks));  // a metric, not a span
   EXPECT_FALSE(t.is_enabled(kStudyRun));
-  enable_selection(t, "study.run, campaign.task_running");
+  enable_selection(t, "study.run, campaign.task_running", Entries::kSpans);
   EXPECT_TRUE(t.is_enabled(kStudyRun));
   EXPECT_TRUE(t.is_enabled(kCampaignTaskRunning));
   EXPECT_FALSE(t.is_enabled(kCampaignTaskQueued));
-  enable_selection(t, "none");
-  EXPECT_FALSE(t.any_enabled());
-  enable_selection(t, "all");
-  for (SpanId id = 0; id < kNumSpans; ++id) EXPECT_TRUE(t.is_enabled(id));
-  EXPECT_THROW(enable_selection(t, "exec.bogus"), std::invalid_argument);
-  EXPECT_THROW(enable_selection(t, "tracing"), std::invalid_argument);
+  t.enable(kExecChunks);
+  enable_selection(t, "none", Entries::kSpans);
+  for (MetricId id = 0; id < kNumMetrics; ++id) {
+    EXPECT_EQ(t.is_enabled(id), id == kExecChunks) << id;
+  }
+  enable_selection(t, "all", Entries::kSpans);
+  for (MetricId id = 0; id < kNumMetrics; ++id) {
+    EXPECT_EQ(t.is_enabled(id), is_event(kMetricDefs[id].kind) ||
+                                    id == kExecChunks);
+  }
+  EXPECT_THROW(enable_selection(t, "exec.bogus", Entries::kSpans),
+               std::invalid_argument);
+  EXPECT_THROW(enable_selection(t, "tracing", Entries::kSpans),
+               std::invalid_argument);
+  EXPECT_THROW(enable_selection(t, "exec.chunks", Entries::kSpans),
+               std::invalid_argument);
 }
 
-TEST(TracerTest, TakeEventsSortsDeterministicallyAndResetsSequence) {
-  Tracer t;
+TEST(SinkSpans, DrainSortsDeterministicallyAndResetsSequence) {
+  Sink t;
   t.enable(kExecRegion);
   t.emit(kExecRegion, 5, /*start_ns=*/200, /*dur_ns=*/10);
   t.emit(kExecRegion, 4, /*start_ns=*/100, /*dur_ns=*/10);
   t.emit(kExecRegion, 3, /*start_ns=*/100, /*dur_ns=*/5);
   EXPECT_EQ(t.next_sequence(), 0u);
   EXPECT_EQ(t.next_sequence(), 1u);
-  const auto events = t.take_events();
+  const auto events = t.drain("proc").spans;
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].ident, 3u);  // (100, region, 3) < (100, region, 4)
   EXPECT_EQ(events[1].ident, 4u);
   EXPECT_EQ(events[2].ident, 5u);
-  // take_events resets the sequence so every flushed trace numbers from 0.
+  // drain resets the sequence so every flushed trace numbers from 0.
   EXPECT_EQ(t.next_sequence(), 0u);
 }
 
-TEST(TracerTest, ParallelForEmitsRegionAndChunkSpans) {
-  Tracer t;
-  enable_selection(t, "exec");
+TEST(SinkSpans, OneGuardFeedsTimerAndSpanFromOneClockRead) {
+  Sink t;
+  t.enable(kExecChunk);
+  t.enable(kExecChunkRunNs);
+  {
+    const ScopedSpan s{t, kExecChunk, 42, kExecChunkRunNs};
+    volatile double acc = 0.0;
+    for (int i = 0; i < 10000; ++i) acc = acc + 1.0;
+  }
+  const TraceFile drained = t.drain("proc");
+  ASSERT_EQ(drained.spans.size(), 1u);
+  EXPECT_EQ(drained.spans[0].ident, 42u);
+  EXPECT_GT(drained.spans[0].dur_ns, 0u);
+  const Snapshot snap = t.snapshot();
+  const MetricSnapshot* timer = snap.find(kExecChunkRunNs);
+  ASSERT_NE(timer, nullptr);
+  EXPECT_EQ(timer->count, 1u);
+  EXPECT_EQ(timer->sum, drained.spans[0].dur_ns);  // the same duration
+  // Spans never appear in a metrics snapshot.
+  EXPECT_EQ(snap.find(kExecChunk), nullptr);
+}
+
+TEST(SinkSpans, ParallelForEmitsRegionAndChunkSpans) {
+  Sink t;
+  enable_selection(t, "exec", Entries::kSpans);
   exec::ExecContext ctx{2};
-  ctx.tracer = &t;
+  ctx.metrics = &t;
   std::vector<double> out(64, 0.0);
   exec::parallel_for(ctx, 0, out.size(), [&](std::size_t i) {
     out[i] = static_cast<double>(i);
   });
-  const auto events = t.take_events();
+  const auto events = t.drain("proc").spans;
   std::size_t regions = 0;
   std::size_t chunks = 0;
   std::uint64_t region_ident = 0;
@@ -161,13 +189,11 @@ TraceFile sample_file() {
   TraceFile f;
   f.process = "worker-s0-0of2";
   f.dropped = 2;
-  f.spans = {SpanEvent{kExecRegion, 0, 0, 100, 50},
-             SpanEvent{kExecChunk, 0, 1, 110, 20},
-             SpanEvent{kCampaignTaskQueued, 77, 0, 90, 0}};
-  std::sort(f.spans.begin(), f.spans.end(),
-            [](const SpanEvent& a, const SpanEvent& b) {
-              return a.start_ns < b.start_ns;
-            });
+  // {start_ns, span, ident, tid, dur_ns}
+  f.spans = {SpanEvent{100, kExecRegion, 0, 0, 50},
+             SpanEvent{110, kExecChunk, 0, 1, 20},
+             SpanEvent{90, kCampaignTaskQueued, 77, 0, 0}};
+  std::sort(f.spans.begin(), f.spans.end());
   f.labels = {{77, "s0-0of2"}};
   return f;
 }
@@ -197,24 +223,33 @@ TEST(TraceFileTest, ParseErrorsAreActionableAndNamePath) {
   };
   expect_error("{", "x.trace.json");
   expect_error(R"({"schema": "other.v9"})", "schema");
-  std::string text = to_json_text(sample_file());
+  const std::string text = to_json_text(sample_file());
   const std::string from = "exec.region";
-  text.replace(text.find(from), from.size(), "exec.nopes");
-  expect_error(text, "exec.nopes");
+  // An unknown name, and a metric name where a span belongs.
+  for (const std::string to : {"exec.nopes", "exec.chunks"}) {
+    std::string bad = text;
+    bad.replace(bad.find(from), from.size(), to);
+    expect_error(bad, to);
+  }
 }
 
-TEST(TraceFileTest, DrainEmptiesTheTracer) {
-  Tracer t;
+TEST(TraceFileTest, DrainEmptiesTheSinkButKeepsItsMetrics) {
+  Sink t;
   t.enable(kStudyRun);
+  t.enable(kExecChunks);
   t.emit(kStudyRun, 1, 10, 5);
+  t.add(kExecChunks, 3);
   t.set_label(1, "variance:cifar10_vgg11");
-  const TraceFile f = drain(t, "proc");
+  const TraceFile f = t.drain("proc");
   EXPECT_EQ(f.process, "proc");
   ASSERT_EQ(f.spans.size(), 1u);
   ASSERT_EQ(f.labels.size(), 1u);
   EXPECT_EQ(f.labels[0].second, "variance:cifar10_vgg11");
-  EXPECT_TRUE(t.take_events().empty());
-  EXPECT_TRUE(t.take_labels().empty());
+  const TraceFile again = t.drain("proc");
+  EXPECT_TRUE(again.spans.empty());
+  EXPECT_TRUE(again.labels.empty());
+  ASSERT_NE(t.snapshot().find(kExecChunks), nullptr);
+  EXPECT_EQ(t.snapshot().find(kExecChunks)->sum, 3u);
 }
 
 TEST(TraceFileTest, AppendMergesSortsAndDedupsLabels) {
@@ -222,7 +257,7 @@ TEST(TraceFileTest, AppendMergesSortsAndDedupsLabels) {
   TraceFile b;
   b.process = a.process;
   b.dropped = 1;
-  b.spans = {SpanEvent{kExecRegion, 9, 0, 10, 1}};
+  b.spans = {SpanEvent{10, kExecRegion, 9, 0, 1}};
   b.labels = {{77, "s0-0of2"}, {5, "other"}};
   append(a, std::move(b));
   EXPECT_EQ(a.dropped, 3u);
@@ -254,7 +289,7 @@ TEST(StitchTest, StitchesLexicographicallyAndExportsChrome) {
   TraceFile worker = sample_file();
   TraceFile coord;
   coord.process = "coordinator";
-  coord.spans = {SpanEvent{kCampaignStudyMerged, 0, 0, 1'000, 300}};
+  coord.spans = {SpanEvent{1'000, kCampaignStudyMerged, 0, 0, 300}};
   write_trace_file(dir.str() + "/traces/worker-s0-0of2.trace.json", worker);
   write_trace_file(dir.str() + "/traces/coordinator.trace.json", coord);
 
@@ -384,10 +419,10 @@ TEST(CampaignTrace, ShapeIsWorkerCountInvariantAndArtifactsUnchanged) {
     EXPECT_TRUE(fs::exists(fs::path{dir->str()} / "traces" /
                            "coordinator.trace.json"));
   }
-  // in_process_launcher(true) enabled the process-global tracer; put it
-  // back so later tests in this binary see the all-disabled default.
-  global_tracer().disable_all();
-  global_tracer().reset();
+  // in_process_launcher(true) enabled the process-global sink's spans; put
+  // it back so later tests in this binary see the all-disabled default.
+  global_sink().disable_all();
+  global_sink().reset();
 
   // Traces are provenance, never identity: tracing on (at any worker
   // count) changes no artifact bytes.
@@ -405,14 +440,14 @@ TEST(CampaignTrace, ShapeIsWorkerCountInvariantAndArtifactsUnchanged) {
   std::set<std::string_view> subsystems;
   for (const TraceFile& file : one.processes) {
     for (const SpanEvent& e : file.spans) {
-      subsystems.insert(span_defs()[e.span].subsystem);
+      subsystems.insert(kMetricDefs[e.span].subsystem);
     }
   }
   EXPECT_TRUE(subsystems.count("campaign"));
   EXPECT_TRUE(subsystems.count("study"));
   EXPECT_TRUE(subsystems.count("exec"));
   // Lifecycle completeness: each task was queued, claimed, run, promoted.
-  const auto count = [&](SpanId id) {
+  const auto count = [&](MetricId id) {
     std::size_t n = 0;
     for (const TraceFile& f : one.processes) {
       for (const SpanEvent& e : f.spans) n += e.span == id ? 1 : 0;
@@ -428,5 +463,57 @@ TEST(CampaignTrace, ShapeIsWorkerCountInvariantAndArtifactsUnchanged) {
   EXPECT_EQ(count(kStudyRun), 2u);  // one per worker task
 }
 
+// ------------------------------------------- campaign.json metrics block
+
+TEST(CampaignMetrics, ManifestBlockSurvivesTracingAndStaysOutOfWorkerTraces) {
+  // Campaign metrics on the global sink, as `varbench campaign --metrics`
+  // records them. The in-process launcher drains that same sink's spans
+  // per task; its metric cells must keep accumulating across tasks.
+  const auto spec = tiny_compare_spec();
+  for (const bool traced : {false, true}) {
+    const TempDir dir{traced ? "metrics_traced" : "metrics_plain"};
+    Sink& global = global_sink();
+    global.disable_all();
+    global.reset();
+    enable_selection(global, "campaign");
+    auto cfg = traced_config(dir.str(), 2);
+    cfg.trace = traced;
+    const auto report = campaign::run_campaign(
+        cfg, {spec}, campaign::in_process_launcher(traced));
+    global.disable_all();
+    global.reset();
+    ASSERT_TRUE(report.ok());
+
+    const io::Json manifest =
+        io::Json::parse(io::read_file(dir.str() + "/campaign.json"));
+    const io::Json* block = manifest.find("metrics");
+    ASSERT_NE(block, nullptr) << "traced=" << traced;
+    for (const char* name :
+         {"campaign.claim_to_start_ns", "campaign.task_retries",
+          "campaign.heartbeat_jitter_ns", "campaign.tasks_launched"}) {
+      EXPECT_NE(block->find(name), nullptr) << name;
+    }
+    EXPECT_EQ(block->at("campaign.tasks_launched").at("sum").as_uint64(),
+              report.tasks);
+    EXPECT_EQ(block->at("campaign.task_retries").at("sum").as_uint64(), 0u);
+    if (!traced) continue;
+
+    // Coordinator lifecycle spans land in coordinator.trace.json only.
+    const StitchedTrace stitched = stitch_state_dir(dir.str());
+    ASSERT_EQ(stitched.processes.size(), 1 + report.tasks);
+    for (const TraceFile& file : stitched.processes) {
+      std::size_t campaign_spans = 0;
+      for (const SpanEvent& e : file.spans) {
+        campaign_spans += kMetricDefs[e.span].subsystem == "campaign" ? 1 : 0;
+      }
+      if (file.process == "coordinator") {
+        EXPECT_GT(campaign_spans, 0u);
+      } else {
+        EXPECT_EQ(campaign_spans, 0u) << file.process;
+      }
+    }
+  }
+}
+
 }  // namespace
-}  // namespace varbench::trace
+}  // namespace varbench::metrics

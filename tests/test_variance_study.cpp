@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/casestudies/mlp_pipeline.h"
+#include "src/metrics/metrics.h"
 #include "src/ml/synthetic.h"
 
 namespace varbench::core {
@@ -118,6 +119,38 @@ TEST(VarianceStudy, HpoRowsAppended) {
   EXPECT_EQ(hpo_row.source, rngx::VariationSource::kHpo);
   EXPECT_EQ(hpo_row.label, "random_search");
   EXPECT_EQ(hpo_row.measures.size(), 3u);
+}
+
+TEST(VarianceStudy, NestedHpoLoopsRecordIntoTheCallersSink) {
+  // The HPO repetition loop owns the hardware, so each HOpt trial loop runs
+  // inline inside it — but still on the caller's sink, not the global one.
+  const auto pool = study_pool();
+  const auto pipeline = study_pipeline();
+  const OutOfBootstrapSplitter splitter{120, 60};
+  VarianceStudyConfig cfg;
+  cfg.repetitions = 2;
+  cfg.hpo_algorithms = {"random_search"};
+  cfg.hpo_repetitions = 2;
+  cfg.hpo_budget = 3;
+  cfg.include_numerical_noise = false;
+  metrics::Sink local;
+  local.enable(metrics::kExecRegions);
+  cfg.exec = exec::ExecContext{2};
+  cfg.exec.metrics = &local;
+  metrics::Sink& global = metrics::global_sink();
+  global.reset();
+  global.enable(metrics::kExecRegions);
+  rngx::Rng master{8};
+  (void)run_variance_study(pipeline, pool, splitter, cfg, master);
+  const metrics::Snapshot leaked = global.snapshot();
+  global.disable(metrics::kExecRegions);
+  global.reset();
+  ASSERT_NE(leaked.find(metrics::kExecRegions), nullptr);
+  EXPECT_EQ(leaked.find(metrics::kExecRegions)->count, 0u);
+  const metrics::Snapshot recorded = local.snapshot();
+  ASSERT_NE(recorded.find(metrics::kExecRegions), nullptr);
+  // 5 ξO loops + the HPO repetition loop + one trial loop per repetition.
+  EXPECT_EQ(recorded.find(metrics::kExecRegions)->count, 8u);
 }
 
 TEST(VarianceStudy, TooFewRepetitionsThrows) {

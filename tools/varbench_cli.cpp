@@ -48,13 +48,14 @@
 #include <vector>
 
 #include "bench/bench_spec.h"
+#include "bench/gate.h"
 #include "src/campaign/campaign.h"
 #include "src/campaign/status.h"
 #include "src/campaign/subprocess.h"
 #include "src/io/json.h"
-#include "src/metrics/gate.h"
 #include "src/metrics/metrics.h"
 #include "src/metrics/table.h"
+#include "src/metrics/trace_file.h"
 #include "src/report/artifact.h"
 #include "src/report/render.h"
 #include "src/report/report_spec.h"
@@ -62,9 +63,6 @@
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
-#include "src/trace/file.h"
-#include "src/trace/stitch.h"
-#include "src/trace/trace.h"
 #include "src/varbench.h"
 #include "src/version.h"
 
@@ -305,13 +303,14 @@ int cmd_run(const Args& a) {
   if (selection != nullptr) {
     metrics::enable_selection(metrics::global_sink(), *selection);
   }
-  // Traces are the same bargain: spans describe where the time went, never
+  // Spans are the same bargain: they describe where the time went, never
   // what the result is, so --trace-out cannot change the artifact bytes
-  // either (docs/tracing.md). Campaign workers get this flag injected by
-  // subprocess_launcher so every worker leaves a per-worker trace behind.
+  // either. Campaign workers get this flag injected by subprocess_launcher
+  // so every worker leaves a per-worker trace behind.
   const std::string* trace_out = a.find("trace-out");
   if (trace_out != nullptr) {
-    trace::global_tracer().enable_all();
+    metrics::enable_selection(metrics::global_sink(), "all",
+                              metrics::Entries::kSpans);
   }
   const int rc = finish_study(study::run_study(spec), a);
   if (trace_out != nullptr) {
@@ -322,9 +321,9 @@ int cmd_run(const Args& a) {
                         kSuffix) == 0) {
       process.resize(process.size() - kSuffix.size());
     }
-    const trace::TraceFile file =
-        trace::drain(trace::global_tracer(), std::move(process));
-    trace::write_trace_file(*trace_out, file);
+    const metrics::TraceFile file =
+        metrics::global_sink().drain(std::move(process));
+    metrics::write_trace_file(*trace_out, file);
     std::fprintf(stderr, "trace: %zu span(s) -> %s\n", file.spans.size(),
                  trace_out->c_str());
   }
@@ -488,9 +487,8 @@ int cmd_campaign(const Args& a) {
     // The coordinator's own io spans (artifact loads during study merge)
     // ride in coordinator.trace.json next to the campaign spans; workers
     // are separate processes and trace themselves via --trace-out.
-    trace::enable_selection(trace::global_tracer(), "io");
-    cfg.tracer = &trace::global_tracer();
-    trace::enable_selection(*cfg.tracer, "campaign");
+    metrics::enable_selection(metrics::global_sink(), "io",
+                              metrics::Entries::kSpans);
   }
 
   const auto report = campaign::run_campaign(
@@ -605,7 +603,7 @@ int cmd_report(const Args& a) {
 /// timeline. --chrome exports Chrome trace-event JSON (load it in
 /// Perfetto / chrome://tracing); --summary (also the default when no
 /// --chrome is asked for) renders the per-span critical-path table through
-/// the report machinery (docs/tracing.md).
+/// the report machinery (docs/metrics.md).
 int cmd_trace(const Args& a) {
   require_known_flags(a, {"chrome", "summary", "format", "threads"});
   if (a.positional.empty()) {
@@ -615,16 +613,16 @@ int cmd_trace(const Args& a) {
                  "stitches <state-dir>/traces/*.trace.json (written by "
                  "campaign --trace or run --trace-out) into a Chrome "
                  "trace-event timeline and a per-span summary "
-                 "(docs/tracing.md)\n");
+                 "(docs/metrics.md)\n");
     return 2;
   }
-  const trace::StitchedTrace stitched =
-      trace::stitch_state_dir(a.positional[0]);
+  const metrics::StitchedTrace stitched =
+      metrics::stitch_state_dir(a.positional[0]);
   std::fprintf(stderr, "trace: %zu span(s) across %zu process(es)\n",
                stitched.total_spans(), stitched.processes.size());
   bool emitted = false;
   if (const std::string* out = a.find("chrome")) {
-    io::write_file(*out, trace::chrome_trace_json(stitched).dump(2) + "\n");
+    io::write_file(*out, metrics::chrome_trace_json(stitched).dump(2) + "\n");
     std::fprintf(stderr, "wrote %s\n", out->c_str());
     emitted = true;
   }
@@ -641,7 +639,7 @@ int cmd_trace(const Args& a) {
                  io::Json{opt_string(a, "format", "text")});
     const auto spec = report::ReportSpec::from_json(spec_doc);
     const report::LoadedArtifact artifact{a.positional[0],
-                                          trace::summary_table(stitched)};
+                                          metrics::summary_table(stitched)};
     const exec::ExecContext ctx{opt_size(a, "threads", 1)};
     const auto rendered = report::render(report::summarize(ctx, artifact, spec),
                                          report::format_from_string(spec.format));
@@ -725,7 +723,7 @@ int cmd_bench(const Args& a) {
   require_known_flags(a, {"gate", "dir", "threshold", "repeats", "scale",
                           "threads", "label", "no-append", "inject-slowdown"});
   const benchutil::BenchSpec& knobs = benchutil::BenchSpec::env();
-  metrics::GateOptions opts;
+  benchutil::GateOptions opts;
   opts.bench_dir = opt_string(a, "dir", "bench");
   opts.threshold = opt_double(a, "threshold", 1.5);
   opts.repeats = opt_size(a, "repeats", knobs.reps.value_or(5));
@@ -735,7 +733,7 @@ int cmd_bench(const Args& a) {
   opts.append = !opt_flag(a, "no-append");
   opts.label = opt_string(a, "label", "local");
   opts.inject_slowdown = opt_double(a, "inject-slowdown", 1.0);
-  return metrics::run_bench_gate(opts, stdout);
+  return benchutil::run_bench_gate(opts, stdout);
 }
 
 int cmd_tasks(const Args& a) {
@@ -874,7 +872,7 @@ void usage() {
       "          [--format json|binary] [--trace] (docs/campaigns.md)\n"
       "  trace   <state-dir> [--chrome out.json] [--summary]\n"
       "          stitch per-worker traces into a Chrome trace-event\n"
-      "          timeline + per-span summary (docs/tracing.md)\n"
+      "          timeline + per-span summary (docs/metrics.md)\n"
       "  status  <state-dir> [--json] [--watch]\n"
       "          live worker/task state from heartbeats alone, read-only\n"
       "          (docs/campaigns.md)\n"
