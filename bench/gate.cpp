@@ -89,6 +89,8 @@ int run_bench_gate(const GateOptions& opts, std::FILE* out) {
         run_campaign_microbenches(mopts, scratch);
     const std::vector<MicrobenchResult> stats_results =
         run_stats_microbenches(mopts);
+    const std::vector<MicrobenchResult> ml_results =
+        run_ml_microbenches(mopts);
     regressed |= process_file(
         (fs::path{opts.bench_dir} / "BENCH_exec.json").string(), exec_results,
         opts, out);
@@ -98,6 +100,9 @@ int run_bench_gate(const GateOptions& opts, std::FILE* out) {
     regressed |= process_file(
         (fs::path{opts.bench_dir} / "BENCH_stats.json").string(),
         stats_results, opts, out);
+    regressed |= process_file(
+        (fs::path{opts.bench_dir} / "BENCH_ml.json").string(), ml_results,
+        opts, out);
     std::fprintf(out, "exec metrics overhead: %+.2f%% (budget: <= 1%% with "
                       "metrics disabled; the pair above is metrics on vs off)\n",
                  exec_metrics_overhead_percent(exec_results));

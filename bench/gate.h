@@ -2,8 +2,8 @@
 // microbench suites, print a markdown trajectory table (terminal-readable,
 // and exactly what CI pipes into its step summary), append min-of-N rows
 // to bench/BENCH_exec.json / bench/BENCH_campaign.json /
-// bench/BENCH_stats.json, and — in gate mode — fail on regressions beyond
-// the noise band (bench/trajectory.h).
+// bench/BENCH_stats.json / bench/BENCH_ml.json, and — in gate mode — fail
+// on regressions beyond the noise band (bench/trajectory.h).
 #pragma once
 
 #include <cstdio>

@@ -1,5 +1,6 @@
 #include "bench/microbench.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -8,11 +9,13 @@
 
 #include "src/campaign/subprocess.h"
 #include "src/campaign/work_queue.h"
+#include "src/casestudies/registry.h"
 #include "src/exec/parallel_for.h"
 #include "src/exec/parallel_replicate.h"
 #include "src/exec/thread_pool.h"
 #include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
+#include "src/ml/train.h"
 #include "src/rngx/rng.h"
 #include "src/stats/bootstrap.h"
 #include "src/stats/descriptive.h"
@@ -254,6 +257,25 @@ std::vector<MicrobenchResult> run_stats_microbenches(
 
   if (sink_value == 0.123456789) {  // never true for this data; anchors sink_value
     std::fprintf(stderr, "microbench: improbable checksum\n");
+  }
+  return results;
+}
+
+std::vector<MicrobenchResult> run_ml_microbenches(
+    const MicrobenchOptions& opts) {
+  std::vector<MicrobenchResult> results;
+  for (const char* id : {"mhc_mlp", "cifar10_vgg11"}) {
+    const casestudies::CaseStudy cs =
+        casestudies::make_case_study(id, std::min(opts.scale, 1.0));
+    const ml::TrainConfig config =
+        cs.pipeline->resolve_config(cs.pipeline->default_params());
+    results.push_back(min_of(std::string{"ml.train_mlp."} + id, "ns",
+                             opts.repeats, [&] {
+                               const Stopwatch sw;
+                               (void)ml::train_mlp(*cs.pool, config,
+                                                   rngx::VariationSeeds{});
+                               return sw.elapsed_ns();
+                             }));
   }
   return results;
 }

@@ -1,8 +1,8 @@
 // The instrumented microbench suite behind `varbench bench`: short,
 // deterministic workloads over the hot layers (exec fan-out, pool submit,
-// campaign work-queue ops) timed min-of-N — the minimum over repeats
-// strips scheduler noise, which is what the perf-trajectory gate
-// (bench/trajectory.h) compares across runs.
+// campaign work-queue ops, resampling kernels, MLP training) timed
+// min-of-N — the minimum over repeats strips scheduler noise, which is
+// what the perf-trajectory gate (bench/trajectory.h) compares across runs.
 #pragma once
 
 #include <cstddef>
@@ -48,6 +48,13 @@ struct MicrobenchResult {
 /// so they compute bit-identical intervals; only the memory traffic
 /// differs.
 [[nodiscard]] std::vector<MicrobenchResult> run_stats_microbenches(
+    const MicrobenchOptions& opts);
+
+/// ml.train_mlp.mhc_mlp and ml.train_mlp.cifar10_vgg11: one whole
+/// ml::train_mlp at the case study's default hyperparameters on its pool
+/// built at min(scale, 1), so the GEMM kernel (src/math/gemm.h) and the
+/// rest of the training step are timed as the paper's fits run them.
+[[nodiscard]] std::vector<MicrobenchResult> run_ml_microbenches(
     const MicrobenchOptions& opts);
 
 /// Percent overhead of enabled exec metrics on the parallel_for workload:

@@ -31,6 +31,14 @@ bool any_of(std::string_view text, std::initializer_list<std::string_view> s) {
   return false;
 }
 
+bool contains_any(std::string_view text,
+                  std::initializer_list<std::string_view> s) {
+  for (const std::string_view v : s) {
+    if (text.find(v) != std::string_view::npos) return true;
+  }
+  return false;
+}
+
 std::string lower(std::string_view text) {
   std::string out{text};
   for (char& c : out) {
@@ -64,6 +72,7 @@ constexpr std::string_view kNoRawThread = "no-raw-thread";
 constexpr std::string_view kNoUnorderedIter = "no-unordered-iter";
 constexpr std::string_view kErrorNamesPath = "error-names-path";
 constexpr std::string_view kHeaderHygiene = "header-hygiene";
+constexpr std::string_view kNoFpContract = "no-fp-contract";
 constexpr std::string_view kSuppressionSyntax = "suppression-syntax";
 constexpr std::string_view kSuppressionUnused = "suppression-unused";
 
@@ -292,6 +301,73 @@ void check_header_hygiene(const FileCtx& f, std::vector<Finding>& out) {
   }
 }
 
+/// no-fp-contract: the build pins -ffp-contract=off for the whole tree
+/// (docs/determinism.md#floating-point), so every a*b+c rounds twice on
+/// every ISA. A pragma or optimize attribute can re-enable contraction or
+/// fast-math for one scope, and an explicit fused op rounds once; either
+/// makes artifact bits depend on the compiler and the ISA. target(...)
+/// attributes select an ISA, not FP semantics, and stay legal, as do
+/// methods that happen to be named `optimize` (the hpo:: searchers).
+void check_no_fp_contract(const FileCtx& f, std::vector<Finding>& out) {
+  const Tokens& t = f.code;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].kind != Token::Kind::kIdent) continue;
+    const std::string& s = t[i].text;
+    if (s == "pragma" && i > 0 && is_punct(t, i - 1, "#")) {
+      if ((is_ident(t, i + 1, "STDC") && is_ident(t, i + 2, "FP_CONTRACT")) ||
+          (is_ident(t, i + 1, "GCC") && is_ident(t, i + 2, "optimize")) ||
+          (is_ident(t, i + 1, "clang") && is_ident(t, i + 2, "fp"))) {
+        add(out, kNoFpContract, t[i].line,
+            "'#pragma " + t[i + 1].text + " " + t[i + 2].text +
+                "' overrides the tree-wide -ffp-contract=off for its scope; "
+                "FP semantics are set once, in CMakeLists.txt");
+      }
+      continue;
+    }
+    if (s == "__attribute__" && is_punct(t, i + 1, "(")) {
+      // Attribute names sit at paren depth 2: __attribute__((a, b(...))).
+      std::size_t depth = 0;
+      for (std::size_t j = i + 1; j < t.size(); ++j) {
+        if (is_punct(t, j, "(")) ++depth;
+        if (is_punct(t, j, ")") && --depth == 0) break;
+        if (depth == 2 && (is_ident(t, j, "optimize") ||
+                           is_ident(t, j, "__optimize__"))) {
+          add(out, kNoFpContract, t[j].line,
+              "__attribute__((optimize)) recompiles one function under "
+              "other flags, which can re-enable FP contraction or "
+              "fast-math; use target(...) to select an ISA");
+        }
+      }
+      continue;
+    }
+    if ((s == "optimize" || s == "__optimize__") && i >= 2 &&
+        is_punct(t, i - 1, "::") &&
+        (is_ident(t, i - 2, "gnu") || is_ident(t, i - 2, "__gnu__"))) {
+      add(out, kNoFpContract, t[i].line,
+          "[[gnu::optimize]] recompiles one function under other flags, "
+          "which can re-enable FP contraction or fast-math");
+      continue;
+    }
+    const bool std_fma = any_of(s, {"fma", "fmaf", "fmal"}) &&
+                         ((i >= 2 && is_punct(t, i - 1, "::") &&
+                           is_ident(t, i - 2, "std")) ||
+                          (is_punct(t, i + 1, "(") &&
+                           !(i > 0 && (is_punct(t, i - 1, ".") ||
+                                       is_punct(t, i - 1, ">")))));
+    const bool builtin_fma = s.rfind("__builtin_", 0) == 0 &&
+                             contains_any(s, {"fma", "fms", "fnma", "fnms"});
+    const bool intrinsic_fma =
+        s.rfind("_mm", 0) == 0 &&
+        contains_any(s, {"fmadd", "fmsub", "fnmadd", "fnmsub"});
+    if (std_fma || builtin_fma || intrinsic_fma) {
+      add(out, kNoFpContract, t[i].line,
+          "explicit fused multiply-add '" + s +
+              "' rounds once where the rest of the tree rounds the "
+              "multiply and the add separately; write a * b + c");
+    }
+  }
+}
+
 // ---------------------------------------------------------------- registry
 
 struct Rule {
@@ -342,6 +418,13 @@ const std::vector<Rule>& rules() {
         {},
         true},
        &check_header_hygiene},
+      {{std::string{kNoFpContract},
+        "bans FP-contraction pragmas, optimize attributes and explicit "
+        "fused multiply-adds; -ffp-contract=off holds for the whole tree",
+        {},
+        {},
+        false},
+       &check_no_fp_contract},
       // Meta-rules: emitted by the suppression engine itself; they keep
       // the suppression inventory honest and cannot be suppressed.
       {{std::string{kSuppressionSyntax},

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/math/gemm.h"
+
 namespace varbench::math {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
@@ -70,49 +72,21 @@ Matrix operator*(double s, Matrix a) { return a *= s; }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) throw std::invalid_argument("matmul: shape mismatch");
-  Matrix out{a.rows(), b.cols()};
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      const auto brow = b.row(k);
-      auto orow = out.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
+  return detail::gemm(detail::GemmOp::kNN, a, b, detail::active_gemm_kernel());
 }
 
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("matmul_nt: shape mismatch");
   }
-  Matrix out{a.rows(), b.rows()};
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const auto arow = a.row(i);
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      out(i, j) = dot(arow, b.row(j));
-    }
-  }
-  return out;
+  return detail::gemm(detail::GemmOp::kNT, a, b, detail::active_gemm_kernel());
 }
 
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("matmul_tn: shape mismatch");
   }
-  Matrix out{a.cols(), b.cols()};
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const auto arow = a.row(k);
-    const auto brow = b.row(k);
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      auto orow = out.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) orow[j] += aki * brow[j];
-    }
-  }
-  return out;
+  return detail::gemm(detail::GemmOp::kTN, a, b, detail::active_gemm_kernel());
 }
 
 std::vector<double> matvec(const Matrix& a, std::span<const double> x) {

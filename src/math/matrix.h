@@ -69,6 +69,10 @@ class Matrix {
 [[nodiscard]] Matrix operator*(Matrix a, double s);
 [[nodiscard]] Matrix operator*(double s, Matrix a);
 
+// The three products below run one GEMM kernel (src/math/gemm.h): each
+// output is summed in ascending k from +0.0, one multiply then one add per
+// term, with the same bits on every ISA the kernel dispatches to.
+
 /// a(m×k) * b(k×n) → (m×n).
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 

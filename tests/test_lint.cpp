@@ -116,8 +116,8 @@ TEST(LintRegistry, AllRulesPresentWithUniqueNames) {
   }
   for (const char* expected :
        {"no-raw-random", "no-wallclock", "no-raw-thread", "no-unordered-iter",
-        "error-names-path", "header-hygiene", "suppression-syntax",
-        "suppression-unused"}) {
+        "error-names-path", "header-hygiene", "no-fp-contract",
+        "suppression-syntax", "suppression-unused"}) {
     EXPECT_EQ(names.count(expected), 1u) << expected;
   }
 }
@@ -214,6 +214,22 @@ TEST(LintRules, HeaderHygieneCleanHeaderAndNonHeaderExempt) {
   // The same bad content under a .cpp path is out of scope.
   const auto as_cpp = lint_fixture("src/util/fx.cpp", "header_hygiene_bad.h");
   EXPECT_TRUE(lines_of(as_cpp, "header-hygiene", false).empty());
+}
+
+// ------------------------------------------------------------ no-fp-contract
+
+TEST(LintRules, NoFpContractFlagsPragmasOptimizeAttributesAndFusedOps) {
+  const auto fs = lint_fixture("src/math/fx.cpp", "no_fp_contract.cpp");
+  EXPECT_EQ(lines_of(fs, "no-fp-contract", false),
+            (Lines{5, 6, 7, 8, 9, 10, 13, 14, 15, 16, 17}));
+  EXPECT_EQ(count_unsuppressed(fs), 11u);
+}
+
+TEST(LintRules, NoFpContractAppliesEverywhere) {
+  for (const char* rel : {"tests/fx.cpp", "bench/fx.cpp", "src/exec/fx.h"}) {
+    const auto fs = lint_fixture(rel, "no_fp_contract.cpp");
+    EXPECT_EQ(lines_of(fs, "no-fp-contract", false).size(), 11u) << rel;
+  }
 }
 
 // -------------------------------------------------------- suppression engine

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
+
+#include "src/math/gemm.h"
+#include "src/rngx/rng.h"
 
 namespace varbench::math {
 namespace {
@@ -136,6 +144,221 @@ TEST(Matrix, Dot) {
   const std::vector<double> a{1.0, 2.0, 3.0};
   const std::vector<double> b{4.0, 5.0, 6.0};
   EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
+}
+
+// ------------------------------------------------------------ GEMM kernel
+//
+// The loops matmul, matmul_nt and matmul_tn ran before the GEMM kernel
+// (src/math/gemm.h), kept here as the reference every compiled kernel
+// variant must reproduce bit for bit.
+
+Matrix reference_matmul(const Matrix& a, const Matrix& b) {
+  Matrix out{a.rows(), b.cols()};
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      const double aik = a(i, k);
+      if (aik == 0.0) continue;
+      const auto brow = b.row(k);
+      auto orow = out.row(i);
+      for (std::size_t j = 0; j < b.cols(); ++j) orow[j] += aik * brow[j];
+    }
+  }
+  return out;
+}
+
+Matrix reference_matmul_nt(const Matrix& a, const Matrix& b) {
+  Matrix out{a.rows(), b.rows()};
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const auto arow = a.row(i);
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      out(i, j) = dot(arow, b.row(j));
+    }
+  }
+  return out;
+}
+
+Matrix reference_matmul_tn(const Matrix& a, const Matrix& b) {
+  Matrix out{a.cols(), b.cols()};
+  for (std::size_t k = 0; k < a.rows(); ++k) {
+    const auto arow = a.row(k);
+    const auto brow = b.row(k);
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+      const double aki = arow[i];
+      if (aki == 0.0) continue;
+      auto orow = out.row(i);
+      for (std::size_t j = 0; j < b.cols(); ++j) orow[j] += aki * brow[j];
+    }
+  }
+  return out;
+}
+
+using detail::GemmOp;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// A value from the kernel's corner cases: 30% zeros of either sign (ReLU
+/// density), 5% subnormals, and each of +inf, -inf and NaN at
+/// `non_finite_rate`; the rest standard normal.
+double draw_value(rngx::Rng& rng, double non_finite_rate) {
+  const double u = rng.uniform();
+  if (u < 0.15) return 0.0;
+  if (u < 0.30) return -0.0;
+  if (u < 0.35) return rng.uniform(-1.0, 1.0) * 1e-310;
+  if (u < 0.35 + non_finite_rate) return kInf;
+  if (u < 0.35 + 2 * non_finite_rate) return -kInf;
+  if (u < 0.35 + 3 * non_finite_rate) return kNaN;
+  return rng.normal();
+}
+
+Matrix draw_matrix(std::size_t rows, std::size_t cols, rngx::Rng& rng,
+                   double non_finite_rate) {
+  Matrix m{rows, cols};
+  for (double& v : m.data()) v = draw_value(rng, non_finite_rate);
+  return m;
+}
+
+/// Every output where the reference is not NaN has the reference's bits;
+/// NaN appears exactly where the reference has NaN. (A NaN's sign and
+/// payload depend on the add's operand order, which neither the old loops
+/// nor the kernel pin.)
+std::size_t count_mismatches(const Matrix& got, const Matrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return want.size() + 1;
+  }
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const double g = got.data()[i];
+    const double w = want.data()[i];
+    const bool same = std::isnan(w) ? std::isnan(g)
+                                    : std::bit_cast<std::uint64_t>(g) ==
+                                          std::bit_cast<std::uint64_t>(w);
+    if (!same) ++bad;
+  }
+  return bad;
+}
+
+/// Runs op on (m, n, k)-shaped operands through every kernel variant this
+/// host supports and compares each with the reference loops.
+void expect_kernels_match(GemmOp op, std::size_t m, std::size_t n,
+                          std::size_t k, double non_finite_rate,
+                          rngx::Rng& rng) {
+  Matrix a;
+  Matrix b;
+  Matrix want;
+  switch (op) {
+    case GemmOp::kNN:
+      a = draw_matrix(m, k, rng, non_finite_rate);
+      b = draw_matrix(k, n, rng, non_finite_rate);
+      want = reference_matmul(a, b);
+      break;
+    case GemmOp::kNT:
+      a = draw_matrix(m, k, rng, non_finite_rate);
+      b = draw_matrix(n, k, rng, non_finite_rate);
+      want = reference_matmul_nt(a, b);
+      break;
+    case GemmOp::kTN:
+      a = draw_matrix(k, m, rng, non_finite_rate);
+      b = draw_matrix(k, n, rng, non_finite_rate);
+      want = reference_matmul_tn(a, b);
+      break;
+  }
+  static const char* const kOpNames[] = {"nn", "nt", "tn"};
+  for (const detail::GemmKernel& kernel : detail::gemm_kernels()) {
+    if (!kernel.supported()) continue;
+    const Matrix got = detail::gemm(op, a, b, kernel);
+    EXPECT_EQ(count_mismatches(got, want), 0u)
+        << kernel.name << " " << kOpNames[static_cast<int>(op)] << " m=" << m
+        << " n=" << n << " k=" << k << " non_finite_rate=" << non_finite_rate;
+  }
+}
+
+constexpr GemmOp kOps[] = {GemmOp::kNN, GemmOp::kNT, GemmOp::kTN};
+
+TEST(Gemm, BaselineKernelComesFirstAndIsAlwaysSupported) {
+  const auto kernels = detail::gemm_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(std::string{kernels.front().name}, "baseline");
+  EXPECT_TRUE(kernels.front().supported());
+}
+
+TEST(Gemm, DispatcherPicksTheHighestSupportedKernel) {
+  const detail::GemmKernel* best = nullptr;
+  for (const detail::GemmKernel& kernel : detail::gemm_kernels()) {
+    if (kernel.supported()) best = &kernel;
+  }
+  EXPECT_EQ(&detail::active_gemm_kernel(), best);
+}
+
+TEST(Gemm, EveryKernelMatchesTheReferenceOnTileEdges) {
+  // Every row remainder of the 4-row tiles and every column remainder of
+  // the 4- and 8-wide panels, past two whole tiles each way, with k from 1.
+  rngx::Rng rng{20261017};
+  for (const GemmOp op : kOps) {
+    for (std::size_t m = 1; m <= 9; ++m) {
+      for (std::size_t n = 1; n <= 17; ++n) {
+        for (const std::size_t k : {1, 2, 3, 5}) {
+          expect_kernels_match(op, m, n, k, 0.0, rng);
+          expect_kernels_match(op, m, n, k, 0.03, rng);
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, EveryKernelMatchesTheReferenceOnTrainingShapes) {
+  // The in-situ shapes (m×n×k) of mhc_mlp and cifar10_vgg11 training, and
+  // mhc's HPO-sized hidden layer at its 483-wide end.
+  struct Shape {
+    GemmOp op;
+    std::size_t m, n, k;
+  };
+  const Shape shapes[] = {
+      {GemmOp::kNT, 64, 150, 24}, {GemmOp::kTN, 150, 24, 64},
+      {GemmOp::kNT, 32, 32, 64},  {GemmOp::kNT, 64, 2, 150},
+      {GemmOp::kTN, 2, 150, 64},  {GemmOp::kNN, 64, 150, 2},
+      {GemmOp::kNT, 64, 483, 24}, {GemmOp::kTN, 483, 24, 64},
+      {GemmOp::kNN, 64, 483, 2},  {GemmOp::kTN, 2, 483, 64},
+  };
+  rngx::Rng rng{42};
+  for (const Shape& s : shapes) {
+    expect_kernels_match(s.op, s.m, s.n, s.k, 0.0, rng);
+    expect_kernels_match(s.op, s.m, s.n, s.k, 0.001, rng);
+  }
+}
+
+TEST(Gemm, ZeroTermsDropOnlyInMatmulAndMatmulTn) {
+  // 0·inf is NaN: matmul and matmul_tn leave the term out, matmul_nt
+  // keeps it, exactly as the loops they replaced.
+  const Matrix a{{0.0, 2.0}};
+  const Matrix b{{kInf}, {3.0}};
+  EXPECT_EQ(matmul(a, b)(0, 0), 6.0);
+  EXPECT_EQ(matmul_tn(a.transposed(), b)(0, 0), 6.0);
+  EXPECT_TRUE(std::isnan(matmul_nt(a, b.transposed())(0, 0)));
+}
+
+TEST(Gemm, PublicProductsRunTheActiveKernel) {
+  rngx::Rng rng{7};
+  const Matrix a = draw_matrix(9, 13, rng, 0.01);
+  const Matrix b = draw_matrix(13, 11, rng, 0.01);
+  const Matrix bt = b.transposed();
+  const Matrix at = a.transposed();
+  EXPECT_EQ(count_mismatches(matmul(a, b), reference_matmul(a, b)), 0u);
+  EXPECT_EQ(count_mismatches(matmul_nt(a, bt), reference_matmul_nt(a, bt)),
+            0u);
+  EXPECT_EQ(count_mismatches(matmul_tn(at, b), reference_matmul_tn(at, b)),
+            0u);
+}
+
+TEST(Gemm, EmptyReductionIsPositiveZero) {
+  const Matrix a{3, 0};
+  const Matrix b{0, 2};
+  const Matrix c = matmul(a, b);
+  ASSERT_EQ(c.rows(), 3u);
+  ASSERT_EQ(c.cols(), 2u);
+  for (const double v : c.data()) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v), 0u);
+  }
 }
 
 }  // namespace

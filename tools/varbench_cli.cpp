@@ -715,7 +715,7 @@ int cmd_metrics(const Args& a) {
 
 /// varbench bench [--gate]: the perf-trajectory rung (docs/metrics.md).
 /// Runs the instrumented microbench suites, appends min-of-N rows to
-/// bench/BENCH_exec.json / BENCH_campaign.json, and in gate mode fails on
+/// bench/BENCH_{exec,campaign,stats,ml}.json, and in gate mode fails on
 /// regressions beyond the noise band. Defaults come from the same
 /// BenchSpec environment parse the bench/ binaries use, so both surfaces
 /// are driven uniformly.
