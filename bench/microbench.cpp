@@ -264,7 +264,7 @@ std::vector<MicrobenchResult> run_stats_microbenches(
 std::vector<MicrobenchResult> run_ml_microbenches(
     const MicrobenchOptions& opts) {
   std::vector<MicrobenchResult> results;
-  for (const char* id : {"mhc_mlp", "cifar10_vgg11"}) {
+  for (const char* id : {"mhc_mlp", "cifar10_vgg11", "glue_rte_bert"}) {
     const casestudies::CaseStudy cs =
         casestudies::make_case_study(id, std::min(opts.scale, 1.0));
     const ml::TrainConfig config =

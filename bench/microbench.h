@@ -50,10 +50,12 @@ struct MicrobenchResult {
 [[nodiscard]] std::vector<MicrobenchResult> run_stats_microbenches(
     const MicrobenchOptions& opts);
 
-/// ml.train_mlp.mhc_mlp and ml.train_mlp.cifar10_vgg11: one whole
+/// ml.train_mlp.{mhc_mlp,cifar10_vgg11,glue_rte_bert}: one whole
 /// ml::train_mlp at the case study's default hyperparameters on its pool
 /// built at min(scale, 1), so the GEMM kernel (src/math/gemm.h) and the
 /// rest of the training step are timed as the paper's fits run them.
+/// glue_rte_bert covers the paths the other two skip: Adam, dropout and a
+/// frozen first layer.
 [[nodiscard]] std::vector<MicrobenchResult> run_ml_microbenches(
     const MicrobenchOptions& opts);
 

@@ -135,8 +135,8 @@ const GemmKernel& active_gemm_kernel() {
   return chosen;
 }
 
-Matrix gemm(GemmOp op, const Matrix& a, const Matrix& b,
-            const GemmKernel& kernel) {
+void gemm(GemmOp op, const Matrix& a, const Matrix& b,
+          const GemmKernel& kernel, Matrix& out) {
   GemmArgs g;
   switch (op) {
     case GemmOp::kNN:
@@ -161,8 +161,11 @@ Matrix gemm(GemmOp op, const Matrix& a, const Matrix& b,
       g.a_cs = a.cols();
       break;
   }
-  Matrix out{g.m, g.n};  // +0.0: the empty sum, and every sum when k = 0
-  if (g.m == 0 || g.n == 0 || g.k == 0) return out;
+  out.resize(g.m, g.n);
+  if (g.m == 0 || g.n == 0 || g.k == 0) {
+    out.fill(0.0);  // +0.0: the empty sum, and every sum when k = 0
+    return;
+  }
 
   const std::size_t nr = kernel.nr;
   const std::size_t full = g.n / nr;
@@ -200,7 +203,6 @@ Matrix gemm(GemmOp op, const Matrix& a, const Matrix& b,
   g.c = out.data().data();
   g.drop_zero_a = op != GemmOp::kNT;
   kernel.run(g);
-  return out;
 }
 
 }  // namespace varbench::math::detail

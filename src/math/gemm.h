@@ -66,8 +66,10 @@ enum class GemmOp {
   kTN,  // aᵀ · b, a (k×m), b (k×n)
 };
 
-/// The product `op` of a and b through `kernel`; shapes already checked.
-[[nodiscard]] Matrix gemm(GemmOp op, const Matrix& a, const Matrix& b,
-                          const GemmKernel& kernel);
+/// The product `op` of a and b through `kernel`, written into `out`
+/// (resized in place, every element written); shapes already checked and
+/// `out` is neither operand.
+void gemm(GemmOp op, const Matrix& a, const Matrix& b,
+          const GemmKernel& kernel, Matrix& out);
 
 }  // namespace varbench::math::detail

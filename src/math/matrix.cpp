@@ -1,6 +1,7 @@
 #include "src/math/matrix.h"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/math/gemm.h"
@@ -70,23 +71,54 @@ Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
 Matrix operator*(Matrix a, double s) { return a *= s; }
 Matrix operator*(double s, Matrix a) { return a *= s; }
 
+namespace {
+
+/// The out-parameter products' shared entry: shape and alias checks, then
+/// the active kernel.
+void checked_gemm(detail::GemmOp op, bool shapes_match, const char* what,
+                  const Matrix& a, const Matrix& b, Matrix& out) {
+  if (!shapes_match) {
+    throw std::invalid_argument(std::string{what} + ": shape mismatch");
+  }
+  if (&out == &a || &out == &b) {
+    throw std::invalid_argument(std::string{what} +
+                                ": output aliases an operand");
+  }
+  detail::gemm(op, a, b, detail::active_gemm_kernel(), out);
+}
+
+}  // namespace
+
+void matmul(const Matrix& a, const Matrix& b, Matrix& out) {
+  checked_gemm(detail::GemmOp::kNN, a.cols() == b.rows(), "matmul", a, b, out);
+}
+
+void matmul_nt(const Matrix& a, const Matrix& b, Matrix& out) {
+  checked_gemm(detail::GemmOp::kNT, a.cols() == b.cols(), "matmul_nt", a, b,
+               out);
+}
+
+void matmul_tn(const Matrix& a, const Matrix& b, Matrix& out) {
+  checked_gemm(detail::GemmOp::kTN, a.rows() == b.rows(), "matmul_tn", a, b,
+               out);
+}
+
 Matrix matmul(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.rows()) throw std::invalid_argument("matmul: shape mismatch");
-  return detail::gemm(detail::GemmOp::kNN, a, b, detail::active_gemm_kernel());
+  Matrix out;
+  matmul(a, b, out);
+  return out;
 }
 
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.cols()) {
-    throw std::invalid_argument("matmul_nt: shape mismatch");
-  }
-  return detail::gemm(detail::GemmOp::kNT, a, b, detail::active_gemm_kernel());
+  Matrix out;
+  matmul_nt(a, b, out);
+  return out;
 }
 
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("matmul_tn: shape mismatch");
-  }
-  return detail::gemm(detail::GemmOp::kTN, a, b, detail::active_gemm_kernel());
+  Matrix out;
+  matmul_tn(a, b, out);
+  return out;
 }
 
 std::vector<double> matvec(const Matrix& a, std::span<const double> x) {

@@ -56,6 +56,16 @@ class Matrix {
 
   void fill(double value) noexcept;
 
+  /// Reshape to rows×cols in place, reusing the storage's capacity: once a
+  /// buffer has held its largest shape, resizing it never allocates. Values
+  /// are kept in storage order and new elements are 0.0; callers that
+  /// resize an output overwrite every element.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   friend bool operator==(const Matrix& a, const Matrix& b) = default;
 
  private:
@@ -71,17 +81,23 @@ class Matrix {
 
 // The three products below run one GEMM kernel (src/math/gemm.h): each
 // output is summed in ascending k from +0.0, one multiply then one add per
-// term, with the same bits on every ISA the kernel dispatches to.
+// term, with the same bits on every ISA the kernel dispatches to. Each has
+// an out-parameter form that resizes `out` in place and writes every
+// element of it, so a caller that reuses `out` allocates nothing; `out`
+// may not be `a` or `b` (std::invalid_argument).
 
 /// a(m×k) * b(k×n) → (m×n).
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
+void matmul(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// a(m×k) * bᵀ where b is (n×k) → (m×n). Avoids materializing transposes in
 /// the MLP backward pass.
 [[nodiscard]] Matrix matmul_nt(const Matrix& a, const Matrix& b);
+void matmul_nt(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// aᵀ * b where a is (k×m), b is (k×n) → (m×n).
 [[nodiscard]] Matrix matmul_tn(const Matrix& a, const Matrix& b);
+void matmul_tn(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// Matrix–vector product: a(m×n) * x(n) → (m).
 [[nodiscard]] std::vector<double> matvec(const Matrix& a,

@@ -4,22 +4,20 @@
 
 namespace varbench::ml {
 
-math::Matrix augment_batch(const math::Matrix& batch,
-                           const AugmentConfig& config, rngx::Rng& rng) {
+void augment_batch(math::Matrix& batch, const AugmentConfig& config,
+                   rngx::Rng& rng) {
   if (config.jitter_std < 0.0 || config.mask_prob < 0.0 ||
       config.mask_prob >= 1.0) {
     throw std::invalid_argument("augment_batch: bad config");
   }
-  math::Matrix out = batch;
   if (config.jitter_std > 0.0) {
-    for (double& v : out.data()) v += rng.normal(0.0, config.jitter_std);
+    for (double& v : batch.data()) v += rng.normal(0.0, config.jitter_std);
   }
   if (config.mask_prob > 0.0) {
-    for (double& v : out.data()) {
-      if (rng.bernoulli(config.mask_prob)) v = 0.0;
+    for (double& v : batch.data()) {
+      v = rng.bernoulli(config.mask_prob) ? 0.0 : v;
     }
   }
-  return out;
 }
 
 }  // namespace varbench::ml

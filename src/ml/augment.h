@@ -13,11 +13,11 @@ struct AugmentConfig {
   double mask_prob = 0.0;   // probability of zeroing each feature
 };
 
-/// Augmented copy of `batch` with randomness drawn from `rng`
-/// (the ξO data-augmentation stream).
-[[nodiscard]] math::Matrix augment_batch(const math::Matrix& batch,
-                                         const AugmentConfig& config,
-                                         rngx::Rng& rng);
+/// Augment `batch` in place with randomness drawn from `rng` (the ξO
+/// data-augmentation stream): one jitter draw per element, then one mask
+/// draw per element, each pass row-major.
+void augment_batch(math::Matrix& batch, const AugmentConfig& config,
+                   rngx::Rng& rng);
 
 /// True when this configuration actually perturbs data.
 [[nodiscard]] inline bool is_active(const AugmentConfig& config) {

@@ -43,19 +43,26 @@ std::size_t Mlp::num_parameters() const noexcept {
 
 namespace {
 
-math::Matrix affine(const math::Matrix& input, const math::Matrix& w,
-                    const std::vector<double>& b) {
-  // input (B×in) · wᵀ (in×out) + b → (B×out)
-  math::Matrix out = math::matmul_nt(input, w);
+void add_bias(math::Matrix& out, const std::vector<double>& b) {
   for (std::size_t r = 0; r < out.rows(); ++r) {
     auto row = out.row(r);
     for (std::size_t c = 0; c < row.size(); ++c) row[c] += b[c];
   }
-  return out;
 }
 
 void relu_inplace(math::Matrix& m) {
   for (double& v : m.data()) v = std::max(v, 0.0);
+}
+
+/// out = softmax(in), one row; `out` may be `in`.
+void softmax_row(std::span<const double> in, std::span<double> out) {
+  const double mx = *std::max_element(in.begin(), in.end());
+  double sum = 0.0;
+  for (std::size_t c = 0; c < in.size(); ++c) {
+    out[c] = std::exp(in[c] - mx);
+    sum += out[c];
+  }
+  for (double& v : out) v /= sum;
 }
 
 }  // namespace
@@ -63,94 +70,91 @@ void relu_inplace(math::Matrix& m) {
 math::Matrix Mlp::forward(const math::Matrix& batch) const {
   math::Matrix h = batch;
   for (std::size_t i = 0; i < weights_.size(); ++i) {
-    h = affine(h, weights_[i], biases_[i]);
+    h = math::matmul_nt(h, weights_[i]);  // input (B×in) · wᵀ (in×out)
+    add_bias(h, biases_[i]);
     if (i + 1 < weights_.size()) relu_inplace(h);
   }
   return h;
 }
 
-math::Matrix Mlp::forward_train(const math::Matrix& batch,
-                                rngx::Rng& dropout_rng,
-                                ForwardCache& cache) const {
+const math::Matrix& Mlp::forward_train(TrainWorkspace& ws,
+                                       rngx::Rng& dropout_rng) const {
   const std::size_t L = weights_.size();
-  cache.inputs.assign(L, {});
-  cache.pre.assign(L, {});
-  cache.dropout_mask.assign(L, {});
-  math::Matrix h = batch;
+  const bool dropout = config_.dropout > 0.0;
+  ws.pre.resize(L);
+  ws.hidden.resize(L - 1);
+  ws.dropout_mask.resize(dropout ? L - 1 : 0);
   for (std::size_t i = 0; i < L; ++i) {
-    cache.inputs[i] = h;
-    h = affine(h, weights_[i], biases_[i]);
-    cache.pre[i] = h;
-    if (i + 1 < L) {
-      relu_inplace(h);
-      if (config_.dropout > 0.0) {
-        // Inverted dropout: scale at train time so inference needs no change.
-        math::Matrix mask{h.rows(), h.cols()};
-        const double keep = 1.0 - config_.dropout;
-        for (std::size_t j = 0; j < mask.size(); ++j) {
-          mask.data()[j] = dropout_rng.bernoulli(keep) ? 1.0 / keep : 0.0;
-        }
-        for (std::size_t j = 0; j < h.size(); ++j) {
-          h.data()[j] *= mask.data()[j];
-        }
-        cache.dropout_mask[i] = std::move(mask);
-      }
-    }
-  }
-  return h;
-}
-
-Gradients Mlp::backward(const ForwardCache& cache,
-                        const math::Matrix& grad_logits) const {
-  const std::size_t L = weights_.size();
-  Gradients g;
-  g.weights.resize(L);
-  g.biases.resize(L);
-  math::Matrix delta = grad_logits;  // d(loss)/d(pre-activation of layer L-1)
-  for (std::size_t ii = L; ii-- > 0;) {
-    // Weight/bias gradients for layer ii.
-    if (layer_trainable(ii)) {
-      g.weights[ii] = math::matmul_tn(delta, cache.inputs[ii]);
-      g.biases[ii].assign(biases_[ii].size(), 0.0);
-      for (std::size_t r = 0; r < delta.rows(); ++r) {
-        const auto row = delta.row(r);
-        for (std::size_t c = 0; c < row.size(); ++c) g.biases[ii][c] += row[c];
+    math::Matrix& pre = ws.pre[i];
+    math::matmul_nt(i == 0 ? ws.batch : ws.hidden[i - 1], weights_[i], pre);
+    add_bias(pre, biases_[i]);
+    if (i + 1 == L) break;
+    math::Matrix& h = ws.hidden[i];
+    h.resize(pre.rows(), pre.cols());
+    const auto z = pre.data();
+    const auto a = h.data();
+    if (dropout) {
+      // Inverted dropout: scale at train time so inference needs no change.
+      math::Matrix& mask = ws.dropout_mask[i];
+      mask.resize(pre.rows(), pre.cols());
+      const auto keep_mask = mask.data();
+      const double keep = 1.0 - config_.dropout;
+      for (std::size_t j = 0; j < a.size(); ++j) {
+        keep_mask[j] = dropout_rng.bernoulli(keep) ? 1.0 / keep : 0.0;
+        a[j] = std::max(z[j], 0.0) * keep_mask[j];
       }
     } else {
-      g.weights[ii] = math::Matrix{weights_[ii].rows(), weights_[ii].cols()};
-      g.biases[ii].assign(biases_[ii].size(), 0.0);
+      for (std::size_t j = 0; j < a.size(); ++j) a[j] = std::max(z[j], 0.0);
     }
-    if (ii == 0) break;
-    // Propagate to previous layer: delta ← (delta · W_ii) ⊙ relu'(pre_{ii-1})
-    // with the dropout mask of layer ii-1 applied.
-    math::Matrix prev = math::matmul(delta, weights_[ii]);
-    const math::Matrix& pre_prev = cache.pre[ii - 1];
-    for (std::size_t j = 0; j < prev.size(); ++j) {
-      if (pre_prev.data()[j] <= 0.0) prev.data()[j] = 0.0;
-    }
-    const math::Matrix& mask = cache.dropout_mask[ii - 1];
-    if (!mask.empty()) {
-      for (std::size_t j = 0; j < prev.size(); ++j) {
-        prev.data()[j] *= mask.data()[j];
+  }
+  return ws.pre.back();
+}
+
+void Mlp::backward(TrainWorkspace& ws) const {
+  const std::size_t L = weights_.size();
+  ws.grads.weights.resize(L);
+  ws.grads.biases.resize(L);
+  for (std::size_t ii = L; ii-- > 0;) {
+    // d(loss)/d(pre-activation of layer ii).
+    const math::Matrix& delta = ws.delta[(L - 1 - ii) % 2];
+    if (layer_trainable(ii)) {
+      math::matmul_tn(delta, ii == 0 ? ws.batch : ws.hidden[ii - 1],
+                      ws.grads.weights[ii]);
+      auto& gb = ws.grads.biases[ii];
+      gb.assign(biases_[ii].size(), 0.0);
+      for (std::size_t r = 0; r < delta.rows(); ++r) {
+        const auto row = delta.row(r);
+        for (std::size_t c = 0; c < row.size(); ++c) gb[c] += row[c];
       }
     }
-    delta = std::move(prev);
+    // Only the first layer can be frozen: once the layer below is frozen,
+    // or there is none, no gradient is left to compute.
+    if (ii == 0 || !layer_trainable(ii - 1)) break;
+    // Propagate to the previous layer: (delta · W_ii) ⊙ relu'(pre_{ii-1}),
+    // times that layer's dropout mask. relu' is a select, not a branch,
+    // written so that a NaN pre-activation passes its gradient through:
+    // `pre > 0.0 ? v : 0.0` would zero it and move bits.
+    math::Matrix& prev = ws.delta[(L - ii) % 2];
+    math::matmul(delta, weights_[ii], prev);
+    const auto z = ws.pre[ii - 1].data();
+    const auto p = prev.data();
+    if (config_.dropout > 0.0) {
+      const auto keep_mask = ws.dropout_mask[ii - 1].data();
+      for (std::size_t j = 0; j < p.size(); ++j) {
+        p[j] = (z[j] <= 0.0 ? 0.0 : p[j]) * keep_mask[j];
+      }
+    } else {
+      for (std::size_t j = 0; j < p.size(); ++j) {
+        p[j] = z[j] <= 0.0 ? 0.0 : p[j];
+      }
+    }
   }
-  return g;
 }
 
 math::Matrix softmax(const math::Matrix& logits) {
   math::Matrix p{logits.rows(), logits.cols()};
   for (std::size_t r = 0; r < logits.rows(); ++r) {
-    const auto in = logits.row(r);
-    auto out = p.row(r);
-    const double mx = *std::max_element(in.begin(), in.end());
-    double sum = 0.0;
-    for (std::size_t c = 0; c < in.size(); ++c) {
-      out[c] = std::exp(in[c] - mx);
-      sum += out[c];
-    }
-    for (double& v : out) v /= sum;
+    softmax_row(logits.row(r), p.row(r));
   }
   return p;
 }
@@ -162,7 +166,7 @@ double softmax_cross_entropy(const math::Matrix& logits,
   if (labels.size() != batch) {
     throw std::invalid_argument("softmax_cross_entropy: label count mismatch");
   }
-  grad = softmax(logits);
+  grad.resize(batch, logits.cols());
   double loss = 0.0;
   const double inv_b = 1.0 / static_cast<double>(batch);
   for (std::size_t r = 0; r < batch; ++r) {
@@ -171,6 +175,7 @@ double softmax_cross_entropy(const math::Matrix& logits,
       throw std::invalid_argument("softmax_cross_entropy: label out of range");
     }
     auto grow = grad.row(r);
+    softmax_row(logits.row(r), grow);
     loss -= std::log(std::max(grow[label], 1e-300));
     grow[label] -= 1.0;
     for (double& v : grow) v *= inv_b;
@@ -184,7 +189,7 @@ double mse_loss(const math::Matrix& pred, std::span<const double> targets,
   if (pred.cols() != 1 || targets.size() != batch) {
     throw std::invalid_argument("mse_loss: shape mismatch");
   }
-  grad = math::Matrix{batch, 1};
+  grad.resize(batch, 1);
   double loss = 0.0;
   const double inv_b = 1.0 / static_cast<double>(batch);
   for (std::size_t r = 0; r < batch; ++r) {

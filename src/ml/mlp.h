@@ -4,7 +4,9 @@
 // Matrix substrate; no autograd.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/math/matrix.h"
@@ -27,16 +29,28 @@ struct MlpConfig {
   bool freeze_first_layer = false;
 };
 
-/// Per-batch cache of forward activations needed by backward().
-struct ForwardCache {
-  std::vector<math::Matrix> inputs;  // input to each layer (post-activation)
-  std::vector<math::Matrix> pre;     // pre-activation of each layer
-  std::vector<math::Matrix> dropout_mask;  // empty when not training
-};
-
+/// d(loss)/d(parameters), layer by layer. A frozen layer's entries stay
+/// empty: no optimizer reads them.
 struct Gradients {
   std::vector<math::Matrix> weights;
   std::vector<std::vector<double>> biases;
+};
+
+/// Every buffer a training step writes, owned by one fit and reused by all
+/// of its steps: once the fit has seen its batch sizes, a step allocates
+/// nothing. No buffer carries state from one step to the next.
+struct TrainWorkspace {
+  math::Matrix batch;           // layer 0's input (B×in); the caller fills it
+  std::vector<double> targets;  // the batch's labels or regression targets
+  std::vector<math::Matrix> pre;     // each layer's pre-activation; the last
+                                     // one holds the logits
+  std::vector<math::Matrix> hidden;  // hidden layer i's output after ReLU and
+                                     // dropout: layer i+1's input
+  std::vector<math::Matrix> dropout_mask;  // per hidden layer, if dropout > 0
+  // Ping-pong d(loss)/d(pre-activation): the loss writes the logits'
+  // gradient into delta[0], and backward() alternates from there.
+  std::array<math::Matrix, 2> delta;
+  Gradients grads;
 };
 
 class Mlp {
@@ -74,15 +88,17 @@ class Mlp {
   /// Inference forward pass (no dropout): batch (B×in) → logits (B×out).
   [[nodiscard]] math::Matrix forward(const math::Matrix& batch) const;
 
-  /// Training forward pass; dropout masks drawn from `dropout_rng`
-  /// (the ξO dropout stream). Fills `cache` for backward().
-  [[nodiscard]] math::Matrix forward_train(const math::Matrix& batch,
-                                           rngx::Rng& dropout_rng,
-                                           ForwardCache& cache) const;
+  /// Training forward pass over `ws.batch`; dropout masks are drawn from
+  /// `dropout_rng` (the ξO dropout stream), one draw per hidden activation,
+  /// row-major, layer by layer. Records the pass in `ws` for backward() and
+  /// returns the logits (B×out), which live in `ws`.
+  const math::Matrix& forward_train(TrainWorkspace& ws,
+                                    rngx::Rng& dropout_rng) const;
 
-  /// Backpropagate d(loss)/d(logits) through the cached forward pass.
-  [[nodiscard]] Gradients backward(const ForwardCache& cache,
-                                   const math::Matrix& grad_logits) const;
+  /// Backpropagate `ws.delta[0]`, d(loss)/d(logits), through the pass
+  /// forward_train() recorded in `ws`; writes `ws.grads` for every
+  /// trainable layer.
+  void backward(TrainWorkspace& ws) const;
 
  private:
   MlpConfig config_;
@@ -91,12 +107,14 @@ class Mlp {
 };
 
 /// Softmax cross-entropy over logits (B×C) with integer labels.
-/// Returns mean loss; writes d(loss)/d(logits) into `grad` (B×C).
+/// Returns mean loss; writes d(loss)/d(logits) into `grad` (resized in
+/// place to B×C).
 [[nodiscard]] double softmax_cross_entropy(const math::Matrix& logits,
                                            std::span<const double> labels,
                                            math::Matrix& grad);
 
-/// Mean squared error over predictions (B×1). Writes gradient into `grad`.
+/// Mean squared error over predictions (B×1). Writes the gradient into
+/// `grad` (resized in place to B×1).
 [[nodiscard]] double mse_loss(const math::Matrix& pred,
                               std::span<const double> targets,
                               math::Matrix& grad);

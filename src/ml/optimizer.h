@@ -24,7 +24,10 @@ struct OptimizerConfig {
 /// position. Checkpointing this (plus model weights and RNG states) makes
 /// training resumable bit-exactly — the paper's Appendix A requirement.
 struct OptimizerState {
-  std::vector<std::vector<double>> buffers;  // meaning is optimizer-specific
+  // Banks of one buffer per layer, weight-shaped banks first, then
+  // bias-shaped ones (SGD: velocity; Adam: m and v); empty when saved
+  // before the first step.
+  std::vector<std::vector<double>> buffers;
   double lr_scale = 1.0;
   std::size_t step_count = 0;
 };
@@ -41,7 +44,11 @@ class Optimizer {
   virtual void step(Mlp& model, const Gradients& g) = 0;
 
   [[nodiscard]] virtual OptimizerState save_state() const = 0;
-  virtual void load_state(const OptimizerState& state) = 0;
+
+  /// Adopt `state`. Throws std::invalid_argument, changing nothing, unless
+  /// its buffers are empty or are this optimizer's banks (2 for SGD, 4 for
+  /// Adam) shaped exactly like `model`'s layers.
+  virtual void load_state(const OptimizerState& state, const Mlp& model) = 0;
 
   /// Called once per epoch: applies the exponential LR schedule.
   void end_epoch() { lr_scale_ *= config_.lr_gamma; }
@@ -63,7 +70,7 @@ class SgdOptimizer final : public Optimizer {
   explicit SgdOptimizer(OptimizerConfig config) : Optimizer{config} {}
   void step(Mlp& model, const Gradients& g) override;
   [[nodiscard]] OptimizerState save_state() const override;
-  void load_state(const OptimizerState& state) override;
+  void load_state(const OptimizerState& state, const Mlp& model) override;
 
  private:
   std::vector<std::vector<double>> weight_velocity_;
@@ -75,7 +82,7 @@ class AdamOptimizer final : public Optimizer {
   explicit AdamOptimizer(OptimizerConfig config) : Optimizer{config} {}
   void step(Mlp& model, const Gradients& g) override;
   [[nodiscard]] OptimizerState save_state() const override;
-  void load_state(const OptimizerState& state) override;
+  void load_state(const OptimizerState& state, const Mlp& model) override;
 
  private:
   std::vector<std::vector<double>> m_w_, v_w_, m_b_, v_b_;

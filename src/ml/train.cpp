@@ -1,9 +1,9 @@
 #include "src/ml/train.h"
 
 #include <atomic>
-#include <memory>
-#include <numeric>
-#include <stdexcept>
+#include <utility>
+
+#include "src/ml/trainer.h"
 
 namespace varbench::ml {
 
@@ -13,81 +13,13 @@ namespace {
 // stream. See TrainConfig::numerical_noise_std.
 std::atomic<std::uint64_t> g_numerical_noise_counter{0x517CC1B727220A95ULL};
 
-math::Matrix gather_rows(const Dataset& d, std::span<const std::size_t> idx) {
-  math::Matrix out{idx.size(), d.dim()};
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    const auto src = d.x.row(idx[i]);
-    auto dst = out.row(i);
-    for (std::size_t c = 0; c < src.size(); ++c) dst[c] = src[c];
-  }
-  return out;
-}
-
 }  // namespace
 
 Mlp train_mlp(const Dataset& train, const TrainConfig& config,
               const rngx::VariationSeeds& seeds) {
-  if (train.empty()) throw std::invalid_argument("train_mlp: empty train set");
-  validate(train);
-
-  MlpConfig model_cfg = config.model;
-  if (model_cfg.input_dim == 0) model_cfg.input_dim = train.dim();
-  if (model_cfg.output_dim == 0) {
-    model_cfg.output_dim =
-        train.kind == TaskKind::kClassification ? train.num_classes : 1;
-  }
-  if (config.loss == LossKind::kSoftmaxCrossEntropy &&
-      train.kind != TaskKind::kClassification) {
-    throw std::invalid_argument("train_mlp: CE loss needs classification data");
-  }
-
-  auto init_rng = seeds.rng_for(rngx::VariationSource::kWeightInit);
-  auto order_rng = seeds.rng_for(rngx::VariationSource::kDataOrder);
-  auto dropout_rng = seeds.rng_for(rngx::VariationSource::kDropout);
-  auto augment_rng = seeds.rng_for(rngx::VariationSource::kDataAugment);
-
-  Mlp model{model_cfg, init_rng};
-
-  std::unique_ptr<Optimizer> opt;
-  if (config.optimizer == OptimizerKind::kSgd) {
-    opt = std::make_unique<SgdOptimizer>(config.opt);
-  } else {
-    opt = std::make_unique<AdamOptimizer>(config.opt);
-  }
-
-  const std::size_t n = train.size();
-  const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-
-  ForwardCache cache;
-  math::Matrix grad_logits;
-  std::vector<double> batch_targets;
-
-  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    order_rng.shuffle(order);
-    for (std::size_t start = 0; start < n; start += batch) {
-      const std::size_t end = std::min(start + batch, n);
-      const std::span<const std::size_t> idx{order.data() + start, end - start};
-      math::Matrix x = gather_rows(train, idx);
-      if (is_active(config.augment)) {
-        x = augment_batch(x, config.augment, augment_rng);
-      }
-      batch_targets.resize(idx.size());
-      for (std::size_t i = 0; i < idx.size(); ++i) {
-        batch_targets[i] = train.y[idx[i]];
-      }
-      const math::Matrix logits = model.forward_train(x, dropout_rng, cache);
-      if (config.loss == LossKind::kSoftmaxCrossEntropy) {
-        (void)softmax_cross_entropy(logits, batch_targets, grad_logits);
-      } else {
-        (void)mse_loss(logits, batch_targets, grad_logits);
-      }
-      opt->step(model, model.backward(cache, grad_logits));
-    }
-    opt->end_epoch();
-  }
-
+  Trainer trainer{train, config, seeds};
+  trainer.run_to_completion();
+  Mlp model = std::move(trainer).release_model();
   if (config.numerical_noise_std > 0.0) {
     rngx::Rng noise_rng{
         g_numerical_noise_counter.fetch_add(1, std::memory_order_relaxed)};

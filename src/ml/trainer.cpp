@@ -1,11 +1,18 @@
 #include "src/ml/trainer.h"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
 namespace varbench::ml {
 
 namespace {
+
+const Dataset& checked_train_set(const Dataset& train) {
+  if (train.empty()) throw std::invalid_argument("Trainer: empty train set");
+  validate(train);
+  return train;
+}
 
 MlpConfig resolve_model_config(const Dataset& train, MlpConfig cfg,
                                LossKind loss) {
@@ -38,7 +45,7 @@ std::unique_ptr<Optimizer> make_optimizer(const TrainConfig& config) {
 
 Trainer::Trainer(const Dataset& train, TrainConfig config,
                  const rngx::VariationSeeds& seeds)
-    : train_{train},
+    : train_{checked_train_set(train)},
       config_{std::move(config)},
       model_{make_model(train, config_, seeds)},
       optimizer_{make_optimizer(config_)},
@@ -46,8 +53,6 @@ Trainer::Trainer(const Dataset& train, TrainConfig config,
       dropout_rng_{seeds.rng_for(rngx::VariationSource::kDropout)},
       augment_rng_{seeds.rng_for(rngx::VariationSource::kDataAugment)},
       order_(train.size()) {
-  if (train_.empty()) throw std::invalid_argument("Trainer: empty train set");
-  validate(train_);
   std::iota(order_.begin(), order_.end(), std::size_t{0});
 }
 
@@ -57,30 +62,27 @@ void Trainer::run_epoch() {
   const std::size_t batch = std::max<std::size_t>(1, config_.batch_size);
   order_rng_.shuffle(order_);
 
-  ForwardCache cache;
-  math::Matrix grad_logits;
-  std::vector<double> targets;
   for (std::size_t start = 0; start < n; start += batch) {
     const std::size_t end = std::min(start + batch, n);
     const std::span<const std::size_t> idx{order_.data() + start, end - start};
-    math::Matrix x{idx.size(), train_.dim()};
+    ws_.batch.resize(idx.size(), train_.dim());
+    ws_.targets.resize(idx.size());
     for (std::size_t i = 0; i < idx.size(); ++i) {
       const auto src = train_.x.row(idx[i]);
-      auto dst = x.row(i);
-      for (std::size_t c = 0; c < src.size(); ++c) dst[c] = src[c];
+      std::copy(src.begin(), src.end(), ws_.batch.row(i).begin());
+      ws_.targets[i] = train_.y[idx[i]];
     }
     if (is_active(config_.augment)) {
-      x = augment_batch(x, config_.augment, augment_rng_);
+      augment_batch(ws_.batch, config_.augment, augment_rng_);
     }
-    targets.resize(idx.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) targets[i] = train_.y[idx[i]];
-    const math::Matrix logits = model_.forward_train(x, dropout_rng_, cache);
+    const math::Matrix& logits = model_.forward_train(ws_, dropout_rng_);
     if (config_.loss == LossKind::kSoftmaxCrossEntropy) {
-      (void)softmax_cross_entropy(logits, targets, grad_logits);
+      (void)softmax_cross_entropy(logits, ws_.targets, ws_.delta[0]);
     } else {
-      (void)mse_loss(logits, targets, grad_logits);
+      (void)mse_loss(logits, ws_.targets, ws_.delta[0]);
     }
-    optimizer_->step(model_, model_.backward(cache, grad_logits));
+    model_.backward(ws_);
+    optimizer_->step(model_, ws_.grads);
   }
   optimizer_->end_epoch();
   ++epoch_;
@@ -104,17 +106,36 @@ TrainerCheckpoint Trainer::checkpoint() const {
 }
 
 void Trainer::restore(const TrainerCheckpoint& ckpt) {
-  if (ckpt.weights.size() != model_.num_layers()) {
+  const std::size_t layers = model_.num_layers();
+  if (ckpt.weights.size() != layers || ckpt.biases.size() != layers) {
     throw std::invalid_argument("Trainer::restore: layer count mismatch");
+  }
+  for (std::size_t i = 0; i < layers; ++i) {
+    const math::Matrix& w = model_.weights()[i];
+    if (ckpt.weights[i].rows() != w.rows() ||
+        ckpt.weights[i].cols() != w.cols()) {
+      throw std::invalid_argument("Trainer::restore: weight shape mismatch");
+    }
+    if (ckpt.biases[i].size() != model_.biases()[i].size()) {
+      throw std::invalid_argument("Trainer::restore: bias shape mismatch");
+    }
   }
   if (ckpt.order.size() != order_.size()) {
     throw std::invalid_argument("Trainer::restore: dataset size mismatch");
   }
+  std::vector<bool> seen(order_.size(), false);
+  for (const std::size_t i : ckpt.order) {
+    if (i >= seen.size() || seen[i]) {
+      throw std::invalid_argument("Trainer::restore: order is not a "
+                                  "permutation of the dataset's rows");
+    }
+    seen[i] = true;
+  }
+  optimizer_->load_state(ckpt.optimizer, model_);
   order_ = ckpt.order;
   epoch_ = ckpt.epoch;
   model_.weights() = ckpt.weights;
   model_.biases() = ckpt.biases;
-  optimizer_->load_state(ckpt.optimizer);
   order_rng_.load_state(ckpt.order_rng);
   dropout_rng_.load_state(ckpt.dropout_rng);
   augment_rng_.load_state(ckpt.augment_rng);

@@ -2,10 +2,12 @@
 // reproducible study must be able to interrupt a training after any epoch
 // and resume it later with bit-identical results — which requires
 // checkpointing model weights, optimizer buffers AND every RNG stream.
-// Trainer packages that protocol; train_mlp() remains the one-shot path.
+// Trainer packages that protocol, and train_mlp() is a Trainer run to
+// completion: there is one training loop.
 #pragma once
 
 #include <memory>
+#include <utility>
 
 #include "src/ml/train.h"
 
@@ -46,11 +48,17 @@ class Trainer {
   [[nodiscard]] const Mlp& model() const noexcept { return model_; }
   [[nodiscard]] const TrainConfig& config() const noexcept { return config_; }
 
+  /// Move the model out of a Trainer that is done with it.
+  [[nodiscard]] Mlp release_model() && { return std::move(model_); }
+
   /// Snapshot everything needed to resume bit-exactly.
   [[nodiscard]] TrainerCheckpoint checkpoint() const;
 
   /// Restore a snapshot taken from a Trainer constructed with the same
-  /// dataset, config and seeds.
+  /// dataset, config and seeds. Throws std::invalid_argument, changing
+  /// nothing, unless every weight and bias shape matches the model's, the
+  /// optimizer buffers match them (Optimizer::load_state) and `order` is a
+  /// permutation of the dataset's row indices.
   void restore(const TrainerCheckpoint& ckpt);
 
  private:
@@ -63,6 +71,7 @@ class Trainer {
   rngx::Rng augment_rng_;
   std::vector<std::size_t> order_;
   std::size_t epoch_ = 0;
+  TrainWorkspace ws_;  // every step's buffers; not training state
 };
 
 }  // namespace varbench::ml

@@ -119,6 +119,28 @@ TEST(Matrix, MatmulTnMatchesExplicitTranspose) {
   EXPECT_EQ(matmul_tn(a, b), matmul(a.transposed(), b));
 }
 
+TEST(Matrix, OutParameterProductsResizeAndOverwrite) {
+  const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
+  const Matrix b{{5.0, 6.0}, {7.0, 8.0}};
+  Matrix out{5, 7, 9.0};  // larger and stale: resized, every element written
+  matmul(a, b, out);
+  EXPECT_EQ(out, matmul(a, b));
+  matmul_nt(a, b, out);
+  EXPECT_EQ(out, matmul_nt(a, b));
+  matmul_tn(a, b, out);
+  EXPECT_EQ(out, matmul_tn(a, b));
+  matmul(Matrix{2, 0}, Matrix{0, 3}, out);  // k = 0: every sum is +0.0
+  EXPECT_EQ(out, (Matrix{2, 3}));
+}
+
+TEST(Matrix, OutParameterMayNotAliasAnOperand) {
+  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
+  const Matrix b = a;
+  EXPECT_THROW(matmul(a, b, a), std::invalid_argument);
+  EXPECT_THROW(matmul_nt(b, a, a), std::invalid_argument);
+  EXPECT_THROW(matmul_tn(a, a, a), std::invalid_argument);
+}
+
 TEST(Matrix, Matvec) {
   const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   const std::vector<double> x{1.0, 1.0};
@@ -266,7 +288,8 @@ void expect_kernels_match(GemmOp op, std::size_t m, std::size_t n,
   static const char* const kOpNames[] = {"nn", "nt", "tn"};
   for (const detail::GemmKernel& kernel : detail::gemm_kernels()) {
     if (!kernel.supported()) continue;
-    const Matrix got = detail::gemm(op, a, b, kernel);
+    Matrix got{m, n, -1.0};  // the kernel must overwrite every element
+    detail::gemm(op, a, b, kernel, got);
     EXPECT_EQ(count_mismatches(got, want), 0u)
         << kernel.name << " " << kOpNames[static_cast<int>(op)] << " m=" << m
         << " n=" << n << " k=" << k << " non_finite_rate=" << non_finite_rate;

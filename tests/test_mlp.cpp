@@ -86,11 +86,12 @@ TEST(Mlp, GradientCheckCrossEntropy) {
   const std::vector<double> labels{0.0, 2.0};
 
   rngx::Rng dropout_rng{4};
-  ForwardCache cache;
-  math::Matrix grad_logits;
-  const auto logits = m.forward_train(batch, dropout_rng, cache);
-  (void)softmax_cross_entropy(logits, labels, grad_logits);
-  const Gradients g = m.backward(cache, grad_logits);
+  TrainWorkspace ws;
+  ws.batch = batch;
+  const auto& logits = m.forward_train(ws, dropout_rng);
+  (void)softmax_cross_entropy(logits, labels, ws.delta[0]);
+  m.backward(ws);
+  const Gradients& g = ws.grads;
 
   auto loss_at = [&](Mlp& model) {
     const auto lg = model.forward(batch);
@@ -138,11 +139,12 @@ TEST(Mlp, GradientCheckMse) {
   const std::vector<double> targets{0.7, -0.1};
 
   rngx::Rng dropout_rng{6};
-  ForwardCache cache;
-  math::Matrix grad;
-  const auto pred = m.forward_train(batch, dropout_rng, cache);
-  (void)mse_loss(pred, targets, grad);
-  const Gradients g = m.backward(cache, grad);
+  TrainWorkspace ws;
+  ws.batch = batch;
+  const auto& pred = m.forward_train(ws, dropout_rng);
+  (void)mse_loss(pred, targets, ws.delta[0]);
+  m.backward(ws);
+  const Gradients& g = ws.grads;
 
   constexpr double kEps = 1e-6;
   auto w = m.weights()[0].data();
@@ -162,21 +164,21 @@ TEST(Mlp, GradientCheckMse) {
   EXPECT_NEAR(gw[j], (lp - lm) / (2.0 * kEps), 1e-6);
 }
 
-TEST(Mlp, FrozenLayerGetsZeroGradient) {
+TEST(Mlp, FrozenLayerGetsNoGradient) {
   auto cfg = small_config();
   cfg.freeze_first_layer = true;
   rngx::Rng rng{7};
   Mlp m{cfg, rng};
-  const math::Matrix batch{2, 4, 0.3};
   const std::vector<double> labels{0.0, 1.0};
   rngx::Rng dropout_rng{8};
-  ForwardCache cache;
-  math::Matrix grad_logits;
-  const auto logits = m.forward_train(batch, dropout_rng, cache);
-  (void)softmax_cross_entropy(logits, labels, grad_logits);
-  const Gradients g = m.backward(cache, grad_logits);
-  EXPECT_DOUBLE_EQ(g.weights[0].squared_norm(), 0.0);
-  EXPECT_GT(g.weights[1].squared_norm(), 0.0);
+  TrainWorkspace ws;
+  ws.batch = math::Matrix{2, 4, 0.3};
+  const auto& logits = m.forward_train(ws, dropout_rng);
+  (void)softmax_cross_entropy(logits, labels, ws.delta[0]);
+  m.backward(ws);
+  EXPECT_TRUE(ws.grads.weights[0].empty());
+  EXPECT_TRUE(ws.grads.biases[0].empty());
+  EXPECT_GT(ws.grads.weights[1].squared_norm(), 0.0);
 }
 
 TEST(Mlp, DropoutZerosActivationsInTraining) {
@@ -187,10 +189,12 @@ TEST(Mlp, DropoutZerosActivationsInTraining) {
   const math::Matrix batch{8, 4, 1.0};
   rngx::Rng d1{10};
   rngx::Rng d2{11};
-  ForwardCache c1;
-  ForwardCache c2;
-  const auto o1 = m.forward_train(batch, d1, c1);
-  const auto o2 = m.forward_train(batch, d2, c2);
+  TrainWorkspace w1;
+  TrainWorkspace w2;
+  w1.batch = batch;
+  w2.batch = batch;
+  const auto& o1 = m.forward_train(w1, d1);
+  const auto& o2 = m.forward_train(w2, d2);
   EXPECT_NE(o1, o2);  // different dropout masks → different outputs
   // Inference path is deterministic and mask-free.
   EXPECT_EQ(m.forward(batch), m.forward(batch));

@@ -119,12 +119,12 @@ TEST(Adam, ConvergesOnQuadratic) {
   cfg.learning_rate = 0.05;
   AdamOptimizer opt{cfg};
   rngx::Rng drop{8};
+  TrainWorkspace ws;
+  ws.batch = x;
   for (int it = 0; it < 1500; ++it) {
-    ForwardCache cache;
-    math::Matrix grad;
-    const auto pred = m.forward_train(x, drop, cache);
-    (void)mse_loss(pred, y, grad);
-    opt.step(m, m.backward(cache, grad));
+    (void)mse_loss(m.forward_train(ws, drop), y, ws.delta[0]);
+    m.backward(ws);
+    opt.step(m, ws.grads);
   }
   math::Matrix unused;
   const auto pred = m.forward(x);
@@ -142,12 +142,12 @@ TEST(Sgd, ConvergesOnQuadratic) {
   cfg.momentum = 0.5;
   SgdOptimizer opt{cfg};
   rngx::Rng drop{10};
+  TrainWorkspace ws;
+  ws.batch = x;
   for (int it = 0; it < 300; ++it) {
-    ForwardCache cache;
-    math::Matrix grad;
-    const auto pred = m.forward_train(x, drop, cache);
-    (void)mse_loss(pred, y, grad);
-    opt.step(m, m.backward(cache, grad));
+    (void)mse_loss(m.forward_train(ws, drop), y, ws.delta[0]);
+    m.backward(ws);
+    opt.step(m, ws.grads);
   }
   math::Matrix unused;
   EXPECT_NEAR(mse_loss(m.forward(x), y, unused), 0.0, 1e-4);

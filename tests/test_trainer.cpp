@@ -2,8 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "src/ml/repro_audit.h"
 #include "src/ml/synthetic.h"
+
+// A counting replacement of the global operator new, armed only around the
+// code under test: the steady-state training step must allocate nothing.
+// Not inlined, so GCC does not pair an inlined free() with a new-expression
+// (-Wmismatched-new-delete).
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace varbench::ml {
 namespace {
@@ -95,6 +120,98 @@ TEST(Trainer, RestoreRejectsLayerMismatch) {
   ckpt.weights.pop_back();
   Trainer b{d, config(), rngx::VariationSeeds{}};
   EXPECT_THROW(b.restore(ckpt), std::invalid_argument);
+}
+
+/// A checkpoint after one epoch that `corrupt` damages must be refused by
+/// a fresh Trainer, which must then train exactly as if never asked.
+template <typename Corrupt>
+void expect_restore_rejects(OptimizerKind optimizer, Corrupt corrupt) {
+  const auto d = data();
+  auto cfg = config(0.2, 0.1);
+  cfg.optimizer = optimizer;
+  const rngx::VariationSeeds seeds;
+  Trainer source{d, cfg, seeds};
+  source.run_epoch();
+  TrainerCheckpoint ckpt = source.checkpoint();
+  corrupt(ckpt);
+  Trainer target{d, cfg, seeds};
+  EXPECT_THROW(target.restore(ckpt), std::invalid_argument);
+  target.run_to_completion();
+  Trainer straight{d, cfg, seeds};
+  straight.run_to_completion();
+  EXPECT_TRUE(models_identical(target.model(), straight.model()));
+}
+
+TEST(Trainer, RestoreRejectsWeightShapeMismatch) {
+  // Same element count, transposed shape.
+  expect_restore_rejects(OptimizerKind::kSgd, [](TrainerCheckpoint& c) {
+    c.weights[0] = math::Matrix{c.weights[0].cols(), c.weights[0].rows()};
+  });
+}
+
+TEST(Trainer, RestoreRejectsBiasShapeMismatch) {
+  expect_restore_rejects(OptimizerKind::kSgd, [](TrainerCheckpoint& c) {
+    c.biases[1].push_back(0.0);
+  });
+}
+
+TEST(Trainer, RestoreRejectsOptimizerBufferCountMismatch) {
+  for (const auto kind : {OptimizerKind::kSgd, OptimizerKind::kAdam}) {
+    expect_restore_rejects(kind, [](TrainerCheckpoint& c) {
+      c.optimizer.buffers.pop_back();
+    });
+  }
+}
+
+TEST(Trainer, RestoreRejectsOptimizerBufferSizeMismatch) {
+  for (const auto kind : {OptimizerKind::kSgd, OptimizerKind::kAdam}) {
+    expect_restore_rejects(kind, [](TrainerCheckpoint& c) {
+      c.optimizer.buffers.front().pop_back();  // a truncated buffer
+    });
+  }
+}
+
+TEST(Trainer, RestoreRejectsOrderThatIsNotAPermutation) {
+  expect_restore_rejects(OptimizerKind::kSgd, [](TrainerCheckpoint& c) {
+    c.order[0] = c.order.size();  // out of range
+  });
+  expect_restore_rejects(OptimizerKind::kSgd, [](TrainerCheckpoint& c) {
+    c.order[0] = c.order[1];  // a repeated row
+  });
+}
+
+TEST(Trainer, CheckpointBeforeFirstEpochResumes) {
+  // No step has run, so the optimizer saves no buffers.
+  const auto d = data();
+  const auto cfg = config(0.2, 0.1);
+  const rngx::VariationSeeds seeds;
+  Trainer fresh{d, cfg, seeds};
+  const auto ckpt = fresh.checkpoint();
+  EXPECT_TRUE(ckpt.optimizer.buffers.empty());
+  Trainer resumed{d, cfg, seeds};
+  resumed.restore(ckpt);
+  resumed.run_to_completion();
+  fresh.run_to_completion();
+  EXPECT_TRUE(models_identical(fresh.model(), resumed.model()));
+}
+
+TEST(Trainer, SteadyStateStepAllocatesNothing) {
+  const auto d = data();  // 150 rows: nine batches of 16, then one of 6
+  auto cfg = config(0.3, 0.15);
+  cfg.model.hidden = {6, 5};
+  cfg.model.freeze_first_layer = true;
+  cfg.augment.mask_prob = 0.1;
+  for (const auto kind : {OptimizerKind::kSgd, OptimizerKind::kAdam}) {
+    cfg.optimizer = kind;
+    Trainer t{d, cfg, rngx::VariationSeeds{}};
+    t.run_epoch();  // sizes the workspace, optimizer state and GEMM scratch
+    g_allocations.store(0);
+    g_count_allocations.store(true);
+    t.run_epoch();
+    g_count_allocations.store(false);
+    EXPECT_EQ(g_allocations.load(), 0u)
+        << "optimizer kind " << static_cast<int>(kind);
+  }
 }
 
 TEST(Trainer, EmptyDatasetThrows) {
