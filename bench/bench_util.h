@@ -1,47 +1,17 @@
-// Shared helpers for the figure/table reproduction harnesses.
-//
-// Since the bench/ → study-kind refactor, every figure/table binary is a
-// thin spec-builder: run_figure_bench(kind) assembles the registered
-// kind's default StudySpec, applies the environment knobs, executes it
-// through the same run_study() path `varbench run` uses, prints the
-// summary, and (when VARBENCH_OUT is set) writes the canonical ResultTable
-// artifact. The same artifact — byte-identical — is produced by
-//   varbench run - <<<'{"kind": "<name>"}'
-// and by any sharded/campaigned execution of that spec.
-//
-// Scale knobs (environment variables):
-//   VARBENCH_SCALE   data-pool / epoch scale in (0, 1]; default: the
-//                    kind's spec default (0.25 for most kinds, 0.5 for
-//                    table8), matching `varbench run` on the bare spec
-//   VARBENCH_REPS    repetitions (the spec's shardable count)
-//   VARBENCH_FULL=1  paper-faithful sizes (slow; hours)
-//   VARBENCH_SEED    master seed, full u64 range (default: spec's 42)
-//   VARBENCH_SHARD   "i/N" — run one slice of the figure
-//   VARBENCH_OUT     directory for ResultTable artifacts (default: none)
-//   VARBENCH_THREADS worker count for the Monte-Carlo loops (default 0 =
-//                    all cores; results bit-identical at any setting)
+// Shared helpers for the standalone bench harnesses (bench_exec_scaling,
+// bench_stats_resample, bench_artifact_io): bespoke environment knobs and
+// the printed header/section banners. Every figure and table of the paper
+// runs through `varbench run`/`campaign` instead (docs/study_api.md).
 #pragma once
 
-#include <cerrno>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
 #include "bench/bench_spec.h"
-#include "src/exec/exec_context.h"
-#include "src/study/figures/figures.h"
-#include "src/study/result_table.h"
-#include "src/study/study_runner.h"
 
 namespace varbench::benchutil {
 
-inline double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atof(v);
-}
-
+/// A positive integer knob; unset, empty, or non-positive → `fallback`.
 inline std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
@@ -49,113 +19,15 @@ inline std::size_t env_size(const char* name, std::size_t fallback) {
   return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
 }
 
-/// Full-u64 env parse for seeds: 0 is a legal seed (env_size treats it as
-/// unset) and derive_seed outputs use the whole range.
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE) return fallback;
-  return parsed;
-}
-
-inline bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && std::string(v) != "0" && std::string(v) != "";
-}
-
-/// Execution context of the harness's own Monte-Carlo loops. Defaults to
-/// all hardware threads; the determinism contract (docs/determinism.md)
-/// makes the printed numbers invariant to the setting.
-inline exec::ExecContext exec_context() { return BenchSpec::env().context(); }
-
-inline double scale() { return BenchSpec::env().effective_scale(0.3); }
-
 inline void header(const char* experiment, const char* claim) {
   std::printf("================================================================\n");
   std::printf("%s\n", experiment);
   std::printf("  paper claim: %s\n", claim);
-  std::printf("  (scale=%.2f; set VARBENCH_SCALE / VARBENCH_FULL=1 to change)\n",
-              scale());
   std::printf("================================================================\n");
 }
 
 inline void section(const char* title) {
   std::printf("\n--- %s ---\n", title);
-}
-
-/// Write `<VARBENCH_OUT>/<table.name>.json` (+ .csv) when VARBENCH_OUT is
-/// set (':' in artifact names becomes '-'); silently a no-op otherwise, so
-/// default bench runs stay print-only. Best-effort: an unwritable
-/// directory warns instead of killing a bench run whose printout already
-/// happened.
-inline void write_artifact(const study::ResultTable& table) {
-  const std::string& dir_str = BenchSpec::env().out_dir;
-  if (dir_str.empty()) return;
-  const char* dir = dir_str.c_str();
-  std::string name = table.name;
-  for (char& c : name) {
-    if (c == ':' || c == '/') c = '-';
-  }
-  const std::string base = std::string{dir} + "/" + name;
-  try {
-    io::write_file(base + ".json", table.to_json_text());
-    io::write_file(base + ".csv", table.to_csv());
-    std::printf("\n[artifact] %s.json (+.csv): %zu rows\n", base.c_str(),
-                table.rows.size());
-  } catch (const io::JsonError& e) {
-    std::fprintf(stderr, "warning: VARBENCH_OUT artifact not written: %s\n",
-                 e.what());
-  }
-}
-
-/// The whole body of a figure/table bench binary: build the registered
-/// kind's spec from the environment knobs, run it, print the paper-facing
-/// summary, emit the artifact. Returns the process exit code.
-inline int run_figure_bench(study::StudyKind kind) {
-  const study::figures::FigureDef* def = study::figures::find_figure(kind);
-  if (def == nullptr) {
-    std::fprintf(stderr, "error: not a registered figure kind\n");
-    return 1;
-  }
-  try {
-    // All knobs come from the one BenchSpec parse (bench/bench_spec.h) —
-    // bench binaries never re-read getenv mid-run, and `varbench bench`
-    // can drive the same path from flags.
-    const BenchSpec& knobs = BenchSpec::env();
-    study::StudySpec spec = study::figures::default_figure_spec(kind);
-    if (knobs.full) {
-      if (def->full != nullptr) def->full(spec);
-      spec.scale = 1.0;
-    } else if (knobs.scale.has_value() && *knobs.scale > 0.0 &&
-               *knobs.scale <= 1.0) {
-      spec.scale = *knobs.scale;
-    }
-    if (!def->fixed_repetitions && knobs.reps.has_value()) {
-      spec.repetitions = *knobs.reps;
-    }
-    if (knobs.seed.has_value()) spec.seed = *knobs.seed;
-    spec.threads = knobs.threads;
-    if (knobs.shard.has_value()) spec.shard = *knobs.shard;
-    std::printf(
-        "================================================================\n"
-        "%s\n  paper claim: %s\n"
-        "  (scale=%.2f; set VARBENCH_SCALE / VARBENCH_FULL=1 to change)\n"
-        "  spec kind '%s' — `varbench list` shows every knob; the same\n"
-        "  artifact ships via `varbench run/campaign` (docs/study_api.md)\n"
-        "================================================================\n",
-        std::string{def->title}.c_str(), std::string{def->claim}.c_str(),
-        spec.scale, std::string{def->name}.c_str());
-    const study::ResultTable table = study::run_study(spec);
-    study::print_summary(table, stdout);
-    write_artifact(table);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
 }
 
 }  // namespace varbench::benchutil

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   spec.scale = scale;
   spec.seed = 20260612;
   spec.repetitions = n;
-  spec.compare.lr_mult = 0.05;
+  spec.figure.lr_mult = 0.05;
   std::printf("spec:\n%s", spec.to_json_text().c_str());
 
   // Step 3: run it. The table holds the raw paired measures — shard it

@@ -10,7 +10,9 @@
 //
 // The equivalent real two-process fan-out (see docs/study_api.md):
 //
-//   varbench study cifar10_vgg11 --seed <derived> --dump-spec spec.json
+//   echo '{"kind": "variance", "case_study": "cifar10_vgg11",
+//          "seed": <derived>, "repetitions": 8,
+//          "params": {"hpo_budget": 4}}' > spec.json
 //   varbench run spec.json --shard 0/2 --out s0.json &
 //   varbench run spec.json --shard 1/2 --out s1.json &
 //   wait
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
   spec.scale = scale;
   spec.seed = rngx::derive_seed(master, task);
   spec.repetitions = 8;
-  spec.variance.hpo_budget = 4;
+  spec.figure.hpo_budget = 4;
 
   std::printf("sharded_study — task %s, seed derive_seed(%llu, task) = %llu\n",
               task.c_str(), static_cast<unsigned long long>(master),

@@ -16,6 +16,7 @@
 #include "src/metrics/trace_file.h"
 #include "src/rngx/rng.h"
 #include "src/study/result_table.h"
+#include "src/study/study_kinds.h"
 #include "src/study/study_runner.h"
 
 namespace varbench::campaign {
@@ -214,10 +215,10 @@ std::vector<CampaignTask> plan_tasks(
   }
   std::vector<CampaignTask> tasks;
   for (std::size_t k = 0; k < studies.size(); ++k) {
-    // One HOpt run is inherently sequential (study_runner rejects sharding
-    // for it) — an hpo study is a single task regardless of --shards.
+    // A kind that cannot shard (one HOpt run is inherently sequential) is
+    // a single task regardless of --shards.
     const std::size_t n =
-        studies[k].kind == study::StudyKind::kHpo ? 1 : shards;
+        study::kind_def(studies[k].kind).shardable ? shards : 1;
     for (std::size_t i = 0; i < n; ++i) {
       CampaignTask t;
       t.study_index = k;

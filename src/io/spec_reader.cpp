@@ -7,7 +7,10 @@ namespace varbench::io {
 ObjectReader::ObjectReader(const Json& obj, std::string_view domain,
                            std::string_view where)
     : obj_{obj}, domain_{domain}, where_{where} {
-  (void)obj_.as_object();  // type check up front
+  if (!obj_.is_object()) {
+    throw JsonError(domain_ + ": " + where_ + " must be an object, got " +
+                    obj_.dump());
+  }
 }
 
 const Json* ObjectReader::find(std::string_view key) {
@@ -65,27 +68,60 @@ std::size_t read_size(const Json& v, std::string_view domain,
   }
 }
 
-std::vector<std::string> read_string_array(const Json& v,
-                                           std::string_view domain,
-                                           std::string_view key) {
-  std::vector<std::string> out;
-  for (const Json& item : v.as_array()) {
-    out.push_back(read_string(item, domain, key));
+bool read_bool(const Json& v, std::string_view domain, std::string_view key) {
+  if (!v.is_bool()) {
+    throw JsonError(std::string{domain} + ": '" + std::string{key} +
+                    "' must be true or false, got " + v.dump());
   }
+  return v.as_bool();
+}
+
+namespace {
+
+/// Every element of array `v` through the scalar reader `read`.
+template <typename Read>
+auto read_array(const Json& v, std::string_view domain, std::string_view key,
+                Read read) {
+  if (!v.is_array()) {
+    throw JsonError(std::string{domain} + ": '" + std::string{key} +
+                    "' must be an array, got " + v.dump());
+  }
+  std::vector<decltype(read(v, domain, key))> out;
+  for (const Json& item : v.as_array()) out.push_back(read(item, domain, key));
   return out;
 }
 
-Json string_array(const std::vector<std::string>& v) {
+template <typename T>
+Json to_array(const std::vector<T>& v) {
   Json arr = Json::array();
-  for (const auto& s : v) arr.push_back(Json{s});
+  for (const T& x : v) arr.push_back(Json{x});
   return arr;
 }
 
-Json double_array(const std::vector<double>& v) {
-  Json arr = Json::array();
-  for (const double d : v) arr.push_back(Json{d});
-  return arr;
+}  // namespace
+
+std::vector<std::string> read_string_array(const Json& v,
+                                           std::string_view domain,
+                                           std::string_view key) {
+  return read_array(v, domain, key, read_string);
 }
+
+std::vector<std::size_t> read_size_array(const Json& v,
+                                         std::string_view domain,
+                                         std::string_view key) {
+  return read_array(v, domain, key, read_size);
+}
+
+std::vector<double> read_double_array(const Json& v, std::string_view domain,
+                                      std::string_view key) {
+  return read_array(v, domain, key, read_double);
+}
+
+Json string_array(const std::vector<std::string>& v) { return to_array(v); }
+
+Json size_array(const std::vector<std::size_t>& v) { return to_array(v); }
+
+Json double_array(const std::vector<double>& v) { return to_array(v); }
 
 void reject_unknown_fields(const Json& obj, std::string_view domain,
                            std::string_view schema, std::string_view path,

@@ -15,7 +15,8 @@ namespace varbench::io {
 
 /// Tracks which keys of an object were consumed; call reject_unknown_keys()
 /// after all reads. `domain` prefixes every error message ("spec", "report
-/// spec"); `where` names the object being read ("the spec", "'params'").
+/// spec"); `where` names the object being read ("the spec", "'params'"),
+/// also when `obj` is not an object at all.
 class ObjectReader {
  public:
   ObjectReader(const Json& obj, std::string_view domain,
@@ -34,18 +35,28 @@ class ObjectReader {
   std::vector<std::string> seen_;
 };
 
-/// Typed scalar readers with actionable, domain-prefixed errors.
+/// Typed readers with actionable, domain-prefixed errors that name `key`:
+/// a wrong type, or a wrong element type in an array, says what `key` must
+/// be and shows the offending value.
 [[nodiscard]] std::string read_string(const Json& v, std::string_view domain,
                                       std::string_view key);
 [[nodiscard]] double read_double(const Json& v, std::string_view domain,
                                  std::string_view key);
 [[nodiscard]] std::size_t read_size(const Json& v, std::string_view domain,
                                     std::string_view key);
+[[nodiscard]] bool read_bool(const Json& v, std::string_view domain,
+                             std::string_view key);
 [[nodiscard]] std::vector<std::string> read_string_array(
     const Json& v, std::string_view domain, std::string_view key);
+[[nodiscard]] std::vector<std::size_t> read_size_array(
+    const Json& v, std::string_view domain, std::string_view key);
+[[nodiscard]] std::vector<double> read_double_array(const Json& v,
+                                                    std::string_view domain,
+                                                    std::string_view key);
 
 /// Array builders for the symmetric serialization path.
 [[nodiscard]] Json string_array(const std::vector<std::string>& v);
+[[nodiscard]] Json size_array(const std::vector<std::size_t>& v);
 [[nodiscard]] Json double_array(const std::vector<double>& v);
 
 /// The v2 strict-tolerance reading contract (docs/study_api.md): every

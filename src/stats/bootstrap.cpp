@@ -101,22 +101,6 @@ std::vector<double> resample_generic(
 
 }  // namespace
 
-std::vector<double> bootstrap_resample(std::span<const double> x,
-                                       rngx::Rng& rng) {
-  std::vector<double> out(x.size());
-  const std::size_t n = x.size();
-  if (n <= std::numeric_limits<std::uint32_t>::max()) {
-    exec::ScratchBuffer<std::uint32_t> idx{n};
-    kernels::fill_bootstrap_indices(rng, n, idx.span());
-    kernels::gather_values(x, std::span<const std::uint32_t>{idx.span()}, out);
-  } else {
-    exec::ScratchBuffer<std::uint64_t> idx{n};
-    kernels::fill_bootstrap_indices(rng, n, idx.span());
-    kernels::gather_values(x, std::span<const std::uint64_t>{idx.span()}, out);
-  }
-  return out;
-}
-
 ConfidenceInterval percentile_bootstrap_ci(
     const exec::ExecContext& ctx, std::span<const double> x,
     const std::function<double(std::span<const double>)>& statistic,

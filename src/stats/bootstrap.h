@@ -33,17 +33,6 @@ enum class PairedResampleStat {
   kWinRate,  // P(A>B) with ties counted half (probability_of_outperforming)
 };
 
-/// One bootstrap resample (with replacement, same size) of `x`.
-///
-/// Deprecated for hot paths: this overload returns a fresh vector per
-/// call, which is exactly the allocation the index-kernel path
-/// (kernels::fill_bootstrap_indices + fused gathers, or the ResampleStat
-/// overloads below) exists to avoid. It now delegates to those kernels —
-/// same draws, same values — and remains for callers that genuinely need
-/// the materialized resample.
-[[nodiscard]] std::vector<double> bootstrap_resample(std::span<const double> x,
-                                                     rngx::Rng& rng);
-
 /// Percentile-bootstrap CI of an arbitrary statistic of one sample.
 /// `statistic` is evaluated on `num_resamples` bootstrap resamples; the CI is
 /// the (α/2, 1−α/2) percentile pair of those evaluations.

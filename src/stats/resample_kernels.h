@@ -53,7 +53,7 @@ inline void fill_bootstrap_indices(rngx::Rng& rng, std::uint64_t pool,
 }
 
 /// Gather x[idx[j]] into out[j] — the materializing resample, for callers
-/// that still need the values (bootstrap_resample, generic statistics).
+/// that still need the values (generic statistics).
 template <typename IdxT>
 inline void gather_values(std::span<const double> x, std::span<const IdxT> idx,
                           std::span<double> out) {

@@ -89,10 +89,7 @@ ResultTable run_fig01(const StudySpec& spec) {
   ResultTable t;
   t.columns = {"seq", "task", "source", "rep", "measure"};
   GroupSeq gs;
-  const std::size_t hpo_reps =
-      spec.figure.hpo_repetitions != 0
-          ? spec.figure.hpo_repetitions
-          : std::max<std::size_t>(3, spec.repetitions / 4);
+  const std::size_t hpo_reps = spec.resolved_hpo_repetitions();
   for (const auto& task : resolve_tasks(spec)) {
     const auto cs = casestudies::make_case_study(task, spec.scale);
     core::VarianceStudyConfig cfg = variance_config(spec);

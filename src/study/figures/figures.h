@@ -1,87 +1,28 @@
-// The figure-study registry: every headline artifact of the paper (its
-// figures and tables) is a registered StudyKind whose runner produces a
-// canonical raw-measure ResultTable through the same shard/merge contract
-// as the original five study kinds. The bench/ binaries are thin
-// spec-builders over this registry (bench/bench_util.h), and `varbench
-// run/campaign/report` treat figure artifacts like any other study.
-//
-// A FigureDef bundles everything the spec layer, the runner registry, the
-// summary printer, and the bench front-end need: kind defaults (including
-// the VARBENCH_FULL paper-faithful sizes), the declared FigureParams field
-// subset (strict JSON round-trip), the runner, and the summarizer.
+// The runner and the summarizer of every study kind, one pair per kind,
+// grouped by source file under src/study/figures/. The kind table
+// (src/study/study_kinds.cpp) binds each pair to its kind; everything
+// else goes through it. Every runner produces a canonical raw-measure
+// ResultTable through the shard/merge contract (docs/study_api.md).
 #pragma once
 
 #include <cstdio>
-#include <string_view>
-#include <vector>
 
-#include "src/io/spec_reader.h"
 #include "src/study/result_table.h"
 #include "src/study/study_spec.h"
 
 namespace varbench::study::figures {
 
-/// Bitmask of the FigureParams fields a figure kind declares. Serialization
-/// emits exactly the declared fields and parsing accepts exactly those, so
-/// round-trip strictness holds per kind with one shared params struct.
-enum FigField : unsigned {
-  kFieldTasks = 1u << 0,
-  kFieldHpoAlgorithms = 1u << 1,
-  kFieldHpoRepetitions = 1u << 2,
-  kFieldHpoBudget = 1u << 3,
-  kFieldBudget = 1u << 4,
-  kFieldK = 1u << 5,
-  kFieldGamma = 1u << 6,
-  kFieldResamples = 1u << 7,
-  kFieldKGrid = 1u << 8,
-  kFieldTGrid = 1u << 9,
-  kFieldGammaGrid = 1u << 10,
-  kFieldBetaGrid = 1u << 11,
-  kFieldPGrid = 1u << 12,
-  kFieldEdges = 1u << 13,
-};
-
-struct FigureDef {
-  StudyKind kind;
-  std::string_view name;   // the spec "kind" string (== to_string(kind))
-  std::string_view title;  // one-line description for `varbench list`
-  std::string_view claim;  // the paper claim the figure checks
-  unsigned fields = 0;     // declared FigureParams subset (FigField mask)
-  /// Analytic kinds enumerate a fixed grid; their `repetitions` must stay
-  /// 1 (run_study enforces it) while the grid itself still shards.
-  bool fixed_repetitions = false;
-  /// Kind defaults: case_study, repetitions, and the declared figure
-  /// fields. Applied by StudySpec::from_json before reading the document
-  /// and by default_figure_spec() for programmatic builders.
-  void (*defaults)(StudySpec&) = nullptr;
-  /// Paper-faithful sizes for VARBENCH_FULL=1 bench runs (optional).
-  void (*full)(StudySpec&) = nullptr;
-  ResultTable (*run)(const StudySpec&) = nullptr;
-  void (*summarize)(const ResultTable&, std::FILE*) = nullptr;
-};
-
-[[nodiscard]] const std::vector<FigureDef>& all_figures();
-[[nodiscard]] bool is_figure_kind(StudyKind kind);
-/// nullptr for non-figure kinds.
-[[nodiscard]] const FigureDef* find_figure(StudyKind kind);
-
-/// A spec pre-filled with the kind's defaults — the starting point for
-/// bench front-ends and tests. Round-trips strictly through JSON.
-[[nodiscard]] StudySpec default_figure_spec(StudyKind kind);
-
-/// Apply the kind defaults in place (case_study, repetitions, figure
-/// fields). Called by StudySpec::from_json after reading `kind`.
-void apply_figure_defaults(StudySpec& spec);
-
-/// Serialize / parse the declared FigureParams subset of spec.kind.
-/// `figure_params_from_json` reads through `r` so the caller's unknown-key
-/// rejection covers undeclared fields.
-void figure_params_to_json(const StudySpec& spec, io::Json& params);
-void figure_params_from_json(StudySpec& spec, io::ObjectReader& r);
-
-// --------------------------------------------------------------- runners
-// One entry point per source file under src/study/figures/; registered
-// into the study-runner registry by study_runner.cpp via all_figures().
+// base_kinds.cpp: the original five kinds
+[[nodiscard]] ResultTable run_variance(const StudySpec&);
+void summarize_variance(const ResultTable&, std::FILE*);
+[[nodiscard]] ResultTable run_compare(const StudySpec&);
+void summarize_compare(const ResultTable&, std::FILE*);
+[[nodiscard]] ResultTable run_hpo(const StudySpec&);
+void summarize_hpo(const ResultTable&, std::FILE*);
+[[nodiscard]] ResultTable run_estimator(const StudySpec&);
+void summarize_estimator(const ResultTable&, std::FILE*);
+[[nodiscard]] ResultTable run_detection(const StudySpec&);
+void summarize_detection(const ResultTable&, std::FILE*);
 
 // fig_variance.cpp
 [[nodiscard]] ResultTable run_fig01(const StudySpec&);

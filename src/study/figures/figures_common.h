@@ -1,4 +1,4 @@
-// Internal helpers shared by the figure runners: execution-context and
+// Internal helpers shared by the study runners: execution-context and
 // shard-slice plumbing, task-set resolution, and the grouped row-emission
 // bookkeeping every multi-group figure table needs to keep `seq` a global
 // enumeration (the merge contract, docs/study_api.md).

@@ -1,7 +1,7 @@
 // run_study(spec): the single entry point that dispatches a StudySpec onto
 // the core/, compare/, and stats/ engines and returns the canonical
-// ResultTable artifact. Runners are looked up in a registry keyed by
-// StudyKind, so embedders can add study kinds without touching the CLI.
+// ResultTable artifact. The runner is the one in the kind's row of the
+// kind table (src/study/study_kinds.h).
 //
 // Every built-in runner honours the spec's shard slice: it computes only
 // the global repetition indices of shard_subrange(n, i, N) per repetition
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "src/study/result_table.h"
@@ -19,33 +18,24 @@
 
 namespace varbench::study {
 
-/// Produces the table body (columns + rows). run_study() fills in the
-/// artifact metadata (name, spec, shard, seed, threads, wall time).
-using StudyRunner = std::function<ResultTable(const StudySpec&)>;
-
-/// Register or replace the runner for a kind. Built-in runners for every
-/// StudyKind are installed on first use of the registry.
-void register_study_runner(StudyKind kind, StudyRunner runner);
-
-[[nodiscard]] bool has_study_runner(StudyKind kind);
-
-/// The pre-run checks of run_study without running anything: a runner is
-/// registered, the case study exists (original kinds), and analytic
-/// figure kinds keep repetitions == 1. Used by `varbench campaign
+/// The pre-run checks of run_study without running anything: the case
+/// study exists (kinds whose defaults leave it empty), and analytic figure
+/// kinds keep repetitions == 1. Used by `varbench campaign
 /// --plan-only` so a plan-clean campaign cannot fail these checks at
 /// worker time. Throws std::invalid_argument with actionable messages.
 void validate_study_spec(const StudySpec& spec);
 
-/// Validate the spec (validate_study_spec), run the registered runner,
-/// and stamp the artifact metadata. Throws io::JsonError /
+/// Validate the spec (validate_study_spec), run the kind's runner, and
+/// stamp the artifact metadata (name, spec, shard, seed, threads, wall
+/// time). Throws io::JsonError /
 /// std::invalid_argument with actionable messages.
 [[nodiscard]] ResultTable run_study(const StudySpec& spec);
 
 /// Human-readable summary of a *complete* table (shard 1/1), computed from
 /// the raw rows: per-source statistics for variance studies, the P(A>B)
-/// decision for comparisons, detection-rate curves, etc. Spec-driven
-/// tables print the same numbers the legacy subcommands printed. For a
-/// partial (shard) table, prints a note pointing at `varbench merge`.
+/// decision for comparisons, detection-rate curves, etc.; a figure kind's
+/// summary opens with its title and paper claim. For a partial (shard)
+/// table, prints a note pointing at `varbench merge`.
 void print_summary(const ResultTable& table, std::FILE* out);
 
 /// One row of `varbench list`: everything a user needs to write a spec for
@@ -59,9 +49,9 @@ struct StudyKindInfo {
   std::vector<std::string> param_keys;
 };
 
-/// Every registered study kind (the original five plus the figure
-/// registry), in registry order. The param keys are derived from the
-/// kind's own serialization, so they cannot drift from the parser.
+/// Every study kind (the original five plus the figure kinds), in kind
+/// table order. The param keys are derived from the kind's own
+/// serialization, so they cannot drift from the parser.
 [[nodiscard]] std::vector<StudyKindInfo> registered_study_kinds();
 
 /// The `varbench list` rendering of registered_study_kinds().

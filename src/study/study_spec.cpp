@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "src/io/spec_reader.h"
-#include "src/study/figures/figures.h"
+#include "src/study/study_kinds.h"
 
 namespace varbench::study {
 
@@ -12,38 +12,19 @@ namespace {
 
 constexpr std::string_view kSpecSchema = "varbench.study_spec.v1";
 
-struct KindName {
-  StudyKind kind;
-  std::string_view name;
-};
-
-// The original five kinds; figure kinds resolve through the figure
-// registry (src/study/figures/), which owns their names.
-constexpr KindName kKindNames[] = {
-    {StudyKind::kVariance, "variance"}, {StudyKind::kCompare, "compare"},
-    {StudyKind::kHpo, "hpo"},           {StudyKind::kEstimator, "estimator"},
-    {StudyKind::kDetection, "detection"},
-};
+constexpr std::string_view kDomain = "spec";
 
 std::string known_kinds() {
   std::string out;
-  for (const auto& [kind, name] : kKindNames) {
+  for (const StudyKindDef& def : study_kinds()) {
     if (!out.empty()) out += ", ";
-    out += "'" + std::string{name} + "'";
-  }
-  for (const auto& def : figures::all_figures()) {
-    out += ", '" + std::string{def.name} + "'";
+    out += "'" + std::string{def.name} + "'";
   }
   return out;
 }
 
 /// Thin shims over the shared strict reader (src/io/spec_reader.h) binding
-/// this file's error domain.
-constexpr std::string_view kDomain = "spec";
-
-using io::double_array;
-using io::string_array;
-
+/// this file's error domain, one per StudyParams member type.
 std::size_t read_size(const io::Json& v, std::string_view key) {
   return io::read_size(v, kDomain, key);
 }
@@ -56,122 +37,108 @@ std::string read_string(const io::Json& v, std::string_view key) {
   return io::read_string(v, kDomain, key);
 }
 
-std::vector<std::string> read_string_array(const io::Json& v,
-                                           std::string_view key) {
-  return io::read_string_array(v, kDomain, key);
+void read_value(const io::Json& v, std::string_view key, std::size_t& out) {
+  out = read_size(v, key);
+}
+void read_value(const io::Json& v, std::string_view key, double& out) {
+  out = read_double(v, key);
+}
+void read_value(const io::Json& v, std::string_view key, bool& out) {
+  out = io::read_bool(v, kDomain, key);
+}
+void read_value(const io::Json& v, std::string_view key, std::string& out) {
+  out = read_string(v, key);
+}
+void read_value(const io::Json& v, std::string_view key,
+                std::vector<std::string>& out) {
+  out = io::read_string_array(v, kDomain, key);
+}
+void read_value(const io::Json& v, std::string_view key,
+                std::vector<std::size_t>& out) {
+  out = io::read_size_array(v, kDomain, key);
+}
+void read_value(const io::Json& v, std::string_view key,
+                std::vector<double>& out) {
+  out = io::read_double_array(v, kDomain, key);
 }
 
+template <typename T>
+io::Json value_json(const T& v) {
+  return io::Json{v};
+}
+io::Json value_json(const std::vector<std::string>& v) {
+  return io::string_array(v);
+}
+io::Json value_json(const std::vector<std::size_t>& v) {
+  return io::size_array(v);
+}
+io::Json value_json(const std::vector<double>& v) {
+  return io::double_array(v);
+}
+
+/// One StudyParams field: its ParamField bit, its key, and how to emit and
+/// read it. The table is the single source of truth for key names and key
+/// order; a kind's `params` mask selects rows.
+struct ParamRow {
+  unsigned mask;
+  std::string_view key;
+  io::Json (*emit)(const StudyParams&);
+  void (*read)(StudyParams&, const io::Json&, std::string_view key);
+};
+
+template <auto Member>
+constexpr ParamRow param(unsigned mask, std::string_view key) {
+  return {mask, key,
+          [](const StudyParams& p) { return value_json(p.*Member); },
+          [](StudyParams& p, const io::Json& v, std::string_view k) {
+            read_value(v, k, p.*Member);
+          }};
+}
+
+constexpr ParamRow kParams[] = {
+    param<&StudyParams::tasks>(kParamTasks, "tasks"),
+    param<&StudyParams::estimators>(kParamEstimators, "estimators"),
+    param<&StudyParams::hpo_algorithms>(kParamHpoAlgorithms,
+                                        "hpo_algorithms"),
+    param<&StudyParams::hpo_algo>(kParamHpoAlgo, "hpo_algo"),
+    param<&StudyParams::hpo_repetitions>(kParamHpoRepetitions,
+                                         "hpo_repetitions"),
+    param<&StudyParams::hpo_budget>(kParamHpoBudget, "hpo_budget"),
+    param<&StudyParams::include_numerical_noise>(kParamIncludeNumericalNoise,
+                                                 "include_numerical_noise"),
+    param<&StudyParams::algo>(kParamAlgo, "algo"),
+    param<&StudyParams::budget>(kParamBudget, "budget"),
+    param<&StudyParams::lr_mult>(kParamLrMult, "lr_mult"),
+    param<&StudyParams::estimator>(kParamEstimator, "estimator"),
+    param<&StudyParams::k>(kParamK, "k"),
+    param<&StudyParams::gamma>(kParamGamma, "gamma"),
+    param<&StudyParams::resamples>(kParamResamples, "resamples"),
+    param<&StudyParams::num_resamples>(kParamNumResamples, "num_resamples"),
+    param<&StudyParams::k_grid>(kParamKGrid, "k_grid"),
+    param<&StudyParams::t_grid>(kParamTGrid, "t_grid"),
+    param<&StudyParams::gamma_grid>(kParamGammaGrid, "gamma_grid"),
+    param<&StudyParams::beta_grid>(kParamBetaGrid, "beta_grid"),
+    param<&StudyParams::p_grid>(kParamPGrid, "p_grid"),
+    param<&StudyParams::edges>(kParamEdges, "edges"),
+};
+
 io::Json params_to_json(const StudySpec& spec) {
+  const unsigned declared = kind_def(spec.kind).params;
   io::Json p = io::Json::object();
-  if (figures::is_figure_kind(spec.kind)) {
-    figures::figure_params_to_json(spec, p);
-    return p;
-  }
-  switch (spec.kind) {
-    case StudyKind::kVariance:
-      p.set("hpo_algorithms", string_array(spec.variance.hpo_algorithms));
-      p.set("hpo_repetitions", io::Json{spec.variance.hpo_repetitions});
-      p.set("hpo_budget", io::Json{spec.variance.hpo_budget});
-      p.set("include_numerical_noise",
-            io::Json{spec.variance.include_numerical_noise});
-      break;
-    case StudyKind::kCompare:
-      p.set("lr_mult", io::Json{spec.compare.lr_mult});
-      p.set("gamma", io::Json{spec.compare.gamma});
-      p.set("num_resamples", io::Json{spec.compare.num_resamples});
-      break;
-    case StudyKind::kHpo:
-      p.set("algo", io::Json{spec.hpo.algo});
-      p.set("budget", io::Json{spec.hpo.budget});
-      break;
-    case StudyKind::kEstimator:
-      p.set("estimators", string_array(spec.estimator.estimators));
-      p.set("hpo_algo", io::Json{spec.estimator.hpo_algo});
-      p.set("hpo_budget", io::Json{spec.estimator.hpo_budget});
-      break;
-    case StudyKind::kDetection:
-      p.set("estimator", io::Json{spec.detection.estimator});
-      p.set("k", io::Json{spec.detection.k});
-      p.set("gamma", io::Json{spec.detection.gamma});
-      p.set("resamples", io::Json{spec.detection.resamples});
-      p.set("p_grid", double_array(spec.detection.p_grid));
-      break;
-    default:
-      break;  // figure kinds returned above
+  for (const ParamRow& row : kParams) {
+    if ((declared & row.mask) != 0) {
+      p.set(std::string{row.key}, row.emit(spec.figure));
+    }
   }
   return p;
 }
 
 void params_from_json(StudySpec& spec, const io::Json& p) {
+  const unsigned declared = kind_def(spec.kind).params;
   io::ObjectReader r{p, kDomain, "'params'"};
-  if (figures::is_figure_kind(spec.kind)) {
-    figures::figure_params_from_json(spec, r);
-    r.reject_unknown_keys();
-    return;
-  }
-  switch (spec.kind) {
-    case StudyKind::kVariance:
-      if (const auto* v = r.find("hpo_algorithms")) {
-        spec.variance.hpo_algorithms = read_string_array(*v, "hpo_algorithms");
-      }
-      if (const auto* v = r.find("hpo_repetitions")) {
-        spec.variance.hpo_repetitions = read_size(*v, "hpo_repetitions");
-      }
-      if (const auto* v = r.find("hpo_budget")) {
-        spec.variance.hpo_budget = read_size(*v, "hpo_budget");
-      }
-      if (const auto* v = r.find("include_numerical_noise")) {
-        spec.variance.include_numerical_noise = v->as_bool();
-      }
-      break;
-    case StudyKind::kCompare:
-      if (const auto* v = r.find("lr_mult")) {
-        spec.compare.lr_mult = read_double(*v, "lr_mult");
-      }
-      if (const auto* v = r.find("gamma")) {
-        spec.compare.gamma = read_double(*v, "gamma");
-      }
-      if (const auto* v = r.find("num_resamples")) {
-        spec.compare.num_resamples = read_size(*v, "num_resamples");
-      }
-      break;
-    case StudyKind::kHpo:
-      if (const auto* v = r.find("algo")) spec.hpo.algo = read_string(*v, "algo");
-      if (const auto* v = r.find("budget")) {
-        spec.hpo.budget = read_size(*v, "budget");
-      }
-      break;
-    case StudyKind::kEstimator:
-      if (const auto* v = r.find("estimators")) {
-        spec.estimator.estimators = read_string_array(*v, "estimators");
-      }
-      if (const auto* v = r.find("hpo_algo")) {
-        spec.estimator.hpo_algo = read_string(*v, "hpo_algo");
-      }
-      if (const auto* v = r.find("hpo_budget")) {
-        spec.estimator.hpo_budget = read_size(*v, "hpo_budget");
-      }
-      break;
-    case StudyKind::kDetection:
-      if (const auto* v = r.find("estimator")) {
-        spec.detection.estimator = read_string(*v, "estimator");
-      }
-      if (const auto* v = r.find("k")) spec.detection.k = read_size(*v, "k");
-      if (const auto* v = r.find("gamma")) {
-        spec.detection.gamma = read_double(*v, "gamma");
-      }
-      if (const auto* v = r.find("resamples")) {
-        spec.detection.resamples = read_size(*v, "resamples");
-      }
-      if (const auto* v = r.find("p_grid")) {
-        spec.detection.p_grid.clear();
-        for (const io::Json& item : v->as_array()) {
-          spec.detection.p_grid.push_back(read_double(item, "p_grid"));
-        }
-      }
-      break;
-    default:
-      break;  // figure kinds returned above
+  for (const ParamRow& row : kParams) {
+    if ((declared & row.mask) == 0) continue;
+    if (const io::Json* v = r.find(row.key)) row.read(spec.figure, *v, row.key);
   }
   r.reject_unknown_keys();
 }
@@ -195,25 +162,10 @@ void validate_common(const StudySpec& spec) {
 
 }  // namespace
 
-std::string_view to_string(StudyKind kind) {
-  for (const auto& [k, name] : kKindNames) {
-    if (k == kind) return name;
-  }
-  if (const auto* def = figures::find_figure(kind)) return def->name;
-  return "unknown";
-}
-
-std::vector<StudyKind> base_study_kinds() {
-  std::vector<StudyKind> out;
-  for (const auto& [kind, name] : kKindNames) out.push_back(kind);
-  return out;
-}
+std::string_view to_string(StudyKind kind) { return kind_def(kind).name; }
 
 StudyKind study_kind_from_string(std::string_view name) {
-  for (const auto& [kind, n] : kKindNames) {
-    if (n == name) return kind;
-  }
-  for (const auto& def : figures::all_figures()) {
+  for (const StudyKindDef& def : study_kinds()) {
     if (def.name == name) return def.kind;
   }
   throw io::JsonError("spec: unknown study kind '" + std::string{name} +
@@ -282,18 +234,14 @@ StudySpec StudySpec::from_json(const io::Json& doc) {
                           "reads '" + std::string{kSpecSchema} + "')");
     }
   }
-  StudySpec spec;
-  spec.kind = study_kind_from_string(read_string(r.at("kind"), "kind"));
-  // The shared default (20) is wrong for the one-run hpo kind; a spec that
-  // omits 'repetitions' should be valid for every kind. Figure kinds get
-  // their whole default block (case_study, repetitions, figure params).
-  if (spec.kind == StudyKind::kHpo) spec.repetitions = 1;
-  figures::apply_figure_defaults(spec);
+  // Every key the document omits keeps the kind's default.
+  StudySpec spec =
+      default_spec(study_kind_from_string(read_string(r.at("kind"), "kind")));
   if (const auto* v = r.find("case_study")) {
     spec.case_study = read_string(*v, "case_study");
   } else if (spec.case_study.empty()) {
-    // The original five kinds have no default — keep the standard
-    // missing-key error.
+    // A kind without a default case study keeps the standard missing-key
+    // error.
     spec.case_study = read_string(r.at("case_study"), "case_study");
   }
   if (const auto* v = r.find("scale")) spec.scale = read_double(*v, "scale");

@@ -2,8 +2,8 @@
 // description of one of the paper's workflows — which study to run, on
 // which case study, at what scale/seed/size — with kind-specific knobs in
 // a typed params block. Specs round-trip losslessly through JSON
-// (`parse(serialize(spec)) == spec`), can be built from the legacy CLI
-// flags, shipped to other processes, and carry an optional `shard i/N`
+// (`parse(serialize(spec)) == spec`), ship to other processes, and carry
+// an optional `shard i/N`
 // that partitions the repetition index range for multi-process fan-out
 // (docs/study_api.md).
 #pragma once
@@ -18,9 +18,9 @@
 
 namespace varbench::study {
 
-/// The workflows reachable through run_study(). One enumerator per paper
-/// experiment family; `varbench run` dispatches on this, and `varbench
-/// list` enumerates the registry.
+/// The workflows reachable through run_study(). Enumerator i is row i of
+/// the kind table (src/study/study_kinds.cpp), which binds everything else
+/// about the kind; a new kind is an enumerator plus one row.
 enum class StudyKind : int {
   kVariance,   // §2.2 variance-source decomposition (Fig. 1)
   kCompare,    // §4/App. C paired comparison with the P(A>B) test
@@ -31,7 +31,6 @@ enum class StudyKind : int {
   // Figure/table study kinds (src/study/figures/): each reproduces one of
   // the paper's headline artifacts as a raw-measure ResultTable, shardable
   // through the same `--shard i/N` + merge contract as the kinds above.
-  // The bench/ binaries are thin spec-builders over these.
   kFig01VarianceSources,   // Fig. 1 across every case study
   kFig02Binomial,          // Fig. 2 binomial model of test-set noise
   kFig03Sota,              // Fig. 3 published SOTA increments vs σ
@@ -55,12 +54,6 @@ enum class StudyKind : int {
 /// Throws io::JsonError listing the valid kinds on unknown input.
 [[nodiscard]] StudyKind study_kind_from_string(std::string_view name);
 
-/// The original (non-figure) study kinds, in registry order — backed by
-/// the same table to_string/study_kind_from_string resolve through, so
-/// enumerating consumers (`varbench list`) cannot drift from the parser.
-/// Figure kinds are enumerated by figures::all_figures().
-[[nodiscard]] std::vector<StudyKind> base_study_kinds();
-
 /// A contiguous slice i of N of every repetition index range in the study.
 /// {0, 1} is the unsharded run. Because repetition RNG streams are keyed by
 /// the global repetition index, shard artifacts merge into the exact
@@ -79,89 +72,53 @@ struct ShardSpec {
   friend bool operator==(const ShardSpec&, const ShardSpec&) = default;
 };
 
-struct VarianceParams {
-  std::vector<std::string> hpo_algorithms{"random_search"};
-  std::size_t hpo_repetitions = 0;  // 0 → max(3, repetitions / 4)
-  std::size_t hpo_budget = 10;
-  bool include_numerical_noise = true;
-
-  friend bool operator==(const VarianceParams&,
-                         const VarianceParams&) = default;
-};
-
-struct CompareParams {
-  double lr_mult = 0.2;    // algorithm B = defaults with learning rate × this
-  double gamma = 0.75;     // meaningfulness threshold of the P(A>B) test
-  std::size_t num_resamples = 1000;  // bootstrap resamples for the CI
-
-  friend bool operator==(const CompareParams&, const CompareParams&) = default;
-};
-
-struct HpoParams {
-  std::string algo = "bayes_opt";
-  std::size_t budget = 20;  // T: number of HOpt trials
-
-  friend bool operator==(const HpoParams&, const HpoParams&) = default;
-};
-
-struct EstimatorParams {
-  // Run order; valid names: "ideal", "fix_init", "fix_data", "fix_all".
-  std::vector<std::string> estimators{"ideal", "fix_init", "fix_data",
-                                      "fix_all"};
-  std::string hpo_algo = "random_search";
-  std::size_t hpo_budget = 10;  // T per HOpt run
-
-  friend bool operator==(const EstimatorParams&,
-                         const EstimatorParams&) = default;
-};
-
-struct DetectionParams {
-  std::string estimator = "biased";  // "ideal" | "biased" (FixHOptEst(k,All))
-  std::size_t k = 50;                // measurements per algorithm per round
-  double gamma = 0.75;
-  std::size_t resamples = 100;  // bootstrap resamples of the P(A>B) criterion
-  std::vector<double> p_grid;   // empty → compare::default_p_grid()
-
-  friend bool operator==(const DetectionParams&,
-                         const DetectionParams&) = default;
-};
-
-/// The shared knob pool of the figure study kinds. Each figure kind uses
-/// (serializes, parses, and kind-defaults) a declared subset of these
-/// fields — see the field table in src/study/figures/figures.cpp — so a
-/// spec stays strict: keys a kind does not declare are unknown keys.
-struct FigureParams {
-  /// Case studies / calibrations the figure spans; empty → the kind's full
+/// The one params pool every study kind draws from. Each kind declares the
+/// subset of fields it serializes and parses (its row of the kind table,
+/// src/study/study_kinds.cpp), so a spec stays strict: keys a kind does not
+/// declare are unknown keys. The initializers are the base kinds' defaults;
+/// figure kinds set their own in their row's `defaults`. Members follow
+/// the serialized key order, which the field table in study_spec.cpp fixes.
+struct StudyParams {
+  /// Case studies / calibrations a figure spans; empty → the kind's full
   /// default set (all registered tasks for most kinds).
   std::vector<std::string> tasks;
-  std::vector<std::string> hpo_algorithms;  // fig01, figF2
-  std::size_t hpo_repetitions = 0;  // fig01; 0 → max(3, repetitions / 4)
-  std::size_t hpo_budget = 12;      // fig01: T per HOpt probe
-  std::size_t budget = 24;          // figF2: trials per HOpt run
-  std::size_t k = 50;     // measures per side / per realization (fig06, H5, …)
+  // Estimator run order; valid names: "ideal", "fix_init", "fix_data",
+  // "fix_all".
+  std::vector<std::string> estimators{"ideal", "fix_init", "fix_data",
+                                      "fix_all"};
+  std::vector<std::string> hpo_algorithms{"random_search"};
+  std::string hpo_algo = "random_search";  // estimator's HOpt algorithm
+  std::size_t hpo_repetitions = 0;  // 0 → max(3, repetitions / 4)
+  std::size_t hpo_budget = 10;      // T per HOpt run / probe
+  bool include_numerical_noise = true;
+  std::string algo = "bayes_opt";  // the hpo kind's algorithm
+  std::size_t budget = 20;         // trials per HOpt run (hpo, figF2)
+  double lr_mult = 0.2;  // compare: algorithm B = defaults with lr × this
+  std::string estimator = "biased";  // "ideal" | "biased" (FixHOptEst(k,All))
+  std::size_t k = 50;     // measures per side / per realization
   double gamma = 0.75;    // H1 threshold of the P(A>B) criteria
-  std::size_t resamples = 100;     // bootstrap resamples inside criteria
+  std::size_t resamples = 100;       // bootstrap resamples inside criteria
+  std::size_t num_resamples = 1000;  // compare: bootstrap resamples for the CI
   std::vector<std::size_t> k_grid;   // fig04, fig05, figI6 x-axes
   std::vector<std::size_t> t_grid;   // fig04 HOpt budgets
   std::vector<double> gamma_grid;    // figC1, figI6
   std::vector<double> beta_grid;     // figC1 power targets
-  std::vector<double> p_grid;        // fig06, figI6 true-P(A>B) grids
-  std::vector<double> edges;         // ablation_pairing true mean edges
+  std::vector<double> p_grid;  // true-P(A>B) grid; empty → default_p_grid()
+  std::vector<double> edges;   // ablation_pairing true mean edges
 
-  friend bool operator==(const FigureParams&, const FigureParams&) = default;
+  friend bool operator==(const StudyParams&, const StudyParams&) = default;
 };
 
-/// The experiment description. Common fields first; exactly one params
-/// block is active, selected by `kind` (the others stay at their defaults
-/// and are neither serialized nor parsed).
+/// The experiment description: common fields, then the params pool, of
+/// which `kind` selects the serialized and parsed subset.
 struct StudySpec {
   StudyKind kind = StudyKind::kVariance;
   /// Registry id, e.g. "cifar10_vgg11". Figure kinds that span several
   /// tasks default it to "all" (the actual set lives in figure.tasks);
   /// setting a concrete id narrows a multi-task figure to that one task,
   /// overriding figure.tasks. Purely synthetic figures use "synthetic".
-  /// Required for the original five kinds, defaulted per kind for figure
-  /// kinds.
+  /// Required by the kinds whose defaults leave it empty (the original
+  /// five), defaulted per kind for figure kinds.
   std::string case_study;
   double scale = 0.25;     // data-pool / epoch scale in (0, 1]
   std::uint64_t seed = 42;
@@ -173,18 +130,14 @@ struct StudySpec {
   std::size_t threads = 1;  // 0 = all hardware threads; results invariant
   ShardSpec shard;
 
-  VarianceParams variance;
-  CompareParams compare;
-  HpoParams hpo;
-  EstimatorParams estimator;
-  DetectionParams detection;
-  FigureParams figure;  // active for the figure kinds
+  // Named for the figure kinds it first served; perfbench/probe.cpp reads it.
+  StudyParams figure;
 
   friend bool operator==(const StudySpec&, const StudySpec&) = default;
 
   [[nodiscard]] std::size_t resolved_hpo_repetitions() const {
-    return variance.hpo_repetitions != 0
-               ? variance.hpo_repetitions
+    return figure.hpo_repetitions != 0
+               ? figure.hpo_repetitions
                : std::max<std::size_t>(3, repetitions / 4);
   }
 
@@ -198,6 +151,12 @@ struct StudySpec {
   [[nodiscard]] static StudySpec from_json(const io::Json& doc);
   [[nodiscard]] static StudySpec from_json_text(std::string_view text);
 };
+
+/// A spec holding the kind's defaults (its row's `defaults`): what
+/// from_json({"kind": K}) parses to, and the starting point of
+/// programmatic builders. Round-trips strictly through JSON once a kind
+/// whose defaults leave case_study empty gets one.
+[[nodiscard]] StudySpec default_spec(StudyKind kind);
 
 /// Apply a `--set key=value` override to a raw spec document before typed
 /// parsing. `key` is a dotted path ("seed", "params.gamma"); `value` is

@@ -67,5 +67,6 @@
 #include "src/stats/shapiro_wilk.h"           // IWYU pragma: export
 #include "src/stats/tests.h"                  // IWYU pragma: export
 #include "src/study/result_table.h"           // IWYU pragma: export
+#include "src/study/study_kinds.h"            // IWYU pragma: export
 #include "src/study/study_runner.h"           // IWYU pragma: export
 #include "src/study/study_spec.h"             // IWYU pragma: export

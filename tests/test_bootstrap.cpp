@@ -9,16 +9,6 @@
 namespace varbench::stats {
 namespace {
 
-TEST(BootstrapResample, SizeAndMembership) {
-  rngx::Rng rng{1};
-  const std::vector<double> x{1.0, 2.0, 3.0};
-  const auto r = bootstrap_resample(x, rng);
-  EXPECT_EQ(r.size(), 3u);
-  for (const double v : r) {
-    EXPECT_TRUE(v == 1.0 || v == 2.0 || v == 3.0);
-  }
-}
-
 TEST(PercentileBootstrapCi, ContainsSampleMean) {
   rngx::Rng rng{2};
   std::vector<double> x(200);

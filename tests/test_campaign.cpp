@@ -52,7 +52,7 @@ study::StudySpec tiny_compare_spec() {
   spec.scale = 0.08;
   spec.seed = 20260727;
   spec.repetitions = 5;
-  spec.compare.num_resamples = 50;
+  spec.figure.num_resamples = 50;
   return spec;
 }
 

@@ -21,7 +21,6 @@
 #include "src/io/columnar/vbt.h"
 #include "src/io/json.h"
 #include "src/report/artifact.h"
-#include "src/study/figures/figures.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
@@ -98,47 +97,35 @@ void expect_vbt_roundtrip(const ResultTable& table, const std::string& path) {
 /// test_figures_shard for the heavy kinds, scaled-down defaults for the
 /// analytic ones.
 StudySpec tiny_spec(StudyKind kind) {
-  StudySpec spec;
-  switch (kind) {
-    case StudyKind::kVariance:
-    case StudyKind::kCompare:
-    case StudyKind::kHpo:
-    case StudyKind::kEstimator:
-    case StudyKind::kDetection:
-      spec.kind = kind;
-      spec.case_study = "cifar10_vgg11";
-      break;
-    default:
-      spec = figures::default_figure_spec(kind);
-      break;
-  }
+  StudySpec spec = default_spec(kind);
+  if (spec.case_study.empty()) spec.case_study = "cifar10_vgg11";
   spec.scale = 0.08;
   spec.seed = 20260727;
   switch (kind) {
     case StudyKind::kVariance:
       spec.repetitions = 4;
-      spec.variance.hpo_algorithms = {"random_search"};
-      spec.variance.hpo_repetitions = 2;
-      spec.variance.hpo_budget = 2;
+      spec.figure.hpo_algorithms = {"random_search"};
+      spec.figure.hpo_repetitions = 2;
+      spec.figure.hpo_budget = 2;
       break;
     case StudyKind::kCompare:
       spec.repetitions = 4;
-      spec.compare.num_resamples = 20;
+      spec.figure.num_resamples = 20;
       break;
     case StudyKind::kEstimator:
       spec.repetitions = 3;
-      spec.estimator.estimators = {"ideal", "fix_all"};
-      spec.estimator.hpo_budget = 2;
+      spec.figure.estimators = {"ideal", "fix_all"};
+      spec.figure.hpo_budget = 2;
       break;
     case StudyKind::kDetection:
       spec.repetitions = 3;
-      spec.detection.k = 5;
-      spec.detection.resamples = 10;
-      spec.detection.p_grid = {0.5, 0.9};
+      spec.figure.k = 5;
+      spec.figure.resamples = 10;
+      spec.figure.p_grid = {0.5, 0.9};
       break;
     case StudyKind::kHpo:
       spec.repetitions = 1;
-      spec.hpo.budget = 3;
+      spec.figure.budget = 3;
       break;
     case StudyKind::kFig01VarianceSources:
       spec.repetitions = 3;

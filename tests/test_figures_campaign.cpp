@@ -15,9 +15,9 @@
 #include "src/report/artifact.h"
 #include "src/report/render.h"
 #include "src/report/summary.h"
-#include "src/study/figures/figures.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
+#include "src/study/study_spec.h"
 
 namespace varbench::campaign {
 namespace {
@@ -45,7 +45,7 @@ class TempDir {
 };
 
 study::StudySpec tiny_fig06() {
-  auto spec = study::figures::default_figure_spec(
+  auto spec = study::default_spec(
       study::StudyKind::kFig06DetectionRates);
   spec.seed = 20260727;
   spec.repetitions = 3;
@@ -58,7 +58,7 @@ study::StudySpec tiny_fig06() {
 
 std::vector<study::StudySpec> figure_campaign_specs() {
   return {tiny_fig06(),
-          study::figures::default_figure_spec(
+          study::default_spec(
               study::StudyKind::kFigC1SampleSize)};
 }
 

@@ -5,7 +5,6 @@
 // runs on an RNG stream keyed by its global index (docs/study_api.md).
 #include <gtest/gtest.h>
 
-#include "src/study/figures/figures.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
@@ -14,7 +13,7 @@ namespace varbench::study {
 namespace {
 
 StudySpec tiny_figure_spec(StudyKind kind) {
-  StudySpec spec = figures::default_figure_spec(kind);
+  StudySpec spec = default_spec(kind);
   spec.scale = 0.08;
   spec.seed = 20260727;
   switch (kind) {

@@ -243,9 +243,9 @@ TEST(MetricsDeterminism, EnablingMetricsNeverChangesArtifactBytes) {
   spec.scale = 0.08;
   spec.seed = 20260808;
   spec.repetitions = 3;
-  spec.variance.hpo_algorithms = {"random_search"};
-  spec.variance.hpo_repetitions = 2;
-  spec.variance.hpo_budget = 2;
+  spec.figure.hpo_algorithms = {"random_search"};
+  spec.figure.hpo_repetitions = 2;
+  spec.figure.hpo_budget = 2;
 
   global_sink().disable_all();
   global_sink().reset();

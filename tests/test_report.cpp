@@ -104,6 +104,20 @@ TEST(ReportSpec, RejectsUnknownKeysAndBadValues) {
       io::JsonError);
 }
 
+TEST(ReportSpec, TypeErrorsNameTheKey) {
+  // What `varbench report <artifact> --set estimators=mean` hands the
+  // parser: a string where the key takes an array.
+  try {
+    (void)ReportSpec::from_json_text(R"({"estimators": "mean"})");
+    FAIL() << "accepted a string for 'estimators'";
+  } catch (const io::JsonError& e) {
+    EXPECT_NE(std::string{e.what()}.find(
+                  "report spec: 'estimators' must be an array, got \"mean\""),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------------------- artifact loading
 
 TEST(LoadArtifact, RejectsMalformedInputsNamingTheFile) {

@@ -92,20 +92,6 @@ TEST(ResampleKernels, PairedEnumMatchesGenericBitwise) {
   EXPECT_EQ(rng_enum.next_u64(), rng_gen.next_u64());
 }
 
-TEST(ResampleKernels, BootstrapResampleStillDrawsTheSameIndices) {
-  // The copy-returning overload now delegates to the index kernels — the
-  // draws must be exactly what the pre-kernel loop produced: one
-  // uniform_index(n) per element, in element order.
-  const auto x = normal_data(37, 15);
-  rngx::Rng rng_delegated{7};
-  rngx::Rng rng_manual{7};
-  const auto r = stats::bootstrap_resample(x, rng_delegated);
-  ASSERT_EQ(r.size(), x.size());
-  for (const double v : r) {
-    EXPECT_EQ(v, x[rng_manual.uniform_index(x.size())]);
-  }
-}
-
 TEST(ResampleKernels, FillBootstrapIndicesMatchesUniformIndex) {
   rngx::Rng rng_kernel{99};
   rngx::Rng rng_manual{99};

@@ -142,7 +142,7 @@ TEST(ReadStatus, FinishedCampaignReportsAllDone) {
   spec.scale = 0.08;
   spec.seed = 20260809;
   spec.repetitions = 5;
-  spec.compare.num_resamples = 50;
+  spec.figure.num_resamples = 50;
   CampaignConfig cfg;
   cfg.dir = dir.str();
   cfg.shards = 2;

@@ -21,28 +21,28 @@ StudySpec tiny_spec(StudyKind kind) {
   switch (kind) {
     case StudyKind::kVariance:
       spec.repetitions = 5;
-      spec.variance.hpo_algorithms = {"random_search"};
-      spec.variance.hpo_repetitions = 3;
-      spec.variance.hpo_budget = 2;
+      spec.figure.hpo_algorithms = {"random_search"};
+      spec.figure.hpo_repetitions = 3;
+      spec.figure.hpo_budget = 2;
       break;
     case StudyKind::kCompare:
       spec.repetitions = 5;
-      spec.compare.num_resamples = 50;
+      spec.figure.num_resamples = 50;
       break;
     case StudyKind::kEstimator:
       spec.repetitions = 4;
-      spec.estimator.estimators = {"ideal", "fix_all"};
-      spec.estimator.hpo_budget = 2;
+      spec.figure.estimators = {"ideal", "fix_all"};
+      spec.figure.hpo_budget = 2;
       break;
     case StudyKind::kDetection:
       spec.repetitions = 4;
-      spec.detection.k = 10;
-      spec.detection.resamples = 20;
-      spec.detection.p_grid = {0.5, 0.9};
+      spec.figure.k = 10;
+      spec.figure.resamples = 20;
+      spec.figure.p_grid = {0.5, 0.9};
       break;
     case StudyKind::kHpo:
       spec.repetitions = 1;
-      spec.hpo.budget = 3;
+      spec.figure.budget = 3;
       break;
     default:
       // Figure kinds carry their own defaults and are exercised by

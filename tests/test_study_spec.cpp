@@ -34,10 +34,10 @@ TEST(StudySpec, VarianceRoundTrip) {
   spec.seed = 0xDEADBEEFCAFEF00DULL;  // full 64-bit seeds must survive
   spec.repetitions = 200;
   spec.threads = 8;
-  spec.variance.hpo_algorithms = {"random_search", "bayes_opt"};
-  spec.variance.hpo_repetitions = 20;
-  spec.variance.hpo_budget = 100;
-  spec.variance.include_numerical_noise = false;
+  spec.figure.hpo_algorithms = {"random_search", "bayes_opt"};
+  spec.figure.hpo_repetitions = 20;
+  spec.figure.hpo_budget = 100;
+  spec.figure.include_numerical_noise = false;
   expect_roundtrip(spec);
 }
 
@@ -47,9 +47,9 @@ TEST(StudySpec, CompareRoundTrip) {
   spec.case_study = "glue_rte_bert";
   spec.scale = 1.0;
   spec.repetitions = 33;
-  spec.compare.lr_mult = -0.5;  // negative values are legal spec data
-  spec.compare.gamma = 0.8;
-  spec.compare.num_resamples = 500;
+  spec.figure.lr_mult = -0.5;  // negative values are legal spec data
+  spec.figure.gamma = 0.8;
+  spec.figure.num_resamples = 500;
   expect_roundtrip(spec);
 }
 
@@ -58,8 +58,8 @@ TEST(StudySpec, HpoRoundTrip) {
   spec.kind = StudyKind::kHpo;
   spec.case_study = "mhc_mlp";
   spec.repetitions = 1;
-  spec.hpo.algo = "noisy_grid_search";
-  spec.hpo.budget = 64;
+  spec.figure.algo = "noisy_grid_search";
+  spec.figure.budget = 64;
   expect_roundtrip(spec);
 }
 
@@ -68,9 +68,9 @@ TEST(StudySpec, EstimatorRoundTrip) {
   spec.kind = StudyKind::kEstimator;
   spec.case_study = "glue_sst2_bert";
   spec.repetitions = 100;
-  spec.estimator.estimators = {"fix_all", "ideal"};
-  spec.estimator.hpo_algo = "grid_search";
-  spec.estimator.hpo_budget = 16;
+  spec.figure.estimators = {"fix_all", "ideal"};
+  spec.figure.hpo_algo = "grid_search";
+  spec.figure.hpo_budget = 16;
   expect_roundtrip(spec);
 }
 
@@ -79,11 +79,11 @@ TEST(StudySpec, DetectionRoundTrip) {
   spec.kind = StudyKind::kDetection;
   spec.case_study = "pascalvoc_fcn";
   spec.repetitions = 50;
-  spec.detection.estimator = "ideal";
-  spec.detection.k = 100;
-  spec.detection.gamma = 0.65;
-  spec.detection.resamples = 200;
-  spec.detection.p_grid = {0.4, 0.5, 0.75, 0.99};
+  spec.figure.estimator = "ideal";
+  spec.figure.k = 100;
+  spec.figure.gamma = 0.65;
+  spec.figure.resamples = 200;
+  spec.figure.p_grid = {0.4, 0.5, 0.75, 0.99};
   expect_roundtrip(spec);
 }
 
@@ -141,6 +141,49 @@ TEST(StudySpec, UnknownKeyErrorListsExpectedKeys) {
   }
 }
 
+// Type errors name the offending key and show its value, one case per
+// typed reader of src/io/spec_reader.h.
+TEST(SpecReader, ObjectReaderNamesWhatItReads) {
+  expect_rejected(R"({"kind":"variance","case_study":"x","params":[]})",
+                  "spec: 'params' must be an object, got []");
+  expect_rejected(R"({"kind":"variance","case_study":"x","shard":3})",
+                  "spec: 'shard' must be an object, got 3");
+}
+
+TEST(SpecReader, ReadBoolNamesTheKey) {
+  expect_rejected(R"({"kind":"variance","case_study":"x",
+                      "params":{"include_numerical_noise":1}})",
+                  "'include_numerical_noise' must be true or false, got 1");
+}
+
+TEST(SpecReader, ReadStringArrayNamesTheKey) {
+  expect_rejected(
+      R"({"kind":"fig02_binomial_model","params":{"tasks":"mhc_mlp"}})",
+      "'tasks' must be an array, got \"mhc_mlp\"");
+  expect_rejected(
+      R"({"kind":"fig02_binomial_model","params":{"tasks":["mhc_mlp",3]}})",
+      "'tasks' must be a string, got 3");
+}
+
+TEST(SpecReader, ReadSizeArrayNamesTheKey) {
+  // `varbench run --set params.k_grid=5` hands the parser the number 5.
+  io::Json doc = io::Json::parse(R"({"kind":"fig04_estimator_cost"})");
+  apply_override(doc, "params.k_grid=5");
+  expect_rejected(doc.dump(), "'k_grid' must be an array, got 5");
+  expect_rejected(
+      R"({"kind":"fig04_estimator_cost","params":{"t_grid":[50,-1]}})",
+      "'t_grid' must be a non-negative integer, got -1");
+}
+
+TEST(SpecReader, ReadDoubleArrayNamesTheKey) {
+  expect_rejected(
+      R"({"kind":"detection","case_study":"x","params":{"p_grid":0.5}})",
+      "'p_grid' must be an array, got 0.5");
+  expect_rejected(
+      R"({"kind":"figC1_sample_size","params":{"gamma_grid":[0.7,"x"]}})",
+      "'gamma_grid' must be a number, got \"x\"");
+}
+
 TEST(ShardSpecParse, AcceptsAndRejects) {
   EXPECT_EQ(ShardSpec::parse("0/2"), (ShardSpec{0, 2}));
   EXPECT_EQ(ShardSpec::parse("7/8"), (ShardSpec{7, 8}));
@@ -163,8 +206,8 @@ TEST(ApplyOverride, EditsRawDocuments) {
   EXPECT_EQ(doc.at("case_study").as_string(), "mhc_mlp");
   const StudySpec spec = StudySpec::from_json(doc);
   EXPECT_EQ(spec.seed, 99u);
-  EXPECT_DOUBLE_EQ(spec.compare.gamma, 0.9);
-  EXPECT_EQ(spec.compare.num_resamples, 250u);
+  EXPECT_DOUBLE_EQ(spec.figure.gamma, 0.9);
+  EXPECT_EQ(spec.figure.num_resamples, 250u);
   EXPECT_THROW(apply_override(doc, "no-equals-sign"), io::JsonError);
 }
 

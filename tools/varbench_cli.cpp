@@ -22,18 +22,12 @@
 // normality, P(A>B) with --compare) from any artifact — no producing spec
 // needed — and renders it as text/markdown/CSV/JSON (docs/reporting.md).
 //
-// The legacy subcommands are thin spec builders over the same engine and
-// print the same numbers they always did:
+// Every study runs through `run`/`campaign`; the case-study utilities
+// answer what no spec does:
 //
 //   varbench tasks                         list registered case studies
 //   varbench plan   [--gamma G] [--alpha A] [--beta B]
-//   varbench study  <task> [--reps N] [--scale S] ...
-//   varbench compare <task> [--runs N] [--lr-mult M] ...
-//   varbench hpo    <task> [--algo NAME] [--budget T] ...
 //   varbench audit  <task> [--scale S]
-//
-// study/compare/hpo accept --out/--csv (write the artifact) and
-// --dump-spec FILE (write the equivalent spec and exit without running).
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -230,25 +224,6 @@ int finish_study(const study::ResultTable& table, const Args& a) {
   }
   study::print_summary(table, stdout);
   return 0;
-}
-
-/// Shared tail of the legacy spec-builder subcommands: honour --dump-spec
-/// (write the spec, don't run), otherwise run and emit artifacts/summary.
-int run_built_spec(study::StudySpec spec, const Args& a) {
-  if (const std::string* path = a.find("dump-spec")) {
-    const std::string text = spec.to_json_text();
-    if (*path == "-") {
-      std::fputs(text.c_str(), stdout);
-    } else {
-      io::write_file(*path, text);
-      std::fprintf(stderr, "wrote %s\n", path->c_str());
-    }
-    return 0;
-  }
-  if (const std::string* shard = a.find("shard")) {
-    spec.shard = study::ShardSpec::parse(*shard);
-  }
-  return finish_study(study::run_study(spec), a);
 }
 
 // ------------------------------------------------ introspection envelope
@@ -680,7 +655,7 @@ int cmd_status(const Args& a) {
   return 0;
 }
 
-// ----------------------------------------------------- legacy subcommands
+// ---------------------------------------------- registries and perf gate
 
 int cmd_list(const Args& a) {
   require_known_flags(a, {"json"});
@@ -736,6 +711,8 @@ int cmd_bench(const Args& a) {
   return benchutil::run_bench_gate(opts, stdout);
 }
 
+// ----------------------------------------------- case-study utilities
+
 int cmd_tasks(const Args& a) {
   require_known_flags(a, {});
   std::printf("registered case studies:\n");
@@ -758,78 +735,6 @@ int cmd_plan(const Args& a) {
       "(paired)\n",
       gamma, alpha, beta, n);
   return 0;
-}
-
-int cmd_study(const Args& a) {
-  require_known_flags(a, {"reps", "scale", "budget", "seed", "threads", "shard",
-                          "out", "csv", "canonical", "dump-spec", "format"});
-  if (a.positional.empty()) {
-    std::fprintf(stderr,
-                 "usage: varbench study <task> [--reps N] [--scale S] "
-                 "[--budget T] [--seed S] [--threads N] "
-                 "[--out f.json] [--dump-spec f.json]\n");
-    return 2;
-  }
-  study::StudySpec spec;
-  spec.kind = study::StudyKind::kVariance;
-  spec.case_study = a.positional[0];
-  spec.scale = opt_double(a, "scale", 0.25);
-  spec.seed = opt_size(a, "seed", 42);
-  spec.repetitions = opt_size(a, "reps", 20);
-  spec.threads = opt_size(a, "threads", 1);
-  spec.variance.hpo_budget = opt_size(a, "budget", 10);
-  return run_built_spec(std::move(spec), a);
-}
-
-int cmd_compare(const Args& a) {
-  require_known_flags(a, {"runs", "scale", "lr-mult", "gamma", "seed",
-                          "threads", "shard", "out", "csv", "canonical",
-                          "dump-spec", "format"});
-  if (a.positional.empty()) {
-    std::fprintf(stderr,
-                 "usage: varbench compare <task> [--runs N] [--scale S] "
-                 "[--lr-mult M] [--gamma G] [--seed S] [--threads N] "
-                 "[--out f.json] [--dump-spec f.json]\n");
-    return 2;
-  }
-  study::StudySpec spec;
-  spec.kind = study::StudyKind::kCompare;
-  spec.case_study = a.positional[0];
-  spec.scale = opt_double(a, "scale", 0.25);
-  spec.seed = opt_size(a, "seed", 42);
-  spec.threads = opt_size(a, "threads", 1);
-  spec.compare.gamma = opt_double(a, "gamma", 0.75);
-  spec.compare.lr_mult = opt_double(a, "lr-mult", 0.2);
-  spec.repetitions = opt_size(
-      a, "runs", stats::noether_sample_size(spec.compare.gamma, 0.05, 0.2));
-  if (a.find("dump-spec") == nullptr) {
-    std::printf("A = defaults; B = defaults with lr x %.2f; %zu paired runs\n",
-                spec.compare.lr_mult, spec.repetitions);
-  }
-  return run_built_spec(std::move(spec), a);
-}
-
-int cmd_hpo(const Args& a) {
-  require_known_flags(a, {"algo", "budget", "scale", "seed", "threads",
-                          "shard", "out", "csv", "canonical", "dump-spec",
-                          "format"});
-  if (a.positional.empty()) {
-    std::fprintf(stderr,
-                 "usage: varbench hpo <task> [--algo NAME] [--budget T] "
-                 "[--scale S] [--seed S] [--threads N] "
-                 "[--out f.json] [--dump-spec f.json]\n");
-    return 2;
-  }
-  study::StudySpec spec;
-  spec.kind = study::StudyKind::kHpo;
-  spec.case_study = a.positional[0];
-  spec.scale = opt_double(a, "scale", 0.25);
-  spec.seed = opt_size(a, "seed", 42);
-  spec.threads = opt_size(a, "threads", 1);
-  spec.repetitions = 1;
-  spec.hpo.algo = opt_string(a, "algo", "bayes_opt");
-  spec.hpo.budget = opt_size(a, "budget", 20);
-  return run_built_spec(std::move(spec), a);
 }
 
 int cmd_audit(const Args& a) {
@@ -888,14 +793,10 @@ void usage() {
       "  report  <artifact.json | dir> [--spec r.json] [--set key=val ...]\n"
       "          [--format text|markdown|csv|json] [--compare other.json]\n"
       "          [--threads N] [--out file] (docs/reporting.md)\n"
-      "legacy spec builders (same numbers as always; add --dump-spec f.json\n"
-      "to write the equivalent spec instead of running):\n"
+      "case-study utilities:\n"
       "  tasks                       list case studies\n"
-      "  plan    [--gamma --alpha --beta]\n"
-      "  study   <task> [--reps --scale --budget --seed --threads]\n"
-      "  compare <task> [--runs --scale --lr-mult --gamma --seed --threads]\n"
-      "  hpo     <task> [--algo --budget --scale --seed --threads]\n"
-      "  audit   <task> [--scale]\n"
+      "  plan    [--gamma --alpha --beta]  Noether runs per algorithm\n"
+      "  audit   <task> [--scale]    reproducibility audit of one pipeline\n"
       "--threads N runs the Monte-Carlo loops on N threads (0 = all cores)\n"
       "and --shard i/N computes slice i of N; results are bit-identical for\n"
       "every N and any shard/merge split (docs/determinism.md).\n"
@@ -931,9 +832,6 @@ int main(int argc, char** argv) {
     if (cmd == "bench") return cmd_bench(args);
     if (cmd == "tasks") return cmd_tasks(args);
     if (cmd == "plan") return cmd_plan(args);
-    if (cmd == "study") return cmd_study(args);
-    if (cmd == "compare") return cmd_compare(args);
-    if (cmd == "hpo") return cmd_hpo(args);
     if (cmd == "audit") return cmd_audit(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
