@@ -8,8 +8,6 @@
 
 #include "src/campaign/subprocess.h"
 #include "src/campaign/work_queue.h"
-#include "src/io/columnar/stream_writer.h"
-#include "src/io/columnar/vbt.h"
 #include "src/io/json.h"
 #include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
@@ -108,7 +106,7 @@ void write_manifest(const WorkQueue& queue, const CampaignConfig& cfg,
     }
     if (!block.as_object().empty()) doc.set("metrics", std::move(block));
   }
-  WorkQueue::atomic_write(queue.manifest_path(), doc.dump(2) + "\n");
+  io::write_file_atomic(queue.manifest_path(), doc.dump(2) + "\n");
 }
 
 /// An existing manifest must describe this exact campaign — resuming with a
@@ -309,7 +307,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
   for (auto& st : states) {
     const std::string& id = st.task.id;
     if (!fs::exists(queue.spec_path(id))) {
-      WorkQueue::atomic_write(queue.spec_path(id), st.task.spec.to_json_text());
+      io::write_file_atomic(queue.spec_path(id), st.task.spec.to_json_text());
     }
     // Probe both formats: a --format change between runs must not redo
     // (or worse, mistrust) shards that already landed the other way.
@@ -364,40 +362,21 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
         shard_paths.push_back(queue.existing_artifact_path(st.task.id));
       }
       const std::size_t count = shard_paths.size();
-      bool all_vbt = binary;
+      // Shards may be a mix of formats after a --format change; load
+      // dispatches per file (VBT shards stay mapped until the merge has
+      // gathered their columns).
+      std::vector<study::ResultTable> shards;
+      shards.reserve(count);
       for (const std::string& p : shard_paths) {
-        all_vbt = all_vbt && p.size() > 4 &&
-                  p.compare(p.size() - 4, 4, ".vbt") == 0;
+        shards.push_back(study::ResultTable::load(p));
       }
-      if (all_vbt) {
-        // Streaming k-way merge: shards stay mmap'd and the merged file
-        // goes out one row-group chunk at a time — peak memory is chunk-
-        // bounded, bytes identical to the in-memory encode path below.
-        const std::string tmp = out + ".tmp-merge";
-        io::columnar::stream_merge_vbt(shard_paths, tmp,
-                                       /*include_provenance=*/false);
-        std::error_code mv_ec;
-        fs::rename(tmp, out, mv_ec);
-        if (mv_ec) {
-          throw io::JsonError("campaign: cannot move '" + tmp + "' to '" +
-                              out + "': " + mv_ec.message());
-        }
-      } else {
-        // Shards may be a mix of formats after a --format change; load
-        // dispatches per file.
-        std::vector<study::ResultTable> shards;
-        shards.reserve(shard_paths.size());
-        for (const std::string& p : shard_paths) {
-          shards.push_back(study::ResultTable::load(p));
-        }
-        const auto merged = study::merge_result_tables(std::move(shards));
-        // Identity-only bytes either way, so merged outputs stay
-        // byte-comparable across runs, worker counts, and formats.
-        WorkQueue::atomic_write(
-            out, binary ? io::columnar::encode_vbt(
-                              merged, /*include_provenance=*/false)
-                        : merged.canonical_text());
-      }
+      const auto merged = study::merge_result_tables(std::move(shards));
+      // Identity-only bytes either way, so merged outputs stay
+      // byte-comparable across runs, worker counts, and formats.
+      merged.save(out,
+                  binary ? study::ArtifactFormat::kBinary
+                         : study::ArtifactFormat::kJson,
+                  /*include_provenance=*/false);
       // After a --format change, drop the superseded other-format merged
       // file — a directory report must see each study exactly once.
       std::error_code sibling_ec;
@@ -765,11 +744,7 @@ WorkerLauncher in_process_launcher(bool trace) {
       const auto table = study::run_study(spec);
       // The destination's extension says which format the campaign runs
       // in (".vbt.part" → binary), same as the subprocess worker's --out.
-      const bool binary = study::infer_artifact_format(artifact_path) ==
-                          study::ArtifactFormat::kBinary;
-      WorkQueue::atomic_write(artifact_path,
-                              binary ? io::columnar::encode_vbt(table)
-                                     : table.to_json_text());
+      table.save(artifact_path);
       if (trace) {
         const fs::path state_dir =
             fs::path{artifact_path}.parent_path().parent_path();

@@ -1,11 +1,9 @@
 #include "src/campaign/work_queue.h"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <system_error>
 
-#include "src/campaign/subprocess.h"
 #include "src/io/json.h"
 
 namespace varbench::campaign {
@@ -120,27 +118,10 @@ std::string WorkQueue::trace_path(const std::string& task_id) const {
       .string();
 }
 
-void WorkQueue::atomic_write(const std::string& path,
-                             std::string_view content) {
-  // Unique per process (pid) and per call (counter): concurrent writers of
-  // the same path must not collide on the temp file.
-  static std::atomic<unsigned long> counter{0};
-  const std::string tmp = path + ".tmp-" +
-                          std::to_string(current_process_id()) + "-" +
-                          std::to_string(counter.fetch_add(1));
-  io::write_file(tmp, content);
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw io::JsonError("campaign: cannot move '" + tmp + "' to '" + path +
-                        "': " + ec.message());
-  }
-}
-
 void WorkQueue::enqueue(const Ticket& ticket) {
   Ticket t = ticket;
   t.owner.clear();  // queued tickets have no owner
-  atomic_write(
+  io::write_file_atomic(
       (fs::path{dir_} / "queue" / (t.task_id + std::string{kTodoSuffix}))
           .string(),
       ticket_text(t));
@@ -173,7 +154,7 @@ std::optional<Ticket> WorkQueue::try_claim(const std::string& owner) {
       t.task_id = id;  // corrupt ticket: claim it anyway, attempts reset
     }
     t.owner = owner;
-    atomic_write(claim.string(), ticket_text(t));
+    io::write_file_atomic(claim.string(), ticket_text(t));
     return t;
   }
   return std::nullopt;
@@ -201,7 +182,7 @@ void WorkQueue::heartbeat(const Ticket& claimed, const io::Json& status) const {
   doc.set("attempts", io::Json{claimed.attempts});
   if (!claimed.owner.empty()) doc.set("owner", io::Json{claimed.owner});
   doc.set("status", status);
-  atomic_write(claim.string(), doc.dump(2) + "\n");
+  io::write_file_atomic(claim.string(), doc.dump(2) + "\n");
 }
 
 void WorkQueue::release_for_retry(const Ticket& claimed, std::size_t attempts) {

@@ -103,9 +103,6 @@ class WorkQueue {
   std::vector<std::string> requeue_stale_claims(
       std::chrono::milliseconds stale_after, const std::string& exclude_owner);
 
-  /// Atomic write (temp file + rename) — also used for artifacts/manifest.
-  static void atomic_write(const std::string& path, std::string_view content);
-
  private:
   std::string dir_;
   std::string artifact_ext_;

@@ -1,8 +1,9 @@
 #include "src/io/columnar/vbt.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <map>
+#include <unordered_map>
 
 #include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
@@ -25,7 +26,6 @@ namespace varbench::io::columnar {
 namespace {
 
 using study::ResultTable;
-using study::Row;
 
 [[noreturn]] void fail(const std::string& path, std::uint64_t offset,
                        const std::string& what) {
@@ -57,108 +57,72 @@ std::size_t element_bytes(ColumnType type) {
 
 // ---------------------------------------------------------------- writer
 
-/// First-appearance string dictionary over every string cell, scanning
-/// columns in column order and rows in row order — one deterministic
-/// rendering per table.
-struct Dictionary {
-  std::vector<std::string> strings;
-  std::map<std::string, std::uint32_t> index;
-
-  std::uint32_t intern(const std::string& s) {
-    const auto it = index.find(s);
-    if (it != index.end()) return it->second;
-    if (strings.size() >= UINT32_MAX) {
-      // varlint: allow(error-names-path) -- encoder capacity limit hit while
-      // writing, not reading: there is no input file or offset to name, and
-      // the 2^32nd distinct string is not worth echoing.
-      throw JsonError("columnar: more than 2^32-1 distinct strings");
-    }
-    const auto id = static_cast<std::uint32_t>(strings.size());
-    strings.push_back(s);
-    index.emplace(s, id);
-    return id;
-  }
-
-  [[nodiscard]] std::uint64_t encoded_bytes() const {
-    if (strings.empty()) return 0;
-    std::uint64_t bytes = 8 + 4 * static_cast<std::uint64_t>(strings.size());
-    for (const auto& s : strings) bytes += s.size();
-    return bytes;
-  }
-};
-
-/// The narrowest lossless encoding for one column of cells.
-ColumnType elect_type(const ResultTable& table, std::size_t ci) {
-  bool has_double = false;
-  bool has_uint = false;       // non-negative integers
-  bool has_int = false;        // negative integers
-  bool has_wide_uint = false;  // above INT64_MAX — needs u64 storage
-  bool has_string = false;
-  bool has_other = false;  // null / bool
-  for (const Row& row : table.rows) {
-    const Json& cell = row[ci];
-    switch (cell.type()) {
-      case Json::Type::kNumber:
-        switch (cell.number_kind()) {
-          case Json::NumKind::kDouble:
-            has_double = true;
-            break;
-          case Json::NumKind::kUint:
-            has_uint = true;
-            has_wide_uint |= cell.as_uint64() >
-                             static_cast<std::uint64_t>(INT64_MAX);
-            break;
-          case Json::NumKind::kInt:
-            has_int = true;
-            break;
-        }
-        break;
-      case Json::Type::kString:
-        has_string = true;
-        break;
-      default:
-        has_other = true;
-    }
-  }
-  const bool has_integer = has_uint || has_int;
-  if (has_other || (has_string && (has_double || has_integer)) ||
-      (has_double && has_integer) || (has_wide_uint && has_int)) {
-    return ColumnType::kMixed;
-  }
-  if (has_string) return ColumnType::kStringDict;
-  if (has_wide_uint) return ColumnType::kU64;
-  if (has_integer) return ColumnType::kI64;
-  return ColumnType::kF64;  // all doubles — and the empty-table default
-}
-
 void put_u64(unsigned char* at, std::uint64_t v) { std::memcpy(at, &v, 8); }
-void put_f64(unsigned char* at, double v) { std::memcpy(at, &v, 8); }
-void put_i64(unsigned char* at, std::int64_t v) { std::memcpy(at, &v, 8); }
 void put_u32(unsigned char* at, std::uint32_t v) { std::memcpy(at, &v, 4); }
 
 }  // namespace
 
+std::string duplicate_column_error(const std::vector<std::string>& names) {
+  std::unordered_map<std::string_view, std::size_t> first;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto [it, fresh] = first.emplace(names[i], i);
+    if (!fresh) {
+      return "duplicate column name '" + names[i] + "' (columns " +
+             std::to_string(it->second) + " and " + std::to_string(i) + ")";
+    }
+  }
+  return "";
+}
+
 std::string encode_vbt(const ResultTable& table, bool include_provenance) {
   const std::size_t ncols = table.columns.size();
-  const std::uint64_t nrows = table.rows.size();
+  const study::Rows& rows = table.rows;
+  const std::uint64_t nrows = rows.size();
   if (ncols == 0) {
     throw JsonError("columnar: table '" + table.name + "' has no columns");
   }
+  if (const std::string dup = duplicate_column_error(table.columns);
+      !dup.empty()) {
+    throw JsonError("columnar: table '" + table.name + "': " + dup);
+  }
 
+  // The table stores each column in the encoding the writer elects, so
+  // the types are read off, not recomputed.
   std::vector<ColumnType> types(ncols);
-  for (std::size_t ci = 0; ci < ncols; ++ci) types[ci] = elect_type(table, ci);
+  for (std::size_t ci = 0; ci < ncols; ++ci) types[ci] = rows.column_type(ci);
 
-  // Intern every string cell up front so the dictionary block can be laid
-  // out before the column payloads that reference it.
-  Dictionary dict;
+  // The file dictionary: the strings cells use, in first-appearance order
+  // over columns in order and rows in order, whatever order the table
+  // interned them in. `remap` takes a table code to its file index.
+  const std::vector<std::string>& strings = rows.dictionary();
+  constexpr std::uint32_t kUnused = UINT32_MAX;
+  std::vector<std::uint32_t> remap(strings.size(), kUnused);
+  std::vector<std::uint32_t> order;  // table codes, in file order
+  std::unordered_map<std::string_view, std::uint32_t> file_index;
+  const auto use = [&](std::uint64_t code) {
+    if (remap[code] != kUnused) return;
+    const auto [it, fresh] = file_index.emplace(
+        strings[code], static_cast<std::uint32_t>(order.size()));
+    if (fresh) order.push_back(static_cast<std::uint32_t>(code));
+    remap[code] = it->second;
+  };
   for (std::size_t ci = 0; ci < ncols; ++ci) {
-    if (types[ci] != ColumnType::kStringDict &&
-        types[ci] != ColumnType::kMixed) {
-      continue;
+    if (types[ci] == ColumnType::kStringDict) {
+      for (const std::uint32_t code : rows.dict_codes(ci)) use(code);
+    } else if (types[ci] == ColumnType::kMixed) {
+      const auto tags = rows.mixed_tags(ci);
+      const auto payloads = rows.mixed_payloads(ci);
+      for (std::uint64_t r = 0; r < nrows; ++r) {
+        if (tags[r] == static_cast<std::uint8_t>(CellTag::kString)) {
+          use(payloads[r]);
+        }
+      }
     }
-    for (const Row& row : table.rows) {
-      if (row[ci].is_string()) dict.intern(row[ci].as_string());
-    }
+  }
+  std::uint64_t dict_bytes = 0;
+  if (!order.empty()) {
+    dict_bytes = 8 + 4 * static_cast<std::uint64_t>(order.size());
+    for (const std::uint32_t code : order) dict_bytes += strings[code].size();
   }
 
   const std::string meta_text = table.meta_json(include_provenance).dump();
@@ -174,7 +138,7 @@ std::string encode_vbt(const ResultTable& table, bool include_provenance) {
   h.meta_offset = align_up(pos);
   h.meta_bytes = meta_text.size();
   pos = h.meta_offset + h.meta_bytes;
-  h.dict_bytes = dict.encoded_bytes();
+  h.dict_bytes = dict_bytes;
   if (h.dict_bytes > 0) {
     h.dict_offset = align_up(pos);
     pos = h.dict_offset + h.dict_bytes;
@@ -204,77 +168,47 @@ std::string encode_vbt(const ResultTable& table, bool include_provenance) {
   std::memcpy(out + h.meta_offset, meta_text.data(), meta_text.size());
   if (h.dict_bytes > 0) {
     unsigned char* at = out + h.dict_offset;
-    put_u64(at, dict.strings.size());
+    put_u64(at, order.size());
     at += 8;
-    for (const auto& s : dict.strings) {
-      put_u32(at, static_cast<std::uint32_t>(s.size()));
+    for (const std::uint32_t code : order) {
+      put_u32(at, static_cast<std::uint32_t>(strings[code].size()));
       at += 4;
     }
-    for (const auto& s : dict.strings) {
-      std::memcpy(at, s.data(), s.size());
-      at += s.size();
+    for (const std::uint32_t code : order) {
+      std::memcpy(at, strings[code].data(), strings[code].size());
+      at += strings[code].size();
     }
   }
-  for (std::size_t ci = 0; ci < ncols; ++ci) {
+  for (std::size_t ci = 0; nrows > 0 && ci < ncols; ++ci) {
     unsigned char* data = out + entries[ci].data_offset;
-    unsigned char* tags = out + entries[ci].aux_offset;
-    for (std::uint64_t r = 0; r < nrows; ++r) {
-      const Json& cell = table.rows[r][ci];
-      switch (types[ci]) {
-        case ColumnType::kF64:
-          put_f64(data + 8 * r, cell.as_double());
-          break;
-        case ColumnType::kI64:
-          put_i64(data + 8 * r, cell.as_int64());
-          break;
-        case ColumnType::kU64:
-          put_u64(data + 8 * r, cell.as_uint64());
-          break;
-        case ColumnType::kStringDict:
-          put_u32(data + 4 * r, dict.index.at(cell.as_string()));
-          break;
-        case ColumnType::kMixed: {
-          CellTag tag = CellTag::kNull;
-          std::uint64_t payload = 0;
-          switch (cell.type()) {
-            case Json::Type::kNull:
-              break;
-            case Json::Type::kBool:
-              tag = cell.as_bool() ? CellTag::kTrue : CellTag::kFalse;
-              break;
-            case Json::Type::kNumber:
-              switch (cell.number_kind()) {
-                case Json::NumKind::kDouble: {
-                  tag = CellTag::kF64;
-                  const double d = cell.as_double();
-                  std::memcpy(&payload, &d, 8);
-                  break;
-                }
-                case Json::NumKind::kUint:
-                  tag = CellTag::kU64;
-                  payload = cell.as_uint64();
-                  break;
-                case Json::NumKind::kInt: {
-                  tag = CellTag::kI64;
-                  const std::int64_t i = cell.as_int64();
-                  std::memcpy(&payload, &i, 8);
-                  break;
-                }
-              }
-              break;
-            case Json::Type::kString:
-              tag = CellTag::kString;
-              payload = dict.index.at(cell.as_string());
-              break;
-            default:
-              throw JsonError("columnar: cells must be scalars, got " +
-                              cell.dump() + " at row " + std::to_string(r) +
-                              " of column '" + table.columns[ci] + "'");
-          }
-          tags[r] = static_cast<std::uint8_t>(tag);
-          put_u64(data + 8 * r, payload);
-          break;
+    switch (types[ci]) {
+      case ColumnType::kF64:
+        std::memcpy(data, rows.f64_column(ci).data(), 8 * nrows);
+        break;
+      case ColumnType::kI64:
+        std::memcpy(data, rows.i64_column(ci).data(), 8 * nrows);
+        break;
+      case ColumnType::kU64:
+        std::memcpy(data, rows.u64_column(ci).data(), 8 * nrows);
+        break;
+      case ColumnType::kStringDict: {
+        const auto codes = rows.dict_codes(ci);
+        for (std::uint64_t r = 0; r < nrows; ++r) {
+          put_u32(data + 4 * r, remap[codes[r]]);
         }
+        break;
+      }
+      case ColumnType::kMixed: {
+        const auto tags = rows.mixed_tags(ci);
+        const auto payloads = rows.mixed_payloads(ci);
+        std::memcpy(out + entries[ci].aux_offset, tags.data(), nrows);
+        for (std::uint64_t r = 0; r < nrows; ++r) {
+          put_u64(data + 8 * r,
+                  tags[r] == static_cast<std::uint8_t>(CellTag::kString)
+                      ? remap[payloads[r]]
+                      : payloads[r]);
+        }
+        break;
       }
     }
   }
@@ -283,7 +217,7 @@ std::string encode_vbt(const ResultTable& table, bool include_provenance) {
 
 void write_vbt(const std::string& path, const ResultTable& table,
                bool include_provenance) {
-  write_file(path, encode_vbt(table, include_provenance));
+  write_file_atomic(path, encode_vbt(table, include_provenance));
 }
 
 bool has_vbt_magic(std::span<const unsigned char> data) {
@@ -443,6 +377,10 @@ std::shared_ptr<const MappedTable> MappedTable::open(const std::string& path) {
              " column(s) but the header says " +
              std::to_string(h.column_count));
   }
+  if (const std::string dup = duplicate_column_error(t->names_);
+      !dup.empty()) {
+    fail(p, h.meta_offset, "metadata block: " + dup);
+  }
 
   if (h.dict_offset != 0 || h.dict_bytes != 0) {
     check_block(h.dict_offset, h.dict_bytes, "dictionary");
@@ -577,187 +515,12 @@ ColumnType MappedTable::column_type(std::size_t ci) const {
   return columns_.at(ci).type;
 }
 
-const MappedTable::Column& MappedTable::column_at(std::size_t ci,
-                                                  ColumnType wanted) const {
-  const Column& col = columns_.at(ci);
-  if (col.type != wanted) {
-    throw JsonError("columnar artifact '" + path_ + "': column " +
-                    std::to_string(ci) + " '" + names_[ci] +
-                    "' is not of the requested type");
-  }
-  return col;
+const unsigned char* MappedTable::column_data(std::size_t ci) const {
+  return columns_.at(ci).data;
 }
 
-std::span<const double> MappedTable::f64_column(std::size_t ci) const {
-  const Column& col = column_at(ci, ColumnType::kF64);
-  return {reinterpret_cast<const double*>(col.data), rows_};
-}
-
-std::span<const std::int64_t> MappedTable::i64_column(std::size_t ci) const {
-  const Column& col = column_at(ci, ColumnType::kI64);
-  return {reinterpret_cast<const std::int64_t*>(col.data), rows_};
-}
-
-std::span<const std::uint64_t> MappedTable::u64_column(std::size_t ci) const {
-  const Column& col = column_at(ci, ColumnType::kU64);
-  return {reinterpret_cast<const std::uint64_t*>(col.data), rows_};
-}
-
-std::span<const std::uint32_t> MappedTable::dict_indices(
-    std::size_t ci) const {
-  const Column& col = column_at(ci, ColumnType::kStringDict);
-  return {reinterpret_cast<const std::uint32_t*>(col.data), rows_};
-}
-
-std::span<const std::uint8_t> MappedTable::mixed_tags(std::size_t ci) const {
-  const Column& col = column_at(ci, ColumnType::kMixed);
-  return {reinterpret_cast<const std::uint8_t*>(col.aux), rows_};
-}
-
-std::span<const std::uint64_t> MappedTable::mixed_payload(
-    std::size_t ci) const {
-  const Column& col = column_at(ci, ColumnType::kMixed);
-  return {reinterpret_cast<const std::uint64_t*>(col.data), rows_};
-}
-
-Json MappedTable::cell(std::size_t row, std::size_t ci) const {
-  const Column& col = columns_.at(ci);
-  switch (col.type) {
-    case ColumnType::kF64: {
-      double d = 0.0;
-      std::memcpy(&d, col.data + 8 * row, 8);
-      return Json{d};
-    }
-    case ColumnType::kI64: {
-      std::int64_t i = 0;
-      std::memcpy(&i, col.data + 8 * row, 8);
-      return Json{i};  // non-negative reads back as the unsigned kind
-    }
-    case ColumnType::kU64: {
-      std::uint64_t u = 0;
-      std::memcpy(&u, col.data + 8 * row, 8);
-      return Json{u};
-    }
-    case ColumnType::kStringDict: {
-      std::uint32_t idx = 0;
-      std::memcpy(&idx, col.data + 4 * row, 4);
-      return Json{dict_[idx]};
-    }
-    case ColumnType::kMixed: {
-      std::uint64_t payload = 0;
-      std::memcpy(&payload, col.data + 8 * row, 8);
-      switch (static_cast<CellTag>(col.aux[row])) {
-        case CellTag::kNull:
-          return Json{};
-        case CellTag::kFalse:
-          return Json{false};
-        case CellTag::kTrue:
-          return Json{true};
-        case CellTag::kF64: {
-          double d = 0.0;
-          std::memcpy(&d, &payload, 8);
-          return Json{d};
-        }
-        case CellTag::kU64:
-          return Json{payload};
-        case CellTag::kI64: {
-          std::int64_t i = 0;
-          std::memcpy(&i, &payload, 8);
-          return Json{i};
-        }
-        case CellTag::kString:
-          return Json{dict_[static_cast<std::size_t>(payload)]};
-      }
-      return Json{};
-    }
-  }
-  return Json{};
-}
-
-// ----------------------------------------------------------- materialize
-
-study::ResultTable materialize(std::shared_ptr<const MappedTable> mapped) {
-  metrics::Sink& sink = metrics::global_sink();
-  const metrics::ScopedSpan materialize_span{
-      sink, metrics::kIoVbtMaterialize,
-      sink.is_enabled(metrics::kIoVbtMaterialize)
-          ? file_span_ident(mapped->path())
-          : 0,
-      metrics::kIoMaterializeNs};
-  // Metadata rides the exact JSON document to_json writes (minus "rows"),
-  // so the JSON reader's validation — schema, spec round-trip, shard
-  // sanity — applies unchanged; the rows are then decoded column-wise.
-  Json doc = mapped->metadata();
-  doc.set("rows", Json::array());
-  study::ResultTable table;
-  try {
-    table = study::ResultTable::from_json(doc);
-  } catch (const JsonError& e) {
-    throw JsonError("columnar artifact '" + mapped->path() +
-                    "': metadata: " + e.what());
-  }
-  const std::size_t ncols = mapped->num_columns();
-  const std::size_t nrows = mapped->num_rows();
-  // Row-major decode (rows are row vectors, so this is the allocation
-  // order) with the per-column type dispatch hoisted out of the cell loop.
-  struct Decode {
-    ColumnType type;
-    const double* f64 = nullptr;
-    const std::int64_t* i64 = nullptr;
-    const std::uint64_t* u64 = nullptr;
-    const std::uint32_t* dict_idx = nullptr;
-  };
-  std::vector<Decode> cols(ncols);
-  for (std::size_t ci = 0; ci < ncols; ++ci) {
-    cols[ci].type = mapped->column_type(ci);
-    switch (cols[ci].type) {
-      case ColumnType::kF64:
-        cols[ci].f64 = mapped->f64_column(ci).data();
-        break;
-      case ColumnType::kI64:
-        cols[ci].i64 = mapped->i64_column(ci).data();
-        break;
-      case ColumnType::kU64:
-        cols[ci].u64 = mapped->u64_column(ci).data();
-        break;
-      case ColumnType::kStringDict:
-        cols[ci].dict_idx = mapped->dict_indices(ci).data();
-        break;
-      case ColumnType::kMixed:
-        break;  // rare; decoded through the per-cell primitive below
-    }
-  }
-  const auto& dict = mapped->dictionary();
-  table.rows.reserve(nrows);
-  for (std::size_t r = 0; r < nrows; ++r) {
-    Row row;
-    row.reserve(ncols);
-    for (std::size_t ci = 0; ci < ncols; ++ci) {
-      const Decode& c = cols[ci];
-      switch (c.type) {
-        case ColumnType::kF64:
-          row.emplace_back(c.f64[r]);
-          break;
-        case ColumnType::kI64:
-          // Non-negative values read back as the unsigned kind (the Json
-          // constructor routes on sign), restoring the exact JSON kind.
-          row.emplace_back(c.i64[r]);
-          break;
-        case ColumnType::kU64:
-          row.emplace_back(c.u64[r]);
-          break;
-        case ColumnType::kStringDict:
-          row.emplace_back(dict[c.dict_idx[r]]);
-          break;
-        case ColumnType::kMixed:
-          row.push_back(mapped->cell(r, ci));
-          break;
-      }
-    }
-    table.rows.push_back(std::move(row));
-  }
-  table.backing = std::move(mapped);
-  return table;
+const unsigned char* MappedTable::column_tags(std::size_t ci) const {
+  return columns_.at(ci).aux;
 }
 
 }  // namespace varbench::io::columnar

@@ -2,17 +2,19 @@
 // mmap-backed zero-copy reader for study::ResultTable (docs/artifacts.md).
 //
 // The writer (`encode_vbt`) is lossless against the JSON artifact: for any
-// table, materializing the encoded bytes back (`MappedTable::open` +
-// `materialize`) reproduces `canonical_text()` byte for byte, because the
-// metadata block *is* the canonical JSON document minus its "rows" and the
-// column blocks preserve every cell's exact value and JSON number kind.
+// table, loading the encoded bytes back (`ResultTable::load`) reproduces
+// `canonical_text()` byte for byte, because the metadata block *is* the
+// canonical JSON document minus its "rows" and the column blocks preserve
+// every cell's exact value and JSON number kind. A ResultTable already
+// stores its cells in these encodings, so the writer copies blocks.
 //
 // The reader maps the file read-only and validates the whole block layout
 // up front (magic, version, bounds, 64-byte alignment, overlap, dictionary
-// indices, mixed-cell tags) — every failure is an io::JsonError naming the
-// path and the byte offset of the offending structure. After open(),
-// homogeneous f64 columns surface as std::span<const double> straight off
-// the mapping: no parsing, no io::Json cells, no copies.
+// indices, mixed-cell tags, distinct column names) — every failure is an
+// io::JsonError naming the path and the byte offset of the offending
+// structure. After open(), every column block is readable straight off
+// the mapping: no parsing, no io::Json cells, no copies — and a loaded
+// ResultTable adopts those blocks as its columns.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,7 @@ namespace varbench::io::columnar {
 [[nodiscard]] std::string encode_vbt(const study::ResultTable& table,
                                      bool include_provenance = true);
 
-/// encode_vbt + io::write_file.
+/// encode_vbt + io::write_file_atomic.
 void write_vbt(const std::string& path, const study::ResultTable& table,
                bool include_provenance = true);
 
@@ -44,17 +46,23 @@ void write_vbt(const std::string& path, const study::ResultTable& table,
 /// ResultTable::load uses to dispatch between JSON and binary.
 [[nodiscard]] bool has_vbt_magic(std::span<const unsigned char> data);
 
+/// "" when every column name is distinct, else "duplicate column name 'x'
+/// (columns i and j)" for the first repeat — the one rule the JSON reader,
+/// the VBT reader and the writers share.
+[[nodiscard]] std::string duplicate_column_error(
+    const std::vector<std::string>& names);
+
 /// A validated, read-only view of a VBT1 file. The file stays mapped (or
 /// buffered, on platforms without mmap) for the lifetime of the object;
 /// spans returned by the accessors point into that mapping and share its
-/// lifetime — hold the MappedTable (e.g. via ResultTable::backing) while
-/// using them.
+/// lifetime — a ResultTable loaded from the file holds it for them.
 class MappedTable {
  public:
   /// Map + validate. Throws io::JsonError naming `path` and a byte offset
   /// on any structural defect (bad magic, unsupported version, truncation,
   /// misaligned or overlapping blocks, dangling dictionary index, unknown
-  /// mixed-cell tag, metadata that is not a valid artifact document).
+  /// mixed-cell tag, metadata that is not a valid artifact document, a
+  /// repeated column name).
   [[nodiscard]] static std::shared_ptr<const MappedTable> open(
       const std::string& path);
 
@@ -74,27 +82,17 @@ class MappedTable {
   /// schema, name, optional spec, meta.seed/shard, optional provenance.
   [[nodiscard]] const Json& metadata() const { return meta_; }
 
-  /// Zero-copy payloads. Each throws io::JsonError unless the column has
-  /// the matching type; f64_column is the stats-kernel fast path.
-  [[nodiscard]] std::span<const double> f64_column(std::size_t ci) const;
-  [[nodiscard]] std::span<const std::int64_t> i64_column(std::size_t ci) const;
-  [[nodiscard]] std::span<const std::uint64_t> u64_column(
-      std::size_t ci) const;
-  [[nodiscard]] std::span<const std::uint32_t> dict_indices(
-      std::size_t ci) const;
-  /// kMixed accessors: one CellTag per row, one u64 payload per row.
-  [[nodiscard]] std::span<const std::uint8_t> mixed_tags(std::size_t ci) const;
-  [[nodiscard]] std::span<const std::uint64_t> mixed_payload(
-      std::size_t ci) const;
+  /// Column ci's payload block (8 bytes per cell; 4 for kStringDict) and,
+  /// for kMixed, its tag block (nullptr otherwise): zero-copy pointers
+  /// into the mapping, laid out as column_type(ci) says. A loaded
+  /// ResultTable adopts them as its columns.
+  [[nodiscard]] const unsigned char* column_data(std::size_t ci) const;
+  [[nodiscard]] const unsigned char* column_tags(std::size_t ci) const;
 
   /// The file dictionary (empty when no column stores strings).
   [[nodiscard]] const std::vector<std::string>& dictionary() const {
     return dict_;
   }
-
-  /// Decode one cell to its exact io::Json value (the materialization
-  /// primitive; per-cell, so prefer the span accessors on hot paths).
-  [[nodiscard]] Json cell(std::size_t row, std::size_t ci) const;
 
  private:
   MappedTable() = default;
@@ -104,9 +102,6 @@ class MappedTable {
     const unsigned char* data = nullptr;
     const unsigned char* aux = nullptr;  // kMixed tags
   };
-
-  [[nodiscard]] const Column& column_at(std::size_t ci,
-                                        ColumnType wanted) const;
 
   std::string path_;
   const unsigned char* base_ = nullptr;  // mapping (or fallback buffer)
@@ -118,12 +113,5 @@ class MappedTable {
   std::vector<std::string> dict_;
   std::vector<Column> columns_;
 };
-
-/// Build the in-memory ResultTable for `mapped`, reusing the JSON reader's
-/// validation (the metadata block plus decoded rows go through
-/// ResultTable::from_json), and attach `mapped` as the table's backing so
-/// column_values/column_span take the zero-copy path.
-[[nodiscard]] study::ResultTable materialize(
-    std::shared_ptr<const MappedTable> mapped);
 
 }  // namespace varbench::io::columnar

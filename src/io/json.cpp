@@ -1,11 +1,20 @@
 #include "src/io/json.h"
 
+#include <atomic>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
+
+#ifdef _WIN32
+#include <process.h>
+#else
+#include <unistd.h>
+#endif
 
 namespace varbench::io {
 
@@ -200,8 +209,6 @@ bool operator==(const Json& a, const Json& b) {
 
 // --------------------------------------------------------------- writer
 
-namespace {
-
 void dump_string(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
@@ -253,6 +260,8 @@ void dump_double(std::string& out, double d) {
     out += ".0";
   }
 }
+
+namespace {
 
 void newline_indent(std::string& out, int indent, int depth) {
   out += '\n';
@@ -631,6 +640,26 @@ void write_file(const std::string& path, std::string_view content) {
   const std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
   const bool bad = std::fclose(f) != 0 || n != content.size();
   if (bad) throw JsonError("error writing '" + path + "'");
+}
+
+void write_file_atomic(const std::string& path, std::string_view content) {
+  // Unique per process (pid) and per call (counter): concurrent writers of
+  // the same path must not collide on the temp file.
+#ifdef _WIN32
+  const auto pid = static_cast<unsigned long>(::_getpid());
+#else
+  const auto pid = static_cast<unsigned long>(::getpid());
+#endif
+  static std::atomic<unsigned long> counter{0};
+  const std::string tmp = path + ".tmp-" + std::to_string(pid) + "-" +
+                          std::to_string(counter.fetch_add(1));
+  write_file(tmp, content);
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    throw JsonError("cannot move '" + tmp + "' to '" + path +
+                    "': " + ec.message());
+  }
 }
 
 }  // namespace varbench::io

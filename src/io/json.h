@@ -128,11 +128,24 @@ class Json {
 
 [[nodiscard]] std::string_view to_string(Json::Type t);
 
+/// The writer's scalar renderings, for callers that render values without
+/// building an io::Json (ResultTable rows): a quoted, escaped string, and a
+/// shortest-round-trip double that keeps ".0" when integral and renders
+/// non-finite values as null.
+void dump_string(std::string& out, std::string_view s);
+void dump_double(std::string& out, double d);
+
 /// Read an entire file; throws JsonError (with the path) on I/O failure.
 [[nodiscard]] std::string read_file(const std::string& path);
 
-/// Write `content` to `path` atomically enough for our purposes
-/// (truncate + write); throws JsonError on failure.
+/// Write `content` to `path` (truncate + write, in place); throws
+/// JsonError on failure.
 void write_file(const std::string& path, std::string_view content);
+
+/// Write `content` to a temp file beside `path`, then rename it over
+/// `path`: a reader never sees a partial file, and a process that mapped
+/// the old file keeps reading the old bytes. Artifacts, tickets and
+/// manifests are written this way. Throws JsonError on failure.
+void write_file_atomic(const std::string& path, std::string_view content);
 
 }  // namespace varbench::io

@@ -5,7 +5,9 @@
 // Design contract:
 //   - Entries are registered at compile time in VARBENCH_METRIC_ENTRIES;
 //     an entry's id is its index in that list, so ids are small dense
-//     integers that are stable across runs and builds (append-only list).
+//     integers, stable across runs. New entries are appended, never
+//     inserted; ids never leave the process (trace files, snapshots and
+//     campaign.json carry names), so an entry may be removed.
 //   - `Sink::is_enabled(id)` is an inlined bounds check plus a byte load: a
 //     disabled entry costs ~one predictable branch, no locks, no clock
 //     reads, no allocation. Everything expensive — clock reads
@@ -96,8 +98,6 @@ struct MetricDef {
     "bytes of VBT1 artifacts mapped (or buffered) by MappedTable::open")     \
   X(IoTablesMapped, "io.vbt_tables_mapped", "io", "count", kCounter,         \
     "VBT1 artifacts opened")                                                 \
-  X(IoMaterializeNs, "io.vbt_materialize_ns", "io", "ns", kTimer,            \
-    "wall time of full VBT1-to-ResultTable materialization")                 \
   X(RngxStreamsDerived, "rngx.streams_derived", "rngx", "count", kCounter,   \
     "Rng streams created — constructions, reseeds, and tag splits")          \
   X(RngxDraws, "rngx.draws", "rngx", "count", kCounter,                      \
@@ -106,8 +106,6 @@ struct MetricDef {
   X(StatsResamples, "stats.resamples", "stats", "count", kCounter,           \
     "bootstrap resamples and permutation replicates evaluated by the "       \
     "fused resampling kernels")                                              \
-  X(IoStreamChunks, "io.stream_chunks", "io", "count", kCounter,             \
-    "row-group chunks flushed by the streaming VBT writer")                  \
   X(StudyRun, "study.run", "study", "ns", kSpan,                             \
     "one run_study() execution; ident = hash of '<kind>:<case_study>'")      \
   X(ExecRegion, "exec.region", "exec", "ns", kSpan,                          \
@@ -116,9 +114,6 @@ struct MetricDef {
     "one self-scheduled chunk; ident = (region sequence << 32) | chunk")     \
   X(IoVbtMap, "io.vbt_map", "io", "ns", kSpan,                               \
     "MappedTable::open of one VBT1 artifact; ident = hash of the file name") \
-  X(IoVbtMaterialize, "io.vbt_materialize", "io", "ns", kSpan,               \
-    "full VBT1-to-ResultTable materialization; ident = hash of the file "    \
-    "name")                                                                  \
   X(CampaignTaskQueued, "campaign.task_queued", "campaign", "ns", kInstant,  \
     "task ticket entered the work queue; ident = hash of the task id")       \
   X(CampaignTaskClaimed, "campaign.task_claimed", "campaign", "ns",          \

@@ -50,7 +50,7 @@ io::Json registry_json() {
 }
 
 std::string registry_text() {
-  std::string out = "registered metrics (id order is stable; append-only):\n";
+  std::string out = "registered metrics (id order is registry order):\n";
   for (std::size_t i = 0; i < kMetricDefs.size(); ++i) {
     const MetricDef& def = kMetricDefs[i];
     char line[256];

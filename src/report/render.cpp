@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 
+#include "src/io/csv.h"
 #include "src/io/json.h"
 
 namespace varbench::report {
@@ -219,22 +220,11 @@ std::string render_markdown(const Report& report) {
 
 // ------------------------------------------------------------------- csv
 
-std::string csv_field(const std::string& raw) {
-  if (raw.find_first_of(",\"\n") == std::string::npos) return raw;
-  std::string quoted = "\"";
-  for (const char c : raw) {
-    if (c == '"') quoted += '"';
-    quoted += c;
-  }
-  quoted += '"';
-  return quoted;
-}
-
 void grid_csv(const Grid& g, std::string& out) {
   const auto emit = [&](const std::vector<std::string>& row) {
     for (std::size_t i = 0; i < row.size(); ++i) {
       if (i > 0) out += ',';
-      out += csv_field(row[i]);
+      io::csv_field(out, row[i]);
     }
     out += '\n';
   };

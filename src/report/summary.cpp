@@ -1,9 +1,10 @@
 #include "src/report/summary.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
-#include "src/io/columnar/vbt.h"
+#include "src/io/columnar/format.h"
 #include "src/rngx/rng.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/prob_outperform.h"
@@ -33,26 +34,22 @@ bool has_estimator(const ReportSpec& spec, std::string_view name) {
 }
 
 /// A column is numeric when every cell is a number or null and at least one
-/// is a number (bench tables use null for not-applicable cells).
+/// is a number (bench tables use null for not-applicable cells). Typed
+/// columns answer from their encoding; only mixed ones scan their cells.
 bool column_is_numeric(const study::ResultTable& table, std::size_t ci) {
-  // Columnar-backed tables answer from the column type directory; only
-  // kMixed columns (nulls/bools/mixed kinds) need the per-cell scan.
-  if (table.backing != nullptr &&
-      table.backing->num_rows() == table.rows.size()) {
-    using io::columnar::ColumnType;
-    switch (table.backing->column_type(ci)) {
-      case ColumnType::kF64:
-      case ColumnType::kI64:
-      case ColumnType::kU64:
-        return !table.rows.empty();
-      case ColumnType::kStringDict:
-        return false;
-      case ColumnType::kMixed:
-        break;
-    }
+  using io::columnar::ColumnType;
+  switch (table.rows.column_type(ci)) {
+    case ColumnType::kF64:
+    case ColumnType::kI64:
+    case ColumnType::kU64:
+      return !table.rows.empty();
+    case ColumnType::kStringDict:
+      return false;
+    case ColumnType::kMixed:
+      break;
   }
   bool any_number = false;
-  for (const study::Row& row : table.rows) {
+  for (const auto& row : table.rows) {
     if (row[ci].is_number()) {
       any_number = true;
     } else if (!row[ci].is_null()) {
@@ -68,17 +65,18 @@ std::vector<double> numeric_values(const study::ResultTable& table,
                                    std::size_t ci,
                                    const std::vector<std::size_t>& rows,
                                    std::size_t* missing) {
+  using io::columnar::ColumnType;
   std::vector<double> out;
-  // Contiguous f64 columns of a columnar-backed table gather straight off
-  // the mapping — no io::Json cells, and no nulls by construction.
-  if (const auto span = table.column_span(table.columns[ci])) {
-    out.reserve(rows.size());
-    for (const std::size_t ri : rows) out.push_back((*span)[ri]);
+  out.reserve(rows.size());
+  // f64 columns gather straight from their span — no nulls by
+  // construction.
+  if (table.rows.column_type(ci) == ColumnType::kF64) {
+    const auto values = table.rows.f64_column(ci);
+    for (const std::size_t ri : rows) out.push_back(values[ri]);
     return out;
   }
-  out.reserve(rows.size());
   for (const std::size_t ri : rows) {
-    const study::Cell& cell = table.rows[ri][ci];
+    const study::CellView cell = table.rows[ri][ci];
     if (cell.is_null()) {
       ++*missing;
       continue;
@@ -93,37 +91,51 @@ std::vector<double> numeric_values(const study::ResultTable& table,
   return out;
 }
 
-/// Group key of a cell: the string itself for strings, the canonical JSON
-/// rendering otherwise (numbers, bools) — deterministic either way.
-std::string group_key(const study::Cell& cell) {
-  return cell.is_string() ? cell.as_string() : cell.dump();
-}
-
 struct RowGroups {
   std::vector<std::string> keys;                  // first-appearance order
   std::vector<std::vector<std::size_t>> members;  // row indices per key
 };
 
+/// Rows grouped by the group_by column's key — the string itself for
+/// strings, the canonical JSON rendering otherwise (numbers, bools) —
+/// with groups in order of first appearance. A string-dict column groups
+/// by dictionary code, looking a key up once per code.
 RowGroups group_rows(const study::ResultTable& table,
                      const std::string& group_by) {
   RowGroups g;
+  const std::size_t n = table.rows.size();
   if (group_by.empty()) {
     g.keys.push_back("");
-    g.members.emplace_back(table.rows.size());
-    for (std::size_t i = 0; i < table.rows.size(); ++i) g.members[0][i] = i;
+    g.members.emplace_back(n);
+    for (std::size_t i = 0; i < n; ++i) g.members[0][i] = i;
     return g;
   }
   const std::size_t ci = table.column_index(group_by);
-  for (std::size_t i = 0; i < table.rows.size(); ++i) {
-    const std::string key = group_key(table.rows[i][ci]);
+  const auto group_of = [&g](const std::string& key) {
     const auto it = std::find(g.keys.begin(), g.keys.end(), key);
-    if (it == g.keys.end()) {
-      g.keys.push_back(key);
-      g.members.emplace_back();
-      g.members.back().push_back(i);
-    } else {
-      g.members[static_cast<std::size_t>(it - g.keys.begin())].push_back(i);
+    if (it != g.keys.end()) {
+      return static_cast<std::size_t>(it - g.keys.begin());
     }
+    g.keys.push_back(key);
+    g.members.emplace_back();
+    return g.keys.size() - 1;
+  };
+  if (table.rows.column_type(ci) == io::columnar::ColumnType::kStringDict) {
+    constexpr std::size_t kUnseen = SIZE_MAX;
+    const auto codes = table.rows.dict_codes(ci);
+    const auto& dict = table.rows.dictionary();
+    std::vector<std::size_t> group_of_code(dict.size(), kUnseen);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t& gi = group_of_code[codes[i]];
+      if (gi == kUnseen) gi = group_of(dict[codes[i]]);
+      g.members[gi].push_back(i);
+    }
+    return g;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const study::CellView cell = table.rows[i][ci];
+    g.members[group_of(cell.is_string() ? cell.as_string() : cell.dump())]
+        .push_back(i);
   }
   return g;
 }

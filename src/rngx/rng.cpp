@@ -4,46 +4,20 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "src/metrics/metrics.h"
-
 namespace varbench::rngx {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-// next_u64 is the hottest function in the tree, so go through a cached
-// reference: add() inlines to the one-branch is_enabled gate with no
-// global_sink() call per draw. Totals stay thread-count-invariant because
-// the multiset of derivations/draws is fixed by the determinism contract
-// (pinned by tests/test_metrics.cpp).
-metrics::Sink& g_sink = metrics::global_sink();
-}  // namespace
+namespace detail {
+// Totals stay thread-count-invariant because the multiset of
+// derivations/draws is fixed by the determinism contract (pinned by
+// tests/test_metrics.cpp).
+metrics::Sink& rng_sink = metrics::global_sink();
+}  // namespace detail
 
 void Rng::reseed(std::uint64_t seed) {
-  g_sink.add(metrics::kRngxStreamsDerived);
+  detail::rng_sink.add(metrics::kRngxStreamsDerived);
   std::uint64_t sm = seed;
   for (auto& s : state_) s = splitmix64(sm);
   has_cached_normal_ = false;
-}
-
-std::uint64_t Rng::next_u64() {
-  g_sink.add(metrics::kRngxDraws);
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits → double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -96,8 +70,6 @@ double Rng::normal() {
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
-
-bool Rng::bernoulli(double p) { return uniform() < p; }
 
 std::vector<std::size_t> Rng::sample_with_replacement(std::size_t pool,
                                                       std::size_t n) {

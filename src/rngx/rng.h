@@ -7,10 +7,13 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
+
+#include "src/metrics/metrics.h"
 
 namespace varbench::rngx {
 
@@ -54,6 +57,13 @@ struct RngState {
   friend bool operator==(const RngState&, const RngState&) = default;
 };
 
+namespace detail {
+/// The process-global metrics sink, bound once (src/rngx/rng.cpp): a draw
+/// pays the one-branch is_enabled gate of rngx.draws and no global_sink()
+/// call.
+extern metrics::Sink& rng_sink;
+}  // namespace detail
+
 /// xoshiro256++ engine (Blackman & Vigna). Fast, 256-bit state, passes BigCrush.
 class Rng {
  public:
@@ -72,14 +82,30 @@ class Rng {
     has_cached_normal_ = s.has_cached_normal;
   }
 
-  [[nodiscard]] std::uint64_t next_u64();
+  /// The hot path (every distribution bottoms out here), inline so the
+  /// resampling kernels' draw loops carry no call.
+  [[nodiscard]] std::uint64_t next_u64() {
+    detail::rng_sink.add(metrics::kRngxDraws);
+    const std::uint64_t result =
+        std::rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
   std::uint64_t operator()() { return next_u64(); }
 
   static constexpr std::uint64_t min() { return 0; }
   static constexpr std::uint64_t max() { return ~0ULL; }
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform();
+  /// Uniform double in [0, 1): the 53 high bits of one draw.
+  [[nodiscard]] double uniform() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi);
   /// Log-uniform double in [lo, hi), lo > 0.
@@ -92,7 +118,7 @@ class Rng {
   [[nodiscard]] double normal();
   [[nodiscard]] double normal(double mean, double stddev);
   /// Bernoulli draw.
-  [[nodiscard]] bool bernoulli(double p);
+  [[nodiscard]] bool bernoulli(double p) { return uniform() < p; }
 
   /// In-place Fisher–Yates shuffle.
   template <typename T>

@@ -115,8 +115,8 @@ void summarize_variance(const ResultTable& t, std::FILE* out) {
   const std::size_t measure_col = t.column_index("measure");
   // Group by source label in first-appearance (engine) order.
   std::vector<std::pair<std::string, std::vector<double>>> groups;
-  for (const Row& row : t.rows) {
-    const std::string& label = row[source_col].as_string();
+  for (const auto& row : t.rows) {
+    const std::string label = row[source_col].as_string();
     if (groups.empty() || groups.back().first != label) {
       groups.emplace_back(label, std::vector<double>{});
     }
@@ -224,7 +224,7 @@ ResultTable run_hpo(const StudySpec& spec) {
 }
 
 void summarize_hpo(const ResultTable& t, std::FILE* out) {
-  const Row& row = t.rows.at(0);
+  const auto row = t.rows.at(0);
   std::fprintf(out, "%s on %s: final test %s = %.4f (%zu fits)\n",
                row[t.column_index("algo")].as_string().c_str(),
                t.spec.value().case_study.c_str(),
@@ -277,8 +277,8 @@ void summarize_estimator(const ResultTable& t, std::FILE* out) {
   const std::size_t est_col = t.column_index("estimator");
   const std::size_t measure_col = t.column_index("measure");
   std::vector<std::pair<std::string, std::vector<double>>> groups;
-  for (const Row& row : t.rows) {
-    const std::string& name = row[est_col].as_string();
+  for (const auto& row : t.rows) {
+    const std::string name = row[est_col].as_string();
     if (groups.empty() || groups.back().first != name) {
       groups.emplace_back(name, std::vector<double>{});
     }
@@ -360,7 +360,7 @@ void summarize_detection(const ResultTable& t, std::FILE* out) {
   std::vector<double> p_grid;
   std::vector<std::vector<double>> rates(std::size(kDetectionCriteria));
   std::vector<double> counts;
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     const double p = row[p_col].as_double();
     if (p_grid.empty() || p_grid.back() != p) {
       p_grid.push_back(p);

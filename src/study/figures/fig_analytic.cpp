@@ -65,7 +65,7 @@ void summarize_fig03(const ResultTable& t, std::FILE* out) {
   double sum_improvement = 0.0;
   double sum_sigma = 0.0;
   std::string task;
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     if (row[task_col].as_string() != task) {
       task = row[task_col].as_string();
       std::fprintf(out, "\n%s\n", task.c_str());
@@ -124,7 +124,7 @@ ResultTable run_fig04(const StudySpec& spec) {
 void summarize_fig04(const ResultTable& t, std::FILE* out) {
   std::fprintf(out, "  %-8s %-8s %14s %16s %8s\n", "k", "T", "IdealEst fits",
                "FixHOptEst fits", "ratio");
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     std::fprintf(out, "  %-8llu %-8llu %14llu %16llu %7.1fx\n",
                  static_cast<unsigned long long>(
                      row[t.column_index("k")].as_uint64()),
@@ -170,7 +170,7 @@ void summarize_figC1(const ResultTable& t, std::FILE* out) {
   const std::size_t n_col = t.column_index("n_required");
   // Pivot: one line per gamma, one column per beta (first-appearance order).
   std::vector<double> betas;
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     const double beta = row[beta_col].as_double();
     bool known = false;
     for (const double b : betas) known = known || b == beta;
@@ -186,7 +186,7 @@ void summarize_figC1(const ResultTable& t, std::FILE* out) {
     if (gamma == 0.75) line += "   <-- recommended (paper: N=29)";
     std::fprintf(out, "%s\n", line.c_str());
   };
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     if (row[gamma_col].as_double() != gamma) {
       flush();
       gamma = row[gamma_col].as_double();
@@ -254,7 +254,7 @@ ResultTable run_tableD(const StudySpec& spec) {
 void summarize_tableD(const ResultTable& t, std::FILE* out) {
   const std::size_t task_col = t.column_index("task");
   std::string task;
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     if (row[task_col].as_string() != task) {
       task = row[task_col].as_string();
       std::fprintf(out, "\n%s\n", task.c_str());

@@ -70,15 +70,15 @@ void summarize_fig02(const ResultTable& t, std::FILE* out) {
   const std::size_t size_col = t.column_index("test_size");
   const std::size_t measure_col = t.column_index("measure");
   std::vector<std::string> tasks;
-  for (const Row& row : t.rows) {
-    const std::string& task = row[task_col].as_string();
+  for (const auto& row : t.rows) {
+    const std::string task = row[task_col].as_string();
     if (tasks.empty() || tasks.back() != task) tasks.push_back(task);
   }
   for (const auto& task : tasks) {
     std::vector<double> measures;
     double test_size = 0.0;
     std::size_t n = 0;
-    for (const Row& row : t.rows) {
+    for (const auto& row : t.rows) {
       if (row[task_col].as_string() != task) continue;
       measures.push_back(row[measure_col].as_double());
       test_size += row[size_col].as_double();

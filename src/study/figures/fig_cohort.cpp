@@ -71,8 +71,8 @@ scores_by_label(const ResultTable& t, std::string_view label_col,
   const std::size_t vc = t.column_index(column);
   std::vector<std::string> labels;
   compare::ContestantScores scores;
-  for (const Row& row : t.rows) {
-    const std::string& label = row[lc].as_string();
+  for (const auto& row : t.rows) {
+    const std::string label = row[lc].as_string();
     std::size_t i = labels.size();
     for (std::size_t j = 0; j < labels.size(); ++j) {
       if (labels[j] == label) i = j;
@@ -227,14 +227,14 @@ void summarize_multi_dataset(const ResultTable& t, std::FILE* out) {
   const std::size_t variant_col = t.column_index("variant");
   const std::size_t measure_col = t.column_index("measure");
   std::vector<std::string> datasets;
-  for (const Row& row : t.rows) {
-    const std::string& d = row[dataset_col].as_string();
+  for (const auto& row : t.rows) {
+    const std::string d = row[dataset_col].as_string();
     if (datasets.empty() || datasets.back() != d) datasets.push_back(d);
   }
   // Raw series per (dataset, variant).
   std::vector<std::array<std::vector<double>, kVariants.size()>> series(
       datasets.size());
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     std::size_t d = 0;
     while (datasets[d] != row[dataset_col].as_string()) ++d;
     std::size_t v = 0;
@@ -258,23 +258,31 @@ void summarize_multi_dataset(const ResultTable& t, std::FILE* out) {
   }
 
   std::fprintf(out, "\nDemsar: Friedman test + Nemenyi critical difference\n");
-  const auto fr = stats::friedman_test(mean_scores);
-  std::fprintf(out, "  chi2_F = %.3f, p = %.4f (Iman-Davenport F = %.3f)\n",
-               fr.chi_squared, fr.p_value, fr.iman_davenport_f);
-  std::fprintf(out, "  average ranks:");
-  for (std::size_t v = 0; v < kVariants.size(); ++v) {
-    std::fprintf(out, " %s=%.2f", std::string{kVariants[v].first}.c_str(),
-                 fr.average_ranks[v]);
+  if (datasets.size() < 2) {
+    // Both rank across datasets: one dataset has nothing to rank against.
+    std::fprintf(out,
+                 "  skipped: both need at least 2 datasets, this table has "
+                 "%zu\n",
+                 datasets.size());
+  } else {
+    const auto fr = stats::friedman_test(mean_scores);
+    std::fprintf(out, "  chi2_F = %.3f, p = %.4f (Iman-Davenport F = %.3f)\n",
+                 fr.chi_squared, fr.p_value, fr.iman_davenport_f);
+    std::fprintf(out, "  average ranks:");
+    for (std::size_t v = 0; v < kVariants.size(); ++v) {
+      std::fprintf(out, " %s=%.2f", std::string{kVariants[v].first}.c_str(),
+                   fr.average_ranks[v]);
+    }
+    std::fprintf(out, "\n  Nemenyi CD (alpha=0.05) = %.2f ranks\n",
+                 stats::nemenyi_critical_difference(kVariants.size(),
+                                                    datasets.size()));
+    const auto group = stats::nemenyi_top_group(fr, datasets.size());
+    std::fprintf(out, "  indistinguishable-from-best group:");
+    for (const auto v : group) {
+      std::fprintf(out, " %s", std::string{kVariants[v].first}.c_str());
+    }
+    std::fprintf(out, "\n");
   }
-  std::fprintf(out, "\n  Nemenyi CD (alpha=0.05) = %.2f ranks\n",
-               stats::nemenyi_critical_difference(kVariants.size(),
-                                                  datasets.size()));
-  const auto group = stats::nemenyi_top_group(fr, datasets.size());
-  std::fprintf(out, "  indistinguishable-from-best group:");
-  for (const auto v : group) {
-    std::fprintf(out, " %s", std::string{kVariants[v].first}.c_str());
-  }
-  std::fprintf(out, "\n");
 
   std::fprintf(out,
                "\nDror et al.: per-dataset replicability (tuned vs "
@@ -394,7 +402,7 @@ void summarize_table8(const ResultTable& t, std::FILE* out) {
   for (const std::string_view model : kTable8Models) {
     std::vector<double> auc;
     std::vector<double> pcc;
-    for (const Row& row : t.rows) {
+    for (const auto& row : t.rows) {
       if (row[model_col].as_string() != model) continue;
       auc.push_back(row[auc_col].as_double());
       pcc.push_back(row[pcc_col].as_double());
@@ -533,7 +541,7 @@ void summarize_ablation_splitters(const ResultTable& t, std::FILE* out) {
   const std::size_t mean_col = t.column_index("mean");
   const std::size_t std_col = t.column_index("within_std");
   double truth = 0.0;
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     if (row[strategy_col].as_string() == "truth") {
       truth = row[mean_col].as_double();
     }
@@ -545,7 +553,7 @@ void summarize_ablation_splitters(const ResultTable& t, std::FILE* out) {
   for (const std::string_view strategy : kStrategies) {
     std::vector<double> means;
     std::vector<double> withins;
-    for (const Row& row : t.rows) {
+    for (const auto& row : t.rows) {
       if (row[strategy_col].as_string() != strategy) continue;
       means.push_back(row[mean_col].as_double());
       withins.push_back(row[std_col].as_double());

@@ -114,7 +114,7 @@ void summarize_fig06(const ResultTable& t, std::FILE* out) {
     std::vector<double> p_grid;
     std::vector<std::array<double, 4>> sums;
     std::vector<double> counts;
-    for (const Row& row : t.rows) {
+    for (const auto& row : t.rows) {
       if (row[est_col].as_string() != est) continue;
       const double p = row[p_col].as_double();
       std::size_t gi = p_grid.size();
@@ -256,7 +256,7 @@ void summarize_figI6(const ResultTable& t, std::FILE* out) {
       n = 0.0;
       sums = {};
     };
-    for (const Row& row : t.rows) {
+    for (const auto& row : t.rows) {
       if (row[axis_col].as_string() != axis) continue;
       if (row[p_col].as_double() != p || row[x_col].as_double() != x) {
         flush();
@@ -364,7 +364,7 @@ void summarize_ablation_pairing(const ResultTable& t, std::FILE* out) {
                  100.0 * paired / n, 100.0 * unpaired / n);
     n = paired = unpaired = 0.0;
   };
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     if (row[edge_col].as_double() != edge) {
       flush();
       edge = row[edge_col].as_double();

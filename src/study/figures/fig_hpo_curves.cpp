@@ -124,7 +124,7 @@ void summarize_figF2(const ResultTable& t, std::FILE* out) {
   const std::size_t test_col = t.column_index("test");
   // (task, algo) groups in first-appearance order.
   std::vector<std::pair<std::string, std::string>> groups;
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     std::pair<std::string, std::string> key{row[task_col].as_string(),
                                             row[algo_col].as_string()};
     if (groups.empty() || groups.back() != key) groups.push_back(key);
@@ -147,7 +147,7 @@ void summarize_figF2(const ResultTable& t, std::FILE* out) {
                    (algo + " [" + which + "]").c_str());
       for (const std::size_t c : checkpoints) {
         std::vector<double> at;
-        for (const Row& row : t.rows) {
+        for (const auto& row : t.rows) {
           if (row[task_col].as_string() != task ||
               row[algo_col].as_string() != algo ||
               row[iter_col].as_uint64() != c - 1 ||

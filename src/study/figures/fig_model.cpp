@@ -70,15 +70,15 @@ void summarize_fig05(const ResultTable& t, std::FILE* out) {
   const std::size_t k_col = t.column_index("k");
   const std::size_t mean_col = t.column_index("mean_measure");
   std::vector<std::string> tasks;
-  for (const Row& row : t.rows) {
-    const std::string& task = row[task_col].as_string();
+  for (const auto& row : t.rows) {
+    const std::string task = row[task_col].as_string();
     if (tasks.empty() || tasks.back() != task) tasks.push_back(task);
   }
   for (const auto& task : tasks) {
     const auto& calib = casestudies::calibration_for(task);
     // k values in first-appearance order for this task.
     std::vector<std::size_t> ks;
-    for (const Row& row : t.rows) {
+    for (const auto& row : t.rows) {
       if (row[task_col].as_string() != task) continue;
       const auto k = static_cast<std::size_t>(row[k_col].as_uint64());
       bool known = false;
@@ -95,7 +95,7 @@ void summarize_fig05(const ResultTable& t, std::FILE* out) {
                    calib.sigma_ideal / std::sqrt(static_cast<double>(k)));
       for (const auto& [label, subset] : kSubsets) {
         std::vector<double> means;
-        for (const Row& row : t.rows) {
+        for (const auto& row : t.rows) {
           if (row[task_col].as_string() == task &&
               row[est_col].as_string() == label &&
               static_cast<std::size_t>(row[k_col].as_uint64()) == k) {
@@ -246,7 +246,7 @@ void summarize_figH5(const ResultTable& t, std::FILE* out) {
     means.clear();
     m2_sum = 0.0;
   };
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     if (row[task_col].as_string() != task ||
         row[est_col].as_string() != est) {
       flush();

@@ -33,9 +33,9 @@ std::vector<SourceGroup> source_groups(const ResultTable& t) {
   const std::size_t source_col = t.column_index("source");
   const std::size_t measure_col = t.column_index("measure");
   std::vector<SourceGroup> groups;
-  for (const Row& row : t.rows) {
-    const std::string& task = row[task_col].as_string();
-    const std::string& source = row[source_col].as_string();
+  for (const auto& row : t.rows) {
+    const std::string task = row[task_col].as_string();
+    const std::string source = row[source_col].as_string();
     if (groups.empty() || groups.back().task != task ||
         groups.back().source != source) {
       groups.push_back(SourceGroup{task, source, {}});

@@ -1,17 +1,22 @@
 // VBT1 binary columnar artifact contract (src/io/columnar/,
 // docs/artifacts.md): losslessness — JSON → VBT → JSON is byte-identical
-// for every cell kind and every registered study kind; zero-copy —
-// columnar-backed f64 columns surface as spans into the mapping; strict
-// rejection — every corrupt input fails with an io::JsonError naming the
-// path and byte offset; and interchange — report and campaign consume
-// mixed .json/.vbt artifact sets transparently.
+// for every cell kind and every registered study kind, and the encoded
+// bytes are pinned; zero-copy — a loaded table's columns are the mapped
+// blocks; the typed-column views behave like the io::Json cells they
+// replace; strict rejection — every corrupt input fails with an
+// io::JsonError naming the path and byte offset; and interchange — report
+// and campaign consume mixed .json/.vbt artifact sets transparently.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +26,7 @@
 #include "src/io/columnar/vbt.h"
 #include "src/io/json.h"
 #include "src/report/artifact.h"
+#include "src/rngx/rng.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
@@ -82,6 +88,45 @@ ResultTable all_types_table() {
   return t;
 }
 
+/// A table whose columns change encoding at their last row: u64 from
+/// i64, and mixed from u64, f64, string-dict and (from the first row)
+/// null. "words" interns its strings in a different order row-major than
+/// column-major, so the encoder's dictionary remap is exercised.
+ResultTable late_promotion_table() {
+  ResultTable t;
+  t.name = "columnar:late_promotion";
+  t.seed = 11;
+  t.columns = {"seq",      "u",     "i",        "wide_neg",
+               "dbl_int", "words", "str_null", "null_int"};
+  const std::uint64_t wide = std::uint64_t{1} << 63;
+  const std::vector<Row> rows{
+      {Cell{std::uint64_t{0}}, Cell{std::uint64_t{1}}, Cell{std::int64_t{1}},
+       Cell{wide}, Cell{1.5}, Cell{"b"}, Cell{"a"}, Cell{}},
+      {Cell{std::uint64_t{1}}, Cell{std::uint64_t{2}}, Cell{std::int64_t{1}},
+       Cell{wide}, Cell{1.5}, Cell{"c"}, Cell{"a"}, Cell{}},
+      {Cell{std::uint64_t{2}}, Cell{wide}, Cell{std::int64_t{-1}},
+       Cell{std::int64_t{-1}}, Cell{std::uint64_t{2}}, Cell{"b"}, Cell{},
+       Cell{std::uint64_t{1}}},
+  };
+  for (const Row& row : rows) t.add_row(row);
+  return t;
+}
+
+ResultTable empty_table() {
+  ResultTable t;
+  t.name = "columnar:empty";
+  t.seed = 3;
+  t.columns = {"seq", "measure"};
+  return t;
+}
+
+/// FNV-1a-64 of the four serializations, in a fixed order.
+std::vector<std::uint64_t> serialization_digests(const ResultTable& t) {
+  return {rngx::hash_tag(columnar::encode_vbt(t, false)),
+          rngx::hash_tag(columnar::encode_vbt(t, true)),
+          rngx::hash_tag(t.canonical_text()), rngx::hash_tag(t.to_csv())};
+}
+
 /// encode → disk → ResultTable::load, asserting byte-identity of both the
 /// full (provenance-carrying) and canonical serializations.
 void expect_vbt_roundtrip(const ResultTable& table, const std::string& path) {
@@ -90,7 +135,6 @@ void expect_vbt_roundtrip(const ResultTable& table, const std::string& path) {
   EXPECT_EQ(loaded.to_json_text(true), table.to_json_text(true)) << path;
   EXPECT_EQ(loaded.canonical_text(), table.canonical_text()) << path;
   EXPECT_TRUE(loaded == table) << path;
-  ASSERT_NE(loaded.backing, nullptr) << path;
 }
 
 /// Cheap spec per study kind: the tiny shapes of test_study_shard /
@@ -223,53 +267,399 @@ TEST(ColumnarRoundTrip, DeterministicBytes) {
   EXPECT_NE(columnar::encode_vbt(t, true), columnar::encode_vbt(t, false));
 }
 
+std::uint64_t read_u64(const std::string& bytes, std::size_t off);
+void write_u64(std::string& bytes, std::size_t off, std::uint64_t v);
+std::size_t entry_off(const std::string& bytes, std::size_t ci);
+
+/// Everything print_summary writes for `table`.
+std::string summary_text(const ResultTable& table) {
+  std::FILE* f = std::tmpfile();
+  if (f == nullptr) return "<no tmpfile>";
+  print_summary(table, f);
+  std::string text(static_cast<std::size_t>(std::ftell(f)), '\0');
+  std::rewind(f);
+  text.resize(std::fread(text.data(), 1, text.size(), f));
+  std::fclose(f);
+  return text;
+}
+
 TEST(ColumnarRoundTrip, EveryRegisteredStudyKind) {
   TempDir dir{"kinds"};
   for (const StudyKindInfo& info : registered_study_kinds()) {
     const ResultTable table = run_study(tiny_spec(info.kind));
     ASSERT_GT(table.rows.size(), 0u) << info.name;
     expect_vbt_roundtrip(table, dir.file(info.name + ".vbt"));
+    // Every kind's summarizer runs over the row views, built and adopted
+    // alike, with the same text.
+    const std::string summary = summary_text(table);
+    EXPECT_GT(summary.size(), 0u) << info.name;
+    if (info.kind == StudyKind::kMultiDataset) {
+      // One dataset: nothing for the Friedman test to rank across.
+      EXPECT_NE(summary.find("skipped: both need at least 2 datasets, this "
+                             "table has 1"),
+                std::string::npos)
+          << summary;
+    }
+    EXPECT_EQ(summary_text(ResultTable::load(dir.file(info.name + ".vbt"))),
+              summary)
+        << info.name;
+  }
+}
+
+TEST(ColumnarRoundTrip, EncodedBytesArePinned) {
+  // FNV-1a-64 of encode_vbt(t, false), encode_vbt(t, true),
+  // canonical_text() and to_csv(), recorded on the commit before tables
+  // stored typed columns (when every cell was an io::Json): the typed
+  // store must elect, remap and render exactly what that encoder did.
+  ResultTable all_types = all_types_table();
+  all_types.threads = 3;
+  all_types.wall_time_ms = 12.5;
+  EXPECT_EQ(serialization_digests(all_types),
+            (std::vector<std::uint64_t>{
+                0x9a9e72303b42eef6ULL, 0x2a97abe44ef34587ULL,
+                0xbd7aee8a9c05410cULL, 0x9d97a501452bdbeaULL}));
+  EXPECT_EQ(serialization_digests(empty_table()),
+            (std::vector<std::uint64_t>{
+                0x30eea0bcb49ae16aULL, 0x551cc41015861c76ULL,
+                0x34052a3ad77a97bdULL, 0xff95a49714ebf3beULL}));
+  EXPECT_EQ(serialization_digests(late_promotion_table()),
+            (std::vector<std::uint64_t>{
+                0x1f8d5c491d3c6844ULL, 0x7f2a66efcbfbac5cULL,
+                0xdabe86368476e4c6ULL, 0x172bcb14164ba43eULL}));
+  const ResultTable late = late_promotion_table();
+  using columnar::ColumnType;
+  const std::vector<ColumnType> want{
+      ColumnType::kI64,   ColumnType::kU64,   ColumnType::kI64,
+      ColumnType::kMixed, ColumnType::kMixed, ColumnType::kStringDict,
+      ColumnType::kMixed, ColumnType::kMixed};
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    EXPECT_EQ(late.rows.column_type(c), want[c]) << late.columns[c];
+  }
+}
+
+TEST(ColumnarRoundTrip, LoadReelectsAHandWrittenEncoding) {
+  // The writer never stores non-negative integers that fit int64 as u64,
+  // but a valid file may: relabel column 0 ("seq", i64) as u64 in place.
+  // The loaded table re-elects, so it writes what the writer would.
+  TempDir dir{"relabel"};
+  const ResultTable t = all_types_table();
+  const std::string bytes = columnar::encode_vbt(t, false);
+  std::string patched = bytes;
+  const std::uint32_t u64 = static_cast<std::uint32_t>(
+      columnar::ColumnType::kU64);
+  std::memcpy(patched.data() + entry_off(patched, 0), &u64, 4);
+  const std::string path = dir.file("relabel.vbt");
+  io::write_file(path, patched);
+  ASSERT_EQ(columnar::MappedTable::open(path)->column_type(0),
+            columnar::ColumnType::kU64);
+  const ResultTable loaded = ResultTable::load(path);
+  EXPECT_EQ(loaded.rows.column_type(0), columnar::ColumnType::kI64);
+  EXPECT_TRUE(loaded.rows == t.rows);
+  EXPECT_EQ(columnar::encode_vbt(loaded, false), bytes);
+
+  // Mixed cells the writer never stores so: a non-negative integer tagged
+  // i64 (row 7, 42) and a null with a payload (row 0). Both read as
+  // io::Json holds them, unsigned and without a payload, and the column
+  // re-encodes as the writer would.
+  const auto tag_byte = [](columnar::CellTag tag) {
+    return static_cast<char>(tag);
+  };
+  {
+    std::string mixed = bytes;
+    const std::size_t e = entry_off(mixed, 5);
+    const std::size_t tags = read_u64(mixed, e + 24);  // aux_offset
+    const std::size_t data = read_u64(mixed, e + 8);   // data_offset
+    ASSERT_EQ(mixed[tags + 7], tag_byte(columnar::CellTag::kU64));
+    ASSERT_EQ(mixed[tags + 0], tag_byte(columnar::CellTag::kNull));
+    mixed[tags + 7] = tag_byte(columnar::CellTag::kI64);
+    write_u64(mixed, data + 0, 7);
+    const std::string mixed_path = dir.file("mixed.vbt");
+    io::write_file(mixed_path, mixed);
+    const ResultTable m = ResultTable::load(mixed_path);
+    EXPECT_EQ(m.rows[7][5].number_kind(), io::Json::NumKind::kUint);
+    EXPECT_EQ(m.rows[0][5].payload(), 0u);
+    EXPECT_TRUE(m.rows == t.rows);
+    EXPECT_EQ(columnar::encode_vbt(m, false), bytes);
+  }
+  // Next to a value above INT64_MAX, an i64-tagged 0 leaves a column of
+  // non-negative integers only, which elects u64: the bytes are those of
+  // the table built from [0, 1, 2^63].
+  {
+    const auto ints_table = [](const Cell& first) {
+      ResultTable ints;
+      ints.name = "columnar:ints";
+      ints.columns = {"seq", "n"};
+      ints.add_row({Cell{std::uint64_t{0}}, first});
+      ints.add_row({Cell{std::uint64_t{1}}, Cell{std::uint64_t{1}}});
+      ints.add_row({Cell{std::uint64_t{2}}, Cell{std::uint64_t{1} << 63}});
+      return ints;
+    };
+    std::string ints = columnar::encode_vbt(ints_table(Cell{}), false);
+    const std::size_t tags = read_u64(ints, entry_off(ints, 1) + 24);
+    ASSERT_EQ(ints[tags + 0], tag_byte(columnar::CellTag::kNull));
+    ints[tags + 0] = tag_byte(columnar::CellTag::kI64);
+    const std::string ints_path = dir.file("ints.vbt");
+    io::write_file(ints_path, ints);
+    const ResultTable loaded_ints = ResultTable::load(ints_path);
+    EXPECT_EQ(loaded_ints.rows.column_type(1), columnar::ColumnType::kU64);
+    const ResultTable want = ints_table(Cell{std::uint64_t{0}});
+    EXPECT_TRUE(loaded_ints.rows == want.rows);
+    EXPECT_EQ(columnar::encode_vbt(loaded_ints, false),
+              columnar::encode_vbt(want, false));
+  }
+}
+
+TEST(ColumnarRoundTrip, DuplicateColumnNamesAreRejected) {
+  // JSON: the second "x" would otherwise shadow the first in every
+  // column_index lookup (report showed the first column twice).
+  const std::string json = R"({"schema": "varbench.result_table.v1",
+      "name": "dup", "meta": {"seed": 1, "shard": {"index": 0, "count": 1}},
+      "columns": ["seq", "x", "x"],
+      "rows": [[0, 1.5, 9.0], [1, 2.5, 8.0], [2, 3.5, 7.0]]})";
+  try {
+    (void)ResultTable::from_json_text(json);
+    FAIL() << "duplicate columns loaded";
+  } catch (const io::JsonError& e) {
+    EXPECT_NE(std::string{e.what()}.find(
+                  "duplicate column name 'x' (columns 1 and 2)"),
+              std::string::npos)
+        << e.what();
+  }
+  ResultTable built;
+  built.name = "dup";
+  built.columns = {"seq", "x", "x"};
+  EXPECT_THROW(built.add_row({Cell{std::uint64_t{0}}, Cell{1.5}, Cell{9.0}}),
+               io::JsonError);
+  EXPECT_THROW((void)columnar::encode_vbt(built), io::JsonError);
+
+  // VBT: rename column 2 in the metadata block in place ("measure" and
+  // "seq" differ in length, so patch "delta" -> "label" instead).
+  TempDir dir{"dup"};
+  std::string bytes = columnar::encode_vbt(all_types_table());
+  const auto meta = static_cast<std::size_t>(read_u64(bytes, 32));
+  const std::size_t at = bytes.find("\"delta\"", meta);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, 7, "\"label\"");
+  const std::string path = dir.file("dup.vbt");
+  io::write_file(path, bytes);
+  try {
+    (void)ResultTable::load(path);
+    FAIL() << "duplicate columns loaded";
+  } catch (const io::JsonError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("byte offset " + std::to_string(meta)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("duplicate column name 'label' (columns 2 and 4)"),
+              std::string::npos)
+        << what;
   }
 }
 
 // ------------------------------------------------------------- zero copy
 
-TEST(ColumnarZeroCopy, SpansAliasTheMapping) {
+/// Whether `p` lies in a mapping of the file at `path` (Linux: read from
+/// /proc/self/maps); std::nullopt where the map list is unavailable.
+std::optional<bool> in_mapping_of(const void* p, const std::string& path) {
+  std::ifstream maps{"/proc/self/maps"};
+  if (!maps) return std::nullopt;
+  const std::string file = fs::canonical(path).string();
+  const auto at = reinterpret_cast<std::uintptr_t>(p);
+  std::string line;
+  while (std::getline(maps, line)) {
+    if (!line.ends_with(" " + file)) continue;
+    std::istringstream fields{line};
+    std::uintptr_t begin = 0;
+    std::uintptr_t end = 0;
+    char dash = 0;
+    fields >> std::hex >> begin >> dash >> end;
+    if (at >= begin && at < end) return true;
+  }
+  return false;
+}
+
+TEST(ColumnarZeroCopy, LoadedF64ColumnIsTheMapping) {
   TempDir dir{"span"};
+  const std::string vbt = dir.file("t.vbt");
+  const std::string json = dir.file("t.json");
+  const ResultTable built = all_types_table();
+  built.save(vbt);
+  built.save(json);
+  const ResultTable loaded = ResultTable::load(vbt);
+  const auto span = loaded.rows.f64_column(1);
+  ASSERT_EQ(span.size(), loaded.rows.size());
+  EXPECT_DOUBLE_EQ(span[3], 0.75);
+  const auto mapped = in_mapping_of(span.data(), vbt);
+  if (!mapped.has_value()) GTEST_SKIP() << "no /proc/self/maps here";
+  // Zero-copy means *the same memory* as the file mapping, not a copy of
+  // it — and a copy of the table shares it too.
+  EXPECT_TRUE(*mapped);
+  const ResultTable copy = loaded;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(copy.rows.f64_column(1).data(), span.data());
+  // A JSON load decodes into owned columns; the values agree either way.
+  const ResultTable from_json = ResultTable::load(json);
+  EXPECT_FALSE(*in_mapping_of(from_json.rows.f64_column(1).data(), vbt));
+  EXPECT_EQ(from_json.column_values("measure"), loaded.column_values("measure"));
+  EXPECT_EQ(loaded.column_values("measure"),
+            std::vector<double>(span.begin(), span.end()));
+}
+
+// ----------------------------------------------------------------- views
+
+TEST(ColumnarViews, AsStringOutlivesItsRowAndCellViews) {
+  TempDir dir{"strref"};
   const std::string path = dir.file("t.vbt");
-  columnar::write_vbt(path, all_types_table());
-  const ResultTable loaded = ResultTable::load(path);
-  ASSERT_NE(loaded.backing, nullptr);
-
-  const auto span = loaded.column_span("measure");
-  ASSERT_TRUE(span.has_value());
-  ASSERT_EQ(span->size(), loaded.rows.size());
-  // Zero-copy means *the same memory* as the mapping, not a copy of it.
-  EXPECT_EQ(span->data(), loaded.backing->f64_column(1).data());
-  EXPECT_DOUBLE_EQ((*span)[3], 0.75);
-  // column_values rides the span for f64 columns.
-  EXPECT_EQ(loaded.column_values("measure"),
-            std::vector<double>(span->begin(), span->end()));
-
-  // Non-f64 columns and value-mutated tables fall back to the cell path.
-  EXPECT_FALSE(loaded.column_span("label").has_value());
-  ResultTable shrunk = loaded;
-  shrunk.rows.pop_back();
-  EXPECT_FALSE(shrunk.column_span("measure").has_value());
-}
-
-TEST(ColumnarZeroCopy, JsonLoadedTablesHaveNoBacking) {
-  TempDir dir{"nospan"};
-  const std::string path = dir.file("t.json");
   all_types_table().save(path);
+  const ResultTable built = all_types_table();
   const ResultTable loaded = ResultTable::load(path);
-  EXPECT_EQ(loaded.backing, nullptr);
-  EXPECT_FALSE(loaded.column_span("measure").has_value());
-  // ...but the values decode identically either way.
-  EXPECT_EQ(loaded.column_values("measure"),
-            all_types_table().column_values("measure"));
+  for (const ResultTable* t : {&built, &loaded}) {
+    // Neither the RowView nor the CellView outlives its full-expression;
+    // the strings live in the table's dictionary (ASan checks).
+    const std::string* odd = &t->rows[1][4].as_string();
+    const std::string* mixed = &t->rows.at(6)[5].as_string();
+    std::vector<const std::string*> labels;
+    for (const auto& row : t->rows) labels.push_back(&row[4].as_string());
+    EXPECT_EQ(*odd, "odd");
+    EXPECT_EQ(*mixed, "strings too");
+    ASSERT_EQ(labels.size(), 8u);
+    EXPECT_EQ(*labels[6], "even");
+    EXPECT_EQ(labels[0], labels[2]);  // one dictionary entry per string
+  }
+  // Checked accessors keep io::Json's semantics and error texts.
+  const auto row = loaded.rows[4];
+  EXPECT_THROW((void)row[5].as_uint64(), io::JsonError);
+  EXPECT_EQ(row[5].as_int64(), -7);
+  EXPECT_EQ(row[5].number_kind(), io::Json::NumKind::kInt);
+  EXPECT_EQ(loaded.rows[0][0].number_kind(), io::Json::NumKind::kUint);
+  EXPECT_EQ(loaded.rows[7][5].as_uint64(), 42u);
+  EXPECT_TRUE(loaded.rows[0][5].is_null());
+  EXPECT_TRUE(loaded.rows[1][5].as_bool());
+  std::string json_error;
+  try {
+    (void)io::Json{0.0}.as_string();
+  } catch (const io::JsonError& e) {
+    json_error = e.what();
+  }
+  try {
+    (void)loaded.rows[0][1].as_string();
+    FAIL() << "a number cell answered as_string()";
+  } catch (const io::JsonError& e) {
+    EXPECT_EQ(std::string{e.what()}, json_error);
+  }
+  for (std::size_t r = 0; r < loaded.rows.size(); ++r) {
+    for (std::size_t c = 0; c < loaded.columns.size(); ++c) {
+      const io::Json cell = loaded.rows[r][c].to_json();
+      EXPECT_EQ(loaded.rows[r][c].dump(), cell.dump()) << r << "," << c;
+      EXPECT_EQ(loaded.rows[r].to_row()[c], cell);
+    }
+  }
 }
 
+TEST(ColumnarViews, RowsCompareByCellValueAcrossEveryOrigin) {
+  TempDir dir{"rowseq"};
+  const ResultTable built = late_promotion_table();
+  built.save(dir.file("t.json"));
+  built.save(dir.file("t.vbt"));
+  std::vector<ResultTable> shards(2);
+  for (std::size_t s = 0; s < 2; ++s) {
+    shards[s].name = built.name;
+    shards[s].seed = built.seed;
+    shards[s].columns = built.columns;
+    shards[s].shard = ShardSpec{s, 2};
+  }
+  for (std::size_t r = 0; r < built.rows.size(); ++r) {
+    shards[r % 2].add_row(built.rows[r].to_row());
+  }
+  shards[1].save(dir.file("s1.vbt"));  // one shard adopted, one built
+  shards[1] = ResultTable::load(dir.file("s1.vbt"));
+  const ResultTable merged = merge_result_tables(std::move(shards));
+  const ResultTable from_json = ResultTable::load(dir.file("t.json"));
+  const ResultTable from_vbt = ResultTable::load(dir.file("t.vbt"));
+  for (const ResultTable* t : {&from_json, &from_vbt, &merged}) {
+    EXPECT_TRUE(t->rows == built.rows);
+    EXPECT_TRUE(built.rows == t->rows);
+    EXPECT_EQ(t->canonical_text(), built.canonical_text());
+    EXPECT_EQ(columnar::encode_vbt(*t, false),
+              columnar::encode_vbt(built, false));
+  }
+  // Cells compare by value, as io::Json does: 2 == 2.0, "a" != null.
+  const auto rebuilt = [&built](const std::function<void(Row&)>& edit) {
+    ResultTable t;
+    t.columns = built.columns;
+    for (const auto& row : built.rows) {
+      Row cells = row.to_row();
+      edit(cells);
+      t.add_row(cells);
+    }
+    return t;
+  };
+  const ResultTable widened = rebuilt([](Row& cells) {
+    if (cells[4].number_kind() == io::Json::NumKind::kUint) {
+      cells[4] = Cell{cells[4].as_double()};
+    }
+  });
+  EXPECT_TRUE(widened.rows == built.rows);
+  const ResultTable nulled = rebuilt([](Row& cells) {
+    if (cells[6].is_string()) cells[6] = Cell{};
+  });
+  EXPECT_FALSE(nulled.rows == built.rows);
+}
+
+TEST(ColumnarViews, ConvertOverItsOwnFileRewritesIdenticalBytes) {
+  // `varbench convert x.vbt x.vbt`: the table's columns are the mapping
+  // of the very file the save replaces, so the save must leave that file
+  // intact and put the new one in its place.
+  TempDir dir{"inplace"};
+  const std::string path = dir.file("x.vbt");
+  const ResultTable built = all_types_table();
+  built.save(path);
+  const std::string before = io::read_file(path);
+  {
+    const ResultTable t = ResultTable::load(path);
+    t.save(path);
+  }
+  EXPECT_EQ(io::read_file(path), before);
+  const ResultTable t = ResultTable::load(path);
+  t.save(dir.file("x.json"));
+  EXPECT_EQ(io::read_file(dir.file("x.json")), built.to_json_text(true));
+
+  // `convert x.vbt x.vbt --canonical`: the metadata loses its provenance,
+  // so every block of the new file moves, and the loaded table still
+  // reads the old file's cells.
+  t.save(path, ArtifactFormat::kBinary, /*include_provenance=*/false);
+  const std::string canonical = io::read_file(path);
+  EXPECT_EQ(canonical, columnar::encode_vbt(built, false));
+  EXPECT_NE(read_u64(canonical, entry_off(canonical, 1) + 8),
+            read_u64(before, entry_off(before, 1) + 8));
+  EXPECT_TRUE(t.rows == built.rows);
+  EXPECT_EQ(t.to_json_text(true), built.to_json_text(true));
+}
+
+TEST(ColumnarViews, CsvPinsTheParentAndQuotesCarriageReturns) {
+  ResultTable t;
+  t.name = "csv";
+  t.columns = {"seq", "text", "num", "flag"};
+  t.add_row({Cell{std::uint64_t{0}}, Cell{}, Cell{1.0}, Cell{true}});
+  t.add_row({Cell{std::uint64_t{1}}, Cell{"a,b"}, Cell{std::int64_t{-5}},
+             Cell{false}});
+  t.add_row({Cell{std::uint64_t{2}}, Cell{"say \"hi\""},
+             Cell{std::uint64_t{1} << 63}, Cell{}});
+  t.add_row({Cell{std::uint64_t{3}}, Cell{"line\nbreak"}, Cell{0.25},
+             Cell{true}});
+  // Rows 0-3 are the parent's bytes: null empty, integral double "1.0",
+  // RFC 4180 quoting of comma, quote and LF.
+  const std::string pinned =
+      "seq,text,num,flag\n"
+      "0,,1.0,true\n"
+      "1,\"a,b\",-5,false\n"
+      "2,\"say \"\"hi\"\"\",9223372036854775808,\n"
+      "3,\"line\nbreak\",0.25,true\n";
+  EXPECT_EQ(t.to_csv(), pinned);
+  // A CR is quoted too (the parent left it bare, splitting the record).
+  t.add_row({Cell{std::uint64_t{4}}, Cell{"a\rb"}, Cell{-0.5}, Cell{false}});
+  EXPECT_EQ(t.to_csv(), pinned + "4,\"a\rb\",-0.5,false\n");
+}
 // ------------------------------------------------------ corrupt rejection
 
 using Mutation = std::function<void(std::string&)>;

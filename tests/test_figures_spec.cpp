@@ -233,7 +233,7 @@ TEST(FigureSpec, CaseStudyNarrowsKindsWithDefaultTaskSubsets) {
   const ResultTable t = run_study(spec);
   const std::size_t task_col = t.column_index("task");
   ASSERT_EQ(t.rows.size(), 2u);
-  for (const Row& row : t.rows) {
+  for (const auto& row : t.rows) {
     EXPECT_EQ(row[task_col].as_string(), "cifar10_vgg11");
   }
 }

@@ -50,7 +50,6 @@ TEST(MetricsRegistry, BuiltinIdsAreIndices) {
   EXPECT_EQ(metric_id("exec.parallel_regions"), kExecRegions);
   EXPECT_EQ(metric_id("exec.queue_wait_ns"), kExecQueueWaitNs);
   EXPECT_EQ(metric_id("campaign.claim_to_start_ns"), kCampaignClaimToStartNs);
-  EXPECT_EQ(metric_id("io.vbt_materialize_ns"), kIoMaterializeNs);
   // Every def's name resolves back to its index — the id contract.
   for (std::size_t i = 0; i < defs.size(); ++i) {
     EXPECT_EQ(metric_id(defs[i].name), static_cast<MetricId>(i));

@@ -165,7 +165,7 @@ TEST(LoadArtifactDir, MergesShardsBackToTheUnshardedTable) {
     part.columns = full.columns;
     part.shard = study::ShardSpec{shard, 2};
     for (std::size_t i = shard * 5; i < shard * 5 + 5; ++i) {
-      part.rows.push_back(full.rows[i]);
+      part.add_row(full.rows[i].to_row());
     }
     write(tmp.path("shard" + std::to_string(shard) + ".json"),
           part.to_json_text());
@@ -328,7 +328,7 @@ TEST(Summarize, ShardedAndUnshardedInputsRenderIdentically) {
     part.columns = full.columns;
     part.shard = study::ShardSpec{shard, 2};
     for (std::size_t i = shard * 5; i < shard * 5 + 5; ++i) {
-      part.rows.push_back(full.rows[i]);
+      part.add_row(full.rows[i].to_row());
     }
     shards.push_back(std::move(part));
   }
@@ -449,6 +449,31 @@ TEST_F(GoldenRender, Csv) {
   EXPECT_EQ(render(report(), Format::kCsv),
             "column,n,mean,std,median\n"
             "v,3,3,2.64575,2\n");
+}
+
+TEST_F(GoldenRender, CsvQuotesCarriageReturnGroupKeys) {
+  // A group key holding a CR (or a comma) is one quoted field: an RFC 4180
+  // reader keeps the record whole. Groups keep first-appearance order.
+  study::ResultTable t;
+  t.name = "golden:cr";
+  t.seed = 5;
+  t.columns = {"seq", "group", "v"};
+  for (std::size_t i = 0; i < 4; ++i) {
+    t.add_row({study::Cell{i}, study::Cell{i % 2 == 0 ? "a\rb" : "c,d"},
+               study::Cell{static_cast<double>(i)}});
+  }
+  ReportSpec spec;
+  spec.group_by = "group";
+  spec.estimators = {"mean"};
+  spec.permutations = 10;
+  spec.resamples = 10;
+  const auto rep =
+      summarize(exec::ExecContext::serial(), artifact_of(std::move(t)), spec);
+  const std::string csv = render(rep, Format::kCsv);
+  EXPECT_EQ(csv.substr(0, csv.find("\n\n")),
+            "group,column,n,mean\n"
+            "\"a\rb\",v,2,1\n"
+            "\"c,d\",v,2,2");
 }
 
 TEST_F(GoldenRender, Json) {

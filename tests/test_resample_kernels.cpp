@@ -5,9 +5,9 @@
 //   - every rewired statistic is bit-identical at any thread count;
 //   - the kernels are allocation-free in steady state (scratch reuse) and
 //     account every replicate to stats.resamples;
-//   - StreamWriter::finish() and stream_merge_vbt produce the exact bytes
-//     of the one-shot encode_vbt path, at any chunk size, including
-//     non-divisor tails and every cell encoding.
+//   - stream_merge_vbt (load + merge + encode) writes the exact bytes of
+//     encode_vbt over merge_result_tables, for sorted and unsorted shards
+//     and every cell encoding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -291,82 +291,6 @@ study::ResultTable all_types_table(std::size_t rows) {
   return t;
 }
 
-TEST(StreamWriter, ByteIdenticalToOneShotEncodeAtEveryChunkSize) {
-  const TempDir tmp;
-  const auto table = all_types_table(23);
-  for (const bool provenance : {true, false}) {
-    const std::string golden = io::columnar::encode_vbt(table, provenance);
-    // 1 and 23 divide nothing interesting; 3, 7 leave tails (23 = 7*3+2);
-    // 64 > rows keeps everything in memory (no spill at all).
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{7}, std::size_t{23},
-                                    std::size_t{64}}) {
-      const std::string out = tmp.path(
-          "t_" + std::to_string(chunk) + (provenance ? "_p" : "_c") + ".vbt");
-      io::columnar::StreamWriter writer{out, table, provenance, chunk};
-      for (const study::Row& row : table.rows) writer.append(row);
-      writer.finish();
-      EXPECT_EQ(io::read_file(out), golden)
-          << "chunk " << chunk << " provenance " << provenance;
-      EXPECT_FALSE(fs::exists(out + ".spill")) << chunk;
-    }
-  }
-}
-
-TEST(StreamWriter, EmptyTableMatchesOneShotEncode) {
-  const TempDir tmp;
-  study::ResultTable t;
-  t.name = "stream:empty";
-  t.seed = 3;
-  t.columns = {"seq", "measure"};
-  const std::string out = tmp.path("empty.vbt");
-  io::columnar::StreamWriter writer{out, t, /*include_provenance=*/false};
-  writer.finish();
-  EXPECT_EQ(io::read_file(out), io::columnar::encode_vbt(t, false));
-}
-
-TEST(StreamWriter, CountsFlushedChunks) {
-  const TempDir tmp;
-  metrics::Sink& sink = metrics::global_sink();
-  sink.enable(metrics::kIoStreamChunks);
-  sink.reset();
-  const auto table = all_types_table(10);
-  io::columnar::StreamWriter writer{tmp.path("chunks.vbt"), table,
-                                    /*include_provenance=*/false, 4};
-  for (const study::Row& row : table.rows) writer.append(row);
-  writer.finish();
-  const auto snap = sink.snapshot();
-  ASSERT_NE(snap.find(metrics::kIoStreamChunks), nullptr);
-  // 10 rows at chunk 4: two spilled chunks plus the in-memory tail.
-  EXPECT_EQ(snap.find(metrics::kIoStreamChunks)->count, 3u);
-  sink.disable(metrics::kIoStreamChunks);
-}
-
-TEST(StreamWriter, AbortWithoutFinishLeavesNothingBehind) {
-  const TempDir tmp;
-  const auto table = all_types_table(6);
-  const std::string out = tmp.path("aborted.vbt");
-  {
-    io::columnar::StreamWriter writer{out, table,
-                                      /*include_provenance=*/true, 2};
-    for (const study::Row& row : table.rows) writer.append(row);
-    // no finish(): destructor must clean up the spill and partial output
-  }
-  EXPECT_FALSE(fs::exists(out));
-  EXPECT_FALSE(fs::exists(out + ".spill"));
-}
-
-TEST(StreamWriter, RejectsWrongArityAndDoubleFinish) {
-  const TempDir tmp;
-  const auto table = all_types_table(2);
-  io::columnar::StreamWriter writer{tmp.path("bad.vbt"), table};
-  EXPECT_THROW(writer.append({study::Cell{std::uint64_t{0}}}), io::JsonError);
-  writer.append(table.rows[0]);
-  writer.finish();
-  EXPECT_THROW(writer.finish(), io::JsonError);
-  EXPECT_THROW(writer.append(table.rows[1]), io::JsonError);
-}
-
 // ------------------------------------------------------ streaming merge
 
 /// Slice `full` into `count` seq-striped shards (row i goes to shard
@@ -383,7 +307,7 @@ std::vector<study::ResultTable> stripe_shards(const study::ResultTable& full,
     shards[s].threads = s + 1;
   }
   for (std::size_t i = 0; i < full.rows.size(); ++i) {
-    shards[i % count].rows.push_back(full.rows[i]);
+    shards[i % count].add_row(full.rows[i].to_row());
   }
   return shards;
 }
@@ -401,29 +325,42 @@ TEST(StreamMerge, ByteIdenticalToInMemoryMergePlusEncode) {
   for (const bool provenance : {false, true}) {
     const std::string out =
         tmp.path(provenance ? "merged_p.vbt" : "merged_c.vbt");
-    // Chunk 5 leaves a 29 % 5 tail on the merged stream.
-    io::columnar::stream_merge_vbt(paths, out, provenance, 5);
+    io::columnar::stream_merge_vbt(paths, out, provenance);
     EXPECT_EQ(io::read_file(out), io::columnar::encode_vbt(merged, provenance))
         << "provenance " << provenance;
   }
 }
 
-TEST(StreamMerge, UnsortedShardFallsBackToInMemoryPathSameBytes) {
+TEST(StreamMerge, UnsortedShardMergesToTheSortedShardsBytes) {
   const TempDir tmp;
   const auto full = all_types_table(12);
   auto shards = stripe_shards(full, 2);
-  // Reverse one shard's rows: seq now descends, forcing the sort path.
-  std::reverse(shards[1].rows.begin(), shards[1].rows.end());
+  const std::string sorted = io::columnar::encode_vbt(
+      study::merge_result_tables(stripe_shards(full, 2)),
+      /*include_provenance=*/false);
+  // Reverse one shard's rows: seq now descends within it.
+  study::ResultTable reversed;
+  reversed.name = full.name;
+  reversed.seed = full.seed;
+  reversed.columns = full.columns;
+  reversed.shard = shards[1].shard;
+  reversed.threads = shards[1].threads;
+  reversed.wall_time_ms = shards[1].wall_time_ms;
+  for (std::size_t r = shards[1].rows.size(); r-- > 0;) {
+    reversed.add_row(shards[1].rows[r].to_row());
+  }
+  shards[1] = std::move(reversed);
   std::vector<std::string> paths;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     paths.push_back(tmp.path("u" + std::to_string(s) + ".vbt"));
     io::columnar::write_vbt(paths.back(), shards[s]);
   }
   const auto merged = study::merge_result_tables(std::move(shards));
+  EXPECT_EQ(io::columnar::encode_vbt(merged, /*include_provenance=*/false),
+            sorted);
   const std::string out = tmp.path("merged_u.vbt");
   io::columnar::stream_merge_vbt(paths, out, /*include_provenance=*/false);
-  EXPECT_EQ(io::read_file(out),
-            io::columnar::encode_vbt(merged, /*include_provenance=*/false));
+  EXPECT_EQ(io::read_file(out), sorted);
 }
 
 TEST(StreamMerge, RejectsIncompleteShardSets) {

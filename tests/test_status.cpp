@@ -86,7 +86,7 @@ TEST(StatusHeartbeat, TakeoverGuardLeavesForeignClaimAlone) {
   other.set("task", io::Json{"s0-0of2"});
   other.set("attempts", io::Json{std::uint64_t{2}});
   other.set("owner", io::Json{"worker-b"});
-  WorkQueue::atomic_write(claim_path(queue, "s0-0of2"), other.dump(2) + "\n");
+  io::write_file_atomic(claim_path(queue, "s0-0of2"), other.dump(2) + "\n");
 
   // worker-a's status heartbeat must not touch worker-b's claim.
   queue.heartbeat(*claimed, snapshot(7.0));

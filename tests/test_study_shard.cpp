@@ -5,6 +5,10 @@
 // global repetition index (docs/study_api.md).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
@@ -145,6 +149,35 @@ TEST(StudyShard, MergeRejectsBadShardSets) {
   other.shard = ShardSpec{1, 2};
   EXPECT_THROW((void)merge_result_tables({t0, run_study(other)}),
                io::JsonError);
+
+  // A valid shard set whose "seq" cells do not cover 0..n-1 exactly once:
+  // a seq held twice, and one past the end.
+  const auto seq_shard = [](std::size_t index,
+                            const std::vector<std::uint64_t>& seqs) {
+    ResultTable t;
+    t.name = "seqs";
+    t.columns = {"seq", "x"};
+    t.shard = ShardSpec{index, 2};
+    for (const std::uint64_t seq : seqs) t.add_row({Cell{seq}, Cell{0.5}});
+    return t;
+  };
+  const auto expect_broken = [](ResultTable a, ResultTable b,
+                                const std::string& where) {
+    try {
+      (void)merge_result_tables({std::move(a), std::move(b)});
+      ADD_FAILURE() << "merge must throw at " << where;
+    } catch (const io::JsonError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(where), std::string::npos) << what;
+      EXPECT_NE(what.find("missing rows or two shards overlap"),
+                std::string::npos)
+          << what;
+    }
+  };
+  expect_broken(seq_shard(0, {0, 1}), seq_shard(1, {1, 2}),
+                "shard 1 row 0 (seq 1 of 4)");
+  expect_broken(seq_shard(0, {0, 3}), seq_shard(1, {1}),
+                "shard 0 row 1 (seq 3 of 3)");
 }
 
 TEST(StudyShard, MergeOfUnshardedTableIsIdentity) {
