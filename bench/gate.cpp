@@ -3,6 +3,8 @@
 #include <cmath>
 #include <exception>
 #include <filesystem>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bench/microbench.h"
@@ -58,9 +60,28 @@ bool process_file(const std::string& path,
   return regressed;
 }
 
+/// Rejects an out-of-range option before any suite runs. A NaN compares
+/// false against everything, so an unchecked NaN threshold would pass
+/// every row.
+void require_option(bool ok, const char* flag, double value,
+                    const char* wanted) {
+  if (ok) return;
+  char got[32];
+  std::snprintf(got, sizeof got, "%g", value);
+  throw std::invalid_argument{std::string{"--"} + flag + " expects " +
+                              wanted + ", got " + got};
+}
+
 }  // namespace
 
 int run_bench_gate(const GateOptions& opts, std::FILE* out) {
+  require_option(std::isfinite(opts.threshold) && opts.threshold >= 1.0,
+                 "threshold", opts.threshold, "a finite number >= 1");
+  require_option(std::isfinite(opts.scale) && opts.scale > 0.0, "scale",
+                 opts.scale, "a finite number > 0");
+  require_option(
+      std::isfinite(opts.inject_slowdown) && opts.inject_slowdown > 0.0,
+      "inject-slowdown", opts.inject_slowdown, "a finite number > 0");
   MicrobenchOptions mopts;
   mopts.repeats = opts.repeats;
   mopts.scale = opts.scale;
@@ -83,29 +104,21 @@ int run_bench_gate(const GateOptions& opts, std::FILE* out) {
   bool regressed = false;
   try {
     if (opts.append) fs::create_directories(opts.bench_dir);
-    const std::vector<MicrobenchResult> exec_results =
-        run_exec_microbenches(mopts);
-    const std::vector<MicrobenchResult> campaign_results =
-        run_campaign_microbenches(mopts, scratch);
-    const std::vector<MicrobenchResult> stats_results =
-        run_stats_microbenches(mopts);
-    const std::vector<MicrobenchResult> ml_results =
-        run_ml_microbenches(mopts);
-    regressed |= process_file(
-        (fs::path{opts.bench_dir} / "BENCH_exec.json").string(), exec_results,
-        opts, out);
-    regressed |= process_file(
-        (fs::path{opts.bench_dir} / "BENCH_campaign.json").string(),
-        campaign_results, opts, out);
-    regressed |= process_file(
-        (fs::path{opts.bench_dir} / "BENCH_stats.json").string(),
-        stats_results, opts, out);
-    regressed |= process_file(
-        (fs::path{opts.bench_dir} / "BENCH_ml.json").string(), ml_results,
-        opts, out);
+    // Every suite runs, in this order, before any trajectory is read.
+    const std::pair<const char*, std::vector<MicrobenchResult>> suites[] = {
+        {"BENCH_exec.json", run_exec_microbenches(mopts)},
+        {"BENCH_campaign.json", run_campaign_microbenches(mopts, scratch)},
+        {"BENCH_stats.json", run_stats_microbenches(mopts)},
+        {"BENCH_ml.json", run_ml_microbenches(mopts)},
+        {"BENCH_artifact_io.json", run_io_microbenches(mopts, scratch)},
+    };
+    for (const auto& [file, results] : suites) {
+      regressed |= process_file((fs::path{opts.bench_dir} / file).string(),
+                                results, opts, out);
+    }
     std::fprintf(out, "exec metrics overhead: %+.2f%% (budget: <= 1%% with "
                       "metrics disabled; the pair above is metrics on vs off)\n",
-                 exec_metrics_overhead_percent(exec_results));
+                 exec_metrics_overhead_percent(suites[0].second));
   } catch (const std::exception& e) {
     std::fprintf(out, "\nbench gate error: %s\n", e.what());
     return 1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <thread>
@@ -13,12 +14,14 @@
 #include "src/exec/parallel_for.h"
 #include "src/exec/parallel_replicate.h"
 #include "src/exec/thread_pool.h"
+#include "src/io/columnar/vbt.h"
 #include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
 #include "src/ml/train.h"
 #include "src/rngx/rng.h"
 #include "src/stats/bootstrap.h"
 #include "src/stats/descriptive.h"
+#include "src/study/result_table.h"
 
 namespace varbench::benchutil {
 
@@ -61,6 +64,39 @@ std::uint64_t time_parallel_for(const exec::ExecContext& ctx, std::size_t n,
     out[i] = x * x + 0.5 * x + 1.0;
   });
   return sw.elapsed_ns();
+}
+
+constexpr const char* kIoSources[] = {"init", "data_order", "dropout",
+                                      "data_split", "numerical"};
+
+/// `rows` rows of the io suite's table, seq from `seq_begin`, measures
+/// drawn from a stream keyed by the shard index.
+study::ResultTable make_io_table(std::size_t rows, study::ShardSpec shard,
+                                 std::size_t seq_begin) {
+  study::ResultTable t;
+  t.name = "bench:artifact_io";
+  t.seed = 42;
+  t.shard = shard;
+  t.columns = {"seq", "source", "accuracy", "loss", "wall_s", "epochs"};
+  rngx::Rng rng{shard.index + 1};
+  for (std::size_t seq = seq_begin; seq < seq_begin + rows; ++seq) {
+    t.add_row({study::Cell{std::uint64_t{seq}},
+               study::Cell{std::string{kIoSources[seq % 5]}},
+               study::Cell{rng.normal(0.87, 0.02)},
+               study::Cell{rng.normal(0.4, 0.05)},
+               study::Cell{rng.normal(120.0, 8.0)},
+               study::Cell{std::uint64_t{10 + seq % 3}}});
+  }
+  return t;
+}
+
+void require_rows(const std::string& bench, std::size_t got,
+                  std::size_t want) {
+  if (got != want) {
+    throw std::runtime_error{"microbench: " + bench + " returned " +
+                             std::to_string(got) + " rows, want " +
+                             std::to_string(want)};
+  }
 }
 
 }  // namespace
@@ -277,6 +313,90 @@ std::vector<MicrobenchResult> run_ml_microbenches(
                                return sw.elapsed_ns();
                              }));
   }
+  return results;
+}
+
+std::vector<MicrobenchResult> run_io_microbenches(
+    const MicrobenchOptions& opts, const std::string& scratch_dir) {
+  constexpr std::size_t kShards = 4;
+  const std::size_t rows = scaled(opts.scale, 100'000);
+  const fs::path dir =
+      fs::path{scratch_dir} /
+      ("varbench-bench-io" + std::to_string(campaign::current_process_id()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  const study::ResultTable whole = make_io_table(rows, study::ShardSpec{}, 0);
+  std::vector<study::ResultTable> shards;
+  const std::size_t per = (rows + kShards - 1) / kShards;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    const std::size_t begin = std::min(i * per, rows);
+    shards.push_back(make_io_table(std::min(per, rows - begin),
+                                   study::ShardSpec{i, kShards}, begin));
+  }
+
+  std::vector<MicrobenchResult> results;
+  for (const std::string format : {"json", "vbt"}) {
+    const auto encoding = format == "vbt" ? study::ArtifactFormat::kBinary
+                                          : study::ArtifactFormat::kJson;
+    const std::string path = (dir / ("whole." + format)).string();
+    const std::string bench = "io." + format;
+
+    results.push_back(min_of(bench + "_save", "ns", opts.repeats, [&] {
+      const Stopwatch sw;
+      whole.save(path, encoding);
+      return sw.elapsed_ns();
+    }));
+
+    results.push_back(min_of(bench + "_load", "ns", opts.repeats, [&] {
+      const Stopwatch sw;
+      const std::size_t loaded = study::ResultTable::load(path).rows.size();
+      const std::uint64_t ns = sw.elapsed_ns();
+      require_rows(bench + "_load", loaded, rows);
+      return ns;
+    }));
+
+    std::vector<std::string> shard_paths;
+    for (std::size_t i = 0; i < kShards; ++i) {
+      shard_paths.push_back(
+          (dir / ("shard" + std::to_string(i) + "." + format)).string());
+      shards[i].save(shard_paths.back(), encoding);
+    }
+    results.push_back(min_of(bench + "_merge", "ns", opts.repeats, [&] {
+      const Stopwatch sw;
+      std::vector<study::ResultTable> loaded;
+      for (const std::string& p : shard_paths) {
+        loaded.push_back(study::ResultTable::load(p));
+      }
+      const std::size_t merged =
+          study::merge_result_tables(std::move(loaded)).rows.size();
+      const std::uint64_t ns = sw.elapsed_ns();
+      require_rows(bench + "_merge", merged, rows);
+      return ns;
+    }));
+  }
+
+  // The analysis path VBT exists for: map the file and read one f64
+  // column in place, decoding nothing else.
+  const std::string vbt = (dir / "whole.vbt").string();
+  results.push_back(min_of("io.vbt_open_scan", "ns", opts.repeats, [&] {
+    const Stopwatch sw;
+    const auto mapped = io::columnar::MappedTable::open(vbt);
+    const unsigned char* accuracy = mapped->column_data(2);
+    double sum = 0.0;
+    for (std::size_t r = 0; r < mapped->num_rows(); ++r) {
+      double v = 0.0;
+      std::memcpy(&v, accuracy + 8 * r, 8);
+      sum += v;
+    }
+    const std::uint64_t ns = sw.elapsed_ns();
+    if (!(sum > 0.0)) {  // every accuracy is near 0.87
+      throw std::runtime_error{"microbench: io.vbt_open_scan read no accuracy"};
+    }
+    return ns;
+  }));
+
+  fs::remove_all(dir);
   return results;
 }
 

@@ -1,8 +1,9 @@
 // The instrumented microbench suite behind `varbench bench`: short,
 // deterministic workloads over the hot layers (exec fan-out, pool submit,
-// campaign work-queue ops, resampling kernels, MLP training) timed
-// min-of-N — the minimum over repeats strips scheduler noise, which is
-// what the perf-trajectory gate (bench/trajectory.h) compares across runs.
+// campaign work-queue ops, resampling kernels, MLP training, artifact I/O)
+// timed min-of-N — the minimum over repeats strips scheduler noise, which
+// is what the perf-trajectory gate (bench/trajectory.h) compares across
+// runs.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +59,17 @@ struct MicrobenchResult {
 /// frozen first layer.
 [[nodiscard]] std::vector<MicrobenchResult> run_ml_microbenches(
     const MicrobenchOptions& opts);
+
+/// io.{json,vbt}_{save,load,merge}: ResultTable::save, ResultTable::load,
+/// and the load of 4 shards + merge_result_tables, in each artifact
+/// format, then io.vbt_open_scan (io::columnar::MappedTable::open plus a
+/// scan of one f64 column through the mapping). The table is
+/// variance-study-shaped (seq, source, four measure columns) with
+/// scaled(scale, 100'000) rows; its files live in a throwaway directory
+/// under `scratch_dir` (removed afterwards). Throws when a load or merge
+/// returns the wrong row count.
+[[nodiscard]] std::vector<MicrobenchResult> run_io_microbenches(
+    const MicrobenchOptions& opts, const std::string& scratch_dir);
 
 /// Percent overhead of enabled exec metrics on the parallel_for workload:
 /// 100 * (t_on - t_off) / t_off, computed from fresh min-of-N runs. The

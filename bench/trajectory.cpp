@@ -83,7 +83,7 @@ std::string Trajectory::to_json_text() const {
 }
 
 void Trajectory::save(const std::string& path) const {
-  io::write_file(path, to_json_text());
+  io::write_file_atomic(path, to_json_text());
 }
 
 std::uint64_t Trajectory::best_ns(const std::string& bench) const {

@@ -1,8 +1,8 @@
 // Perf trajectory files + the CI regression gate (ROADMAP item 3: make
 // "makes a hot path measurably faster" enforceable, not anecdotal).
 //
-// A trajectory file (bench/BENCH_exec.json, bench/BENCH_campaign.json) is
-// an append-only log of min-of-N microbench timings:
+// A trajectory file (bench/BENCH_*.json, one per microbench suite)
+// is an append-only log of min-of-N microbench timings:
 //   {"schema": "varbench.bench_trajectory.v1",
 //    "rows": [{"bench", "unit", "min_ns", "repeats", "version", "label"}]}
 // Each `varbench bench` run appends one row per microbench. The gate compares the fresh min-of-N against the BEST prior
@@ -37,6 +37,8 @@ class Trajectory {
 
   /// Canonical serialization (schema + rows, insertion order).
   [[nodiscard]] std::string to_json_text() const;
+  /// Replaces `path` atomically (temp file + rename): an interrupted save
+  /// leaves the previous trajectory, never an empty or truncated one.
   void save(const std::string& path) const;
 
   [[nodiscard]] const std::vector<TrajectoryRow>& rows() const {

@@ -133,6 +133,11 @@ std::size_t StitchedTrace::total_spans() const {
 
 StitchedTrace stitch_state_dir(const std::string& state_dir) {
   namespace fs = std::filesystem;
+  StitchedTrace out;
+  if (fs::is_regular_file(state_dir)) {  // `run --trace-out`'s one file
+    out.processes.push_back(read_trace_file(state_dir));
+    return out;
+  }
   const fs::path traces_dir = fs::path{state_dir} / "traces";
   if (!fs::is_directory(traces_dir)) {
     throw io::JsonError{"trace: no traces/ directory under '" + state_dir +
@@ -152,7 +157,6 @@ StitchedTrace stitch_state_dir(const std::string& state_dir) {
                         "run with --trace?"};
   }
   std::sort(paths.begin(), paths.end());
-  StitchedTrace out;
   out.processes.reserve(paths.size());
   for (const std::string& path : paths) {
     out.processes.push_back(read_trace_file(path));

@@ -58,8 +58,10 @@ struct StitchedTrace {
 
 /// Read every `<dir>/traces/*.trace.json` in lexicographic file-name order
 /// — a deterministic function of the on-disk set, independent of scan
-/// order. Throws io::JsonError when the traces/ directory is missing/empty
-/// (the actionable "did you pass --trace?" case) or any file is malformed.
+/// order. A regular file (what `run --trace-out` writes) is read as a
+/// one-process trace. Throws io::JsonError when the traces/ directory is
+/// missing/empty (the actionable "did you pass --trace?" case) or any file
+/// is malformed.
 [[nodiscard]] StitchedTrace stitch_state_dir(const std::string& state_dir);
 
 /// Chrome trace-event JSON (chrome://tracing, Perfetto): "X" duration

@@ -1,13 +1,9 @@
-// The original five study kinds: the variance-source decomposition, the
-// paired comparison, one HOpt run, the estimator sweep and the detection
-// simulation, each on one case study (docs/study_api.md).
-#include <iterator>
-#include <memory>
+// Four of the original five study kinds: the variance-source
+// decomposition, the paired comparison, one HOpt run and the estimator
+// sweep, each on one case study (docs/study_api.md). The fifth, the
+// detection simulation, shares Fig. 6's code in fig_detection.cpp.
 #include <stdexcept>
 
-#include "src/casestudies/calibration.h"
-#include "src/compare/criteria.h"
-#include "src/compare/error_rates.h"
 #include "src/core/estimators.h"
 #include "src/core/variance_study.h"
 #include "src/rngx/rng.h"
@@ -63,9 +59,6 @@ const EstimatorName& estimator_by_name(const std::string& name) {
       "study 'estimator': unknown estimator '" + name +
       "' (known: 'ideal', 'fix_init', 'fix_data', 'fix_all')");
 }
-
-constexpr std::string_view kDetectionCriteria[] = {
-    "oracle", "single_point", "average", "prob_outperforming"};
 
 }  // namespace
 
@@ -289,101 +282,6 @@ void summarize_estimator(const ResultTable& t, std::FILE* out) {
     std::fprintf(out, "%-10s %6zu %10.4f %10.4f\n", name.c_str(),
                  measures.size(), stats::mean(measures),
                  stats::stddev(measures));
-  }
-}
-
-// ------------------------------------------------------------ detection
-
-ResultTable run_detection(const StudySpec& spec) {
-  const auto& calib = casestudies::calibration_for(spec.case_study);
-  const bool ideal = spec.figure.estimator == "ideal";
-  if (!ideal && spec.figure.estimator != "biased") {
-    throw std::invalid_argument("study 'detection': params.estimator must be "
-                                "'ideal' or 'biased', got '" +
-                                spec.figure.estimator + "'");
-  }
-  const auto profile = ideal
-                           ? calib.ideal_profile()
-                           : calib.profile(core::RandomizeSubset::kAll);
-  const double delta = compare::published_improvement_delta(calib.sigma_ideal);
-  std::vector<std::unique_ptr<compare::ComparisonCriterion>> criteria;
-  criteria.push_back(
-      std::make_unique<compare::OracleComparison>(calib.sigma_ideal));
-  criteria.push_back(std::make_unique<compare::SinglePointComparison>(delta));
-  criteria.push_back(std::make_unique<compare::AverageComparison>(delta));
-  criteria.push_back(std::make_unique<compare::ProbOutperformCriterion>(
-      spec.figure.gamma, spec.figure.resamples));
-
-  compare::DetectionRateConfig cfg;
-  cfg.k = spec.figure.k;
-  cfg.simulations = spec.repetitions;
-  cfg.gamma = spec.figure.gamma;
-  cfg.p_grid = spec.figure.p_grid.empty() ? compare::default_p_grid()
-                                             : spec.figure.p_grid;
-  cfg.exec = exec_of(spec);
-
-  const std::size_t rounds = cfg.p_grid.size() * cfg.simulations;
-  const auto slice = slice_of(spec, rounds);
-  rngx::Rng rng{spec.seed};
-  const auto hits = compare::detection_rounds(
-      profile, ideal ? compare::EstimatorKind::kIdeal
-                     : compare::EstimatorKind::kBiased,
-      criteria, cfg, slice, rng);
-
-  ResultTable t;
-  t.columns = {"seq", "p", "sim"};
-  for (const auto& name : kDetectionCriteria) {
-    t.columns.push_back(std::string{name});
-  }
-  for (std::size_t j = 0; j < hits.size(); ++j) {
-    const std::size_t round = slice.begin + j;
-    const std::size_t gi = round / cfg.simulations;
-    const std::size_t si = round % cfg.simulations;
-    Row row{Cell{round}, Cell{cfg.p_grid[gi]}, Cell{si}};
-    for (const std::uint8_t h : hits[j]) {
-      row.push_back(Cell{static_cast<std::size_t>(h)});
-    }
-    t.add_row(std::move(row));
-  }
-  return t;
-}
-
-void summarize_detection(const ResultTable& t, std::FILE* out) {
-  const double gamma = t.spec.value().figure.gamma;
-  const std::size_t p_col = t.column_index("p");
-  std::vector<std::size_t> criterion_cols;
-  for (const auto& name : kDetectionCriteria) {
-    criterion_cols.push_back(t.column_index(std::string{name}));
-  }
-  // Grid points in first-appearance order; rows are round-ordered, so each
-  // p value's rounds are contiguous.
-  std::vector<double> p_grid;
-  std::vector<std::vector<double>> rates(std::size(kDetectionCriteria));
-  std::vector<double> counts;
-  for (const auto& row : t.rows) {
-    const double p = row[p_col].as_double();
-    if (p_grid.empty() || p_grid.back() != p) {
-      p_grid.push_back(p);
-      counts.push_back(0.0);
-      for (auto& r : rates) r.push_back(0.0);
-    }
-    counts.back() += 1.0;
-    for (std::size_t ci = 0; ci < rates.size(); ++ci) {
-      rates[ci].back() += row[criterion_cols[ci]].as_double();
-    }
-  }
-  std::fprintf(out, "%-6s %-8s %8s %13s %9s %11s\n", "P(A>B)", "region",
-               "oracle", "single_point", "average", "prob_outp.");
-  for (std::size_t gi = 0; gi < p_grid.size(); ++gi) {
-    const auto region = compare::classify_region(p_grid[gi], gamma);
-    const char* label = region == compare::TruthRegion::kH0 ? "H0"
-                        : region == compare::TruthRegion::kH1 ? "H1"
-                                                              : "H0H1";
-    std::fprintf(out, "%-6.2f %-8s %7.0f%% %12.0f%% %8.0f%% %10.0f%%\n",
-                 p_grid[gi], label, 100.0 * rates[0][gi] / counts[gi],
-                 100.0 * rates[1][gi] / counts[gi],
-                 100.0 * rates[2][gi] / counts[gi],
-                 100.0 * rates[3][gi] / counts[gi]);
   }
 }
 

@@ -1,9 +1,12 @@
-// The decision-criteria figures: Fig. 6 (detection-rate curves over every
-// calibration and both estimators), Fig. I.6 (robustness vs sample size
-// and γ), and the App. C.2 paired-vs-unpaired ablation. Raw rows are one
-// simulation round each (0/1 detection flags per criterion) on per-round
-// streams; the rate curves are averages derived at summary time.
+// The decision-criteria studies: the detection kind (one task, one
+// estimator) and Fig. 6 (detection-rate curves over every calibration and
+// both estimators), which share their criteria, rounds and rate table;
+// Fig. I.6 (robustness vs sample size and γ); and the App. C.2
+// paired-vs-unpaired ablation. Raw rows are one simulation round each (0/1
+// detection flags per criterion) on per-round streams; the rate curves are
+// averages derived at summary time.
 #include <array>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -19,10 +22,11 @@ namespace varbench::study::figures {
 
 namespace {
 
-constexpr std::string_view kFig06Criteria[] = {
-    "oracle", "single_point", "average", "prob_outperforming"};
+/// The four decision criteria of Fig. 6, in column order.
+constexpr const char* kDetectionCriteria[] = {"oracle", "single_point",
+                                              "average", "prob_outperforming"};
 
-std::vector<std::unique_ptr<compare::ComparisonCriterion>> fig06_criteria(
+std::vector<std::unique_ptr<compare::ComparisonCriterion>> detection_criteria(
     const casestudies::TaskCalibration& calib, const StudySpec& spec) {
   const double delta = compare::published_improvement_delta(calib.sigma_ideal);
   std::vector<std::unique_ptr<compare::ComparisonCriterion>> criteria;
@@ -35,6 +39,53 @@ std::vector<std::unique_ptr<compare::ComparisonCriterion>> fig06_criteria(
   return criteria;
 }
 
+/// seq, the `lead` columns, p, sim, then one 0/1 column per criterion.
+std::vector<std::string> detection_columns(
+    const std::vector<std::string>& lead) {
+  std::vector<std::string> columns{"seq"};
+  columns.insert(columns.end(), lead.begin(), lead.end());
+  columns.insert(columns.end(), {"p", "sim"});
+  columns.insert(columns.end(), std::begin(kDetectionCriteria),
+                 std::end(kDetectionCriteria));
+  return columns;
+}
+
+/// Enters one `gs` group of p_grid × repetitions detection rounds for one
+/// task under one estimator, simulates this shard's slice of them on a
+/// stream seeded by `seed`, and adds one row per round: seq, the `lead`
+/// cells, p, sim, and one 0/1 hit per criterion.
+void add_detection_rows(ResultTable& t, GroupSeq& gs, const StudySpec& spec,
+                        const casestudies::TaskCalibration& calib, bool ideal,
+                        std::uint64_t seed, const Row& lead) {
+  compare::DetectionRateConfig cfg;
+  cfg.k = spec.figure.k;
+  cfg.simulations = spec.repetitions;
+  cfg.gamma = spec.figure.gamma;
+  cfg.p_grid = spec.figure.p_grid.empty() ? compare::default_p_grid()
+                                             : spec.figure.p_grid;
+  cfg.exec = exec_of(spec);
+  const std::size_t rounds = cfg.p_grid.size() * cfg.simulations;
+  const std::size_t start = gs.enter(rounds);
+  const auto slice = slice_of(spec, rounds);
+  rngx::Rng rng{seed};
+  const auto hits = compare::detection_rounds(
+      ideal ? calib.ideal_profile()
+            : calib.profile(core::RandomizeSubset::kAll),
+      ideal ? compare::EstimatorKind::kIdeal : compare::EstimatorKind::kBiased,
+      detection_criteria(calib, spec), cfg, slice, rng);
+  for (std::size_t j = 0; j < hits.size(); ++j) {
+    const std::size_t round = slice.begin + j;
+    Row row{Cell{gs.seq(start, round)}};
+    row.insert(row.end(), lead.begin(), lead.end());
+    row.push_back(Cell{cfg.p_grid[round / cfg.simulations]});
+    row.push_back(Cell{round % cfg.simulations});
+    for (const std::uint8_t h : hits[j]) {
+      row.push_back(Cell{static_cast<std::size_t>(h)});
+    }
+    t.add_row(std::move(row));
+  }
+}
+
 const char* region_label(double p, double gamma) {
   const auto region = compare::classify_region(p, gamma);
   return region == compare::TruthRegion::kH0   ? "H0"
@@ -42,78 +93,106 @@ const char* region_label(double p, double gamma) {
                                                : "H0H1";
 }
 
+std::vector<std::size_t> criterion_columns(const ResultTable& t) {
+  std::vector<std::size_t> cols;
+  for (const char* name : kDetectionCriteria) {
+    cols.push_back(t.column_index(name));
+  }
+  return cols;
+}
+
+/// The rate table of both detection summaries: a header, then per grid
+/// point its truth region and each criterion's detection rate (hits over
+/// rounds), every line prefixed by `indent`.
+void print_detection_rates(std::FILE* out, const char* indent, double gamma,
+                           const std::vector<double>& p_grid,
+                           const std::vector<std::array<double, 4>>& hits,
+                           const std::vector<double>& rounds) {
+  std::fprintf(out, "%s%-6s %-8s %8s %13s %9s %11s\n", indent, "P(A>B)",
+               "region", "oracle", "single_point", "average", "prob_outp.");
+  for (std::size_t gi = 0; gi < p_grid.size(); ++gi) {
+    std::fprintf(out, "%s%-6.2f %-8s %7.0f%% %12.0f%% %8.0f%% %10.0f%%\n",
+                 indent, p_grid[gi], region_label(p_grid[gi], gamma),
+                 100.0 * hits[gi][0] / rounds[gi],
+                 100.0 * hits[gi][1] / rounds[gi],
+                 100.0 * hits[gi][2] / rounds[gi],
+                 100.0 * hits[gi][3] / rounds[gi]);
+  }
+}
+
 }  // namespace
+
+// ------------------------------------------------------------ detection
+
+ResultTable run_detection(const StudySpec& spec) {
+  const bool ideal = spec.figure.estimator == "ideal";
+  if (!ideal && spec.figure.estimator != "biased") {
+    throw std::invalid_argument("study 'detection': params.estimator must be "
+                                "'ideal' or 'biased', got '" +
+                                spec.figure.estimator + "'");
+  }
+  ResultTable t;
+  t.columns = detection_columns({});
+  GroupSeq gs;
+  add_detection_rows(t, gs, spec,
+                     casestudies::calibration_for(spec.case_study), ideal,
+                     spec.seed, {});
+  return t;
+}
+
+void summarize_detection(const ResultTable& t, std::FILE* out) {
+  const std::size_t p_col = t.column_index("p");
+  const std::vector<std::size_t> cols = criterion_columns(t);
+  // Grid points in first-appearance order; rows are round-ordered, so each
+  // p value's rounds are contiguous.
+  std::vector<double> p_grid;
+  std::vector<std::array<double, 4>> hits;
+  std::vector<double> rounds;
+  for (const auto& row : t.rows) {
+    const double p = row[p_col].as_double();
+    if (p_grid.empty() || p_grid.back() != p) {
+      p_grid.push_back(p);
+      hits.push_back({});
+      rounds.push_back(0.0);
+    }
+    rounds.back() += 1.0;
+    for (std::size_t ci = 0; ci < cols.size(); ++ci) {
+      hits.back()[ci] += row[cols[ci]].as_double();
+    }
+  }
+  print_detection_rates(out, "", t.spec.value().figure.gamma, p_grid, hits,
+                        rounds);
+}
 
 // ---------------------------------------------------------------- fig06
 
 ResultTable run_fig06(const StudySpec& spec) {
   ResultTable t;
-  t.columns = {"seq", "estimator", "task", "p", "sim"};
-  for (const auto& name : kFig06Criteria) {
-    t.columns.push_back(std::string{name});
-  }
-  const std::vector<double> p_grid = spec.figure.p_grid.empty()
-                                         ? compare::default_p_grid()
-                                         : spec.figure.p_grid;
+  t.columns = detection_columns({"estimator", "task"});
   GroupSeq gs;
   for (const std::string_view est : {"ideal", "fix_all"}) {
-    const bool ideal = est == "ideal";
     for (const auto& task : resolve_tasks(spec)) {
-      const auto& calib = casestudies::calibration_for(task);
-      const auto profile = ideal
-                               ? calib.ideal_profile()
-                               : calib.profile(core::RandomizeSubset::kAll);
-      const auto criteria = fig06_criteria(calib, spec);
-      compare::DetectionRateConfig cfg;
-      cfg.k = spec.figure.k;
-      cfg.simulations = spec.repetitions;
-      cfg.gamma = spec.figure.gamma;
-      cfg.p_grid = p_grid;
-      cfg.exec = exec_of(spec);
-      const std::size_t rounds = p_grid.size() * cfg.simulations;
-      const auto slice = slice_of(spec, rounds);
-      rngx::Rng rng{
-          rngx::derive_seed(spec.seed, std::string{est} + ":" + task)};
-      const auto hits = compare::detection_rounds(
-          profile,
-          ideal ? compare::EstimatorKind::kIdeal
-                : compare::EstimatorKind::kBiased,
-          criteria, cfg, slice, rng);
-      const std::size_t start = gs.enter(rounds);
-      for (std::size_t j = 0; j < hits.size(); ++j) {
-        const std::size_t round = slice.begin + j;
-        const std::size_t gi = round / cfg.simulations;
-        const std::size_t si = round % cfg.simulations;
-        Row row{Cell{gs.seq(start, round)}, Cell{std::string{est}},
-                Cell{task}, Cell{p_grid[gi]}, Cell{si}};
-        for (const std::uint8_t h : hits[j]) {
-          row.push_back(Cell{static_cast<std::size_t>(h)});
-        }
-        t.add_row(std::move(row));
-      }
+      add_detection_rows(
+          t, gs, spec, casestudies::calibration_for(task), est == "ideal",
+          rngx::derive_seed(spec.seed, std::string{est} + ":" + task),
+          {Cell{std::string{est}}, Cell{task}});
     }
   }
   return t;
 }
 
 void summarize_fig06(const ResultTable& t, std::FILE* out) {
-  const double gamma = t.spec.value().figure.gamma;
   const std::size_t est_col = t.column_index("estimator");
   const std::size_t p_col = t.column_index("p");
-  std::vector<std::size_t> criterion_cols;
-  for (const auto& name : kFig06Criteria) {
-    criterion_cols.push_back(t.column_index(std::string{name}));
-  }
+  const std::vector<std::size_t> cols = criterion_columns(t);
   for (const std::string_view est : {"ideal", "fix_all"}) {
     std::fprintf(out, "\n%s estimator (%s)\n", std::string{est}.c_str(),
                  est == "ideal" ? "solid lines"
                                 : "FixHOptEst(k, All), dashed lines");
-    std::fprintf(out, "  %-6s %-8s %8s %13s %9s %11s\n", "P(A>B)", "region",
-                 "oracle", "single_point", "average", "prob_outp.");
     // Grid points in first-appearance order, averaged over every task.
     std::vector<double> p_grid;
-    std::vector<std::array<double, 4>> sums;
-    std::vector<double> counts;
+    std::vector<std::array<double, 4>> hits;
+    std::vector<double> rounds;
     for (const auto& row : t.rows) {
       if (row[est_col].as_string() != est) continue;
       const double p = row[p_col].as_double();
@@ -123,22 +202,16 @@ void summarize_fig06(const ResultTable& t, std::FILE* out) {
       }
       if (gi == p_grid.size()) {
         p_grid.push_back(p);
-        sums.push_back({});
-        counts.push_back(0.0);
+        hits.push_back({});
+        rounds.push_back(0.0);
       }
-      counts[gi] += 1.0;
-      for (std::size_t ci = 0; ci < criterion_cols.size(); ++ci) {
-        sums[gi][ci] += row[criterion_cols[ci]].as_double();
+      rounds[gi] += 1.0;
+      for (std::size_t ci = 0; ci < cols.size(); ++ci) {
+        hits[gi][ci] += row[cols[ci]].as_double();
       }
     }
-    for (std::size_t gi = 0; gi < p_grid.size(); ++gi) {
-      std::fprintf(out, "  %-6.2f %-8s %7.0f%% %12.0f%% %8.0f%% %10.0f%%\n",
-                   p_grid[gi], region_label(p_grid[gi], gamma),
-                   100.0 * sums[gi][0] / counts[gi],
-                   100.0 * sums[gi][1] / counts[gi],
-                   100.0 * sums[gi][2] / counts[gi],
-                   100.0 * sums[gi][3] / counts[gi]);
-    }
+    print_detection_rates(out, "  ", t.spec.value().figure.gamma, p_grid,
+                          hits, rounds);
   }
   std::fprintf(out,
                "\nShape check vs paper: at P=0.5 single_point has the "

@@ -12,7 +12,7 @@
 
 namespace varbench::study::figures {
 
-// base_kinds.cpp: the original five kinds
+// base_kinds.cpp: four of the original five kinds
 [[nodiscard]] ResultTable run_variance(const StudySpec&);
 void summarize_variance(const ResultTable&, std::FILE*);
 [[nodiscard]] ResultTable run_compare(const StudySpec&);
@@ -21,8 +21,6 @@ void summarize_compare(const ResultTable&, std::FILE*);
 void summarize_hpo(const ResultTable&, std::FILE*);
 [[nodiscard]] ResultTable run_estimator(const StudySpec&);
 void summarize_estimator(const ResultTable&, std::FILE*);
-[[nodiscard]] ResultTable run_detection(const StudySpec&);
-void summarize_detection(const ResultTable&, std::FILE*);
 
 // fig_variance.cpp
 [[nodiscard]] ResultTable run_fig01(const StudySpec&);
@@ -50,7 +48,9 @@ void summarize_fig05(const ResultTable&, std::FILE*);
 [[nodiscard]] ResultTable run_figH5(const StudySpec&);
 void summarize_figH5(const ResultTable&, std::FILE*);
 
-// fig_detection.cpp
+// fig_detection.cpp (with the fifth original kind, detection)
+[[nodiscard]] ResultTable run_detection(const StudySpec&);
+void summarize_detection(const ResultTable&, std::FILE*);
 [[nodiscard]] ResultTable run_fig06(const StudySpec&);
 void summarize_fig06(const ResultTable&, std::FILE*);
 [[nodiscard]] ResultTable run_figI6(const StudySpec&);

@@ -9,11 +9,14 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench/gate.h"
 #include "bench/trajectory.h"
 #include "src/exec/exec_context.h"
 #include "src/exec/parallel_for.h"
@@ -246,20 +249,24 @@ TEST(MetricsDeterminism, EnablingMetricsNeverChangesArtifactBytes) {
   spec.figure.hpo_repetitions = 2;
   spec.figure.hpo_budget = 2;
 
-  global_sink().disable_all();
-  global_sink().reset();
-  const std::string off = run_study(spec).canonical_text();
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    spec.threads = threads;
+    global_sink().disable_all();
+    global_sink().reset();
+    const std::string off = run_study(spec).canonical_text();
 
-  global_sink().enable_all();
-  const std::string on = run_study(spec).canonical_text();
-  const Snapshot snap = global_sink().snapshot();
-  const MetricSnapshot* regions = snap.find(kExecRegions);
-  const bool recorded = regions != nullptr && regions->count > 0;
-  global_sink().disable_all();
-  global_sink().reset();
+    global_sink().enable_all();
+    const std::string on = run_study(spec).canonical_text();
+    const Snapshot snap = global_sink().snapshot();
+    const MetricSnapshot* regions = snap.find(kExecRegions);
+    const bool recorded = regions != nullptr && regions->count > 0;
+    global_sink().disable_all();
+    global_sink().reset();
 
-  EXPECT_TRUE(recorded);  // the instrumented hot paths actually fired
-  EXPECT_EQ(off, on);     // ...and perturbed zero identity bytes
+    EXPECT_TRUE(recorded);  // the instrumented hot paths actually fired
+    EXPECT_EQ(off, on);     // ...and perturbed zero identity bytes
+  }
 }
 
 // ------------------------------------------- snapshot → ResultTable → report
@@ -324,6 +331,83 @@ TEST(MetricsTrajectory, LoadAppendSaveRoundtrip) {
   EXPECT_EQ(back.rows()[1].label, "test");
   EXPECT_EQ(back.best_ns("exec.parallel_for"), 90'000u);
   fs::remove_all(dir);
+}
+
+TEST(MetricsTrajectory, SaveReplacesTheFileInsteadOfRewritingIt) {
+  // A reader of the old file (an interrupted save's victim) keeps the old
+  // bytes: save writes a new file and renames it over the path, so no
+  // moment exists where the path holds an empty or truncated trajectory.
+  const fs::path dir = temp_dir("varbench-test-metrics-traj-atomic");
+  const std::string path = (dir / "BENCH_test.json").string();
+  Trajectory t;
+  TrajectoryRow row;
+  row.bench = "exec.parallel_for";
+  row.unit = "ns";
+  row.min_ns = 100'000;
+  row.repeats = 5;
+  t.append(row);
+  t.save(path);
+  const std::string old_text = io::read_file(path);
+
+  std::FILE* held = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(held, nullptr);
+  row.min_ns = 90'000;
+  t.append(row);
+  t.save(path);
+  std::string seen;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, held)) > 0;) {
+    seen.append(buf, n);
+  }
+  std::fclose(held);
+
+  EXPECT_EQ(seen, old_text);
+  EXPECT_EQ(Trajectory::load(path).rows().size(), 2u);
+  fs::remove_all(dir);
+}
+
+TEST(MetricsTrajectory, GateRejectsOutOfRangeOptionsBeforeRunning) {
+  // A NaN threshold made every `ratio > threshold` false, so the gate
+  // passed everything. Each bad value is refused, naming its flag, before
+  // a single suite runs (the bench dir is never created).
+  const fs::path dir = fs::temp_directory_path() / "varbench-test-gate-opts";
+  fs::remove_all(dir);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double benchutil::GateOptions::*field;
+    double value;
+    const char* message;
+  };
+  const Case cases[] = {
+      {&benchutil::GateOptions::threshold, nan,
+       "--threshold expects a finite number >= 1, got nan"},
+      {&benchutil::GateOptions::threshold, 0.5,
+       "--threshold expects a finite number >= 1, got 0.5"},
+      {&benchutil::GateOptions::threshold, inf,
+       "--threshold expects a finite number >= 1, got inf"},
+      {&benchutil::GateOptions::scale, nan,
+       "--scale expects a finite number > 0, got nan"},
+      {&benchutil::GateOptions::scale, 0.0,
+       "--scale expects a finite number > 0, got 0"},
+      {&benchutil::GateOptions::inject_slowdown, nan,
+       "--inject-slowdown expects a finite number > 0, got nan"},
+      {&benchutil::GateOptions::inject_slowdown, -2.0,
+       "--inject-slowdown expects a finite number > 0, got -2"},
+  };
+  for (const Case& c : cases) {
+    benchutil::GateOptions opts;
+    opts.bench_dir = dir.string();
+    opts.*c.field = c.value;
+    std::string what;
+    try {
+      (void)benchutil::run_bench_gate(opts, stdout);
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, c.message);
+    EXPECT_FALSE(fs::exists(dir));
+  }
 }
 
 TEST(MetricsTrajectory, GateFlagsOnlyRealRegressions) {

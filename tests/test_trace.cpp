@@ -342,6 +342,20 @@ TEST(StitchTest, StitchesLexicographicallyAndExportsChrome) {
   EXPECT_TRUE(labeled);
 }
 
+TEST(StitchTest, SingleRunTraceFileIsOneProcess) {
+  // `varbench run --trace-out v.trace.json` writes one file, no state dir.
+  const TempDir dir{"single"};
+  const std::string path = dir.str() + "/v.trace.json";
+  write_trace_file(path, sample_file());
+
+  const StitchedTrace stitched = stitch_state_dir(path);
+  ASSERT_EQ(stitched.processes.size(), 1u);
+  EXPECT_EQ(stitched.processes[0], sample_file());
+  EXPECT_EQ(chrome_trace_json(stitched).at("traceEvents").as_array().size(),
+            4u);  // 1 process_name row + 3 events
+  EXPECT_EQ(summary_table(stitched).rows.size(), 3u);
+}
+
 TEST(StitchTest, SummaryTableAggregatesPerSpan) {
   StitchedTrace stitched;
   stitched.processes.push_back(sample_file());

@@ -41,7 +41,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_spec.h"
 #include "bench/gate.h"
 #include "src/campaign/campaign.h"
 #include "src/campaign/status.h"
@@ -573,22 +572,24 @@ int cmd_report(const Args& a) {
   return 0;
 }
 
-/// varbench trace <state-dir> [--chrome out.json] [--summary]: stitch the
-/// per-worker traces a `campaign --trace` run left behind into one
-/// timeline. --chrome exports Chrome trace-event JSON (load it in
-/// Perfetto / chrome://tracing); --summary (also the default when no
-/// --chrome is asked for) renders the per-span critical-path table through
-/// the report machinery (docs/metrics.md).
+/// varbench trace <state-dir | run.trace.json> [--chrome out.json]
+/// [--summary]: stitch the per-worker traces a `campaign --trace` run left
+/// behind, or the one file `run --trace-out` wrote, into one timeline.
+/// --chrome exports Chrome trace-event JSON (load it in Perfetto /
+/// chrome://tracing); --summary (also the default when no --chrome is
+/// asked for) renders the per-span critical-path table through the report
+/// machinery (docs/metrics.md).
 int cmd_trace(const Args& a) {
   require_known_flags(a, {"chrome", "summary", "format", "threads"});
   if (a.positional.empty()) {
     std::fprintf(stderr,
-                 "usage: varbench trace <state-dir> [--chrome out.json] "
-                 "[--summary] [--format text|markdown|csv|json]\n"
+                 "usage: varbench trace <state-dir | run.trace.json> "
+                 "[--chrome out.json] [--summary] "
+                 "[--format text|markdown|csv|json]\n"
                  "stitches <state-dir>/traces/*.trace.json (written by "
-                 "campaign --trace or run --trace-out) into a Chrome "
-                 "trace-event timeline and a per-span summary "
-                 "(docs/metrics.md)\n");
+                 "campaign --trace), or the one file run --trace-out "
+                 "wrote, into a Chrome trace-event timeline and a per-span "
+                 "summary (docs/metrics.md)\n");
     return 2;
   }
   const metrics::StitchedTrace stitched =
@@ -690,24 +691,21 @@ int cmd_metrics(const Args& a) {
 
 /// varbench bench [--gate]: the perf-trajectory rung (docs/metrics.md).
 /// Runs the instrumented microbench suites, appends min-of-N rows to
-/// bench/BENCH_{exec,campaign,stats,ml}.json, and in gate mode fails on
-/// regressions beyond the noise band. Defaults come from the same
-/// BenchSpec environment parse the bench/ binaries use, so both surfaces
-/// are driven uniformly.
+/// bench/BENCH_{exec,campaign,stats,ml,artifact_io}.json, and in gate mode
+/// fails on regressions beyond the noise band.
 int cmd_bench(const Args& a) {
   require_known_flags(a, {"gate", "dir", "threshold", "repeats", "scale",
                           "threads", "label", "no-append", "inject-slowdown"});
-  const benchutil::BenchSpec& knobs = benchutil::BenchSpec::env();
   benchutil::GateOptions opts;
-  opts.bench_dir = opt_string(a, "dir", "bench");
-  opts.threshold = opt_double(a, "threshold", 1.5);
-  opts.repeats = opt_size(a, "repeats", knobs.reps.value_or(5));
-  opts.scale = opt_double(a, "scale", knobs.scale.value_or(1.0));
-  opts.threads = opt_size(a, "threads", knobs.threads);
+  opts.bench_dir = opt_string(a, "dir", opts.bench_dir);
+  opts.threshold = opt_double(a, "threshold", opts.threshold);
+  opts.repeats = opt_size(a, "repeats", opts.repeats);
+  opts.scale = opt_double(a, "scale", opts.scale);
+  opts.threads = opt_size(a, "threads", opts.threads);
   opts.gate = opt_flag(a, "gate");
   opts.append = !opt_flag(a, "no-append");
   opts.label = opt_string(a, "label", "local");
-  opts.inject_slowdown = opt_double(a, "inject-slowdown", 1.0);
+  opts.inject_slowdown = opt_double(a, "inject-slowdown", opts.inject_slowdown);
   return benchutil::run_bench_gate(opts, stdout);
 }
 
@@ -775,9 +773,10 @@ void usage() {
       "  campaign <spec.json> --dir <state-dir> [--shards N] [--workers K]\n"
       "          [--resume] [--max-retries R] [--plan-only]\n"
       "          [--format json|binary] [--trace] (docs/campaigns.md)\n"
-      "  trace   <state-dir> [--chrome out.json] [--summary]\n"
-      "          stitch per-worker traces into a Chrome trace-event\n"
-      "          timeline + per-span summary (docs/metrics.md)\n"
+      "  trace   <state-dir | run.trace.json> [--chrome out.json]\n"
+      "          [--summary]  stitch per-worker traces (or one run's\n"
+      "          --trace-out file) into a Chrome trace-event timeline +\n"
+      "          per-span summary (docs/metrics.md)\n"
       "  status  <state-dir> [--json] [--watch]\n"
       "          live worker/task state from heartbeats alone, read-only\n"
       "          (docs/campaigns.md)\n"
