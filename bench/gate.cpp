@@ -116,9 +116,6 @@ int run_bench_gate(const GateOptions& opts, std::FILE* out) {
       regressed |= process_file((fs::path{opts.bench_dir} / file).string(),
                                 results, opts, out);
     }
-    std::fprintf(out, "exec metrics overhead: %+.2f%% (budget: <= 1%% with "
-                      "metrics disabled; the pair above is metrics on vs off)\n",
-                 exec_metrics_overhead_percent(suites[0].second));
   } catch (const std::exception& e) {
     std::fprintf(out, "\nbench gate error: %s\n", e.what());
     return 1;

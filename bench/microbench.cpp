@@ -21,6 +21,8 @@
 #include "src/rngx/rng.h"
 #include "src/stats/bootstrap.h"
 #include "src/stats/descriptive.h"
+#include "src/stats/resample_kernels.h"
+#include "src/stats/tests.h"
 #include "src/study/result_table.h"
 
 namespace varbench::benchutil {
@@ -291,6 +293,34 @@ std::vector<MicrobenchResult> run_stats_microbenches(
         return ns;
       }));
 
+  // The paired comparison `varbench report` runs per column of two paired
+  // groups, at the size and counts of perfbench's artifact_analysis.
+  const std::size_t pairs = scaled(opts.scale, 250'000);
+  std::vector<double> a(pairs);
+  std::vector<double> b(pairs);
+  for (std::size_t i = 0; i < pairs; ++i) {
+    a[i] = data_rng.normal(0.8, 0.05);
+    b[i] = a[i] - data_rng.normal(0.001, 0.05);
+  }
+  results.push_back(
+      min_of("stats.paired_permutation", "ns", opts.repeats, [&] {
+        rngx::Rng rng{2};
+        const Stopwatch sw;
+        const auto t = stats::paired_permutation_test(ctx, a, b, rng, 1000);
+        const std::uint64_t ns = sw.elapsed_ns();
+        sink_value += t.p_value;
+        return ns;
+      }));
+  results.push_back(min_of("stats.paired_win_rate", "ns", opts.repeats, [&] {
+    rngx::Rng rng{3};
+    const Stopwatch sw;
+    const auto wins =
+        stats::kernels::resample_win_rate_statistics(ctx, a, b, rng, 200);
+    const std::uint64_t ns = sw.elapsed_ns();
+    sink_value += wins.front();
+    return ns;
+  }));
+
   if (sink_value == 0.123456789) {  // never true for this data; anchors sink_value
     std::fprintf(stderr, "microbench: improbable checksum\n");
   }
@@ -398,20 +428,6 @@ std::vector<MicrobenchResult> run_io_microbenches(
 
   fs::remove_all(dir);
   return results;
-}
-
-double exec_metrics_overhead_percent(
-    const std::vector<MicrobenchResult>& results) {
-  const MicrobenchResult* off = nullptr;
-  const MicrobenchResult* on = nullptr;
-  for (const MicrobenchResult& r : results) {
-    if (r.bench == "exec.parallel_for") off = &r;
-    if (r.bench == "exec.parallel_for_metrics") on = &r;
-  }
-  if (off == nullptr || on == nullptr || off->min_ns == 0) return 0.0;
-  return 100.0 *
-         (static_cast<double>(on->min_ns) - static_cast<double>(off->min_ns)) /
-         static_cast<double>(off->min_ns);
 }
 
 }  // namespace varbench::benchutil

@@ -27,9 +27,9 @@ struct MicrobenchResult {
 };
 
 /// exec.parallel_for (metrics off), exec.parallel_for_metrics (same
-/// workload, exec metrics enabled on a local sink — the pair is the
-/// overhead model of docs/metrics.md), exec.pool_submit,
-/// exec.pool_submit_batched.
+/// workload, exec metrics enabled on a local sink), exec.parallel_for_trace,
+/// exec.pool_submit, exec.pool_submit_batched. Each row is gated against
+/// its own trajectory (docs/metrics.md).
 [[nodiscard]] std::vector<MicrobenchResult> run_exec_microbenches(
     const MicrobenchOptions& opts);
 
@@ -47,7 +47,10 @@ struct MicrobenchResult {
 /// pair is the speedup record of the resampling-kernel rewrite
 /// (src/stats/resample_kernels.h). Both paths draw identical RNG streams,
 /// so they compute bit-identical intervals; only the memory traffic
-/// differs.
+/// differs. Then the paired comparison a report runs per column, on
+/// scaled(scale, 250'000) pairs: stats.paired_permutation (the sign-flip
+/// test, 1000 permutations, src/stats/signflip.h) and
+/// stats.paired_win_rate (the P(A>B) bootstrap win rates, 200 resamples).
 [[nodiscard]] std::vector<MicrobenchResult> run_stats_microbenches(
     const MicrobenchOptions& opts);
 
@@ -70,12 +73,5 @@ struct MicrobenchResult {
 /// returns the wrong row count.
 [[nodiscard]] std::vector<MicrobenchResult> run_io_microbenches(
     const MicrobenchOptions& opts, const std::string& scratch_dir);
-
-/// Percent overhead of enabled exec metrics on the parallel_for workload:
-/// 100 * (t_on - t_off) / t_off, computed from fresh min-of-N runs. The
-/// acceptance budget is <= 1% with metrics DISABLED being the comparison
-/// default (a disabled metric is one predictable branch).
-[[nodiscard]] double exec_metrics_overhead_percent(
-    const std::vector<MicrobenchResult>& results);
 
 }  // namespace varbench::benchutil

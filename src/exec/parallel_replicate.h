@@ -7,7 +7,11 @@
 // which is inherently order-dependent and therefore unparallelizable.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -54,6 +58,46 @@ struct IndexRange {
   return IndexRange{begin, begin + len};
 }
 
+/// Most replicates one parallel_replicate_blocks block holds.
+inline constexpr std::size_t kMaxReplicateBlock = 64;
+
+/// The blocked form, for kernels that run several replicates at once (one
+/// SIMD lane each): run `fn(block, seeds)` for the consecutive blocks of
+/// `block_size` global indices tiling `range` (the last may be shorter),
+/// in parallel over blocks. seeds[j] is the seed of global index
+/// block.begin + j within the (master_seed, tag) stream, so an Rng (or a
+/// lane) seeded with it draws exactly that replicate's stream. `fn` must
+/// not depend on how blocks are spread over threads.
+template <typename Fn>
+void parallel_replicate_blocks(const ExecContext& ctx, IndexRange range,
+                               std::size_t block_size,
+                               std::uint64_t master_seed, std::string_view tag,
+                               Fn&& fn) {
+  if (block_size == 0 || block_size > kMaxReplicateBlock) {
+    throw std::invalid_argument{"parallel_replicate_blocks: block size"};
+  }
+  const std::uint64_t stream_seed = rngx::derive_seed(master_seed, tag);
+  const std::size_t blocks = (range.size() + block_size - 1) / block_size;
+  parallel_for(ctx, 0, blocks, [&](std::size_t k) {
+    const std::size_t begin = range.begin + k * block_size;
+    const IndexRange block{begin, std::min(range.end, begin + block_size)};
+    std::array<std::uint64_t, kMaxReplicateBlock> seeds;  // first size() set
+    for (std::size_t j = 0; j < block.size(); ++j) {
+      seeds[j] = replicate_seed(stream_seed, block.begin + j);
+    }
+    fn(block, std::span<const std::uint64_t>{seeds.data(), block.size()});
+  });
+}
+
+/// As above with the master seed drawn from `master` — exactly one draw.
+template <typename Fn>
+void parallel_replicate_blocks(const ExecContext& ctx, IndexRange range,
+                               std::size_t block_size, rngx::Rng& master,
+                               std::string_view tag, Fn&& fn) {
+  parallel_replicate_blocks(ctx, range, block_size, master.next_u64(), tag,
+                            std::forward<Fn>(fn));
+}
+
 /// Run `fn(global_index, rng)` for every global index in `range`, each with
 /// an independent child Rng derived from (master_seed, tag, global_index),
 /// and collect the results in index order (out[j] is global index
@@ -62,13 +106,13 @@ template <typename T, typename Fn>
 [[nodiscard]] std::vector<T> parallel_replicate_range(
     const ExecContext& ctx, IndexRange range, std::uint64_t master_seed,
     std::string_view tag, Fn&& fn) {
-  const std::uint64_t stream_seed = rngx::derive_seed(master_seed, tag);
   std::vector<T> out(range.size());
-  parallel_for(ctx, 0, range.size(), [&](std::size_t j) {
-    const std::size_t i = range.begin + j;
-    rngx::Rng rng{replicate_seed(stream_seed, i)};
-    out[j] = fn(i, rng);
-  });
+  parallel_replicate_blocks(
+      ctx, range, 1, master_seed, tag,
+      [&](IndexRange one, std::span<const std::uint64_t> seed) {
+        rngx::Rng rng{seed[0]};
+        out[one.begin - range.begin] = fn(one.begin, rng);
+      });
   return out;
 }
 

@@ -99,8 +99,6 @@ bool always_supported() { return true; }
 void run_baseline(const GemmArgs& g) { body<2, 4, 2>(g); }
 
 #if defined(__x86_64__) || defined(__i386__)
-bool has_avx2() { return __builtin_cpu_supports("avx2"); }
-bool has_avx512f() { return __builtin_cpu_supports("avx512f"); }
 __attribute__((target("avx2"))) void run_avx2(const GemmArgs& g) {
   body<4, 4, 2>(g);
 }
@@ -119,13 +117,23 @@ constexpr GemmKernel kKernels[] = {
 
 }  // namespace
 
+#if defined(__x86_64__) || defined(__i386__)
+// __builtin_cpu_init first: a caller may run before libgcc's constructor
+// has filled the feature bits.
+bool has_avx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+bool has_avx512f() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f");
+}
+#endif
+
 std::span<const GemmKernel> gemm_kernels() { return kKernels; }
 
 const GemmKernel& active_gemm_kernel() {
   static const GemmKernel& chosen = []() -> const GemmKernel& {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_cpu_init();
-#endif
     const GemmKernel* best = &kKernels[0];
     for (const GemmKernel& kernel : kKernels) {
       if (kernel.supported()) best = &kernel;

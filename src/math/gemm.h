@@ -52,6 +52,13 @@ struct GemmKernel {
   void (*run)(const GemmArgs&);
 };
 
+#if defined(__x86_64__) || defined(__i386__)
+/// Whether this CPU runs the `avx2` / `avx512f` variants. Shared by every
+/// kernel compiled per ISA (here and src/stats/signflip.h).
+[[nodiscard]] bool has_avx2();
+[[nodiscard]] bool has_avx512f();
+#endif
+
 /// Every variant compiled into this build, lowest ISA first. "baseline"
 /// (the build's own target flags) is always first and always supported.
 [[nodiscard]] std::span<const GemmKernel> gemm_kernels();

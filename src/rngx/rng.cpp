@@ -15,8 +15,7 @@ metrics::Sink& rng_sink = metrics::global_sink();
 
 void Rng::reseed(std::uint64_t seed) {
   detail::rng_sink.add(metrics::kRngxStreamsDerived);
-  std::uint64_t sm = seed;
-  for (auto& s : state_) s = splitmix64(sm);
+  xoshiro_seed(state_, seed);
   has_cached_normal_ = false;
 }
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -46,6 +45,36 @@ namespace varbench::rngx {
   return splitmix64(s);
 }
 
+/// Load `s` with the xoshiro256++ state an Rng seeded with `seed` starts
+/// from: four successive SplitMix64 outputs. Rng::reseed runs it, and so
+/// do kernels that step one stream per vector lane.
+constexpr void xoshiro_seed(std::array<std::uint64_t, 4>& s,
+                            std::uint64_t seed) {
+  for (auto& w : s) w = splitmix64(seed);
+}
+
+/// One xoshiro256++ step (Blackman & Vigna): advances `s` and writes the
+/// output to `out`. W is std::uint64_t for Rng, or a GCC/clang vector of
+/// u64 whose lane l steps exactly as an Rng holding lane l's words would.
+/// Vectors never pass by value (that ties a call's ABI to the ISA, GCC's
+/// -Wpsabi), so the output and the rotations work in place; std::rotl
+/// takes no vector. Spelled this way, Rng::next_u64 compiles to the code
+/// it had as a scalar-only function.
+template <typename W>
+inline void xoshiro256pp_next(std::array<W, 4>& s, W& out) {
+  constexpr auto rotl = [](W& x, int k) { x = (x << k) | (x >> (64 - k)); };
+  out = s[0] + s[3];
+  rotl(out, 23);
+  out += s[0];
+  const W t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  rotl(s[3], 45);
+}
+
 /// Full serializable state of an Rng — checkpointing RNG streams is what
 /// makes interrupted-and-resumed trainings bit-identical to uninterrupted
 /// ones (the paper's Appendix A reproducibility protocol).
@@ -63,6 +92,14 @@ namespace detail {
 /// call.
 extern metrics::Sink& rng_sink;
 }  // namespace detail
+
+/// Accounts one stream that code outside an Rng seeded (xoshiro_seed) and
+/// stepped `draws` times (xoshiro256pp_next): the rngx.streams_derived and
+/// rngx.draws totals an Rng making the same draws would have counted.
+inline void count_stream_draws(std::uint64_t draws) {
+  detail::rng_sink.add(metrics::kRngxStreamsDerived);
+  detail::rng_sink.add(metrics::kRngxDraws, draws);
+}
 
 /// xoshiro256++ engine (Blackman & Vigna). Fast, 256-bit state, passes BigCrush.
 class Rng {
@@ -86,15 +123,8 @@ class Rng {
   /// resampling kernels' draw loops carry no call.
   [[nodiscard]] std::uint64_t next_u64() {
     detail::rng_sink.add(metrics::kRngxDraws);
-    const std::uint64_t result =
-        std::rotl(state_[0] + state_[3], 23) + state_[0];
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = std::rotl(state_[3], 45);
+    std::uint64_t result;
+    xoshiro256pp_next(state_, result);
     return result;
   }
   std::uint64_t operator()() { return next_u64(); }

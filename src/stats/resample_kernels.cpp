@@ -83,25 +83,21 @@ std::vector<double> resample_win_rate_statistics(const exec::ExecContext& ctx,
                                                  std::size_t num_resamples) {
   metrics::Sink& sink = ctx.sink();
   const std::size_t n = a.size();
-  if (fits_u32(n)) {
-    return exec::parallel_replicate<double>(
-        ctx, num_resamples, rng, "paired_bootstrap",
-        [&](std::size_t, rngx::Rng& resample_rng) {
-          sink.add(metrics::kStatsResamples);
-          exec::ScratchBuffer<std::uint32_t> idx{n};
-          fill_bootstrap_indices(resample_rng, n, idx.span());
-          return gather_win_rate(a, b,
-                                 std::span<const std::uint32_t>{idx.span()});
-        });
+  exec::ScratchBuffer<std::uint8_t> half_wins_buf{n};
+  const std::span<std::uint8_t> half_wins = half_wins_buf.span();
+  for (std::size_t i = 0; i < n; ++i) {
+    half_wins[i] = static_cast<std::uint8_t>(2 * static_cast<int>(a[i] > b[i]) +
+                                             static_cast<int>(a[i] == b[i]));
   }
   return exec::parallel_replicate<double>(
       ctx, num_resamples, rng, "paired_bootstrap",
       [&](std::size_t, rngx::Rng& resample_rng) {
         sink.add(metrics::kStatsResamples);
-        exec::ScratchBuffer<std::uint64_t> idx{n};
-        fill_bootstrap_indices(resample_rng, n, idx.span());
-        return gather_win_rate(a, b,
-                               std::span<const std::uint64_t>{idx.span()});
+        std::uint64_t count = 0;
+        for_each_bootstrap_index(resample_rng, n, n, [&](std::uint64_t i) {
+          count += half_wins[i];
+        });
+        return (static_cast<double>(count) * 0.5) / static_cast<double>(n);
       });
 }
 

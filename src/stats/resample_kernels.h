@@ -16,14 +16,14 @@
 //     sequence and accepted values are unchanged);
 //   - the fused accumulators add in the same left-to-right order as the
 //     statistics they replace (gather_mean == stats::mean of the gathered
-//     copy, gather_win_rate == probability_of_outperforming of the
-//     gathered pairs, and so on);
+//     copy), or in exact integers where the statistic's partial sums are
+//     exact (the win-rate kernel counts half-wins; see
+//     resample_win_rate_statistics);
 // so CIs, p-values, and golden report renders are byte-identical to the
 // pre-kernel implementation. The one documented exception is the linear-
 // time jackknife above kJackknifeLinearThreshold (see jackknife_mean_loo).
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -34,22 +34,34 @@
 
 namespace varbench::stats::kernels {
 
-/// Fill `idx` with uniform indices in [0, pool), bit-identical to calling
-/// `rng.uniform_index(pool)` once per element (same draws, same values) —
-/// the bootstrap index-block primitive. IdxT is u32 in practice; callers
-/// fall back to u64 for pools beyond 2^32-1 elements.
-template <typename IdxT>
-inline void fill_bootstrap_indices(rngx::Rng& rng, std::uint64_t pool,
-                                   std::span<IdxT> idx) {
-  if (idx.empty()) return;
+/// Call `fn(i)` for `count` uniform indices i in [0, pool), bit-identical
+/// to calling `rng.uniform_index(pool)` `count` times (same draws, same
+/// values, same order) — the bootstrap resampling primitive.
+template <typename Fn>
+inline void for_each_bootstrap_index(rngx::Rng& rng, std::uint64_t pool,
+                                     std::size_t count, Fn&& fn) {
+  if (count == 0) return;
   if (pool == 0) throw std::invalid_argument("uniform_index: n == 0");
   // Lemire rejection exactly as Rng::uniform_index, threshold hoisted.
   const std::uint64_t threshold = (~pool + 1) % pool;  // (2^64 - pool) % pool
-  for (IdxT& v : idx) {
+  for (std::size_t j = 0; j < count; ++j) {
     std::uint64_t r = rng.next_u64();
     while (r < threshold) r = rng.next_u64();
-    v = static_cast<IdxT>(r % pool);
+    fn(r % pool);
   }
+}
+
+/// Fill `idx` with uniform indices in [0, pool), as
+/// for_each_bootstrap_index draws them — the bootstrap index-block
+/// primitive. IdxT is u32 in practice; callers fall back to u64 for pools
+/// beyond 2^32-1 elements.
+template <typename IdxT>
+inline void fill_bootstrap_indices(rngx::Rng& rng, std::uint64_t pool,
+                                   std::span<IdxT> idx) {
+  IdxT* out = idx.data();
+  for_each_bootstrap_index(rng, pool, idx.size(), [&](std::uint64_t i) {
+    *out++ = static_cast<IdxT>(i);
+  });
 }
 
 /// Gather x[idx[j]] into out[j] — the materializing resample, for callers
@@ -68,23 +80,6 @@ template <typename IdxT>
   double sum = 0.0;
   for (const IdxT i : idx) sum += x[i];
   return sum / static_cast<double>(idx.size());
-}
-
-/// P(A>B) win rate of the gathered pairs, fused: identical bits to
-/// probability_of_outperforming(gather(a), gather(b)).
-template <typename IdxT>
-[[nodiscard]] inline double gather_win_rate(std::span<const double> a,
-                                            std::span<const double> b,
-                                            std::span<const IdxT> idx) {
-  double wins = 0.0;
-  for (const IdxT i : idx) {
-    if (a[i] > b[i]) {
-      wins += 1.0;
-    } else if (a[i] == b[i]) {
-      wins += 0.5;
-    }
-  }
-  return wins / static_cast<double>(idx.size());
 }
 
 /// In-place Fisher–Yates over a span: same draws and swaps as
@@ -107,17 +102,6 @@ inline void span_shuffle(std::span<T> v, rngx::Rng& rng) {
   for (std::size_t i = na; i < pooled.size(); ++i) sum_b += pooled[i];
   return sum_a / static_cast<double>(na) -
          sum_b / static_cast<double>(pooled.size() - na);
-}
-
-/// One sign-flip replicate of the paired permutation test: flips each
-/// difference by a bernoulli(0.5) draw (same draw order as ever) and
-/// reports whether |mean| reached `threshold`.
-[[nodiscard]] inline bool signflip_mean_extreme(std::span<const double> d,
-                                                double threshold,
-                                                rngx::Rng& rng) {
-  double sum = 0.0;
-  for (const double di : d) sum += rng.bernoulli(0.5) ? di : -di;
-  return std::abs(sum / static_cast<double>(d.size())) >= threshold;
 }
 
 /// Sample sizes below this use the exact quadratic jackknife (fold-left
@@ -146,7 +130,13 @@ void jackknife_mean_loo(const exec::ExecContext& ctx,
 
 /// Per-resample P(A>B) win rates over paired resamples of (a, b), stream
 /// tag "paired_bootstrap" — consumes streams exactly like the historical
-/// paired resampling loop.
+/// paired resampling loop, and returns the bits of
+/// probability_of_outperforming on each resample: each pair is coded once
+/// as a byte of half-wins, 2·[a>b] + [a==b] (a NaN pair codes 0), and a
+/// resample adds the bytes of its draws into an integer. That function
+/// adds 1.0 and 0.5 to a double, so each of its partial sums is a multiple
+/// of 0.5 below 2^52, hence exact: (half_wins · 0.5) / n is its sum
+/// divided by n.
 [[nodiscard]] std::vector<double> resample_win_rate_statistics(
     const exec::ExecContext& ctx, std::span<const double> a,
     std::span<const double> b, rngx::Rng& rng, std::size_t num_resamples);

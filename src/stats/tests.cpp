@@ -1,6 +1,7 @@
 #include "src/stats/tests.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -13,6 +14,7 @@
 #include "src/stats/descriptive.h"
 #include "src/stats/distributions.h"
 #include "src/stats/resample_kernels.h"
+#include "src/stats/signflip.h"
 
 namespace varbench::stats {
 
@@ -244,12 +246,25 @@ TestResult paired_permutation_test(const exec::ExecContext& ctx,
   for (std::size_t i = 0; i < a.size(); ++i) d[i] = a[i] - b[i];
   const double observed = mean(d);
   const double threshold = std::abs(observed);
+  const auto n = static_cast<double>(d.size());
   metrics::Sink& sink = ctx.sink();
-  const auto extreme = exec::parallel_replicate<std::uint8_t>(
-      ctx, num_permutations, rng, "paired_permutation",
-      [&](std::size_t, rngx::Rng& perm_rng) -> std::uint8_t {
-        sink.add(metrics::kStatsResamples);
-        return kernels::signflip_mean_extreme(d, threshold, perm_rng) ? 1 : 0;
+  // Permutation i draws from the stream parallel_replicate would give index
+  // i, one SIMD lane per permutation (src/stats/signflip.h): same draws,
+  // same sums. Only the extreme flags leave a block.
+  const detail::SignflipKernel& kernel = detail::active_signflip_kernel();
+  std::vector<std::uint8_t> extreme(num_permutations);
+  exec::parallel_replicate_blocks(
+      ctx, exec::IndexRange{0, num_permutations}, kernel.block, rng,
+      "paired_permutation",
+      [&](exec::IndexRange block, std::span<const std::uint64_t> seeds) {
+        // kernel.run writes sums[0, seeds.size()); the rest stays unread.
+        std::array<double, exec::kMaxReplicateBlock> sums;
+        kernel.run({d, seeds, std::span<double>{sums.data(), seeds.size()}});
+        for (std::size_t j = 0; j < seeds.size(); ++j) {
+          sink.add(metrics::kStatsResamples);
+          rngx::count_stream_draws(d.size());
+          extreme[block.begin + j] = std::abs(sums[j] / n) >= threshold ? 1 : 0;
+        }
       });
   return {observed, add_one_p(extreme)};
 }

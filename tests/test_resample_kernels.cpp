@@ -1,30 +1,44 @@
-// The fused resampling-kernel contract (src/stats/resample_kernels.h) and
-// the streaming VBT writer (src/io/columnar/stream_writer.h):
+// The fused resampling-kernel contract (src/stats/resample_kernels.h,
+// src/stats/signflip.h) and the streaming VBT writer
+// (src/io/columnar/stream_writer.h):
 //   - the ResampleStat/PairedResampleStat fast paths are bit-identical to
 //     the std::function overloads evaluating the equivalent statistic;
 //   - every rewired statistic is bit-identical at any thread count;
 //   - the kernels are allocation-free in steady state (scratch reuse) and
-//     account every replicate to stats.resamples;
+//     account every replicate to stats.resamples, and every stream and
+//     draw to the rngx counters;
+//   - every compiled sign-flip variant returns the scalar loop's sums, and
+//     the comparison numbers a report prints are pinned by digest;
 //   - stream_merge_vbt (load + merge + encode) writes the exact bytes of
 //     encode_vbt over merge_result_tables, for sorted and unsorted shards
 //     and every cell encoding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/exec/parallel_replicate.h"
 #include "src/exec/scratch.h"
 #include "src/io/columnar/stream_writer.h"
 #include "src/io/columnar/vbt.h"
 #include "src/io/json.h"
 #include "src/metrics/metrics.h"
+#include "src/report/artifact.h"
+#include "src/report/render.h"
+#include "src/report/summary.h"
 #include "src/stats/bootstrap.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/prob_outperform.h"
 #include "src/stats/resample_kernels.h"
+#include "src/stats/signflip.h"
 #include "src/stats/tests.h"
 #include "src/study/result_table.h"
 
@@ -40,6 +54,9 @@ std::vector<double> normal_data(std::size_t n, std::uint64_t seed,
   for (double& v : x) v = rng.normal(mu, sigma);
   return x;
 }
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // -------------------------------------------- enum path == generic path
 
@@ -236,6 +253,334 @@ TEST(ResampleKernels, StatsResamplesCountsEveryReplicate) {
   (void)stats::paired_permutation_test(ctx, a, b, rng, 77);
   snap = sink.snapshot();
   EXPECT_EQ(snap.find(metrics::kStatsResamples)->count, 77u);
+
+  sink.reset();
+  (void)stats::paired_percentile_bootstrap_ci(
+      ctx, a, b, stats::PairedResampleStat::kWinRate, rng, 59);
+  snap = sink.snapshot();
+  EXPECT_EQ(snap.find(metrics::kStatsResamples)->count, 59u);
+
+  // The rngx counters live in the global sink. The sign-flip lanes step
+  // their streams outside an Rng and count them in bulk; the totals stay
+  // those of one Rng per permutation making n draws, plus the one master
+  // draw. The win-rate bootstrap still draws through one Rng per resample.
+  metrics::Sink& global = metrics::global_sink();
+  const auto totals = [&global](const auto& run) {
+    global.disable_all();
+    global.reset();
+    global.enable(metrics::kRngxStreamsDerived);
+    global.enable(metrics::kRngxDraws);
+    run();
+    const metrics::Snapshot counted = global.snapshot();
+    const metrics::MetricSnapshot* streams =
+        counted.find(metrics::kRngxStreamsDerived);
+    const metrics::MetricSnapshot* draws = counted.find(metrics::kRngxDraws);
+    global.disable_all();
+    global.reset();
+    return std::pair<std::uint64_t, std::uint64_t>{
+        streams != nullptr ? streams->sum : 0,
+        draws != nullptr ? draws->sum : 0};
+  };
+  // 77 permutations: two full AVX-512 blocks and a partial one, whose spare
+  // lanes must not count.
+  EXPECT_EQ(totals([&] {
+              (void)stats::paired_permutation_test(ctx, a, b, rng, 77);
+            }),
+            (std::pair<std::uint64_t, std::uint64_t>{77, 1 + 77 * 64}));
+  EXPECT_EQ(totals([&] {
+              (void)stats::paired_percentile_bootstrap_ci(
+                  ctx, a, b, stats::PairedResampleStat::kWinRate, rng, 59);
+            }),
+            (std::pair<std::uint64_t, std::uint64_t>{59, 1 + 59 * 64}));
+}
+
+// ------------------------------------------------- sign-flip lane kernels
+
+/// The scalar loop the lane kernels replaced: one bernoulli(0.5) draw per
+/// difference from the permutation's own stream, in index order.
+double scalar_signflip_sum(std::span<const double> d, std::uint64_t seed) {
+  rngx::Rng rng{seed};
+  double sum = 0.0;
+  for (const double di : d) sum += rng.bernoulli(0.5) ? di : -di;
+  return sum;
+}
+
+/// n differences: normal draws with zeros, ±0.0, subnormals and large
+/// magnitudes mixed in; `nonfinite` adds ±inf and NaN.
+std::vector<double> signflip_data(std::size_t n, bool nonfinite) {
+  rngx::Rng rng{0x51F1ULL + n};
+  std::vector<double> d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (i % 9) {
+      case 1: d[i] = 0.0; break;
+      case 3: d[i] = -0.0; break;
+      case 4:  // subnormal, either sign
+        d[i] = (i % 2 == 0 ? 4.9e-324 : -4.9e-324) * static_cast<double>(i);
+        break;
+      case 5: d[i] = rng.normal(0.0, 1e12); break;
+      case 7: d[i] = nonfinite ? (i % 4 == 3 ? -kInf : kInf) : 1e-300; break;
+      case 8:
+        d[i] = nonfinite && i % 3 == 2 ? kNaN : rng.normal(0.0, 0.1);
+        break;
+      default: d[i] = rng.normal(0.01, 0.1);
+    }
+  }
+  return d;
+}
+
+/// `kernel` over `seeds` in blocks of kernel.block, the last one short.
+std::vector<double> kernel_sums(const stats::detail::SignflipKernel& kernel,
+                                std::span<const double> d,
+                                std::span<const std::uint64_t> seeds) {
+  std::vector<double> sums(seeds.size(), -1.0);
+  for (std::size_t j = 0; j < seeds.size(); j += kernel.block) {
+    const std::size_t live = std::min(kernel.block, seeds.size() - j);
+    kernel.run({d, seeds.subspan(j, live),
+                std::span<double>{sums}.subspan(j, live)});
+  }
+  return sums;
+}
+
+TEST(SignflipKernels, BaselineComesFirstAndIsAlwaysSupported) {
+  const auto kernels = stats::detail::signflip_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(std::string{kernels.front().name}, "baseline");
+  EXPECT_TRUE(kernels.front().supported());
+  for (const auto& kernel : kernels) {
+    EXPECT_LE(kernel.block, exec::kMaxReplicateBlock) << kernel.name;
+    EXPECT_EQ(kernel.block % kernel.lanes, 0u) << kernel.name;
+  }
+}
+
+TEST(SignflipKernels, DispatcherPicksTheHighestSupportedKernel) {
+  const stats::detail::SignflipKernel* best = nullptr;
+  for (const auto& kernel : stats::detail::signflip_kernels()) {
+    if (kernel.supported()) best = &kernel;
+  }
+  EXPECT_EQ(&stats::detail::active_signflip_kernel(), best);
+}
+
+TEST(SignflipKernels, EveryKernelMatchesTheScalarLoop) {
+  // Every sum bit-exact, NaN exactly where the loop's is: permutation
+  // counts on both sides of one vector and one block, n from 1 to 17 and
+  // one long column, with and without non-finite differences.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 17; ++n) sizes.push_back(n);
+  sizes.push_back(4099);
+  for (const auto& kernel : stats::detail::signflip_kernels()) {
+    if (!kernel.supported()) continue;
+    const std::size_t l = kernel.lanes;
+    const std::size_t block = kernel.block;
+    for (const std::size_t count :
+         {std::size_t{1}, l - 1, l, l + 1, block - 1, block, block + 1}) {
+      if (count == 0) continue;
+      std::vector<std::uint64_t> seeds(count);
+      for (std::size_t j = 0; j < count; ++j) {
+        seeds[j] = exec::replicate_seed(0xF11Bu + count, j);
+      }
+      for (const std::size_t n : sizes) {
+        for (const bool nonfinite : {false, true}) {
+          const std::vector<double> d = signflip_data(n, nonfinite);
+          const std::vector<double> got = kernel_sums(kernel, d, seeds);
+          for (std::size_t j = 0; j < count; ++j) {
+            const double want = scalar_signflip_sum(d, seeds[j]);
+            if (std::isnan(want)) {
+              EXPECT_TRUE(std::isnan(got[j]))
+                  << kernel.name << " count=" << count << " n=" << n
+                  << " j=" << j;
+            } else {
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+                        std::bit_cast<std::uint64_t>(want))
+                  << kernel.name << " count=" << count << " n=" << n
+                  << " j=" << j << ": " << got[j] << " vs " << want;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SignflipKernels, PairedPermutationTestMatchesTheScalarLoop) {
+  // The public test against the per-permutation loop it replaced, kept
+  // here: same streams, same flags, same p-value and the same one master
+  // draw, for counts around the active kernel's block at 1 and 3 threads.
+  const auto a = normal_data(300, 71, 1.0);
+  const auto b = normal_data(300, 72, 1.0);
+  std::vector<double> d(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) d[i] = a[i] - b[i];
+  const double threshold = std::abs(stats::mean(d));
+  const std::size_t block = stats::detail::active_signflip_kernel().block;
+  for (const std::size_t threads : {1u, 3u}) {
+    const exec::ExecContext ctx{threads};
+    for (const std::size_t count :
+         {std::size_t{1}, block - 1, block, block + 1, 3 * block + 5}) {
+      rngx::Rng want_rng{900 + count};
+      const auto extreme = exec::parallel_replicate<std::uint8_t>(
+          ctx, count, want_rng, "paired_permutation",
+          [&](std::size_t, rngx::Rng& r) -> std::uint8_t {
+            double sum = 0.0;
+            for (const double di : d) sum += r.bernoulli(0.5) ? di : -di;
+            return std::abs(sum / static_cast<double>(d.size())) >= threshold;
+          });
+      std::size_t hits = 0;
+      for (const std::uint8_t e : extreme) hits += e;
+      const double want_p = static_cast<double>(1 + hits) /
+                            static_cast<double>(1 + count);
+      rngx::Rng got_rng{900 + count};
+      const auto got =
+          stats::paired_permutation_test(ctx, a, b, got_rng, count);
+      EXPECT_EQ(got.p_value, want_p) << "threads=" << threads
+                                     << " count=" << count;
+      EXPECT_EQ(got_rng.next_u64(), want_rng.next_u64());
+    }
+  }
+}
+
+// ------------------------------------------ pinned comparison numbers
+
+/// FNV-1a-64, fed value by value. A NaN is mixed as one canonical pattern:
+/// the kernels pin where a NaN appears, not its payload.
+class Fnv64 {
+ public:
+  void mix_bytes(const void* data, std::size_t len) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001B3ULL;
+    }
+  }
+  void mix(double v) {
+    const std::uint64_t bits = std::isnan(v) ? 0x7FF8000000000000ULL
+                                             : std::bit_cast<std::uint64_t>(v);
+    mix_bytes(&bits, sizeof bits);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+/// n pairs drawn with no effect (so p-values fall mid-range), with ties,
+/// ±0.0 pairs, subnormal and large differences mixed in by index;
+/// `nonfinite` adds ±inf and NaN pairs. The pattern is keyed on i + n, so
+/// even n = 1 lands on some.
+struct PinnedPairs {
+  std::vector<double> a;
+  std::vector<double> b;
+};
+
+PinnedPairs pinned_pairs(std::size_t n, bool nonfinite) {
+  rngx::Rng rng{0x9A1BEDULL + n};
+  PinnedPairs p;
+  for (std::size_t i = 0; i < n; ++i) {
+    double a = rng.normal(0.5, 0.2);
+    double b = a - rng.normal(0.0, 0.1);
+    switch ((i + n) % 13) {
+      case 2: b = a; break;                     // tie
+      case 4: a = 0.0; b = -0.0; break;         // +0 vs -0: a tie
+      case 6: a = -0.0; b = 0.0; break;
+      case 8: a = 4.9e-324; b = -1.5e-320; break;  // subnormal d
+      case 10:  // a large d, so the order of a sum shows in its bits
+        a = (nonfinite ? 1e308 : 2.5e7) * (i % 3 == 0 ? -1.0 : 1.0);
+        b = -a;  // non-finite: d overflows to ±inf
+        break;
+      case 11:
+        if (nonfinite) a = (i % 2 == 0) ? kInf : -kInf;
+        break;
+      case 12:
+        if (nonfinite) b = kNaN;
+        break;
+      default: break;
+    }
+    p.a.push_back(a);
+    p.b.push_back(b);
+  }
+  return p;
+}
+
+constexpr std::size_t kPinnedSizes[] = {1, 2, 3, 7, 8, 9, 33, 1000, 4099};
+constexpr std::size_t kPinnedCounts[] = {1, 7, 8, 9, 31, 33, 200};
+
+// The numbers behind every comparison a report prints — the paired sign-
+// flip p-value, the P(A>B) bootstrap win rates and a two-group report —
+// digested and pinned. The digests were recorded on the implementation
+// before the lane-parallel sign-flip and byte-coded win-rate kernels, so a
+// kernel that moves any p-value, win rate or report byte fails here.
+TEST(ResampleKernels, ComparisonOutputsArePinned) {
+  const exec::ExecContext ctx{3};
+  Fnv64 perm_finite;
+  Fnv64 perm_nonfinite;
+  Fnv64 win_finite;
+  Fnv64 win_nonfinite;
+  for (const bool nonfinite : {false, true}) {
+    Fnv64& perm = nonfinite ? perm_nonfinite : perm_finite;
+    Fnv64& win = nonfinite ? win_nonfinite : win_finite;
+    for (const std::size_t n : kPinnedSizes) {
+      const PinnedPairs p = pinned_pairs(n, nonfinite);
+      for (const std::size_t count : kPinnedCounts) {
+        rngx::Rng rng{1000 * n + count};
+        const stats::TestResult t =
+            stats::paired_permutation_test(ctx, p.a, p.b, rng, count);
+        perm.mix(t.statistic);
+        perm.mix(t.p_value);
+        for (const double w : stats::kernels::resample_win_rate_statistics(
+                 ctx, p.a, p.b, rng, count)) {
+          win.mix(w);
+        }
+      }
+    }
+  }
+
+  // A two-group paired table as the analysis workload writes it: rows
+  // alternate baseline and candidate, paired by rep.
+  study::ResultTable t;
+  t.name = "pinned:paired";
+  t.seed = 3;
+  t.columns = {"seq", "algo", "rep", "accuracy", "loss"};
+  rngx::Rng rng{77};
+  for (std::size_t rep = 0; rep < 300; ++rep) {
+    const double base = rng.normal(0.80, 0.03);
+    const double cand = rep % 9 == 0 ? base : base + rng.normal(0.002, 0.02);
+    const double loss[2] = {rng.normal(0.4, 0.05), rng.normal(0.4, 0.05)};
+    for (std::size_t g = 0; g < 2; ++g) {
+      t.add_row({study::Cell{std::uint64_t{2 * rep + g}},
+                 study::Cell{std::string{g == 0 ? "baseline" : "candidate"}},
+                 study::Cell{std::uint64_t{rep}},
+                 study::Cell{g == 0 ? base : cand},
+                 study::Cell{loss[g]}});
+    }
+  }
+  report::ReportSpec spec;
+  spec.group_by = "algo";
+  spec.resamples = 200;
+  spec.permutations = 300;
+  const std::string json = report::render(
+      report::summarize(ctx, report::LoadedArtifact{"<memory>", t}, spec),
+      report::Format::kJson);
+  Fnv64 rendered;
+  rendered.mix_bytes(json.data(), json.size());
+
+  const struct {
+    const char* name;
+    std::uint64_t got;
+    std::uint64_t want;
+  } pins[] = {
+      {"paired_permutation_test, finite", perm_finite.value(),
+       0x46095060a2cfd3ceULL},
+      {"paired_permutation_test, non-finite", perm_nonfinite.value(),
+       0x388facd744ab1f66ULL},
+      {"resample_win_rate_statistics, finite", win_finite.value(),
+       0x76e9914621e89ee6ULL},
+      {"resample_win_rate_statistics, non-finite", win_nonfinite.value(),
+       0x6a2065598bd5bd75ULL},
+      {"two-group paired report (JSON)", rendered.value(),
+       0xeb371fbc49c82e9eULL},
+  };
+  for (const auto& pin : pins) {
+    EXPECT_EQ(pin.got, pin.want) << pin.name << ": got 0x" << std::hex
+                                 << pin.got;
+  }
 }
 
 // ------------------------------------------------- streaming VBT writer
