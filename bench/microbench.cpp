@@ -247,17 +247,14 @@ std::vector<MicrobenchResult> run_stats_microbenches(
   // rest.
   {
     rngx::Rng rng{1};
-    sink_value += stats::bca_bootstrap_ci(ctx, x, stats::ResampleStat::kMean,
-                                          rng, resamples)
-                      .lower;
+    sink_value += stats::bca_bootstrap_ci(ctx, x, rng, resamples).lower;
   }
 
   results.push_back(
       min_of("stats.bca_ci_mean_kernel", "ns", opts.repeats, [&] {
         rngx::Rng rng{1};
         const Stopwatch sw;
-        const auto ci = stats::bca_bootstrap_ci(
-            ctx, x, stats::ResampleStat::kMean, rng, resamples);
+        const auto ci = stats::bca_bootstrap_ci(ctx, x, rng, resamples);
         const std::uint64_t ns = sw.elapsed_ns();
         sink_value += ci.lower + ci.upper;
         return ns;

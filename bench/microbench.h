@@ -39,8 +39,8 @@ struct MicrobenchResult {
 [[nodiscard]] std::vector<MicrobenchResult> run_campaign_microbenches(
     const MicrobenchOptions& opts, const std::string& scratch_dir);
 
-/// stats.bca_ci_mean_kernel (fused index-kernel BCa,
-/// stats::ResampleStat::kMean) vs stats.bca_ci_mean_legacy (the
+/// stats.bca_ci_mean_kernel (stats::bca_bootstrap_ci, on the fused index
+/// kernels) vs stats.bca_ci_mean_legacy (the
 /// pre-kernel path re-enacted: one materialized resample vector per
 /// replicate plus one materialized leave-one-out vector per jackknife
 /// index) over the same column, resample count, and thread fan-out — the

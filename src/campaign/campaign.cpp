@@ -606,9 +606,10 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
       const auto claimed_at = std::chrono::steady_clock::now();
       const std::uint64_t trace_begin =
           metrics::span_begin(spans, metrics::kCampaignTaskRunning);
-      auto handle = launcher(st.task, queue.spec_path(st.task.id),
-                             queue.partial_artifact_path(st.task.id),
-                             queue.log_path(st.task.id));
+      auto handle = launcher(
+          st.task, queue.spec_path(st.task.id),
+          queue.partial_artifact_path(st.task.id), queue.log_path(st.task.id),
+          cfg.trace ? queue.trace_path(st.task.id) : std::string{});
       ++report.launched;
       sink.add(metrics::kCampaignTasksLaunched);
       const auto launched_at = std::chrono::steady_clock::now();
@@ -680,11 +681,11 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
 
 // -------------------------------------------------------------- launchers
 
-WorkerLauncher subprocess_launcher(std::string varbench_binary, bool trace) {
-  return [bin = std::move(varbench_binary), trace](
-             const CampaignTask& task, const std::string& spec_path,
-             const std::string& artifact_path,
-             const std::string& log_path) -> std::unique_ptr<WorkerHandle> {
+WorkerLauncher subprocess_launcher(std::string varbench_binary) {
+  return [bin = std::move(varbench_binary)](
+             const CampaignTask&, const std::string& spec_path,
+             const std::string& artifact_path, const std::string& log_path,
+             const std::string& trace_path) -> std::unique_ptr<WorkerHandle> {
     class ProcessHandle : public WorkerHandle {
      public:
       explicit ProcessHandle(Subprocess p) : process_{std::move(p)} {}
@@ -698,15 +699,9 @@ WorkerLauncher subprocess_launcher(std::string varbench_binary, bool trace) {
     try {
       std::vector<std::string> argv{bin, "run", spec_path, "--out",
                                     artifact_path};
-      if (trace) {
-        // artifact_path is <dir>/artifacts/<id>.<ext>.part — the state dir
-        // is two levels up, and the trace lands beside the other workers'.
-        const fs::path state_dir =
-            fs::path{artifact_path}.parent_path().parent_path();
+      if (!trace_path.empty()) {
         argv.push_back("--trace-out");
-        argv.push_back(
-            (state_dir / "traces" / metrics::worker_trace_name(task.id))
-                .string());
+        argv.push_back(trace_path);
       }
       return std::make_unique<ProcessHandle>(
           Subprocess::spawn(argv, log_path));
@@ -722,10 +717,10 @@ WorkerLauncher subprocess_launcher(std::string varbench_binary, bool trace) {
   };
 }
 
-WorkerLauncher in_process_launcher(bool trace) {
-  return [trace](const CampaignTask& task, const std::string& spec_path,
-                 const std::string& artifact_path,
-                 const std::string& log_path) -> std::unique_ptr<WorkerHandle> {
+WorkerLauncher in_process_launcher() {
+  return [](const CampaignTask& task, const std::string& spec_path,
+            const std::string& artifact_path, const std::string& log_path,
+            const std::string& trace_path) -> std::unique_ptr<WorkerHandle> {
     try {
       // Tracing mirrors what a subprocess worker with --trace-out does:
       // every span of the process-global sink, whose events are drained
@@ -733,6 +728,7 @@ WorkerLauncher in_process_launcher(bool trace) {
       // and into the task's worker trace file after. Only events are
       // drained: campaign metrics on the same sink keep accumulating.
       metrics::Sink& g = metrics::global_sink();
+      const bool trace = !trace_path.empty();
       if (trace) {
         (void)g.drain({});
         metrics::enable_selection(g, "all", metrics::Entries::kSpans);
@@ -746,12 +742,7 @@ WorkerLauncher in_process_launcher(bool trace) {
       // in (".vbt.part" → binary), same as the subprocess worker's --out.
       table.save(artifact_path);
       if (trace) {
-        const fs::path state_dir =
-            fs::path{artifact_path}.parent_path().parent_path();
-        metrics::write_trace_file(
-            (state_dir / "traces" / metrics::worker_trace_name(task.id))
-                .string(),
-            g.drain("worker-" + task.id));
+        metrics::write_trace_file(trace_path, g.drain("worker-" + task.id));
       }
       return std::make_unique<CompletedHandle>(0);
     } catch (const std::exception& e) {

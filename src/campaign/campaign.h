@@ -50,11 +50,14 @@ class WorkerHandle {
 
 /// Start work on `task` (its spec is serialized at `spec_path`), writing
 /// the shard artifact to `artifact_path` on success and diagnostics to
-/// `log_path`. Must not throw for ordinary worker failures — report those
-/// through the handle's exit code.
+/// `log_path`. A non-empty `trace_path` asks for the worker's span trace
+/// there; the coordinator passes one exactly when CampaignConfig::trace is
+/// set. Must not throw for ordinary worker failures — report those through
+/// the handle's exit code.
 using WorkerLauncher = std::function<std::unique_ptr<WorkerHandle>(
     const CampaignTask& task, const std::string& spec_path,
-    const std::string& artifact_path, const std::string& log_path)>;
+    const std::string& artifact_path, const std::string& log_path,
+    const std::string& trace_path)>;
 
 struct CampaignConfig {
   std::string dir;          // state directory (created if missing)
@@ -86,8 +89,9 @@ struct CampaignConfig {
   metrics::Sink* metrics = nullptr;
   /// Record task-lifecycle spans (queued → claimed → running →
   /// promoted/retried, study merges) and flush them to
-  /// `<dir>/traces/coordinator.trace.json` at the end of the run. Traces
-  /// are provenance only: artifacts stay byte-identical with tracing on
+  /// `<dir>/traces/coordinator.trace.json` at the end of the run; each
+  /// launch gets its worker trace path (WorkQueue::trace_path). Traces are
+  /// provenance only: artifacts stay byte-identical with tracing on
   /// (pinned by tests/test_trace.cpp).
   bool trace = false;
 };
@@ -121,18 +125,16 @@ struct CampaignReport {
     const CampaignConfig& config, const std::vector<study::StudySpec>& studies,
     const WorkerLauncher& launcher);
 
-/// Launcher that spawns `<varbench_binary> run <spec> --out <artifact>`.
-/// With `trace` set, workers run with `--trace-out <state>/traces/
-/// worker-<task>.trace.json` so every task leaves a trace file behind.
-[[nodiscard]] WorkerLauncher subprocess_launcher(std::string varbench_binary,
-                                                 bool trace = false);
+/// Launcher that spawns `<varbench_binary> run <spec> --out <artifact>`,
+/// plus `--trace-out <trace_path>` when the launch has a trace path.
+[[nodiscard]] WorkerLauncher subprocess_launcher(std::string varbench_binary);
 
 /// Launcher that calls study::run_study() in this process (synchronously).
 /// The coordinator-under-test path, and the embedder path when process
-/// isolation is not wanted. With `trace` set, each task runs with every
+/// isolation is not wanted. A launch with a trace path runs with every
 /// span of the process-global sink enabled (its events drained before, and
-/// to the task's worker trace file after; metric cells are untouched) —
-/// the in-process analogue of a worker subprocess's own trace.
-[[nodiscard]] WorkerLauncher in_process_launcher(bool trace = false);
+/// to the trace path after; metric cells are untouched) — the in-process
+/// analogue of a worker subprocess's own trace.
+[[nodiscard]] WorkerLauncher in_process_launcher();
 
 }  // namespace varbench::campaign

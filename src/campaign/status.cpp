@@ -6,11 +6,16 @@
 #include <filesystem>
 #include <system_error>
 
+#include "src/io/spec_reader.h"
+
 namespace varbench::campaign {
 
 namespace fs = std::filesystem;
 
 namespace {
+
+constexpr std::string_view kManifestSchemaV1 = "varbench.campaign.v1";
+constexpr std::string_view kManifestSchemaV2 = "varbench.campaign.v2";
 
 /// Milliseconds from `mtime` to now on the filesystem clock; 0 floor so a
 /// write that lands "in the future" (clock skew on shared mounts) reads as
@@ -36,6 +41,28 @@ std::string fmt_ms(double ms) {
 
 }  // namespace
 
+void check_manifest_schema(const io::Json& manifest, std::string_view domain,
+                           const std::string& path) {
+  const std::string& schema = manifest.at("schema").as_string();
+  if (schema != kManifestSchemaV1 && schema != kManifestSchemaV2) {
+    throw io::JsonError(std::string{domain} +
+                        ": unsupported campaign manifest schema '" + schema +
+                        "' in '" + path + "' (this build reads '" +
+                        std::string{kManifestSchemaV1} + "' and '" +
+                        std::string{kManifestSchemaV2} + "')");
+  }
+  if (schema != kManifestSchemaV2) return;
+  // "metrics" is the coordinator's provenance block (docs/metrics.md).
+  io::reject_unknown_fields(
+      manifest, domain, kManifestSchemaV2, "$",
+      {"schema", "shards", "max_retries", "studies", "tasks", "metrics"});
+  for (const io::Json& task : manifest.at("tasks").as_array()) {
+    io::reject_unknown_fields(
+        task, domain, kManifestSchemaV2, "$.tasks[]",
+        {"id", "study", "shard", "status", "attempts", "wall_time_ms"});
+  }
+}
+
 CampaignStatus read_status(const std::string& state_dir) {
   CampaignStatus out;
   out.dir = state_dir;
@@ -50,6 +77,7 @@ CampaignStatus read_status(const std::string& state_dir) {
                         "' holds no readable campaign manifest (" + e.what() +
                         ")"};
   }
+  check_manifest_schema(manifest, "status", manifest_path);
   double wall_sum = 0.0;
   std::size_t wall_count = 0;
   for (const io::Json& task : manifest.at("tasks").as_array()) {

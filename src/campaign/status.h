@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/io/json.h"
@@ -45,8 +46,18 @@ struct CampaignStatus {
   std::vector<WorkerStatus> workers;  // live claims, sorted by task id
 };
 
+/// The schema rule of every campaign.json reader (`varbench status` and the
+/// report loader), the evolution contract of ResultTable
+/// (docs/study_api.md): varbench.campaign.v1 reads as always, v2 reads
+/// strictly — a field this build does not know throws, naming its JSON
+/// path — and any other schema throws, naming `path` and both readable
+/// versions. Errors are io::JsonError prefixed with `domain`.
+void check_manifest_schema(const io::Json& manifest, std::string_view domain,
+                           const std::string& path);
+
 /// Read the state dir's current status. Throws io::JsonError when the
-/// directory holds no campaign manifest (or it is malformed).
+/// directory holds no campaign manifest, or one that is malformed or of a
+/// schema check_manifest_schema refuses.
 [[nodiscard]] CampaignStatus read_status(const std::string& state_dir);
 
 [[nodiscard]] io::Json status_json(const CampaignStatus& status);

@@ -5,6 +5,7 @@
 #include <system_error>
 
 #include "src/io/json.h"
+#include "src/metrics/trace_file.h"
 
 namespace varbench::campaign {
 
@@ -114,7 +115,7 @@ std::string WorkQueue::trace_dir() const {
 }
 
 std::string WorkQueue::trace_path(const std::string& task_id) const {
-  return (fs::path{dir_} / "traces" / ("worker-" + task_id + ".trace.json"))
+  return (fs::path{trace_dir()} / metrics::worker_trace_name(task_id))
       .string();
 }
 

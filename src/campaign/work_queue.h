@@ -60,7 +60,8 @@ class WorkQueue {
   [[nodiscard]] std::string log_path(const std::string& task_id) const;
   [[nodiscard]] std::string manifest_path() const;
   [[nodiscard]] std::string merged_dir() const;
-  /// Where per-process trace files land (docs/metrics.md).
+  /// Where per-process trace files land (docs/metrics.md), and the one a
+  /// task's worker writes (metrics::worker_trace_name inside trace_dir).
   [[nodiscard]] std::string trace_dir() const;
   [[nodiscard]] std::string trace_path(const std::string& task_id) const;
 

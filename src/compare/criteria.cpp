@@ -32,7 +32,7 @@ bool ProbOutperformCriterion::detects(std::span<const double> a,
                                       std::span<const double> b,
                                       rngx::Rng& rng) const {
   const auto result = stats::test_probability_of_outperforming(
-      a, b, rng, gamma_, resamples_, alpha_);
+      exec::ExecContext{}, a, b, rng, gamma_, resamples_, alpha_);
   return result.conclusion ==
          stats::ComparisonConclusion::kSignificantAndMeaningful;
 }

@@ -67,8 +67,8 @@ TopGroupResult significance_top_group(const ContestantScores& scores,
       [&](std::size_t a, rngx::Rng& comparison_rng) -> std::uint8_t {
         if (a == result.best) return 1;
         const auto r = stats::test_probability_of_outperforming(
-            scores[result.best], scores[a], comparison_rng, gamma,
-            num_resamples, result.adjusted_alpha);
+            exec::ExecContext{}, scores[result.best], scores[a],
+            comparison_rng, gamma, num_resamples, result.adjusted_alpha);
         return r.conclusion !=
                        stats::ComparisonConclusion::kSignificantAndMeaningful
                    ? 1

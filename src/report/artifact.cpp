@@ -3,44 +3,14 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "src/campaign/status.h"
 #include "src/io/json.h"
-#include "src/io/spec_reader.h"
 
 namespace varbench::report {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-// Same evolution contract as ResultTable (docs/study_api.md): v1 manifests
-// read as always, v2 manifests read strictly — unknown fields are rejected
-// with the offending JSON path — and anything else is unsupported.
-constexpr std::string_view kCampaignSchema = "varbench.campaign.v1";
-constexpr std::string_view kCampaignSchemaV2 = "varbench.campaign.v2";
-
-void reject_unknown_manifest_fields(
-    const io::Json& obj, std::string_view path,
-    std::initializer_list<std::string_view> known) {
-  io::reject_unknown_fields(obj, "report", kCampaignSchemaV2, path, known);
-}
-
-/// Artifact files in `dir`: JSON and binary columnar, freely mixed —
-/// ResultTable::load dispatches on content. campaign.json is a manifest,
-/// not an artifact.
-std::vector<std::string> artifact_files_in(const fs::path& dir) {
-  std::vector<std::string> files;
-  for (const auto& entry : fs::directory_iterator{dir}) {
-    const fs::path& p = entry.path();
-    if (!entry.is_regular_file() ||
-        (p.extension() != ".json" && p.extension() != ".vbt")) {
-      continue;
-    }
-    if (p.filename() == "campaign.json") continue;
-    files.push_back(p.string());
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
 
 /// The shard-invariant identity of a table: everything merge requires to
 /// match, rendered to one comparable string.
@@ -54,26 +24,9 @@ std::string study_identity(const study::ResultTable& t) {
 
 CampaignProvenance read_campaign_provenance(const std::string& path) {
   const io::Json doc = io::Json::parse(io::read_file(path));
-  const std::string& schema = doc.at("schema").as_string();
-  if (schema != kCampaignSchema && schema != kCampaignSchemaV2) {
-    throw io::JsonError("report: unsupported campaign manifest schema '" +
-                        schema + "' in '" + path + "' (this build reads '" +
-                        std::string{kCampaignSchema} + "' and '" +
-                        std::string{kCampaignSchemaV2} + "')");
-  }
-  if (schema == kCampaignSchemaV2) {
-    // "metrics" is the coordinator's provenance block (docs/metrics.md) —
-    // known to this reader, ignored for reporting (it describes the run,
-    // not the results).
-    reject_unknown_manifest_fields(
-        doc, "$",
-        {"schema", "shards", "max_retries", "studies", "tasks", "metrics"});
-    for (const io::Json& task : doc.at("tasks").as_array()) {
-      reject_unknown_manifest_fields(
-          task, "$.tasks[]",
-          {"id", "study", "shard", "status", "attempts", "wall_time_ms"});
-    }
-  }
+  // A v2 manifest's "metrics" block describes the run, not the results:
+  // known to the schema rule, ignored for reporting.
+  campaign::check_manifest_schema(doc, "report", path);
   CampaignProvenance prov;
   const auto& studies = doc.at("studies").as_array();
   prov.study_wall_ms.reserve(studies.size());
@@ -122,6 +75,21 @@ CampaignProvenance read_campaign_provenance(const std::string& path) {
 
 }  // namespace
 
+std::vector<std::string> artifact_files_in(const std::string& dir) {
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator{dir}) {
+    const fs::path& p = entry.path();
+    if (!entry.is_regular_file() ||
+        (p.extension() != ".json" && p.extension() != ".vbt")) {
+      continue;
+    }
+    if (p.filename() == "campaign.json") continue;
+    files.push_back(p.string());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
 LoadedArtifact load_artifact(const std::string& path) {
   if (fs::is_directory(path)) {
     throw io::JsonError("report: '" + path +
@@ -145,12 +113,12 @@ DirArtifacts load_artifact_dir(const std::string& dir) {
   // own *.json files.
   fs::path scan{dir};
   if (fs::is_directory(fs::path{dir} / "merged") &&
-      !artifact_files_in(fs::path{dir} / "merged").empty()) {
+      !artifact_files_in((fs::path{dir} / "merged").string()).empty()) {
     scan = fs::path{dir} / "merged";
   } else if (fs::is_directory(fs::path{dir} / "artifacts")) {
     scan = fs::path{dir} / "artifacts";
   }
-  const auto files = artifact_files_in(scan);
+  const auto files = artifact_files_in(scan.string());
   if (files.empty()) {
     throw io::JsonError("report: no artifacts (*.json, *.vbt) in '" +
                         scan.string() + "'");

@@ -32,6 +32,14 @@ struct CampaignProvenance {
   std::vector<std::pair<std::string, double>> study_wall_ms;
 };
 
+/// The artifact files directly inside `dir`, sorted: regular `*.json` and
+/// `*.vbt` files (freely mixed — ResultTable::load dispatches on content),
+/// except a campaign's `campaign.json` manifest; in-flight `.part` files
+/// are skipped. The one listing behind load_artifact_dir and `varbench
+/// merge <dir>`.
+[[nodiscard]] std::vector<std::string> artifact_files_in(
+    const std::string& dir);
+
 /// Load one artifact file. Throws io::JsonError naming the file on
 /// unreadable input, malformed JSON, unknown schema, or shape violations.
 /// A shard artifact loads fine (`table.is_complete()` is false);

@@ -125,6 +125,30 @@ Grid provenance_grid(const CampaignProvenance& prov) {
   return g;
 }
 
+/// Text columns (strings in any row) set the left-aligned prefix.
+Grid table_grid(const study::ResultTable& table) {
+  Grid g;
+  g.left_columns = 0;
+  g.header = table.columns;
+  for (const study::RowView row : table.rows) {
+    std::vector<std::string> cells;
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      const study::CellView cell = row[c];
+      if (cell.is_string()) {
+        cells.push_back(cell.as_string());
+        g.left_columns = std::max(g.left_columns, c + 1);
+      } else if (cell.is_number() &&
+                 cell.number_kind() == io::Json::NumKind::kDouble) {
+        cells.push_back(fmt(cell.as_double()));
+      } else {
+        cells.push_back(cell.dump());
+      }
+    }
+    g.rows.push_back(std::move(cells));
+  }
+  return g;
+}
+
 std::string provenance_note(const CampaignProvenance& prov) {
   return "campaign wall time: " + fmt_ms(prov.total_wall_ms) + " ms over " +
          std::to_string(prov.tasks_with_wall_time) + "/" +
@@ -366,6 +390,20 @@ std::string render(const Report& report, Format format) {
       return report_to_json(report).dump(2) + "\n";
   }
   return render_text(report);
+}
+
+std::string render_table(const study::ResultTable& table, Format format) {
+  if (format == Format::kJson) return table.to_json_text();
+  const Grid g = table_grid(table);
+  std::string out;
+  if (format == Format::kMarkdown) {
+    grid_markdown(g, out);
+  } else if (format == Format::kCsv) {
+    grid_csv(g, out);
+  } else {
+    grid_text(g, out);
+  }
+  return out;
 }
 
 std::string render_all(const std::vector<Report>& reports, Format format) {

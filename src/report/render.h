@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/report/summary.h"
+#include "src/study/result_table.h"
 
 namespace varbench::report {
 
@@ -30,5 +31,13 @@ enum class Format : int { kText, kMarkdown, kCsv, kJson };
 /// directory reports (one report per study).
 [[nodiscard]] std::string render_all(const std::vector<Report>& reports,
                                      Format format);
+
+/// Render a table itself — the column names as the header, one grid row
+/// per table row — for tables that already are summaries, such as
+/// `varbench trace --summary`'s one row per span. Text, markdown and csv
+/// use the report grids (strings as they are, doubles in the report's
+/// number format, other cells as JSON); kJson is table.to_json_text().
+[[nodiscard]] std::string render_table(const study::ResultTable& table,
+                                       Format format);
 
 }  // namespace varbench::report

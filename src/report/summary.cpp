@@ -188,15 +188,11 @@ ColumnSummary summarize_values(const exec::ExecContext& ctx,
   if (has_estimator(spec, "ci") && values.size() >= 3) {
     rngx::Rng rng = stream_for(master, "ci", s.group, s.column);
     const double alpha = 1.0 - spec.confidence;
-    // Fused mean kernels (src/stats/resample_kernels.h): bit-identical to
-    // the historical std::function-of-mean path — golden renders pin this.
-    s.ci_mean =
-        spec.ci_method == "bca"
-            ? stats::bca_bootstrap_ci(ctx, values, stats::ResampleStat::kMean,
-                                      rng, spec.resamples, alpha)
-            : stats::percentile_bootstrap_ci(ctx, values,
-                                             stats::ResampleStat::kMean, rng,
-                                             spec.resamples, alpha);
+    s.ci_mean = spec.ci_method == "bca"
+                    ? stats::bca_bootstrap_ci(ctx, values, rng,
+                                              spec.resamples, alpha)
+                    : stats::percentile_bootstrap_ci(ctx, values, rng,
+                                                     spec.resamples, alpha);
   }
   if (has_estimator(spec, "normality") && values.size() >= 3 &&
       values.size() <= 5000) {

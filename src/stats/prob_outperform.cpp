@@ -39,11 +39,8 @@ ProbOutperformResult test_probability_of_outperforming(
   ProbOutperformResult result;
   result.gamma = gamma;
   result.p_a_greater_b = probability_of_outperforming(a, b);
-  // Fused win-rate kernel: same resample streams and bits as evaluating
-  // probability_of_outperforming on materialized resamples, no per-
-  // resample allocation (src/stats/resample_kernels.h).
-  result.ci = paired_percentile_bootstrap_ci(
-      ctx, a, b, PairedResampleStat::kWinRate, rng, num_resamples, alpha);
+  result.ci =
+      paired_percentile_bootstrap_ci(ctx, a, b, rng, num_resamples, alpha);
   if (!result.significant()) {
     result.conclusion = ComparisonConclusion::kNotSignificant;
   } else if (!result.meaningful()) {
@@ -52,13 +49,6 @@ ProbOutperformResult test_probability_of_outperforming(
     result.conclusion = ComparisonConclusion::kSignificantAndMeaningful;
   }
   return result;
-}
-
-ProbOutperformResult test_probability_of_outperforming(
-    std::span<const double> a, std::span<const double> b, rngx::Rng& rng,
-    double gamma, std::size_t num_resamples, double alpha) {
-  return test_probability_of_outperforming(exec::ExecContext::serial(), a, b,
-                                           rng, gamma, num_resamples, alpha);
 }
 
 }  // namespace varbench::stats

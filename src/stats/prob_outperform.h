@@ -38,17 +38,12 @@ struct ProbOutperformResult {
 };
 
 /// Full recommended test: estimate P(A>B) on paired performance
-/// measurements, bootstrap its CI, and decide per Appendix C.6.
-/// The bootstrap resampling loop fans out through `ctx`; the result is
-/// bit-identical for every `ctx.num_threads`, and the ctx-less overload is
-/// the serial special case of the same computation.
+/// measurements, bootstrap its CI (paired_percentile_bootstrap_ci), and
+/// decide per Appendix C.6. The bootstrap resampling loop fans out through
+/// `ctx`; the result is bit-identical for every `ctx.num_threads`.
 [[nodiscard]] ProbOutperformResult test_probability_of_outperforming(
     const exec::ExecContext& ctx, std::span<const double> a,
     std::span<const double> b, rngx::Rng& rng, double gamma = kDefaultGamma,
     std::size_t num_resamples = 1000, double alpha = 0.05);
-[[nodiscard]] ProbOutperformResult test_probability_of_outperforming(
-    std::span<const double> a, std::span<const double> b, rngx::Rng& rng,
-    double gamma = kDefaultGamma, std::size_t num_resamples = 1000,
-    double alpha = 0.05);
 
 }  // namespace varbench::stats

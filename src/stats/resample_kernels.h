@@ -20,8 +20,10 @@
 //     exact (the win-rate kernel counts half-wins; see
 //     resample_win_rate_statistics);
 // so CIs, p-values, and golden report renders are byte-identical to the
-// pre-kernel implementation. The one documented exception is the linear-
-// time jackknife above kJackknifeLinearThreshold (see jackknife_mean_loo).
+// pre-kernel implementation (tests/test_resample_kernels.cpp checks each
+// kernel against a materializing loop). The one documented exception is
+// the linear-time jackknife above kJackknifeLinearThreshold (see
+// jackknife_mean_loo).
 #pragma once
 
 #include <cstdint>
@@ -62,14 +64,6 @@ inline void fill_bootstrap_indices(rngx::Rng& rng, std::uint64_t pool,
   for_each_bootstrap_index(rng, pool, idx.size(), [&](std::uint64_t i) {
     *out++ = static_cast<IdxT>(i);
   });
-}
-
-/// Gather x[idx[j]] into out[j] — the materializing resample, for callers
-/// that still need the values (generic statistics).
-template <typename IdxT>
-inline void gather_values(std::span<const double> x, std::span<const IdxT> idx,
-                          std::span<double> out) {
-  for (std::size_t j = 0; j < idx.size(); ++j) out[j] = x[idx[j]];
 }
 
 /// Mean of the gathered resample, fused: identical bits to

@@ -220,14 +220,6 @@ TestResult permutation_test_mean_diff(const exec::ExecContext& ctx,
   return {observed, add_one_p(extreme)};
 }
 
-TestResult permutation_test_mean_diff(std::span<const double> a,
-                                      std::span<const double> b,
-                                      rngx::Rng& rng,
-                                      std::size_t num_permutations) {
-  return permutation_test_mean_diff(exec::ExecContext::serial(), a, b, rng,
-                                    num_permutations);
-}
-
 TestResult paired_permutation_test(const exec::ExecContext& ctx,
                                    std::span<const double> a,
                                    std::span<const double> b, rngx::Rng& rng,
@@ -267,13 +259,6 @@ TestResult paired_permutation_test(const exec::ExecContext& ctx,
         }
       });
   return {observed, add_one_p(extreme)};
-}
-
-TestResult paired_permutation_test(std::span<const double> a,
-                                   std::span<const double> b, rngx::Rng& rng,
-                                   std::size_t num_permutations) {
-  return paired_permutation_test(exec::ExecContext::serial(), a, b, rng,
-                                 num_permutations);
 }
 
 }  // namespace varbench::stats

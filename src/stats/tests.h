@@ -74,10 +74,6 @@ struct MannWhitneyResult {
     const exec::ExecContext& ctx, std::span<const double> a,
     std::span<const double> b, rngx::Rng& rng,
     std::size_t num_permutations = 10000);
-/// Serial convenience overload (same bits as any thread count).
-[[nodiscard]] TestResult permutation_test_mean_diff(
-    std::span<const double> a, std::span<const double> b, rngx::Rng& rng,
-    std::size_t num_permutations = 10000);
 
 /// Paired-sample sign-flip permutation test of H0: mean(a − b) == 0.
 /// Each permutation flips the sign of every paired difference with
@@ -86,10 +82,6 @@ struct MannWhitneyResult {
 [[nodiscard]] TestResult paired_permutation_test(
     const exec::ExecContext& ctx, std::span<const double> a,
     std::span<const double> b, rngx::Rng& rng,
-    std::size_t num_permutations = 10000);
-/// Serial convenience overload (same bits as any thread count).
-[[nodiscard]] TestResult paired_permutation_test(
-    std::span<const double> a, std::span<const double> b, rngx::Rng& rng,
     std::size_t num_permutations = 10000);
 
 }  // namespace varbench::stats

@@ -176,7 +176,8 @@ void summarize_compare(const ResultTable& t, std::FILE* out) {
   (void)master.next_u64();
   auto rng = master.split("test");
   const auto r = stats::test_probability_of_outperforming(
-      pa, pb, rng, spec.figure.gamma, spec.figure.num_resamples);
+      exec::ExecContext{}, pa, pb, rng, spec.figure.gamma,
+      spec.figure.num_resamples);
   std::fprintf(out, "mean A = %.4f, mean B = %.4f\n", stats::mean(pa),
                stats::mean(pb));
   std::fprintf(out, "P(A>B) = %.3f, CI [%.3f, %.3f], gamma = %.2f\n",

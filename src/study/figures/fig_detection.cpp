@@ -394,7 +394,8 @@ ResultTable run_ablation_pairing(const StudySpec& spec) {
           Hits h;
           simulate_pair(edge, spec.figure.k, rng, a, b, true);
           const auto r1 = stats::test_probability_of_outperforming(
-              a, b, rng, spec.figure.gamma, spec.figure.resamples);
+              exec::ExecContext{}, a, b, rng, spec.figure.gamma,
+              spec.figure.resamples);
           h.paired = r1.conclusion ==
                              stats::ComparisonConclusion::
                                  kSignificantAndMeaningful
@@ -402,7 +403,8 @@ ResultTable run_ablation_pairing(const StudySpec& spec) {
                          : 0;
           simulate_pair(edge, spec.figure.k, rng, a, b, false);
           const auto r2 = stats::test_probability_of_outperforming(
-              a, b, rng, spec.figure.gamma, spec.figure.resamples);
+              exec::ExecContext{}, a, b, rng, spec.figure.gamma,
+              spec.figure.resamples);
           h.unpaired = r2.conclusion ==
                                stats::ComparisonConclusion::
                                    kSignificantAndMeaningful

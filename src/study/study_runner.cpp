@@ -8,7 +8,6 @@
 #include "src/metrics/metrics.h"
 #include "src/rngx/rng.h"
 #include "src/study/study_kinds.h"
-#include "src/version.h"
 
 namespace varbench::study {
 
@@ -123,14 +122,6 @@ io::Json study_kinds_json() {
     kinds.push_back(std::move(item));
   }
   return kinds;
-}
-
-std::string list_study_kinds_json() {
-  io::Json doc = io::Json::object();
-  doc.set("tool", "varbench");
-  doc.set("version", std::string{kVersion});
-  doc.set("kinds", study_kinds_json());
-  return doc.dump(2) + "\n";
 }
 
 void print_summary(const ResultTable& table, std::FILE* out) {

@@ -63,10 +63,4 @@ struct StudyKindInfo {
 /// `varbench metrics --list --json`'s registry payload.
 [[nodiscard]] io::Json study_kinds_json();
 
-/// The `varbench list --json` rendering: a deterministic document
-/// ({"tool", "version", "kinds": [{name, title, shardable, params}]})
-/// for tooling — same introspection convention as `varlint --list-rules
-/// --json`.
-[[nodiscard]] std::string list_study_kinds_json();
-
 }  // namespace varbench::study

@@ -87,7 +87,8 @@ struct SpyLauncher {
   WorkerLauncher launcher() {
     return [this](const CampaignTask& task, const std::string& spec_path,
                   const std::string& artifact_path,
-                  const std::string& log_path)
+                  const std::string& log_path,
+                  const std::string& trace_path)
                -> std::unique_ptr<WorkerHandle> {
       const std::size_t launch = ++launches[task.id];
       const auto it = failures_per_task.find(task.id);
@@ -96,7 +97,8 @@ struct SpyLauncher {
         return std::make_unique<FinishedHandle>(
             fail_by_missing_artifact ? 0 : failure_exit_code);
       }
-      return in_process_launcher()(task, spec_path, artifact_path, log_path);
+      return in_process_launcher()(task, spec_path, artifact_path, log_path,
+                                   trace_path);
     };
   }
 };
@@ -297,13 +299,14 @@ TEST(Campaign, HungWorkerIsKilledAfterTaskTimeoutAndRetried) {
   std::size_t hangs = 0;
   const WorkerLauncher launcher =
       [&](const CampaignTask& task, const std::string& spec_path,
-          const std::string& artifact_path,
-          const std::string& log_path) -> std::unique_ptr<WorkerHandle> {
+          const std::string& artifact_path, const std::string& log_path,
+          const std::string& trace_path) -> std::unique_ptr<WorkerHandle> {
     if (task.id == "s0-0of3" && hangs == 0) {
       ++hangs;
       return std::make_unique<HungHandle>();
     }
-    return in_process_launcher()(task, spec_path, artifact_path, log_path);
+    return in_process_launcher()(task, spec_path, artifact_path, log_path,
+                                 trace_path);
   };
   auto cfg = quick_config(dir.str());
   cfg.task_timeout = 20ms;

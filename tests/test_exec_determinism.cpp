@@ -86,17 +86,11 @@ TEST(ExecDeterminism, BootstrapCiBitIdenticalAcrossThreadCounts) {
   std::vector<stats::ConfidenceInterval> cis;
   for (const std::size_t threads : kThreadCounts) {
     rngx::Rng rng{9};
-    cis.push_back(stats::percentile_bootstrap_ci(
-        exec::ExecContext{threads}, x,
-        [](std::span<const double> s) { return stats::mean(s); }, rng, 2000));
+    cis.push_back(stats::percentile_bootstrap_ci(exec::ExecContext{threads},
+                                                 x, rng, 2000));
   }
   EXPECT_EQ(cis[0], cis[1]);
   EXPECT_EQ(cis[0], cis[2]);
-  // The ctx-less overload is the same computation run serially.
-  rngx::Rng rng{9};
-  const auto legacy = stats::percentile_bootstrap_ci(
-      x, [](std::span<const double> s) { return stats::mean(s); }, rng, 2000);
-  EXPECT_EQ(cis[0], legacy);
 }
 
 TEST(ExecDeterminism, PairedBootstrapCiBitIdenticalAcrossThreadCounts) {
@@ -107,16 +101,11 @@ TEST(ExecDeterminism, PairedBootstrapCiBitIdenticalAcrossThreadCounts) {
     a[i] = data_rng.normal(0.0, 1.0);
     b[i] = a[i] - data_rng.normal(0.3, 0.2);
   }
-  const auto diff = [](std::span<const double> ra, std::span<const double> rb) {
-    double d = 0.0;
-    for (std::size_t i = 0; i < ra.size(); ++i) d += ra[i] - rb[i];
-    return d / static_cast<double>(ra.size());
-  };
   std::vector<stats::ConfidenceInterval> cis;
   for (const std::size_t threads : kThreadCounts) {
     rngx::Rng rng{10};
     cis.push_back(stats::paired_percentile_bootstrap_ci(
-        exec::ExecContext{threads}, a, b, diff, rng, 1000));
+        exec::ExecContext{threads}, a, b, rng, 1000));
   }
   EXPECT_EQ(cis[0], cis[1]);
   EXPECT_EQ(cis[0], cis[2]);
@@ -263,10 +252,6 @@ TEST(ExecDeterminism, ProbOutperformTestBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(results[t].ci, results[0].ci);
     EXPECT_EQ(results[t].conclusion, results[0].conclusion);
   }
-  rngx::Rng rng{25};
-  const auto legacy =
-      stats::test_probability_of_outperforming(a, b, rng, 0.75, 500);
-  EXPECT_EQ(legacy.ci, results[0].ci);
 }
 
 TEST(ExecDeterminism, PermutationTestsBitIdenticalAcrossThreadCounts) {
@@ -295,12 +280,6 @@ TEST(ExecDeterminism, PermutationTestsBitIdenticalAcrossThreadCounts) {
         << "paired_permutation_test differs at " << kThreadCounts[t]
         << " threads";
   }
-  // The ctx-less overloads are the serial special case of the same
-  // computation.
-  rngx::Rng rng{27};
-  EXPECT_EQ(stats::permutation_test_mean_diff(a, b, rng, 1500), unpaired[0]);
-  rngx::Rng paired_rng{28};
-  EXPECT_EQ(stats::paired_permutation_test(a, b, paired_rng, 1500), paired[0]);
 }
 
 TEST(ExecDeterminism, RankingStabilityBitIdenticalAcrossThreadCounts) {

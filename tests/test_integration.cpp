@@ -28,7 +28,8 @@ TEST(Integration, CompareTwoPipelinesWithPabTest) {
                                           bad, seeds));
   }
   auto rng = master.split("pab");
-  const auto result = stats::test_probability_of_outperforming(a, b, rng);
+  const auto result =
+      stats::test_probability_of_outperforming(exec::ExecContext{}, a, b, rng);
   EXPECT_EQ(result.conclusion,
             stats::ComparisonConclusion::kSignificantAndMeaningful);
 }
@@ -49,7 +50,8 @@ TEST(Integration, IdenticalPipelinesNotDetected) {
                                           params, sb));
   }
   auto rng = master.split("pab");
-  const auto result = stats::test_probability_of_outperforming(a, b, rng);
+  const auto result =
+      stats::test_probability_of_outperforming(exec::ExecContext{}, a, b, rng);
   EXPECT_NE(result.conclusion,
             stats::ComparisonConclusion::kSignificantAndMeaningful);
 }
@@ -133,8 +135,8 @@ TEST(Integration, NoetherPlanningMatchesEmpiricalPower) {
         p, compare::EstimatorKind::kIdeal, offset, n, rng);
     const auto b = compare::simulate_measures(
         p, compare::EstimatorKind::kIdeal, 0.0, n, rng);
-    const auto r = stats::test_probability_of_outperforming(a, b, rng, 0.75,
-                                                            200);
+    const auto r = stats::test_probability_of_outperforming(
+        exec::ExecContext{}, a, b, rng, 0.75, 200);
     if (r.conclusion ==
         stats::ComparisonConclusion::kSignificantAndMeaningful) {
       ++detections;

@@ -5,6 +5,8 @@
 namespace varbench::stats {
 namespace {
 
+const exec::ExecContext kSerial{};
+
 TEST(ProbOutperform, CountsWinsAndTies) {
   const std::vector<double> a{2.0, 1.0, 3.0, 5.0};
   const std::vector<double> b{1.0, 1.0, 4.0, 4.0};
@@ -36,7 +38,7 @@ TEST(ProbOutperformTest, ClearWinnerIsSignificantAndMeaningful) {
     a[i] = data.normal(1.0, 0.2);
     b[i] = data.normal(0.0, 0.2);
   }
-  const auto r = test_probability_of_outperforming(a, b, rng);
+  const auto r = test_probability_of_outperforming(kSerial, a, b, rng);
   EXPECT_EQ(r.conclusion, ComparisonConclusion::kSignificantAndMeaningful);
   EXPECT_TRUE(r.significant());
   EXPECT_TRUE(r.meaningful());
@@ -52,7 +54,7 @@ TEST(ProbOutperformTest, EqualAlgorithmsNotSignificant) {
     a[i] = data.normal(0.0, 1.0);
     b[i] = data.normal(0.0, 1.0);
   }
-  const auto r = test_probability_of_outperforming(a, b, rng);
+  const auto r = test_probability_of_outperforming(kSerial, a, b, rng);
   EXPECT_EQ(r.conclusion, ComparisonConclusion::kNotSignificant);
 }
 
@@ -67,7 +69,8 @@ TEST(ProbOutperformTest, SmallRealDifferenceSignificantButNotMeaningful) {
     a[i] = data.normal(0.15, 1.0);
     b[i] = data.normal(0.0, 1.0);
   }
-  const auto r = test_probability_of_outperforming(a, b, rng, 0.75, 500);
+  const auto r =
+      test_probability_of_outperforming(kSerial, a, b, rng, 0.75, 500);
   EXPECT_EQ(r.conclusion, ComparisonConclusion::kNotMeaningful);
   EXPECT_TRUE(r.significant());
   EXPECT_FALSE(r.meaningful());
@@ -82,7 +85,7 @@ TEST(ProbOutperformTest, CiBracketsPointEstimate) {
     a[i] = data.normal(0.5, 1.0);
     b[i] = data.normal(0.0, 1.0);
   }
-  const auto r = test_probability_of_outperforming(a, b, rng);
+  const auto r = test_probability_of_outperforming(kSerial, a, b, rng);
   EXPECT_LE(r.ci.lower, r.p_a_greater_b);
   EXPECT_GE(r.ci.upper, r.p_a_greater_b);
 }
@@ -100,7 +103,8 @@ TEST(ProbOutperformTest, FalsePositiveRateControlled) {
       b[i] = master.normal();
     }
     auto rng = master.split("test");
-    const auto r = test_probability_of_outperforming(a, b, rng, 0.75, 300);
+    const auto r =
+        test_probability_of_outperforming(kSerial, a, b, rng, 0.75, 300);
     if (r.conclusion == ComparisonConclusion::kSignificantAndMeaningful) {
       ++detections;
     }

@@ -1,8 +1,8 @@
 // The fused resampling-kernel contract (src/stats/resample_kernels.h,
 // src/stats/signflip.h) and the streaming VBT writer
 // (src/io/columnar/stream_writer.h):
-//   - the ResampleStat/PairedResampleStat fast paths are bit-identical to
-//     the std::function overloads evaluating the equivalent statistic;
+//   - the mean and win-rate kernels, and the CIs built on them, are
+//     bit-identical to textbook resampling loops written here;
 //   - every rewired statistic is bit-identical at any thread count;
 //   - the kernels are allocation-free in steady state (scratch reuse) and
 //     account every replicate to stats.resamples, and every stream and
@@ -36,6 +36,7 @@
 #include "src/report/summary.h"
 #include "src/stats/bootstrap.h"
 #include "src/stats/descriptive.h"
+#include "src/stats/distributions.h"
 #include "src/stats/prob_outperform.h"
 #include "src/stats/resample_kernels.h"
 #include "src/stats/signflip.h"
@@ -58,55 +59,136 @@ std::vector<double> normal_data(std::size_t n, std::uint64_t seed,
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-// -------------------------------------------- enum path == generic path
+// ------------------------------------------------ kernels == reference
 
-TEST(ResampleKernels, PercentileEnumMatchesGenericBitwise) {
-  const auto x = normal_data(200, 11);
-  rngx::Rng rng_enum{42};
-  rngx::Rng rng_gen{42};
-  const exec::ExecContext ctx{4};
-  const auto via_enum = stats::percentile_bootstrap_ci(
-      ctx, x, stats::ResampleStat::kMean, rng_enum, 500);
-  const auto via_gen = stats::percentile_bootstrap_ci(
-      ctx, x, [](std::span<const double> s) { return stats::mean(s); },
-      rng_gen, 500);
-  EXPECT_EQ(via_enum, via_gen);  // exact double equality via operator==
-  // Both consumed exactly one master draw, so the streams stay in step.
-  EXPECT_EQ(rng_enum.next_u64(), rng_gen.next_u64());
+// The reference loops below are the textbook resampling each kernel
+// replaced: per-resample streams from exec::parallel_replicate, one
+// Rng::uniform_index draw per element, a materialized resample, then the
+// statistic itself. The kernels draw through fill_bootstrap_indices and
+// for_each_bootstrap_index instead, so these loops check those too.
+
+std::vector<double> reference_means(const exec::ExecContext& ctx,
+                                    std::span<const double> x, rngx::Rng& rng,
+                                    std::size_t count) {
+  return exec::parallel_replicate<double>(
+      ctx, count, rng, "bootstrap", [&](std::size_t, rngx::Rng& r) {
+        std::vector<double> resample(x.size());
+        for (double& v : resample) v = x[r.uniform_index(x.size())];
+        return stats::mean(resample);
+      });
 }
 
-TEST(ResampleKernels, BcaEnumMatchesGenericBitwise) {
-  // n far below kJackknifeLinearThreshold: the exact O(n^2) jackknife
-  // regime, where the enum path promises bit-identity.
-  const auto x = normal_data(150, 12);
-  rngx::Rng rng_enum{43};
-  rngx::Rng rng_gen{43};
-  const exec::ExecContext ctx{4};
-  const auto via_enum = stats::bca_bootstrap_ci(
-      ctx, x, stats::ResampleStat::kMean, rng_enum, 400);
-  const auto via_gen = stats::bca_bootstrap_ci(
-      ctx, x, [](std::span<const double> s) { return stats::mean(s); },
-      rng_gen, 400);
-  EXPECT_EQ(via_enum, via_gen);
-  EXPECT_EQ(rng_enum.next_u64(), rng_gen.next_u64());
-}
-
-TEST(ResampleKernels, PairedEnumMatchesGenericBitwise) {
-  const auto a = normal_data(120, 13, 1.1);
-  const auto b = normal_data(120, 14, 1.0);
-  rngx::Rng rng_enum{44};
-  rngx::Rng rng_gen{44};
-  const exec::ExecContext ctx{4};
-  const auto via_enum = stats::paired_percentile_bootstrap_ci(
-      ctx, a, b, stats::PairedResampleStat::kWinRate, rng_enum, 300);
-  const auto via_gen = stats::paired_percentile_bootstrap_ci(
-      ctx, a, b,
-      [](std::span<const double> ra, std::span<const double> rb) {
+std::vector<double> reference_win_rates(const exec::ExecContext& ctx,
+                                        std::span<const double> a,
+                                        std::span<const double> b,
+                                        rngx::Rng& rng, std::size_t count) {
+  return exec::parallel_replicate<double>(
+      ctx, count, rng, "paired_bootstrap", [&](std::size_t, rngx::Rng& r) {
+        std::vector<double> ra(a.size());
+        std::vector<double> rb(b.size());
+        for (std::size_t j = 0; j < a.size(); ++j) {
+          const auto i = static_cast<std::size_t>(r.uniform_index(a.size()));
+          ra[j] = a[i];
+          rb[j] = b[i];
+        }
         return stats::probability_of_outperforming(ra, rb);
-      },
-      rng_gen, 300);
-  EXPECT_EQ(via_enum, via_gen);
-  EXPECT_EQ(rng_enum.next_u64(), rng_gen.next_u64());
+      });
+}
+
+stats::ConfidenceInterval percentile_of(const std::vector<double>& values,
+                                        double alpha) {
+  return {stats::quantile(values, alpha / 2.0),
+          stats::quantile(values, 1.0 - alpha / 2.0), 1.0 - alpha};
+}
+
+TEST(ResampleKernels, MeanKernelMatchesReferenceLoop) {
+  const auto x = normal_data(200, 11);
+  const exec::ExecContext ctx{4};
+  rngx::Rng rng_kernel{42};
+  rngx::Rng rng_ref{42};
+  const auto want = reference_means(ctx, x, rng_ref, 500);
+  EXPECT_EQ(stats::kernels::resample_mean_statistics(ctx, x, rng_kernel, 500),
+            want);  // exact double equality, element by element
+  // Both consumed exactly one master draw, so the streams stay in step.
+  EXPECT_EQ(rng_kernel.next_u64(), rng_ref.next_u64());
+
+  rngx::Rng rng_ci{42};
+  EXPECT_EQ(stats::percentile_bootstrap_ci(ctx, x, rng_ci, 500),
+            percentile_of(want, 0.05));
+}
+
+TEST(ResampleKernels, BcaMatchesReferenceLoop) {
+  // n far below kJackknifeLinearThreshold: the exact jackknife regime,
+  // where the leave-one-out means match materialized copies bit for bit.
+  const auto x = normal_data(150, 12);
+  const exec::ExecContext ctx{4};
+  const double alpha = 0.05;
+  rngx::Rng rng_ref{43};
+  const auto means = reference_means(ctx, x, rng_ref, 400);
+  std::vector<double> loo;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    std::vector<double> rest(x.begin(), x.end());
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i));
+    loo.push_back(stats::mean(rest));
+  }
+  // Efron's BCa levels: bias correction z0 from the share of resampled
+  // means below the observed one (ties half, clamped half a resample from
+  // 0 and 1), acceleration from the jackknife skewness.
+  const double observed = stats::mean(x);
+  double below = 0.0;
+  for (const double m : means) {
+    if (m < observed) below += 1.0;
+    if (m == observed) below += 0.5;
+  }
+  const double total = static_cast<double>(means.size());
+  const double z0 = stats::normal_quantile(
+      std::clamp(below / total, 0.5 / total, 1.0 - 0.5 / total));
+  const double loo_mean = stats::mean(loo);
+  double num = 0.0;
+  double den = 0.0;
+  for (const double v : loo) {
+    const double d = loo_mean - v;
+    num += d * d * d;
+    den += d * d;
+  }
+  const double accel = num / (6.0 * std::pow(den, 1.5));
+  const auto level = [&](double p) {
+    const double zsum = z0 + stats::normal_quantile(p);
+    return stats::normal_cdf(z0 + zsum / (1.0 - accel * zsum));
+  };
+  const double lo = level(alpha / 2.0);
+  const double hi = level(1.0 - alpha / 2.0);
+  ASSERT_LT(lo, hi);
+
+  rngx::Rng rng_kernel{43};
+  const auto got = stats::bca_bootstrap_ci(ctx, x, rng_kernel, 400, alpha);
+  EXPECT_EQ(got, (stats::ConfidenceInterval{stats::quantile(means, lo),
+                                            stats::quantile(means, hi),
+                                            1.0 - alpha}));
+  EXPECT_EQ(rng_kernel.next_u64(), rng_ref.next_u64());
+}
+
+TEST(ResampleKernels, WinRateKernelMatchesReferenceLoop) {
+  auto a = normal_data(120, 13, 1.1);
+  auto b = normal_data(120, 14, 1.0);
+  // Ties, signed zeros and a NaN pair: half-wins, and the pair that is
+  // neither a win nor a tie.
+  for (std::size_t i = 0; i < a.size(); i += 7) b[i] = a[i];
+  a[3] = 0.0;
+  b[3] = -0.0;
+  b[5] = kNaN;
+  const exec::ExecContext ctx{4};
+  rngx::Rng rng_kernel{44};
+  rngx::Rng rng_ref{44};
+  const auto want = reference_win_rates(ctx, a, b, rng_ref, 300);
+  EXPECT_EQ(
+      stats::kernels::resample_win_rate_statistics(ctx, a, b, rng_kernel, 300),
+      want);
+  EXPECT_EQ(rng_kernel.next_u64(), rng_ref.next_u64());
+
+  rngx::Rng rng_ci{44};
+  EXPECT_EQ(stats::paired_percentile_bootstrap_ci(ctx, a, b, rng_ci, 300),
+            percentile_of(want, 0.05));
 }
 
 TEST(ResampleKernels, FillBootstrapIndicesMatchesUniformIndex) {
@@ -131,28 +213,18 @@ TEST(ResampleKernels, EveryRewiredStatisticIsThreadCountInvariant) {
 
   {
     rngx::Rng r1{1}, r2{1};
-    EXPECT_EQ(stats::percentile_bootstrap_ci(serial, a,
-                                             stats::ResampleStat::kMean, r1,
-                                             400),
-              stats::percentile_bootstrap_ci(parallel, a,
-                                             stats::ResampleStat::kMean, r2,
-                                             400));
+    EXPECT_EQ(stats::percentile_bootstrap_ci(serial, a, r1, 400),
+              stats::percentile_bootstrap_ci(parallel, a, r2, 400));
   }
   {
     rngx::Rng r1{2}, r2{2};
-    EXPECT_EQ(
-        stats::bca_bootstrap_ci(serial, a, stats::ResampleStat::kMean, r1,
-                                400),
-        stats::bca_bootstrap_ci(parallel, a, stats::ResampleStat::kMean, r2,
-                                400));
+    EXPECT_EQ(stats::bca_bootstrap_ci(serial, a, r1, 400),
+              stats::bca_bootstrap_ci(parallel, a, r2, 400));
   }
   {
     rngx::Rng r1{3}, r2{3};
-    EXPECT_EQ(stats::paired_percentile_bootstrap_ci(
-                  serial, a, b, stats::PairedResampleStat::kWinRate, r1, 400),
-              stats::paired_percentile_bootstrap_ci(
-                  parallel, a, b, stats::PairedResampleStat::kWinRate, r2,
-                  400));
+    EXPECT_EQ(stats::paired_percentile_bootstrap_ci(serial, a, b, r1, 400),
+              stats::paired_percentile_bootstrap_ci(parallel, a, b, r2, 400));
   }
   {
     rngx::Rng r1{4}, r2{4};
@@ -216,14 +288,12 @@ TEST(ResampleKernels, ScratchReuseReachesSteadyState) {
   const auto x = normal_data(256, 41);
   const exec::ExecContext serial{1};  // inline: leases land on this thread
   rngx::Rng warm{50};
-  (void)stats::percentile_bootstrap_ci(serial, x, stats::ResampleStat::kMean,
-                                       warm, 200);
+  (void)stats::percentile_bootstrap_ci(serial, x, warm, 200);
   const std::size_t idx_before = exec::scratch_allocations<std::uint32_t>();
   const std::size_t dbl_before = exec::scratch_allocations<double>();
   for (int round = 0; round < 3; ++round) {
     rngx::Rng rng{51};
-    (void)stats::percentile_bootstrap_ci(serial, x,
-                                         stats::ResampleStat::kMean, rng, 200);
+    (void)stats::percentile_bootstrap_ci(serial, x, rng, 200);
   }
   EXPECT_EQ(exec::scratch_allocations<std::uint32_t>(), idx_before);
   EXPECT_EQ(exec::scratch_allocations<double>(), dbl_before);
@@ -238,8 +308,7 @@ TEST(ResampleKernels, StatsResamplesCountsEveryReplicate) {
   const auto b = normal_data(64, 43);
 
   rngx::Rng rng{60};
-  (void)stats::percentile_bootstrap_ci(ctx, a, stats::ResampleStat::kMean,
-                                       rng, 257);
+  (void)stats::percentile_bootstrap_ci(ctx, a, rng, 257);
   auto snap = sink.snapshot();
   ASSERT_NE(snap.find(metrics::kStatsResamples), nullptr);
   EXPECT_EQ(snap.find(metrics::kStatsResamples)->count, 257u);
@@ -255,8 +324,7 @@ TEST(ResampleKernels, StatsResamplesCountsEveryReplicate) {
   EXPECT_EQ(snap.find(metrics::kStatsResamples)->count, 77u);
 
   sink.reset();
-  (void)stats::paired_percentile_bootstrap_ci(
-      ctx, a, b, stats::PairedResampleStat::kWinRate, rng, 59);
+  (void)stats::paired_percentile_bootstrap_ci(ctx, a, b, rng, 59);
   snap = sink.snapshot();
   EXPECT_EQ(snap.find(metrics::kStatsResamples)->count, 59u);
 
@@ -288,8 +356,7 @@ TEST(ResampleKernels, StatsResamplesCountsEveryReplicate) {
             }),
             (std::pair<std::uint64_t, std::uint64_t>{77, 1 + 77 * 64}));
   EXPECT_EQ(totals([&] {
-              (void)stats::paired_percentile_bootstrap_ci(
-                  ctx, a, b, stats::PairedResampleStat::kWinRate, rng, 59);
+              (void)stats::paired_percentile_bootstrap_ci(ctx, a, b, rng, 59);
             }),
             (std::pair<std::uint64_t, std::uint64_t>{59, 1 + 59 * 64}));
 }

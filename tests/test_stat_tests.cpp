@@ -9,6 +9,8 @@
 namespace varbench::stats {
 namespace {
 
+const exec::ExecContext kSerial{};
+
 TEST(OneSampleT, NullDataGivesLargeP) {
   rngx::Rng rng{1};
   std::vector<double> x(50);
@@ -187,7 +189,7 @@ TEST(PermutationTest, NullDataGivesLargeP) {
   for (double& v : a) v = data_rng.normal(1.0, 0.5);
   for (double& v : b) v = data_rng.normal(1.0, 0.5);
   rngx::Rng rng{32};
-  const auto r = permutation_test_mean_diff(a, b, rng, 2000);
+  const auto r = permutation_test_mean_diff(kSerial, a, b, rng, 2000);
   EXPECT_GT(r.p_value, 0.01);
 }
 
@@ -198,7 +200,7 @@ TEST(PermutationTest, SeparatedDataGivesSmallP) {
   for (double& v : a) v = data_rng.normal(1.0, 0.3);
   for (double& v : b) v = data_rng.normal(0.0, 0.3);
   rngx::Rng rng{34};
-  const auto r = permutation_test_mean_diff(a, b, rng, 2000);
+  const auto r = permutation_test_mean_diff(kSerial, a, b, rng, 2000);
   // Add-one p-value floor: 1 / (1 + 2000).
   EXPECT_LT(r.p_value, 0.001);
   EXPECT_NEAR(r.statistic, 1.0, 0.3);
@@ -211,7 +213,7 @@ TEST(PermutationTest, AgreesWithWelchOnGaussianData) {
   for (double& v : a) v = data_rng.normal(0.1, 1.0);
   for (double& v : b) v = data_rng.normal(0.0, 1.0);
   rngx::Rng rng{36};
-  const auto perm = permutation_test_mean_diff(a, b, rng, 5000);
+  const auto perm = permutation_test_mean_diff(kSerial, a, b, rng, 5000);
   const auto welch = welch_t_test(a, b);
   EXPECT_NEAR(perm.p_value, welch.p_value, 0.05);
 }
@@ -220,9 +222,9 @@ TEST(PermutationTest, RejectsBadInputs) {
   const std::vector<double> x{1.0, 2.0};
   const std::vector<double> empty;
   rngx::Rng rng{37};
-  EXPECT_THROW((void)permutation_test_mean_diff(empty, x, rng),
+  EXPECT_THROW((void)permutation_test_mean_diff(kSerial, empty, x, rng),
                std::invalid_argument);
-  EXPECT_THROW((void)permutation_test_mean_diff(x, x, rng, 0),
+  EXPECT_THROW((void)permutation_test_mean_diff(kSerial, x, x, rng, 0),
                std::invalid_argument);
 }
 
@@ -235,7 +237,7 @@ TEST(PairedPermutationTest, DetectsPairedShift) {
     b[i] = a[i] - 0.4 - data_rng.normal(0.0, 0.1);
   }
   rngx::Rng rng{39};
-  const auto r = paired_permutation_test(a, b, rng, 2000);
+  const auto r = paired_permutation_test(kSerial, a, b, rng, 2000);
   EXPECT_LT(r.p_value, 0.01);
   EXPECT_GT(r.statistic, 0.0);
 }
@@ -249,7 +251,7 @@ TEST(PairedPermutationTest, NullPairsGiveLargeP) {
     b[i] = a[i] + data_rng.normal(0.0, 0.2);  // noise, no shift
   }
   rngx::Rng rng{41};
-  const auto r = paired_permutation_test(a, b, rng, 2000);
+  const auto r = paired_permutation_test(kSerial, a, b, rng, 2000);
   EXPECT_GT(r.p_value, 0.01);
 }
 
@@ -257,9 +259,9 @@ TEST(PairedPermutationTest, RejectsBadInputs) {
   const std::vector<double> x{1.0, 2.0};
   const std::vector<double> y{1.0};
   rngx::Rng rng{42};
-  EXPECT_THROW((void)paired_permutation_test(x, y, rng),
+  EXPECT_THROW((void)paired_permutation_test(kSerial, x, y, rng),
                std::invalid_argument);
-  EXPECT_THROW((void)paired_permutation_test(y, y, rng, 0),
+  EXPECT_THROW((void)paired_permutation_test(kSerial, y, y, rng, 0),
                std::invalid_argument);
 }
 

@@ -134,6 +134,37 @@ TEST(ReadStatus, MissingManifestIsActionable) {
   }
 }
 
+TEST(ReadStatus, UnsupportedSchemaIsActionable) {
+  // The report loader's rule: v1 and v2 read, anything else is refused
+  // naming the file and both readable versions; v2 refuses unknown fields
+  // by JSON path.
+  const TempDir dir{"schema"};
+  const std::string path = (fs::path{dir.str()} / "campaign.json").string();
+  const auto error_of = [&](const std::string& schema,
+                            const std::string& extra_task_field) {
+    io::write_file(path, "{\"schema\": \"" + schema +
+                             "\", \"tasks\": [{\"id\": \"s0-0of1\", "
+                             "\"status\": \"done\"" +
+                             extra_task_field + "}]}\n");
+    try {
+      (void)read_status(dir.str());
+    } catch (const io::JsonError& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"<no error>"};
+  };
+  const std::string v9 = error_of("varbench.campaign.v9", "");
+  EXPECT_NE(v9.find(path), std::string::npos) << v9;
+  EXPECT_NE(v9.find("varbench.campaign.v9"), std::string::npos) << v9;
+  EXPECT_NE(v9.find("varbench.campaign.v1"), std::string::npos) << v9;
+  EXPECT_NE(v9.find("varbench.campaign.v2"), std::string::npos) << v9;
+  const std::string unknown =
+      error_of("varbench.campaign.v2", ", \"gpu_hours\": 3");
+  EXPECT_NE(unknown.find("$.tasks[].gpu_hours"), std::string::npos)
+      << unknown;
+  EXPECT_EQ(error_of("varbench.campaign.v2", ""), "<no error>");
+}
+
 TEST(ReadStatus, FinishedCampaignReportsAllDone) {
   const TempDir dir{"finished"};
   study::StudySpec spec;
@@ -185,6 +216,7 @@ TEST(ReadStatus, MidFlightDirReportsWorkersAndEta) {
   tasks.push_back(task("s0-1of4", "done", 120.0, 2));
   tasks.push_back(task("s0-2of4", "running", 0.0, 1));
   tasks.push_back(task("s0-3of4", "queued", 0.0, 1));
+  manifest.set("schema", io::Json{"varbench.campaign.v1"});
   manifest.set("tasks", std::move(tasks));
   io::write_file((fs::path{dir.str()} / "campaign.json").string(),
                  manifest.dump(2) + "\n");

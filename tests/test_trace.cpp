@@ -19,6 +19,7 @@
 #include "src/exec/exec_context.h"
 #include "src/exec/parallel_for.h"
 #include "src/io/json.h"
+#include "src/report/render.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
@@ -373,6 +374,29 @@ TEST(StitchTest, SummaryTableAggregatesPerSpan) {
   EXPECT_EQ(table.rows[2][3].as_string(), "instant");
 }
 
+TEST(StitchTest, SummaryRendersOneRowPerSpan) {
+  // What `varbench trace --summary` prints: the per-span table itself, not
+  // a report of n = 1 statistics under a bootstrap settings line.
+  StitchedTrace stitched;
+  stitched.processes.push_back(sample_file());
+  const study::ResultTable table = summary_table(stitched);
+  const auto lines = [](const std::string& text) {
+    return std::count(text.begin(), text.end(), '\n');
+  };
+  const std::string text = report::render_table(table, report::Format::kText);
+  EXPECT_EQ(lines(text), 4) << text;  // header + one row per span
+  EXPECT_EQ(text.find("ci ="), std::string::npos) << text;
+  for (const char* span :
+       {"exec.region", "exec.chunk", "campaign.task_queued"}) {
+    EXPECT_NE(text.find(span), std::string::npos) << span << "\n" << text;
+  }
+  // Markdown adds its alignment row.
+  EXPECT_EQ(lines(report::render_table(table, report::Format::kMarkdown)), 5);
+  EXPECT_EQ(lines(report::render_table(table, report::Format::kCsv)), 4);
+  EXPECT_EQ(report::render_table(table, report::Format::kJson),
+            table.to_json_text());
+}
+
 // ----------------------------------------------- campaign determinism
 
 study::StudySpec tiny_compare_spec() {
@@ -423,7 +447,7 @@ TEST(CampaignTrace, ShapeIsWorkerCountInvariantAndArtifactsUnchanged) {
         std::pair<const TempDir*, std::size_t>{&four_dir, 4}}) {
     const auto report = campaign::run_campaign(
         traced_config(dir->str(), workers), {spec},
-        campaign::in_process_launcher(/*trace=*/true));
+        campaign::in_process_launcher());
     ASSERT_TRUE(report.ok());
     ASSERT_EQ(report.merged_outputs.size(), 1u);
     merged_texts.push_back(io::read_file(report.merged_outputs[0]));
@@ -433,7 +457,7 @@ TEST(CampaignTrace, ShapeIsWorkerCountInvariantAndArtifactsUnchanged) {
     EXPECT_TRUE(fs::exists(fs::path{dir->str()} / "traces" /
                            "coordinator.trace.json"));
   }
-  // in_process_launcher(true) enabled the process-global sink's spans; put
+  // The traced launches enabled the process-global sink's spans; put
   // it back so later tests in this binary see the all-disabled default.
   global_sink().disable_all();
   global_sink().reset();
@@ -493,7 +517,7 @@ TEST(CampaignMetrics, ManifestBlockSurvivesTracingAndStaysOutOfWorkerTraces) {
     auto cfg = traced_config(dir.str(), 2);
     cfg.trace = traced;
     const auto report = campaign::run_campaign(
-        cfg, {spec}, campaign::in_process_launcher(traced));
+        cfg, {spec}, campaign::in_process_launcher());
     global.disable_all();
     global.reset();
     ASSERT_TRUE(report.ok());

@@ -28,7 +28,6 @@
 //   varbench tasks                         list registered case studies
 //   varbench plan   [--gamma G] [--alpha A] [--beta B]
 //   varbench audit  <task> [--scale S]
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -316,31 +315,20 @@ int cmd_run(const Args& a) {
 }
 
 /// Expand a merge operand: a file stands for itself; a directory stands for
-/// the `*.json` and `*.vbt` files it holds (mixed freely) — preferring its
+/// the artifacts it holds (report::artifact_files_in) — preferring its
 /// `artifacts/` subdirectory when present, so a campaign state dir and a
-/// hand-run shard dir merge the same way. In-flight `.part` files and
-/// `campaign.json` are skipped.
+/// hand-run shard dir merge the same way.
 std::vector<std::string> expand_shard_paths(const std::string& operand) {
   namespace fs = std::filesystem;
   if (!fs::is_directory(operand)) return {operand};
   fs::path dir{operand};
   if (fs::is_directory(dir / "artifacts")) dir /= "artifacts";
-  std::vector<std::string> files;
-  for (const auto& entry : fs::directory_iterator{dir}) {
-    const fs::path& p = entry.path();
-    if (!entry.is_regular_file() ||
-        (p.extension() != ".json" && p.extension() != ".vbt")) {
-      continue;
-    }
-    if (p.filename() == "campaign.json") continue;
-    files.push_back(p.string());
-  }
+  std::vector<std::string> files = report::artifact_files_in(dir.string());
   if (files.empty()) {
     throw std::invalid_argument(
         "merge: no shard artifacts (*.json, *.vbt) in '" + dir.string() +
         "'");
   }
-  std::sort(files.begin(), files.end());
   return files;
 }
 
@@ -467,8 +455,7 @@ int cmd_campaign(const Args& a) {
 
   const auto report = campaign::run_campaign(
       cfg, studies,
-      campaign::subprocess_launcher(campaign::current_executable(g_argv0),
-                                    cfg.trace));
+      campaign::subprocess_launcher(campaign::current_executable(g_argv0)));
 
   for (const auto& path : report.merged_outputs) {
     std::printf("merged: %s\n", path.c_str());
@@ -577,10 +564,10 @@ int cmd_report(const Args& a) {
 /// behind, or the one file `run --trace-out` wrote, into one timeline.
 /// --chrome exports Chrome trace-event JSON (load it in Perfetto /
 /// chrome://tracing); --summary (also the default when no --chrome is
-/// asked for) renders the per-span critical-path table through the report
-/// machinery (docs/metrics.md).
+/// asked for) prints the per-span table, one row per span
+/// (docs/metrics.md).
 int cmd_trace(const Args& a) {
-  require_known_flags(a, {"chrome", "summary", "format", "threads"});
+  require_known_flags(a, {"chrome", "summary", "format"});
   if (a.positional.empty()) {
     std::fprintf(stderr,
                  "usage: varbench trace <state-dir | run.trace.json> "
@@ -603,23 +590,11 @@ int cmd_trace(const Args& a) {
     emitted = true;
   }
   if (opt_flag(a, "summary") || !emitted) {
-    // The per-span aggregate is an ordinary ResultTable, so it renders
-    // through the same report pipeline as any study artifact: group by
-    // span name, one group per instrumented region.
-    io::Json spec_doc = io::Json::object();
-    spec_doc.set("group_by", io::Json{std::string{"span"}});
-    io::Json estimators = io::Json::array();
-    estimators.push_back(io::Json{std::string{"mean"}});
-    spec_doc.set("estimators", std::move(estimators));
-    spec_doc.set("format",
-                 io::Json{opt_string(a, "format", "text")});
-    const auto spec = report::ReportSpec::from_json(spec_doc);
-    const report::LoadedArtifact artifact{a.positional[0],
-                                          metrics::summary_table(stitched)};
-    const exec::ExecContext ctx{opt_size(a, "threads", 1)};
-    const auto rendered = report::render(report::summarize(ctx, artifact, spec),
-                                         report::format_from_string(spec.format));
-    std::fputs(rendered.c_str(), stdout);
+    std::fputs(report::render_table(metrics::summary_table(stitched),
+                                    report::format_from_string(
+                                        opt_string(a, "format", "text")))
+                   .c_str(),
+               stdout);
   }
   return 0;
 }
@@ -799,7 +774,8 @@ void usage() {
       "--threads N runs the Monte-Carlo loops on N threads (0 = all cores)\n"
       "and --shard i/N computes slice i of N; results are bit-identical for\n"
       "every N and any shard/merge split (docs/determinism.md).\n"
-      "varbench --version prints the release version and exits.\n");
+      "varbench --version prints the release version and exits; --help,\n"
+      "alone or after any subcommand, prints this text.\n");
 }
 
 }  // namespace
@@ -812,6 +788,11 @@ int main(int argc, char** argv) {
   g_argv0 = argv[0];
   const std::string cmd = argv[1];
   const Args args = parse(argc, argv, 2);
+  // --help, bare or after any subcommand, is the one help there is.
+  if (cmd == "--help" || args.find("help") != nullptr) {
+    usage();
+    return 0;
+  }
   if (cmd == "--version") {
     if (args.find("json") != nullptr) return emit_introspection(tool_envelope());
     std::printf("varbench %.*s\n", static_cast<int>(kVersion.size()),
