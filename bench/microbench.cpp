@@ -15,6 +15,7 @@
 #include "src/exec/parallel_replicate.h"
 #include "src/exec/thread_pool.h"
 #include "src/io/columnar/vbt.h"
+#include "src/math/matrix.h"
 #include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
 #include "src/ml/train.h"
@@ -327,6 +328,46 @@ std::vector<MicrobenchResult> run_stats_microbenches(
 std::vector<MicrobenchResult> run_ml_microbenches(
     const MicrobenchOptions& opts) {
   std::vector<MicrobenchResult> results;
+
+  // One mhc_mlp step's five products at its default shapes: batch 64, 24
+  // inputs, 150 hidden, 1 output. The hidden layer's outputs and deltas
+  // are about half zeros, as ReLU and its derivative leave them.
+  rngx::Rng data_rng{22};
+  const auto draw = [&](std::size_t rows, std::size_t cols, double zeros) {
+    math::Matrix m{rows, cols};
+    for (double& v : m.data()) {
+      const double x = data_rng.normal();
+      v = data_rng.uniform() < zeros ? 0.0 : x;
+    }
+    return m;
+  };
+  const math::Matrix x = draw(64, 24, 0.0);
+  const math::Matrix w0 = draw(150, 24, 0.0);
+  const math::Matrix w1 = draw(1, 150, 0.0);
+  const math::Matrix h = draw(64, 150, 0.5);
+  const math::Matrix d1 = draw(64, 1, 0.0);
+  const math::Matrix d0 = draw(64, 150, 0.5);
+  math::Matrix pre0, pre1, gw1, gw0, prev;
+  const std::size_t steps = scaled(opts.scale, 600);
+  double sink_value = 0.0;
+  results.push_back(min_of("math.gemm.mhc_step", "ns", opts.repeats, [&] {
+    const Stopwatch sw;
+    for (std::size_t s = 0; s < steps; ++s) {
+      math::matmul_nt(x, w0, pre0);   // forward, hidden layer
+      math::matmul_nt(h, w1, pre1);   // forward, output layer
+      math::matmul_tn(d1, h, gw1);    // output layer's weight gradient
+      math::matmul(d1, w1, prev);     // delta into the hidden layer
+      math::matmul_tn(d0, x, gw0);    // hidden layer's weight gradient
+    }
+    const std::uint64_t ns = sw.elapsed_ns();
+    sink_value += pre0(0, 0) + pre1(0, 0) + gw1(0, 0) + prev(0, 0) +
+                  gw0(0, 0);
+    return ns;
+  }));
+  if (sink_value == 0.123456789) {  // anchors sink_value, as above
+    std::fprintf(stderr, "microbench: improbable checksum\n");
+  }
+
   for (const char* id : {"mhc_mlp", "cifar10_vgg11", "glue_rte_bert"}) {
     const casestudies::CaseStudy cs =
         casestudies::make_case_study(id, std::min(opts.scale, 1.0));

@@ -54,6 +54,10 @@ struct MicrobenchResult {
 [[nodiscard]] std::vector<MicrobenchResult> run_stats_microbenches(
     const MicrobenchOptions& opts);
 
+/// math.gemm.mhc_step: the five products of one mhc_mlp training step at
+/// its default shapes (batch 64, 24 inputs, 150 hidden, 1 output; hidden
+/// outputs and deltas about half zeros), through math::matmul, matmul_nt
+/// and matmul_tn, scaled(scale, 600) times per sample. Then
 /// ml.train_mlp.{mhc_mlp,cifar10_vgg11,glue_rte_bert}: one whole
 /// ml::train_mlp at the case study's default hyperparameters on its pool
 /// built at min(scale, 1), so the GEMM kernel (src/math/gemm.h) and the

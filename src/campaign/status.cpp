@@ -185,9 +185,10 @@ std::string render_status_text(const CampaignStatus& status) {
   std::string out;
   std::snprintf(line, sizeof(line),
                 "campaign %s: %zu/%zu task(s) done, %zu failed, %zu pending "
-                "(%zu queued), %zu retrie(s)\n",
+                "(%zu queued), %zu %s\n",
                 status.dir.c_str(), status.done, status.tasks, status.failed,
-                status.pending, status.queued, status.retries);
+                status.pending, status.queued, status.retries,
+                status.retries == 1 ? "retry" : "retries");
   out += line;
   if (status.mean_task_wall_ms > 0.0) {
     out += "  mean task wall " + fmt_ms(status.mean_task_wall_ms);

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/exec/scratch.h"
+#include "src/math/isa.h"
 
 namespace varbench::math::detail {
 namespace {
@@ -84,11 +85,48 @@ template <std::size_t L, std::size_t MR, std::size_t NV, bool kDropZeroA>
   if constexpr (MR > 1) row_blocks<L, MR / 2, NV, kDropZeroA>(g, i);
 }
 
+/// Whether every B(p,j) a tile reads is finite: the full panels' rows and
+/// the tail panel's rows, whose padding is +0.0. x·0 is ±0 for finite x
+/// and NaN for ±inf and NaN, so `x·0 != 0` flags exactly the values for
+/// which keeping a zero-A term differs from dropping it.
+template <std::size_t L, std::size_t NV>
+[[gnu::always_inline]] inline bool b_is_finite(const GemmArgs& g) {
+  using V = typename Lanes<L>::vec;
+  using M = decltype(V{} != V{});
+  constexpr std::size_t kNr = NV * L;
+  const std::size_t full_cols = g.n / kNr * kNr;
+  const std::size_t tail_cols = full_cols < g.n ? kNr : 0;
+  M bad = {};
+  for (std::size_t p = 0; p < g.k; ++p) {
+    const double* row = g.b + p * g.b_rs;
+    for (std::size_t j = 0; j < full_cols; j += L) {
+      V x;
+      std::memcpy(&x, row + j, sizeof(V));
+      bad |= x * V{} != V{};
+    }
+    const double* tail = g.b_tail + p * g.b_tail_rs;
+    for (std::size_t j = 0; j < tail_cols; j += L) {
+      V x;
+      std::memcpy(&x, tail + j, sizeof(V));
+      bad |= x * V{} != V{};
+    }
+  }
+  for (std::size_t l = 0; l < L; ++l) {
+    if (bad[l] != 0) return false;
+  }
+  return true;
+}
+
 /// The kernel body every variant compiles: L-lane vectors, MR-row tiles
-/// (a power of two), NV vectors per panel row (panel width NV·L).
+/// (a power of two), NV vectors per panel row (panel width NV·L). A kept
+/// term whose A(i,p) is ±0 adds 0·B(p,j), which is ±0 when B(p,j) is
+/// finite; like a dropped term's +0.0, it leaves an ascending sum from +0.0
+/// unchanged. So the masked tile runs only where B holds ±inf or NaN, or
+/// where m is too small for the check to pay.
 template <std::size_t L, std::size_t MR, std::size_t NV>
 [[gnu::always_inline]] inline void body(const GemmArgs& g) {
-  if (g.drop_zero_a) {
+  if (g.drop_zero_a &&
+      (g.m < kFiniteScanMinRows || !b_is_finite<L, NV>(g))) {
     row_blocks<L, MR, NV, true>(g, 0);
   } else {
     row_blocks<L, MR, NV, false>(g, 0);
@@ -117,29 +155,10 @@ constexpr GemmKernel kKernels[] = {
 
 }  // namespace
 
-#if defined(__x86_64__) || defined(__i386__)
-// __builtin_cpu_init first: a caller may run before libgcc's constructor
-// has filled the feature bits.
-bool has_avx2() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
-}
-bool has_avx512f() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx512f");
-}
-#endif
-
 std::span<const GemmKernel> gemm_kernels() { return kKernels; }
 
 const GemmKernel& active_gemm_kernel() {
-  static const GemmKernel& chosen = []() -> const GemmKernel& {
-    const GemmKernel* best = &kKernels[0];
-    for (const GemmKernel& kernel : kKernels) {
-      if (kernel.supported()) best = &kernel;
-    }
-    return *best;
-  }();
+  static const GemmKernel& chosen = highest_supported(gemm_kernels());
   return chosen;
 }
 

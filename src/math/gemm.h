@@ -13,7 +13,9 @@
 // the same bits as the scalar loops it replaced. With `drop_zero_a`, terms
 // whose A(i,p) is zero are left out (matmul and matmul_tn keep the
 // ReLU-sparsity skip of the old loops); that changes a result only where
-// the matching B(p,j) is infinite or NaN, since 0·inf is NaN.
+// the matching B(p,j) is infinite or NaN, since 0·inf is NaN. So a variant
+// first checks that every B(p,j) its tiles read is finite, and if so keeps
+// every term, which needs no mask (docs/determinism.md, "Zero terms").
 #pragma once
 
 #include <cstddef>
@@ -44,6 +46,13 @@ struct GemmArgs {
   bool drop_zero_a = false;
 };
 
+/// With `drop_zero_a`, a call with fewer rows than this keeps the mask and
+/// skips the finiteness check of B: the check reads all of B once, which
+/// costs about as much as a one-row product. Chosen by timing mhc_mlp's
+/// one-output layer, whose weight gradient is a 1×150 product over 64
+/// terms.
+inline constexpr std::size_t kFiniteScanMinRows = 4;
+
 /// One compiled ISA variant of the kernel body.
 struct GemmKernel {
   const char* name;   // "baseline", "avx2", "avx512f"
@@ -51,13 +60,6 @@ struct GemmKernel {
   bool (*supported)();
   void (*run)(const GemmArgs&);
 };
-
-#if defined(__x86_64__) || defined(__i386__)
-/// Whether this CPU runs the `avx2` / `avx512f` variants. Shared by every
-/// kernel compiled per ISA (here and src/stats/signflip.h).
-[[nodiscard]] bool has_avx2();
-[[nodiscard]] bool has_avx512f();
-#endif
 
 /// Every variant compiled into this build, lowest ISA first. "baseline"
 /// (the build's own target flags) is always first and always supported.

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "src/ml/step_kernels.h"
+
 namespace varbench::ml {
 
 namespace {
@@ -43,15 +45,21 @@ std::size_t Mlp::num_parameters() const noexcept {
 
 namespace {
 
-void add_bias(math::Matrix& out, const std::vector<double>& b) {
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    auto row = out.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) row[c] += b[c];
+/// pre += bias row by row, then, for a hidden layer, hidden = ReLU(pre)
+/// times `mask` when one is given, through the active step kernels.
+void dense_epilogue(math::Matrix& pre, const std::vector<double>& bias,
+                    math::Matrix* hidden, const math::Matrix* mask) {
+  detail::ForwardArgs args;
+  args.rows = pre.rows();
+  args.cols = pre.cols();
+  args.pre = pre.data().data();
+  args.bias = bias.data();
+  if (hidden != nullptr) {
+    hidden->resize(pre.rows(), pre.cols());
+    args.hidden = hidden->data().data();
   }
-}
-
-void relu_inplace(math::Matrix& m) {
-  for (double& v : m.data()) v = std::max(v, 0.0);
+  if (mask != nullptr) args.mask = mask->data().data();
+  detail::active_step_kernels().forward(args);
 }
 
 /// out = softmax(in), one row; `out` may be `in`.
@@ -68,13 +76,15 @@ void softmax_row(std::span<const double> in, std::span<double> out) {
 }  // namespace
 
 math::Matrix Mlp::forward(const math::Matrix& batch) const {
-  math::Matrix h = batch;
-  for (std::size_t i = 0; i < weights_.size(); ++i) {
-    h = math::matmul_nt(h, weights_[i]);  // input (B×in) · wᵀ (in×out)
-    add_bias(h, biases_[i]);
-    if (i + 1 < weights_.size()) relu_inplace(h);
+  const std::size_t L = weights_.size();
+  math::Matrix pre;
+  math::Matrix h;
+  for (std::size_t i = 0; i < L; ++i) {
+    // input (B×in) · wᵀ (in×out)
+    math::matmul_nt(i == 0 ? batch : h, weights_[i], pre);
+    dense_epilogue(pre, biases_[i], i + 1 < L ? &h : nullptr, nullptr);
   }
-  return h;
+  return pre;
 }
 
 const math::Matrix& Mlp::forward_train(TrainWorkspace& ws,
@@ -87,25 +97,23 @@ const math::Matrix& Mlp::forward_train(TrainWorkspace& ws,
   for (std::size_t i = 0; i < L; ++i) {
     math::Matrix& pre = ws.pre[i];
     math::matmul_nt(i == 0 ? ws.batch : ws.hidden[i - 1], weights_[i], pre);
-    add_bias(pre, biases_[i]);
-    if (i + 1 == L) break;
-    math::Matrix& h = ws.hidden[i];
-    h.resize(pre.rows(), pre.cols());
-    const auto z = pre.data();
-    const auto a = h.data();
+    if (i + 1 == L) {
+      dense_epilogue(pre, biases_[i], nullptr, nullptr);  // the logits
+      break;
+    }
+    math::Matrix* mask = nullptr;
     if (dropout) {
       // Inverted dropout: scale at train time so inference needs no change.
-      math::Matrix& mask = ws.dropout_mask[i];
-      mask.resize(pre.rows(), pre.cols());
-      const auto keep_mask = mask.data();
+      // One serial pass draws the whole mask, row-major, before the
+      // vectorized epilogue reads it.
+      mask = &ws.dropout_mask[i];
+      mask->resize(pre.rows(), pre.cols());
       const double keep = 1.0 - config_.dropout;
-      for (std::size_t j = 0; j < a.size(); ++j) {
-        keep_mask[j] = dropout_rng.bernoulli(keep) ? 1.0 / keep : 0.0;
-        a[j] = std::max(z[j], 0.0) * keep_mask[j];
+      for (double& m : mask->data()) {
+        m = dropout_rng.bernoulli(keep) ? 1.0 / keep : 0.0;
       }
-    } else {
-      for (std::size_t j = 0; j < a.size(); ++j) a[j] = std::max(z[j], 0.0);
     }
+    dense_epilogue(pre, biases_[i], &ws.hidden[i], mask);
   }
   return ws.pre.back();
 }
@@ -114,6 +122,7 @@ void Mlp::backward(TrainWorkspace& ws) const {
   const std::size_t L = weights_.size();
   ws.grads.weights.resize(L);
   ws.grads.biases.resize(L);
+  const detail::StepKernels& kernels = detail::active_step_kernels();
   for (std::size_t ii = L; ii-- > 0;) {
     // d(loss)/d(pre-activation of layer ii).
     const math::Matrix& delta = ws.delta[(L - 1 - ii) % 2];
@@ -121,11 +130,9 @@ void Mlp::backward(TrainWorkspace& ws) const {
       math::matmul_tn(delta, ii == 0 ? ws.batch : ws.hidden[ii - 1],
                       ws.grads.weights[ii]);
       auto& gb = ws.grads.biases[ii];
-      gb.assign(biases_[ii].size(), 0.0);
-      for (std::size_t r = 0; r < delta.rows(); ++r) {
-        const auto row = delta.row(r);
-        for (std::size_t c = 0; c < row.size(); ++c) gb[c] += row[c];
-      }
+      gb.resize(biases_[ii].size());
+      kernels.bias_grad({delta.rows(), delta.cols(), delta.data().data(),
+                         gb.data()});
     }
     // Only the first layer can be frozen: once the layer below is frozen,
     // or there is none, no gradient is left to compute.
@@ -136,18 +143,11 @@ void Mlp::backward(TrainWorkspace& ws) const {
     // `pre > 0.0 ? v : 0.0` would zero it and move bits.
     math::Matrix& prev = ws.delta[(L - ii) % 2];
     math::matmul(delta, weights_[ii], prev);
-    const auto z = ws.pre[ii - 1].data();
-    const auto p = prev.data();
-    if (config_.dropout > 0.0) {
-      const auto keep_mask = ws.dropout_mask[ii - 1].data();
-      for (std::size_t j = 0; j < p.size(); ++j) {
-        p[j] = (z[j] <= 0.0 ? 0.0 : p[j]) * keep_mask[j];
-      }
-    } else {
-      for (std::size_t j = 0; j < p.size(); ++j) {
-        p[j] = z[j] <= 0.0 ? 0.0 : p[j];
-      }
-    }
+    kernels.relu_grad(
+        {prev.size(), ws.pre[ii - 1].data().data(),
+         config_.dropout > 0.0 ? ws.dropout_mask[ii - 1].data().data()
+                               : nullptr,
+         prev.data().data()});
   }
 }
 

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/ml/step_kernels.h"
+
 namespace varbench::ml {
 
 namespace {
@@ -52,37 +54,33 @@ void check_buffers(const OptimizerState& state, const Mlp& model,
 
 }  // namespace
 
-// Both steps read every buffer and constant through locals: through the
-// members, each store to a weight could change a constant or a buffer
-// pointer as far as the compiler can tell, and the loops would not
-// vectorize. Each element's operations and their order are unchanged.
+// Both steps run each layer's weights, then its biases, through the active
+// step kernels (src/ml/step_kernels.h): the same operations per parameter,
+// in the same order, on every ISA.
 
 void SgdOptimizer::step(Mlp& model, const Gradients& g) {
   const std::size_t L = model.num_layers();
   ensure_state(weight_velocity_, L, model.weights());
   ensure_bias_state(bias_velocity_, L, model.biases());
-  const double lr = current_lr();
-  const double momentum = config_.momentum;
-  const double weight_decay = config_.weight_decay;
+  const auto& kernels = detail::active_step_kernels();
+  detail::SgdArgs args;
+  args.lr = current_lr();
+  args.momentum = config_.momentum;
+  args.weight_decay = config_.weight_decay;
   for (std::size_t i = 0; i < L; ++i) {
     if (!model.layer_trainable(i)) continue;
-    double* w = model.weights()[i].data().data();
-    const double* gw = g.weights[i].data().data();
-    double* vel = weight_velocity_[i].data();
-    const std::size_t nw = model.weights()[i].size();
-    for (std::size_t j = 0; j < nw; ++j) {
-      const double grad = gw[j] + weight_decay * w[j];
-      vel[j] = momentum * vel[j] + grad;
-      w[j] -= lr * vel[j];
-    }
-    double* b = model.biases()[i].data();
-    const double* gb = g.biases[i].data();
-    double* bvel = bias_velocity_[i].data();
-    const std::size_t nb = model.biases()[i].size();
-    for (std::size_t j = 0; j < nb; ++j) {
-      bvel[j] = momentum * bvel[j] + gb[j];
-      b[j] -= lr * bvel[j];
-    }
+    args.n = model.weights()[i].size();
+    args.w = model.weights()[i].data().data();
+    args.grad = g.weights[i].data().data();
+    args.vel = weight_velocity_[i].data();
+    args.decay = true;
+    kernels.sgd(args);
+    args.n = model.biases()[i].size();
+    args.w = model.biases()[i].data();
+    args.grad = g.biases[i].data();
+    args.vel = bias_velocity_[i].data();
+    args.decay = false;  // weight decay applies to weights only
+    kernels.sgd(args);
   }
 }
 
@@ -111,36 +109,30 @@ void AdamOptimizer::step(Mlp& model, const Gradients& g) {
   ensure_bias_state(m_b_, L, model.biases());
   ensure_bias_state(v_b_, L, model.biases());
   ++t_;
-  const double lr = current_lr();
-  const double b1 = config_.adam_beta1;
-  const double b2 = config_.adam_beta2;
-  const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t_));
-  const double weight_decay = config_.weight_decay;
-  constexpr double kEps = 1e-8;
+  const auto& kernels = detail::active_step_kernels();
+  detail::AdamArgs args;
+  args.lr = current_lr();
+  args.beta1 = config_.adam_beta1;
+  args.beta2 = config_.adam_beta2;
+  args.bc1 = 1.0 - std::pow(args.beta1, static_cast<double>(t_));
+  args.bc2 = 1.0 - std::pow(args.beta2, static_cast<double>(t_));
+  args.weight_decay = config_.weight_decay;
   for (std::size_t i = 0; i < L; ++i) {
     if (!model.layer_trainable(i)) continue;
-    double* w = model.weights()[i].data().data();
-    const double* gw = g.weights[i].data().data();
-    double* m = m_w_[i].data();
-    double* v = v_w_[i].data();
-    const std::size_t nw = model.weights()[i].size();
-    for (std::size_t j = 0; j < nw; ++j) {
-      const double grad = gw[j] + weight_decay * w[j];
-      m[j] = b1 * m[j] + (1.0 - b1) * grad;
-      v[j] = b2 * v[j] + (1.0 - b2) * grad * grad;
-      w[j] -= lr * (m[j] / bc1) / (std::sqrt(v[j] / bc2) + kEps);
-    }
-    double* b = model.biases()[i].data();
-    const double* gb = g.biases[i].data();
-    double* mb = m_b_[i].data();
-    double* vb = v_b_[i].data();
-    const std::size_t nb = model.biases()[i].size();
-    for (std::size_t j = 0; j < nb; ++j) {
-      mb[j] = b1 * mb[j] + (1.0 - b1) * gb[j];
-      vb[j] = b2 * vb[j] + (1.0 - b2) * gb[j] * gb[j];
-      b[j] -= lr * (mb[j] / bc1) / (std::sqrt(vb[j] / bc2) + kEps);
-    }
+    args.n = model.weights()[i].size();
+    args.w = model.weights()[i].data().data();
+    args.grad = g.weights[i].data().data();
+    args.m = m_w_[i].data();
+    args.v = v_w_[i].data();
+    args.decay = true;
+    kernels.adam(args);
+    args.n = model.biases()[i].size();
+    args.w = model.biases()[i].data();
+    args.grad = g.biases[i].data();
+    args.m = m_b_[i].data();
+    args.v = v_b_[i].data();
+    args.decay = false;  // weight decay applies to weights only
+    kernels.adam(args);
   }
 }
 

@@ -10,10 +10,6 @@ namespace varbench::report {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-/// The shard-invariant identity of a table: everything merge requires to
-/// match, rendered to one comparable string.
 std::string study_identity(const study::ResultTable& t) {
   std::string key = t.name + '\n' + std::to_string(t.seed) + '\n';
   for (const auto& c : t.columns) key += c + ',';
@@ -21,6 +17,8 @@ std::string study_identity(const study::ResultTable& t) {
   if (t.spec.has_value()) key += t.spec->to_json().dump();
   return key;
 }
+
+namespace {
 
 CampaignProvenance read_campaign_provenance(const std::string& path) {
   const io::Json doc = io::Json::parse(io::read_file(path));

@@ -32,6 +32,10 @@ struct CampaignProvenance {
   std::vector<std::pair<std::string, double>> study_wall_ms;
 };
 
+/// The shard-invariant identity of a table: everything merge requires to
+/// match (name, seed, columns, spec), rendered to one comparable string.
+[[nodiscard]] std::string study_identity(const study::ResultTable& t);
+
 /// The artifact files directly inside `dir`, sorted: regular `*.json` and
 /// `*.vbt` files (freely mixed — ResultTable::load dispatches on content),
 /// except a campaign's `campaign.json` manifest; in-flight `.part` files

@@ -3,7 +3,7 @@
 #include <array>
 #include <bit>
 
-#include "src/math/gemm.h"
+#include "src/math/isa.h"
 #include "src/rngx/rng.h"
 
 namespace varbench::stats::detail {
@@ -76,13 +76,8 @@ constexpr SignflipKernel kKernels[] = {
 std::span<const SignflipKernel> signflip_kernels() { return kKernels; }
 
 const SignflipKernel& active_signflip_kernel() {
-  static const SignflipKernel& chosen = []() -> const SignflipKernel& {
-    const SignflipKernel* best = &kKernels[0];
-    for (const SignflipKernel& kernel : kKernels) {
-      if (kernel.supported()) best = &kernel;
-    }
-    return *best;
-  }();
+  static const SignflipKernel& chosen = math::detail::highest_supported(
+      signflip_kernels());
   return chosen;
 }
 

@@ -795,17 +795,31 @@ ResultTable merge_result_tables(std::vector<ResultTable> shards) {
   if (shards.empty()) {
     throw io::JsonError("merge: no shard tables given");
   }
-  const std::size_t count = shards.front().shard.count;
+  // Stable: among equal indices, the tables keep the order they came in.
+  std::stable_sort(shards.begin(), shards.end(),
+                   [](const ResultTable& a, const ResultTable& b) {
+                     return a.shard.index < b.shard.index;
+                   });
+  // One study first: the shards of two studies would otherwise fail the
+  // shard count below, which names the wrong cause.
+  const ResultTable& first = shards.front();
+  for (const ResultTable& t : shards) {
+    if (t.name != first.name || t.spec != first.spec ||
+        t.seed != first.seed || t.columns != first.columns) {
+      throw io::JsonError("merge: shard " + t.shard.label() + " ('" + t.name +
+                          "', seed " + std::to_string(t.seed) +
+                          ") does not belong to the same study as shard " +
+                          first.shard.label() + " ('" + first.name +
+                          "', seed " + std::to_string(first.seed) +
+                          ") — name, spec, seed, and columns must all match");
+    }
+  }
+  const std::size_t count = first.shard.count;
   if (shards.size() != count) {
     throw io::JsonError("merge: got " + std::to_string(shards.size()) +
                         " tables for a " + std::to_string(count) +
                         "-shard study (need every shard exactly once)");
   }
-  std::sort(shards.begin(), shards.end(),
-            [](const ResultTable& a, const ResultTable& b) {
-              return a.shard.index < b.shard.index;
-            });
-  const ResultTable& first = shards.front();
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const ResultTable& t = shards[i];
     if (t.shard.count != count) {
@@ -817,16 +831,6 @@ ResultTable merge_result_tables(std::vector<ResultTable> shards) {
           "merge: shard " + std::to_string(i) + " is " +
           (t.shard.index < i ? "duplicated" : "missing") +
           " (have shard " + t.shard.label() + " instead)");
-    }
-    if (t.name != first.name || t.spec != first.spec ||
-        t.seed != first.seed || t.columns != first.columns) {
-      throw io::JsonError("merge: table " + std::to_string(i) +
-                          " ('" + t.name + "', seed " +
-                          std::to_string(t.seed) +
-                          ") does not belong to the same study as shard 0 ('" +
-                          first.name + "', seed " +
-                          std::to_string(first.seed) +
-                          ") — name, spec, seed, and columns must all match");
     }
   }
 

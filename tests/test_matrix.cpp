@@ -360,6 +360,90 @@ TEST(Gemm, ZeroTermsDropOnlyInMatmulAndMatmulTn) {
   EXPECT_TRUE(std::isnan(matmul_nt(a, b.transposed())(0, 0)));
 }
 
+// matmul and matmul_tn run the unmasked tile body only after checking
+// that every B(p,j) a tile reads is finite (src/math/gemm.cpp). Each case
+// below puts one ±inf or NaN in B where A's matching column holds zeros:
+// the dropping reference stays finite there, and a variant whose check
+// missed the value would return NaN.
+
+/// A(i,p) for op kNN (a is m×k) or kTN (a is k×m).
+double& a_at(GemmOp op, Matrix& a, std::size_t i, std::size_t p) {
+  return op == GemmOp::kNN ? a(i, p) : a(p, i);
+}
+
+/// Every supported variant against the reference on op(a, b), where the
+/// reference output (i, j) must be finite.
+void expect_masked_term_dropped(GemmOp op, const Matrix& a, const Matrix& b,
+                                std::size_t i, std::size_t j,
+                                const std::string& what) {
+  const Matrix want =
+      op == GemmOp::kNN ? reference_matmul(a, b) : reference_matmul_tn(a, b);
+  ASSERT_TRUE(std::isfinite(want(i, j))) << what;
+  for (const detail::GemmKernel& kernel : detail::gemm_kernels()) {
+    if (!kernel.supported()) continue;
+    Matrix got;
+    detail::gemm(op, a, b, kernel, got);
+    EXPECT_EQ(count_mismatches(got, want), 0u)
+        << kernel.name << " " << what << " op=" << static_cast<int>(op);
+  }
+}
+
+/// Standard-normal A (as op's m×k) and B (k×n) with A(rows, p) = ±0 and
+/// B(p, j) = `bad`.
+void run_scan_case(GemmOp op, std::size_t m, std::size_t n, std::size_t k,
+                   std::size_t p, std::size_t j, bool zero_whole_column,
+                   const std::string& what) {
+  rngx::Rng rng{m * 1000 + n * 10 + k};
+  for (const double bad : {kInf, -kInf, kNaN}) {
+    Matrix a = op == GemmOp::kNN ? draw_matrix(m, k, rng, 0.0)
+                                 : draw_matrix(k, m, rng, 0.0);
+    Matrix b = draw_matrix(k, n, rng, 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      if (zero_whole_column || i + 1 == m) {
+        a_at(op, a, i, p) = i % 2 == 0 ? 0.0 : -0.0;
+      } else if (a_at(op, a, i, p) == 0.0) {
+        a_at(op, a, i, p) = 1.5;  // only row m-1 drops the term
+      }
+    }
+    b(p, j) = bad;
+    expect_masked_term_dropped(op, a, b, m - 1, j,
+                               what + " bad=" + std::to_string(bad));
+  }
+}
+
+// n = 13 leaves a partial tail panel for every panel width (4 and 8), and
+// m = 6 is past the scan's row threshold.
+TEST(Gemm, ScanSeesNonFiniteBInTheLastRow) {
+  for (const GemmOp op : {GemmOp::kNN, GemmOp::kTN}) {
+    for (const std::size_t k : {1, 5}) {
+      run_scan_case(op, 6, 13, k, k - 1, 2, false, "last row p");
+    }
+  }
+}
+
+TEST(Gemm, ScanSeesNonFiniteBInTheTailPanelsLastColumn) {
+  for (const GemmOp op : {GemmOp::kNN, GemmOp::kTN}) {
+    run_scan_case(op, 6, 13, 5, 2, 12, false, "tail panel, column n-1");
+    run_scan_case(op, 6, 150, 64, 63, 149, false, "mhc width, column n-1");
+  }
+}
+
+TEST(Gemm, ScanSeesNonFiniteBInARowWhoseAColumnIsAllZero) {
+  for (const GemmOp op : {GemmOp::kNN, GemmOp::kTN}) {
+    run_scan_case(op, 6, 13, 5, 1, 3, true, "all-zero A column");
+    run_scan_case(op, 9, 16, 4, 2, 9, true, "all-zero A column, no tail");
+  }
+}
+
+TEST(Gemm, FewRowsKeepTheMaskWithoutScanning) {
+  ASSERT_GT(detail::kFiniteScanMinRows, 1u);
+  for (const GemmOp op : {GemmOp::kNN, GemmOp::kTN}) {
+    for (std::size_t m = 1; m < detail::kFiniteScanMinRows; ++m) {
+      run_scan_case(op, m, 13, 5, 3, 6, false, "m below the scan threshold");
+    }
+  }
+}
+
 TEST(Gemm, PublicProductsRunTheActiveKernel) {
   rngx::Rng rng{7};
   const Matrix a = draw_matrix(9, 13, rng, 0.01);

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "src/campaign/campaign.h"
 #include "src/campaign/status.h"
@@ -278,6 +279,25 @@ TEST(ReadStatus, MidFlightDirReportsWorkersAndEta) {
   EXPECT_NE(text.find("ETA"), std::string::npos);
   EXPECT_NE(text.find("worker-a"), std::string::npos);
   EXPECT_NE(text.find("worker-b"), std::string::npos);
+}
+
+TEST(ReadStatus, StatusLineCountsRetriesInWords) {
+  CampaignStatus status;
+  status.dir = "camp";
+  status.tasks = 3;
+  status.done = 3;
+  for (const auto& [retries, words] :
+       {std::pair<std::size_t, const char*>{0, "(0 queued), 0 retries\n"},
+        {1, "(0 queued), 1 retry\n"},
+        {2, "(0 queued), 2 retries\n"}}) {
+    status.retries = retries;
+    const std::string text = render_status_text(status);
+    const std::string line = text.substr(0, text.find('\n') + 1);
+    EXPECT_EQ(line,
+              std::string{"campaign camp: 3/3 task(s) done, 0 failed, 0 "
+                          "pending "} + words)
+        << text;
+  }
 }
 
 }  // namespace

@@ -150,6 +150,30 @@ TEST(StudyShard, MergeRejectsBadShardSets) {
   EXPECT_THROW((void)merge_result_tables({t0, run_study(other)}),
                io::JsonError);
 
+  // Two studies' shards, two each: the error names both studies, not the
+  // shard count (4 tables for a 2-shard study).
+  const auto study_shard = [](const std::string& name, std::size_t index) {
+    ResultTable t;
+    t.name = name;
+    t.columns = {"seq", "x"};
+    t.shard = ShardSpec{index, 2};
+    t.add_row({Cell{std::uint64_t{index}}, Cell{0.5}});
+    return t;
+  };
+  try {
+    (void)merge_result_tables({study_shard("alpha", 0), study_shard("alpha", 1),
+                               study_shard("beta", 0), study_shard("beta", 1)});
+    ADD_FAILURE() << "merge must reject two studies' shards";
+  } catch (const io::JsonError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'alpha'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'beta'"), std::string::npos) << what;
+    EXPECT_NE(what.find("does not belong to the same study"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("tables for a"), std::string::npos) << what;
+  }
+
   // A valid shard set whose "seq" cells do not cover 0..n-1 exactly once:
   // a seq held twice, and one past the end.
   const auto seq_shard = [](std::size_t index,

@@ -28,6 +28,7 @@
 //   varbench tasks                         list registered case studies
 //   varbench plan   [--gamma G] [--alpha A] [--beta B]
 //   varbench audit  <task> [--scale S]
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -339,14 +340,27 @@ int cmd_merge(const Args& a) {
                  "usage: varbench merge <shard.json|shard.vbt | shard-dir> "
                  "... [--out merged.json] [--csv merged.csv] "
                  "[--format auto|json|binary]\n"
-                 "a directory operand merges every *.json/*.vbt inside it "
-                 "(a campaign state dir merges its artifacts/)\n");
+                 "a directory operand merges every *.json/*.vbt inside it, "
+                 "all shards of one study (a campaign state dir: its "
+                 "artifacts/)\n");
     return 2;
   }
   std::vector<study::ResultTable> shards;
   for (const auto& operand : a.positional) {
+    std::vector<std::string> studies;
     for (const auto& path : expand_shard_paths(operand)) {
       shards.push_back(study::ResultTable::load(path));
+      const std::string id = report::study_identity(shards.back());
+      if (std::find(studies.begin(), studies.end(), id) == studies.end()) {
+        studies.push_back(id);
+      }
+    }
+    if (studies.size() > 1) {
+      throw std::invalid_argument(
+          "merge: '" + operand + "' holds the shards of " +
+          std::to_string(studies.size()) +
+          " studies; merge takes one study's shards. To merge and report "
+          "each study, run: varbench report " + operand);
     }
   }
   const auto merged = study::merge_result_tables(std::move(shards));
