@@ -26,17 +26,18 @@ int main(int argc, char** argv) {
   std::printf("\n%-22s %8s %10s %10s\n", "estimator", "fits", "mean", "std");
 
   rngx::Rng master{123};
-  const auto ideal =
-      core::ideal_estimator(*cs.pipeline, *cs.pool, *cs.splitter, cfg, k,
-                            master);
+  const exec::ExecContext serial = exec::ExecContext::serial();
+  const auto ideal = core::ideal_estimator(serial, *cs.pipeline, *cs.pool,
+                                           *cs.splitter, cfg, k, {0, k},
+                                           master);
   std::printf("%-22s %8zu %10.4f %10.4f\n", "IdealEst", ideal.fits, ideal.mean,
               ideal.stddev);
   for (const auto subset :
        {core::RandomizeSubset::kInit, core::RandomizeSubset::kData,
         core::RandomizeSubset::kAll}) {
-    const auto r = core::fix_hopt_estimator(*cs.pipeline, *cs.pool,
-                                            *cs.splitter, cfg, k, subset,
-                                            master);
+    const auto r =
+        core::fix_hopt_estimator(serial, *cs.pipeline, *cs.pool, *cs.splitter,
+                                 cfg, k, subset, {0, k}, master);
     std::printf("FixHOptEst(%-4s)       %8zu %10.4f %10.4f\n",
                 std::string(core::to_string(subset)).c_str(), r.fits, r.mean,
                 r.stddev);

@@ -2,7 +2,7 @@
 
 #include <cstdarg>
 #include <filesystem>
-#include <map>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -23,8 +23,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::string_view kManifestSchema = "varbench.campaign.v1";
-
 void event(const CampaignConfig& cfg, const char* fmt, ...) {
   if (cfg.events == nullptr) return;
   va_list args;
@@ -35,109 +33,53 @@ void event(const CampaignConfig& cfg, const char* fmt, ...) {
   std::fflush(cfg.events);
 }
 
-struct TaskState {
-  CampaignTask task;
-  enum class Status { kPending, kDone, kFailed } status = Status::kPending;
-  std::size_t attempts = 0;
-  bool completed_this_run = false;
-  /// Wall time of the successful attempt (worker-measured provenance from
-  /// the artifact; coordinator launch-to-reap time when the artifact
-  /// carries none). 0 until the task is done. Persisted in campaign.json
-  /// so autoscaling hints and `varbench report <dir>` can read it.
-  double wall_ms = 0.0;
-};
-
-std::string_view to_string(TaskState::Status s) {
-  switch (s) {
-    case TaskState::Status::kPending:
-      return "pending";
-    case TaskState::Status::kDone:
-      return "done";
-    case TaskState::Status::kFailed:
-      return "failed";
-  }
-  return "pending";
-}
-
 // ------------------------------------------------------------- manifest
 
-void write_manifest(const WorkQueue& queue, const CampaignConfig& cfg,
-                    const std::vector<study::StudySpec>& studies,
-                    const std::vector<TaskState>& states,
-                    const metrics::Sink* sink = nullptr) {
-  io::Json doc = io::Json::object();
-  doc.set("schema", io::Json{kManifestSchema});
-  doc.set("shards", io::Json{cfg.shards});
-  doc.set("max_retries", io::Json{cfg.max_retries});
-  io::Json specs = io::Json::array();
-  for (const auto& s : studies) specs.push_back(s.to_json());
-  doc.set("studies", std::move(specs));
-  io::Json tasks = io::Json::array();
-  for (const auto& st : states) {
-    io::Json t = io::Json::object();
-    t.set("id", io::Json{st.task.id});
-    t.set("study", io::Json{st.task.study_index});
-    t.set("shard", io::Json{st.task.spec.shard.label()});
-    t.set("status", io::Json{to_string(st.status)});
-    t.set("attempts", io::Json{st.attempts});
-    t.set("wall_time_ms", io::Json{st.wall_ms});
-    tasks.push_back(std::move(t));
-  }
-  doc.set("tasks", std::move(tasks));
-  // Coordinator metrics ride along as provenance (identity lives in the
-  // artifacts, not here): merged deterministically from the sink's
-  // slots, written only when some campaign metric was enabled.
-  if (sink != nullptr) {
-    const metrics::Snapshot snap = sink->snapshot();
-    io::Json block = io::Json::object();
-    for (const metrics::MetricSnapshot& m : snap.metrics) {
-      const metrics::MetricDef& def = metrics::kMetricDefs[m.id];
-      if (def.subsystem != "campaign") continue;
-      io::Json entry = io::Json::object();
-      entry.set("count", io::Json{m.count});
-      entry.set("sum", io::Json{m.sum});
-      entry.set("mean", io::Json{m.mean()});
-      if (def.kind != metrics::MetricKind::kCounter) {
-        entry.set("p50", io::Json{m.percentile_upper(0.50)});
-        entry.set("p90", io::Json{m.percentile_upper(0.90)});
-        entry.set("p99", io::Json{m.percentile_upper(0.99)});
-      }
-      block.set(std::string{def.name}, std::move(entry));
+/// The coordinator metrics that ride along in campaign.json as provenance
+/// (identity lives in the artifacts, not here): merged deterministically
+/// from the sink's slots, present only when some campaign metric is
+/// enabled.
+std::optional<io::Json> campaign_metrics(const metrics::Sink& sink) {
+  const metrics::Snapshot snap = sink.snapshot();
+  io::Json block = io::Json::object();
+  for (const metrics::MetricSnapshot& m : snap.metrics) {
+    const metrics::MetricDef& def = metrics::kMetricDefs[m.id];
+    if (def.subsystem != "campaign") continue;
+    io::Json entry = io::Json::object();
+    entry.set("count", io::Json{m.count});
+    entry.set("sum", io::Json{m.sum});
+    entry.set("mean", io::Json{m.mean()});
+    if (def.kind != metrics::MetricKind::kCounter) {
+      entry.set("p50", io::Json{m.percentile_upper(0.50)});
+      entry.set("p90", io::Json{m.percentile_upper(0.90)});
+      entry.set("p99", io::Json{m.percentile_upper(0.99)});
     }
-    if (!block.as_object().empty()) doc.set("metrics", std::move(block));
+    block.set(std::string{def.name}, std::move(entry));
   }
-  io::write_file_atomic(queue.manifest_path(), doc.dump(2) + "\n");
+  if (block.as_object().empty()) return std::nullopt;
+  return block;
 }
 
 /// An existing manifest must describe this exact campaign — resuming with a
 /// different spec list or shard count would mix incompatible artifacts.
-void validate_manifest(const io::Json& doc, const std::string& path,
-                       const std::vector<study::StudySpec>& studies,
-                       std::size_t shards) {
-  const std::string& schema = doc.at("schema").as_string();
-  if (schema != kManifestSchema) {
-    throw io::JsonError("campaign: unsupported manifest schema '" + schema +
-                        "' in '" + path + "' (this build writes '" +
-                        std::string{kManifestSchema} + "')");
-  }
-  const auto manifest_shards =
-      static_cast<std::size_t>(doc.at("shards").as_uint64());
-  if (manifest_shards != shards) {
+void check_resumable(const Manifest& prior,
+                     const std::vector<study::StudySpec>& studies,
+                     std::size_t shards) {
+  if (prior.shards != shards) {
     throw io::JsonError(
         "campaign: state dir was initialized with --shards " +
-        std::to_string(manifest_shards) + " but this invocation asks for " +
+        std::to_string(prior.shards) + " but this invocation asks for " +
         std::to_string(shards) + " — shard counts cannot change mid-campaign");
   }
-  const auto& manifest_studies = doc.at("studies").as_array();
-  if (manifest_studies.size() != studies.size()) {
+  if (prior.studies.size() != studies.size()) {
     throw io::JsonError("campaign: state dir holds " +
-                        std::to_string(manifest_studies.size()) +
+                        std::to_string(prior.studies.size()) +
                         " studies but the spec file lists " +
                         std::to_string(studies.size()) +
                         " — resume with the original spec file");
   }
   for (std::size_t k = 0; k < studies.size(); ++k) {
-    if (study::StudySpec::from_json(manifest_studies[k]) != studies[k]) {
+    if (study::StudySpec::from_json(prior.studies[k]) != studies[k]) {
       throw io::JsonError(
           "campaign: study " + std::to_string(k) +
           " differs from the one this state dir was initialized with — "
@@ -264,76 +206,89 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
     spans.set_label(ident, task_id);
     metrics::instant(spans, id, ident);
   };
-  auto tasks = plan_tasks(studies, cfg.shards);
+  const auto tasks = plan_tasks(studies, cfg.shards);
 
   CampaignReport report;
   report.tasks = tasks.size();
 
-  const bool have_manifest = fs::exists(queue.manifest_path());
-  if (have_manifest && !cfg.resume) {
-    throw io::JsonError(
-        "campaign: '" + cfg.dir + "' already holds a campaign — pass "
-        "--resume to finish its gaps, or point --dir at a fresh directory");
+  // The coordinator's task states are the manifest's records, index-aligned
+  // with `tasks`; every change is persisted with save_manifest().
+  Manifest manifest;
+  manifest.shards = cfg.shards;
+  manifest.max_retries = cfg.max_retries;
+  for (const auto& s : studies) manifest.studies.push_back(s.to_json());
+  for (const auto& t : tasks) {
+    manifest.tasks.push_back(
+        TaskRecord{t.id, t.study_index, t.spec.shard.label()});
   }
-  // Wall times a previous coordinator recorded must survive --resume even
-  // when the reused artifact itself carries no provenance (the promote
-  // path records coordinator-measured time for exactly those artifacts).
-  std::map<std::string, double> prior_wall_ms;
-  if (have_manifest) {
-    const io::Json doc = io::Json::parse(io::read_file(queue.manifest_path()));
-    validate_manifest(doc, queue.manifest_path(), studies, cfg.shards);
-    for (const io::Json& task : doc.at("tasks").as_array()) {
-      const io::Json* wall = task.find("wall_time_ms");
-      if (wall != nullptr && wall->is_number() && wall->as_double() > 0.0) {
-        prior_wall_ms[task.at("id").as_string()] = wall->as_double();
+  const auto save_manifest = [&] {
+    manifest.metrics = campaign_metrics(sink);
+    write_manifest(queue.manifest_path(), manifest);
+  };
+  if (fs::exists(queue.manifest_path())) {
+    if (!cfg.resume) {
+      throw io::JsonError(
+          "campaign: '" + cfg.dir + "' already holds a campaign — pass "
+          "--resume to finish its gaps, or point --dir at a fresh directory");
+    }
+    // Wall times a previous coordinator recorded survive --resume: they are
+    // the provenance of reused artifacts that carry none themselves (the
+    // promote path records coordinator-measured time for exactly those).
+    const Manifest prior = read_manifest(queue.manifest_path());
+    check_resumable(prior, studies, cfg.shards);
+    for (std::size_t i = 0; i < tasks.size() && i < prior.tasks.size(); ++i) {
+      if (prior.tasks[i].id == tasks[i].id) {
+        manifest.tasks[i].wall_time_ms = prior.tasks[i].wall_time_ms;
       }
     }
   }
-  const auto fall_back_to_prior_wall = [&](TaskState& st) {
-    if (st.wall_ms > 0.0) return;
-    const auto it = prior_wall_ms.find(st.task.id);
-    if (it != prior_wall_ms.end()) st.wall_ms = it->second;
-  };
-
-  std::vector<TaskState> states;
-  states.reserve(tasks.size());
-  for (auto& t : tasks) states.push_back(TaskState{std::move(t)});
+  std::vector<bool> completed_this_run(tasks.size(), false);
 
   const std::string owner =
       "coordinator-" + std::to_string(current_process_id());
 
-  // Initialization doubles as gap analysis on resume: a task with a valid
-  // artifact is done, everything else (re)enters the queue.
-  for (auto& st : states) {
-    const std::string& id = st.task.id;
-    if (!fs::exists(queue.spec_path(id))) {
-      io::write_file_atomic(queue.spec_path(id), st.task.spec.to_json_text());
-    }
+  // A valid artifact already on disk completes task i without a launch: at
+  // start-up (an earlier run's) and while running (a foreign coordinator's).
+  // Returns whether it was adopted; `invalid` receives why an existing
+  // artifact was not.
+  const auto adopt_artifact = [&](std::size_t i, std::string& invalid) {
     // Probe both formats: a --format change between runs must not redo
     // (or worse, mistrust) shards that already landed the other way.
-    const std::string existing = queue.existing_artifact_path(id);
-    if (fs::exists(existing)) {
-      const std::string err = validate_artifact(existing, st.task,
-                                                &st.wall_ms);
-      if (err.empty()) {
-        fall_back_to_prior_wall(st);
-        st.status = TaskState::Status::kDone;
-        ++report.reused;
-        event(cfg, "task %s: reusing existing artifact", id.c_str());
-      } else {
-        std::error_code ec;
-        fs::remove(existing, ec);
-        event(cfg, "task %s: discarding invalid artifact (%s)", id.c_str(),
-              err.c_str());
-      }
+    const std::string path = queue.existing_artifact_path(tasks[i].id);
+    if (!fs::exists(path)) return false;
+    double wall_ms = 0.0;
+    invalid = validate_artifact(path, tasks[i], &wall_ms);
+    if (!invalid.empty()) return false;
+    TaskRecord& rec = manifest.tasks[i];
+    rec.status = TaskStatus::kDone;
+    if (wall_ms > 0.0) rec.wall_time_ms = wall_ms;
+    return true;
+  };
+
+  // Initialization doubles as gap analysis on resume: a task with a valid
+  // artifact is done, everything else (re)enters the queue.
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const std::string& id = tasks[i].id;
+    if (!fs::exists(queue.spec_path(id))) {
+      io::write_file_atomic(queue.spec_path(id), tasks[i].spec.to_json_text());
     }
-    if (st.status == TaskState::Status::kPending && !queue.is_queued(id) &&
-        !queue.is_claimed(id)) {
+    std::string invalid;
+    if (adopt_artifact(i, invalid)) {
+      ++report.reused;
+      event(cfg, "task %s: reusing existing artifact", id.c_str());
+    } else if (!invalid.empty()) {
+      std::error_code ec;
+      fs::remove(queue.existing_artifact_path(id), ec);
+      event(cfg, "task %s: discarding invalid artifact (%s)", id.c_str(),
+            invalid.c_str());
+    }
+    if (manifest.tasks[i].status == TaskStatus::kPending &&
+        !queue.is_queued(id) && !queue.is_claimed(id)) {
       queue.enqueue(Ticket{id, 0, ""});
       task_event(metrics::kCampaignTaskQueued, id);
     }
   }
-  write_manifest(queue, cfg, studies, states, &sink);
+  save_manifest();
 
   // Per-study incremental merge: fires the moment a study's last shard
   // lands (while other studies may still be running), and regenerates a
@@ -342,10 +297,10 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
   const auto maybe_merge_study = [&](std::size_t k) {
     if (study_merged[k]) return;
     bool fresh = false;
-    for (const auto& st : states) {
-      if (st.task.study_index != k) continue;
-      if (st.status != TaskState::Status::kDone) return;  // incomplete
-      fresh = fresh || st.completed_this_run;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (tasks[i].study_index != k) continue;
+      if (manifest.tasks[i].status != TaskStatus::kDone) return;  // incomplete
+      fresh = fresh || completed_this_run[i];
     }
     const std::string out = merged_output_path(queue, k, studies[k], ext);
     if (!fresh && fs::exists(out)) {
@@ -357,9 +312,9 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
                                          static_cast<std::uint64_t>(k)};
     try {
       std::vector<std::string> shard_paths;
-      for (const auto& st : states) {
-        if (st.task.study_index != k) continue;
-        shard_paths.push_back(queue.existing_artifact_path(st.task.id));
+      for (const auto& t : tasks) {
+        if (t.study_index != k) continue;
+        shard_paths.push_back(queue.existing_artifact_path(t.id));
       }
       const std::size_t count = shard_paths.size();
       // Shards may be a mix of formats after a --format change; load
@@ -395,50 +350,25 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
 
   struct Active {
     Ticket ticket;
-    std::size_t state_index;
+    std::size_t task_index;
     std::unique_ptr<WorkerHandle> handle;
     std::chrono::steady_clock::time_point started;
     std::chrono::steady_clock::time_point last_beat;
-    /// Last time the heartbeat rewrote the claim body with a status
-    /// snapshot (full rewrites are throttled; mtime-only touches are not).
-    std::chrono::steady_clock::time_point last_status;
     /// metrics::span_begin of the campaign.task_running span; 0 = disabled.
     std::uint64_t trace_begin = 0;
   };
   std::vector<Active> active;
 
-  // The live progress snapshot a status-carrying heartbeat embeds in the
-  // claim body — everything `varbench status` shows without touching the
-  // queue (docs/campaigns.md).
-  const auto status_snapshot = [&](const Active& a) {
-    const TaskState& st = states[a.state_index];
-    std::size_t done = 0;
-    for (const auto& s : states) {
-      if (s.status == TaskState::Status::kDone) ++done;
+  const auto task_index_of = [&](const std::string& id) -> std::size_t {
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (tasks[i].id == id) return i;
     }
-    io::Json status = io::Json::object();
-    status.set("attempt", io::Json{st.attempts});
-    status.set("running_ms",
-               io::Json{std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - a.started)
-                            .count()});
-    status.set("tasks_done", io::Json{done});
-    status.set("tasks_total", io::Json{states.size()});
-    status.set("retried", io::Json{report.retried});
-    status.set("workers_active", io::Json{active.size()});
-    return status;
-  };
-
-  const auto state_index_of = [&](const std::string& id) -> std::size_t {
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      if (states[i].task.id == id) return i;
-    }
-    return states.size();
+    return tasks.size();
   };
   const auto pending_count = [&] {
     std::size_t n = 0;
-    for (const auto& st : states) {
-      if (st.status == TaskState::Status::kPending) ++n;
+    for (const TaskRecord& rec : manifest.tasks) {
+      if (rec.status == TaskStatus::kPending) ++n;
     }
     return n;
   };
@@ -462,16 +392,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
             std::this_thread::sleep_for(std::chrono::milliseconds{1});
           }
         } else {
-          // Plain mtime touch every poll; full status-body rewrite at most
-          // ~1/s (the first beat immediately), so liveness stays cheap and
-          // `varbench status` still sees fresh numbers.
-          const auto now = std::chrono::steady_clock::now();
-          if (now - it->last_status >= std::chrono::seconds{1}) {
-            queue.heartbeat(it->ticket, status_snapshot(*it));
-            it->last_status = now;
-          } else {
-            queue.heartbeat(it->ticket);
-          }
+          queue.heartbeat(it->ticket);
           // Beat-to-beat period vs poll_interval: scheduling jitter of the
           // reap loop (autoscaling signal, ROADMAP item 2).
           if (sink.is_enabled(metrics::kCampaignHeartbeatJitterNs)) {
@@ -491,8 +412,9 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
         }
       }
       progressed = true;
-      TaskState& st = states[it->state_index];
-      const std::string& id = st.task.id;
+      const CampaignTask& task = tasks[it->task_index];
+      TaskRecord& rec = manifest.tasks[it->task_index];
+      const std::string& id = task.id;
       metrics::span_end(spans, metrics::kCampaignTaskRunning,
                         rngx::hash_tag(id), it->trace_begin);
       const int code = it->handle->exit_code();
@@ -508,14 +430,14 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
         err = "worker exited 0 but wrote no artifact";
       } else {
         double wall_ms = 0.0;
-        err = validate_artifact(part, st.task, &wall_ms);
+        err = validate_artifact(part, task, &wall_ms);
         if (err.empty()) {
           std::error_code ec;
           fs::rename(part, queue.artifact_path(id), ec);
           if (ec) {
             err = "cannot promote artifact: " + ec.message();
           } else {
-            st.wall_ms =
+            rec.wall_time_ms =
                 wall_ms > 0.0
                     ? wall_ms
                     : std::chrono::duration<double, std::milli>(
@@ -526,12 +448,12 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
       }
 
       if (err.empty()) {
-        st.status = TaskState::Status::kDone;
-        st.completed_this_run = true;
+        rec.status = TaskStatus::kDone;
+        completed_this_run[it->task_index] = true;
         queue.complete(it->ticket);
         task_event(metrics::kCampaignTaskPromoted, id);
-        event(cfg, "task %s: done (attempt %zu)", id.c_str(), st.attempts);
-        maybe_merge_study(st.task.study_index);
+        event(cfg, "task %s: done (attempt %zu)", id.c_str(), rec.attempts);
+        maybe_merge_study(task.study_index);
       } else {
         std::error_code ec;
         fs::remove(part, ec);
@@ -544,7 +466,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
           event(cfg, "task %s: attempt %zu failed (%s; log: %s) — retrying",
                 id.c_str(), used, err.c_str(), queue.log_path(id).c_str());
         } else {
-          st.status = TaskState::Status::kFailed;
+          rec.status = TaskStatus::kFailed;
           queue.complete(it->ticket);
           report.failures.push_back("task " + id + ": " + err + " after " +
                                     std::to_string(used) +
@@ -554,7 +476,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
                 used, err.c_str());
         }
       }
-      write_manifest(queue, cfg, studies, states, &sink);
+      save_manifest();
       it = active.erase(it);
     }
 
@@ -569,47 +491,43 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
 
     // 3. A foreign coordinator may finish tasks behind our back: adopt any
     //    validated artifact that appeared for an unclaimed pending task.
-    for (auto& st : states) {
-      if (st.status != TaskState::Status::kPending) continue;
-      const std::string& id = st.task.id;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (manifest.tasks[i].status != TaskStatus::kPending) continue;
       bool ours = false;
-      for (const auto& a : active) ours |= states[a.state_index].task.id == id;
-      const std::string adopted = queue.existing_artifact_path(id);
-      if (ours || queue.is_claimed(id) || !fs::exists(adopted)) {
+      for (const auto& a : active) ours |= a.task_index == i;
+      std::string invalid;
+      if (ours || queue.is_claimed(tasks[i].id) ||
+          !adopt_artifact(i, invalid)) {
         continue;
       }
-      if (validate_artifact(adopted, st.task, &st.wall_ms).empty()) {
-        fall_back_to_prior_wall(st);
-        st.status = TaskState::Status::kDone;
-        progressed = true;
-        event(cfg, "task %s: completed externally", id.c_str());
-        write_manifest(queue, cfg, studies, states, &sink);
-        maybe_merge_study(st.task.study_index);
-      }
+      progressed = true;
+      event(cfg, "task %s: completed externally", tasks[i].id.c_str());
+      save_manifest();
+      maybe_merge_study(tasks[i].study_index);
     }
 
     // 4. Fill the worker pool.
     while (active.size() < cfg.workers) {
       auto ticket = queue.try_claim(owner);
       if (!ticket.has_value()) break;
-      const std::size_t idx = state_index_of(ticket->task_id);
-      if (idx == states.size() ||
-          states[idx].status != TaskState::Status::kPending) {
+      const std::size_t idx = task_index_of(ticket->task_id);
+      if (idx == tasks.size() ||
+          manifest.tasks[idx].status != TaskStatus::kPending) {
         queue.complete(*ticket);  // stray or already-satisfied ticket
         continue;
       }
-      TaskState& st = states[idx];
-      st.attempts = ticket->attempts + 1;
-      task_event(metrics::kCampaignTaskClaimed, st.task.id);
+      const CampaignTask& task = tasks[idx];
+      manifest.tasks[idx].attempts = ticket->attempts + 1;
+      task_event(metrics::kCampaignTaskClaimed, task.id);
       std::error_code ec;
-      fs::remove(queue.partial_artifact_path(st.task.id), ec);
+      fs::remove(queue.partial_artifact_path(task.id), ec);
       const auto claimed_at = std::chrono::steady_clock::now();
       const std::uint64_t trace_begin =
           metrics::span_begin(spans, metrics::kCampaignTaskRunning);
       auto handle = launcher(
-          st.task, queue.spec_path(st.task.id),
-          queue.partial_artifact_path(st.task.id), queue.log_path(st.task.id),
-          cfg.trace ? queue.trace_path(st.task.id) : std::string{});
+          task, queue.spec_path(task.id), queue.partial_artifact_path(task.id),
+          queue.log_path(task.id),
+          cfg.trace ? queue.trace_path(task.id) : std::string{});
       ++report.launched;
       sink.add(metrics::kCampaignTasksLaunched);
       const auto launched_at = std::chrono::steady_clock::now();
@@ -619,10 +537,10 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
             .count();
       });
       progressed = true;
-      event(cfg, "task %s: launched (attempt %zu)", st.task.id.c_str(),
-            st.attempts);
+      event(cfg, "task %s: launched (attempt %zu)", task.id.c_str(),
+            manifest.tasks[idx].attempts);
       active.push_back(Active{*ticket, idx, std::move(handle), launched_at,
-                              launched_at, {}, trace_begin});
+                              launched_at, trace_begin});
     }
 
     // 5. Nothing running and nothing claimable: remaining tasks must be
@@ -631,19 +549,19 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
     //    of spinning forever.
     if (active.empty() && pending_count() > 0) {
       bool any_recoverable = false;
-      for (const auto& st : states) {
-        if (st.status != TaskState::Status::kPending) continue;
-        any_recoverable |= queue.is_queued(st.task.id) ||
-                           queue.is_claimed(st.task.id);
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        if (manifest.tasks[i].status != TaskStatus::kPending) continue;
+        any_recoverable |=
+            queue.is_queued(tasks[i].id) || queue.is_claimed(tasks[i].id);
       }
       if (!any_recoverable) {
-        for (auto& st : states) {
-          if (st.status != TaskState::Status::kPending) continue;
-          st.status = TaskState::Status::kFailed;
-          report.failures.push_back("task " + st.task.id +
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+          if (manifest.tasks[i].status != TaskStatus::kPending) continue;
+          manifest.tasks[i].status = TaskStatus::kFailed;
+          report.failures.push_back("task " + tasks[i].id +
                                     ": vanished from the work queue");
         }
-        write_manifest(queue, cfg, studies, states, &sink);
+        save_manifest();
         break;
       }
     }
@@ -655,10 +573,10 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
   // event — make sure every complete study has its merged output.
   for (std::size_t k = 0; k < studies.size(); ++k) maybe_merge_study(k);
 
-  for (const auto& st : states) {
-    if (st.status == TaskState::Status::kDone) ++report.completed;
+  for (const TaskRecord& rec : manifest.tasks) {
+    if (rec.status == TaskStatus::kDone) ++report.completed;
   }
-  write_manifest(queue, cfg, studies, states, &sink);
+  save_manifest();
   if (cfg.trace) {
     // Coordinator lifecycle spans, plus whatever the coordinator itself
     // recorded on the process-global sink (io spans from artifact loads

@@ -6,16 +6,13 @@
 #include <filesystem>
 #include <system_error>
 
-#include "src/io/spec_reader.h"
+#include "src/campaign/work_queue.h"
 
 namespace varbench::campaign {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-constexpr std::string_view kManifestSchemaV1 = "varbench.campaign.v1";
-constexpr std::string_view kManifestSchemaV2 = "varbench.campaign.v2";
 
 /// Milliseconds from `mtime` to now on the filesystem clock; 0 floor so a
 /// write that lands "in the future" (clock skew on shared mounts) reads as
@@ -41,64 +38,27 @@ std::string fmt_ms(double ms) {
 
 }  // namespace
 
-void check_manifest_schema(const io::Json& manifest, std::string_view domain,
-                           const std::string& path) {
-  const std::string& schema = manifest.at("schema").as_string();
-  if (schema != kManifestSchemaV1 && schema != kManifestSchemaV2) {
-    throw io::JsonError(std::string{domain} +
-                        ": unsupported campaign manifest schema '" + schema +
-                        "' in '" + path + "' (this build reads '" +
-                        std::string{kManifestSchemaV1} + "' and '" +
-                        std::string{kManifestSchemaV2} + "')");
-  }
-  if (schema != kManifestSchemaV2) return;
-  // "metrics" is the coordinator's provenance block (docs/metrics.md).
-  io::reject_unknown_fields(
-      manifest, domain, kManifestSchemaV2, "$",
-      {"schema", "shards", "max_retries", "studies", "tasks", "metrics"});
-  for (const io::Json& task : manifest.at("tasks").as_array()) {
-    io::reject_unknown_fields(
-        task, domain, kManifestSchemaV2, "$.tasks[]",
-        {"id", "study", "shard", "status", "attempts", "wall_time_ms"});
-  }
-}
-
 CampaignStatus read_status(const std::string& state_dir) {
   CampaignStatus out;
   out.dir = state_dir;
 
-  const std::string manifest_path =
-      (fs::path{state_dir} / "campaign.json").string();
-  io::Json manifest;
-  try {
-    manifest = io::Json::parse(io::read_file(manifest_path));
-  } catch (const io::JsonError& e) {
-    throw io::JsonError{"status: '" + state_dir +
-                        "' holds no readable campaign manifest (" + e.what() +
-                        ")"};
-  }
-  check_manifest_schema(manifest, "status", manifest_path);
+  const Manifest manifest =
+      read_manifest((fs::path{state_dir} / "campaign.json").string());
   double wall_sum = 0.0;
   std::size_t wall_count = 0;
-  for (const io::Json& task : manifest.at("tasks").as_array()) {
-    ++out.tasks;
-    const std::string& status = task.at("status").as_string();
-    if (status == "done") {
+  for (const TaskRecord& task : manifest.tasks) {
+    if (task.status == TaskStatus::kDone) {
       ++out.done;
-      const io::Json* wall = task.find("wall_time_ms");
-      if (wall != nullptr && wall->is_number() && wall->as_double() > 0.0) {
-        wall_sum += wall->as_double();
+      if (task.wall_time_ms > 0.0) {
+        wall_sum += task.wall_time_ms;
         ++wall_count;
       }
-    } else if (status == "failed") {
+    } else if (task.status == TaskStatus::kFailed) {
       ++out.failed;
     }
-    const io::Json* attempts = task.find("attempts");
-    if (attempts != nullptr && attempts->is_number() &&
-        attempts->as_uint64() > 1) {
-      out.retries += static_cast<std::size_t>(attempts->as_uint64()) - 1;
-    }
+    if (task.attempts > 1) out.retries += task.attempts - 1;
   }
+  out.tasks = manifest.tasks.size();
   out.pending = out.tasks - out.done - out.failed;
   if (wall_count > 0) {
     out.mean_task_wall_ms = wall_sum / static_cast<double>(wall_count);
@@ -110,33 +70,28 @@ CampaignStatus read_status(const std::string& state_dir) {
     if (entry.path().extension() == ".todo") ++out.queued;
   }
 
+  // Claim stamps are Unix-epoch milliseconds (WorkQueue::try_claim).
+  const auto now_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::system_clock::now().time_since_epoch())
+                          .count();
   for (const auto& entry :
        fs::directory_iterator{fs::path{state_dir} / "claims", ec}) {
     if (entry.path().extension() != ".claim") continue;
-    WorkerStatus w;
     std::error_code stat_ec;
     const auto mtime = fs::last_write_time(entry.path(), stat_ec);
     if (stat_ec) continue;  // completed between listing and stat
-    w.heartbeat_age_ms = age_ms(mtime);
+    Ticket claim;
     try {
-      const io::Json claim = io::Json::parse(io::read_file(entry.path().string()));
-      w.task_id = claim.at("task").as_string();
-      if (const io::Json* owner = claim.find("owner")) {
-        w.owner = owner->as_string();
-      }
-      if (const io::Json* attempts = claim.find("attempts")) {
-        w.attempts = static_cast<std::size_t>(attempts->as_uint64());
-      }
-      if (const io::Json* snap = claim.find("status")) {
-        w.has_snapshot = true;
-        if (const io::Json* running = snap->find("running_ms")) {
-          w.running_ms = running->as_double();
-        }
-      }
+      claim = parse_ticket(entry.path().string());
     } catch (const io::JsonError&) {
-      // Claim vanished or is mid-write: fall back to the file name.
-      const std::string name = entry.path().filename().string();
-      w.task_id = name.substr(0, name.size() - std::string{".claim"}.size());
+      // Vanished or unreadable: fall back to the file name.
+      claim.task_id = entry.path().stem().string();
+    }
+    WorkerStatus w{claim.task_id, claim.owner, claim.attempts + 1,
+                   age_ms(mtime), std::nullopt};
+    if (claim.claimed_at_ms != 0) {
+      w.running_ms =
+          std::max(0.0, now_ms - static_cast<double>(claim.claimed_at_ms));
     }
     out.workers.push_back(std::move(w));
   }
@@ -171,9 +126,11 @@ io::Json status_json(const CampaignStatus& status) {
     io::Json row = io::Json::object();
     row.set("task", io::Json{w.task_id});
     row.set("owner", io::Json{w.owner});
-    row.set("attempt", io::Json{w.attempts});
+    row.set("attempt", io::Json{w.attempt});
     row.set("heartbeat_age_ms", io::Json{w.heartbeat_age_ms});
-    if (w.has_snapshot) row.set("running_ms", io::Json{w.running_ms});
+    if (w.running_ms.has_value()) {
+      row.set("running_ms", io::Json{*w.running_ms});
+    }
     workers.push_back(std::move(row));
   }
   doc.set("workers", std::move(workers));
@@ -202,12 +159,10 @@ std::string render_status_text(const CampaignStatus& status) {
     std::snprintf(line, sizeof(line),
                   "  worker %s: task %s attempt %zu, heartbeat %s ago",
                   w.owner.empty() ? "(unowned)" : w.owner.c_str(),
-                  w.task_id.c_str(), w.attempts,
+                  w.task_id.c_str(), w.attempt,
                   fmt_ms(w.heartbeat_age_ms).c_str());
     out += line;
-    if (w.has_snapshot) {
-      out += ", running " + fmt_ms(w.running_ms);
-    }
+    if (w.running_ms.has_value()) out += ", running " + fmt_ms(*w.running_ms);
     out += "\n";
   }
   return out;

@@ -1,15 +1,15 @@
 // Live campaign visibility without touching the queue. `varbench status`
 // (and embedders) read three things a running coordinator already
-// maintains — the manifest, the claim files (whose bodies carry embedded
-// progress snapshots since the status-heartbeat change, and whose mtimes
-// are the liveness signal either way), and the queue listing — strictly
-// read-only: no WorkQueue is constructed, no ticket is moved, so watching
-// a campaign can never perturb it (docs/campaigns.md).
+// maintains — the manifest, the claim files (whose bodies say who claimed
+// the task and when, and whose mtimes are the liveness signal), and the
+// queue listing — through work_queue.h's readers, strictly read-only: no
+// WorkQueue is constructed, no ticket is moved, so watching a campaign can
+// never perturb it (docs/campaigns.md).
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/io/json.h"
@@ -20,13 +20,14 @@ namespace varbench::campaign {
 struct WorkerStatus {
   std::string task_id;
   std::string owner;
-  std::size_t attempts = 0;
+  /// The launch in progress, counted from 1 as the coordinator logs it:
+  /// the claimed ticket's attempts (launches made before this one) + 1.
+  std::size_t attempt = 0;
   /// Milliseconds since the claim's last heartbeat (mtime).
   double heartbeat_age_ms = 0.0;
-  /// Fields below come from the embedded "status" snapshot; absent for
-  /// claims written by coordinators predating the status heartbeat.
-  bool has_snapshot = false;
-  double running_ms = 0.0;
+  /// Milliseconds since the claim's "claimed_at_ms" stamp; absent for
+  /// claims written by coordinators that predate the stamp.
+  std::optional<double> running_ms;
 };
 
 struct CampaignStatus {
@@ -46,18 +47,8 @@ struct CampaignStatus {
   std::vector<WorkerStatus> workers;  // live claims, sorted by task id
 };
 
-/// The schema rule of every campaign.json reader (`varbench status` and the
-/// report loader), the evolution contract of ResultTable
-/// (docs/study_api.md): varbench.campaign.v1 reads as always, v2 reads
-/// strictly — a field this build does not know throws, naming its JSON
-/// path — and any other schema throws, naming `path` and both readable
-/// versions. Errors are io::JsonError prefixed with `domain`.
-void check_manifest_schema(const io::Json& manifest, std::string_view domain,
-                           const std::string& path);
-
 /// Read the state dir's current status. Throws io::JsonError when the
-/// directory holds no campaign manifest, or one that is malformed or of a
-/// schema check_manifest_schema refuses.
+/// directory holds no campaign manifest, or one read_manifest refuses.
 [[nodiscard]] CampaignStatus read_status(const std::string& state_dir);
 
 [[nodiscard]] io::Json status_json(const CampaignStatus& status);

@@ -1,10 +1,12 @@
 #include "src/campaign/work_queue.h"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <system_error>
 
 #include "src/io/json.h"
+#include "src/io/spec_reader.h"
 #include "src/metrics/trace_file.h"
 
 namespace varbench::campaign {
@@ -15,22 +17,21 @@ namespace {
 
 constexpr std::string_view kTodoSuffix = ".todo";
 constexpr std::string_view kClaimSuffix = ".claim";
+constexpr std::string_view kManifestV1 = "varbench.campaign.v1";
+constexpr std::string_view kManifestV2 = "varbench.campaign.v2";
+/// The manifest's status names, indexed by TaskStatus.
+constexpr std::array<std::string_view, 3> kStatusNames{"pending", "done",
+                                                       "failed"};
 
 std::string ticket_text(const Ticket& t) {
   io::Json doc = io::Json::object();
   doc.set("task", io::Json{t.task_id});
   doc.set("attempts", io::Json{t.attempts});
   if (!t.owner.empty()) doc.set("owner", io::Json{t.owner});
+  if (t.claimed_at_ms != 0) {
+    doc.set("claimed_at_ms", io::Json{t.claimed_at_ms});
+  }
   return doc.dump(2) + "\n";
-}
-
-Ticket parse_ticket(const std::string& path) {
-  const io::Json doc = io::Json::parse(io::read_file(path));
-  Ticket t;
-  t.task_id = doc.at("task").as_string();
-  t.attempts = static_cast<std::size_t>(doc.at("attempts").as_uint64());
-  if (const io::Json* owner = doc.find("owner")) t.owner = owner->as_string();
-  return t;
 }
 
 /// Strip a known suffix from a queue/claims file name; empty if absent.
@@ -57,6 +58,107 @@ std::vector<std::string> list_tasks(const fs::path& dir,
 }
 
 }  // namespace
+
+Ticket parse_ticket(const std::string& path) {
+  const io::Json doc = io::Json::parse(io::read_file(path));
+  Ticket t;
+  t.task_id = doc.at("task").as_string();
+  t.attempts = static_cast<std::size_t>(doc.at("attempts").as_uint64());
+  if (const io::Json* owner = doc.find("owner")) t.owner = owner->as_string();
+  if (const io::Json* at = doc.find("claimed_at_ms")) {
+    t.claimed_at_ms = at->as_uint64();
+  }
+  return t;
+}
+
+Manifest read_manifest(const std::string& path) {
+  const std::string domain = "campaign manifest '" + path + "'";
+  io::Json doc;
+  try {
+    doc = io::Json::parse(io::read_file(path));
+  } catch (const io::JsonError& e) {
+    throw io::JsonError(domain + ": " + e.what());
+  }
+  io::ObjectReader top{doc, domain, "$"};
+  const std::string schema =
+      io::read_string(top.at("schema"), domain, "schema");
+  if (schema != kManifestV1 && schema != kManifestV2) {
+    throw io::JsonError(domain + ": unsupported schema '" + schema +
+                        "' (this build reads '" + std::string{kManifestV1} +
+                        "' and '" + std::string{kManifestV2} + "')");
+  }
+  const bool strict = schema == kManifestV2;
+  if (strict) {
+    io::reject_unknown_fields(
+        doc, domain, schema, "$",
+        {"schema", "shards", "max_retries", "studies", "tasks", "metrics"});
+  }
+  const auto array_at = [&](std::string_view key) -> const io::Json::Array& {
+    const io::Json& v = top.at(key);
+    if (!v.is_array()) {
+      throw io::JsonError(domain + ": '" + std::string{key} +
+                          "' must be an array, got " + v.dump());
+    }
+    return v.as_array();
+  };
+  Manifest m;
+  m.shards = io::read_size(top.at("shards"), domain, "shards");
+  m.max_retries = io::read_size(top.at("max_retries"), domain, "max_retries");
+  m.studies = array_at("studies");
+  for (const io::Json& task : array_at("tasks")) {
+    io::ObjectReader r{task, domain, "$.tasks[]"};
+    if (strict) {
+      io::reject_unknown_fields(
+          task, domain, schema, "$.tasks[]",
+          {"id", "study", "shard", "status", "attempts", "wall_time_ms"});
+    }
+    TaskRecord rec;
+    rec.id = io::read_string(r.at("id"), domain, "id");
+    rec.study = io::read_size(r.at("study"), domain, "study");
+    rec.shard = io::read_string(r.at("shard"), domain, "shard");
+    const std::string status =
+        io::read_string(r.at("status"), domain, "status");
+    const auto named =
+        std::find(kStatusNames.begin(), kStatusNames.end(), status);
+    if (named == kStatusNames.end()) {
+      throw io::JsonError(domain + ": task '" + rec.id + "' has status '" +
+                          status + "' (known: 'pending', 'done', 'failed')");
+    }
+    rec.status = static_cast<TaskStatus>(named - kStatusNames.begin());
+    if (const io::Json* attempts = r.find("attempts")) {
+      rec.attempts = io::read_size(*attempts, domain, "attempts");
+    }
+    if (const io::Json* wall = r.find("wall_time_ms")) {
+      rec.wall_time_ms = io::read_double(*wall, domain, "wall_time_ms");
+    }
+    m.tasks.push_back(std::move(rec));
+  }
+  if (const io::Json* metrics = top.find("metrics")) m.metrics = *metrics;
+  return m;
+}
+
+void write_manifest(const std::string& path, const Manifest& manifest) {
+  io::Json doc = io::Json::object();
+  doc.set("schema", io::Json{kManifestV1});
+  doc.set("shards", io::Json{manifest.shards});
+  doc.set("max_retries", io::Json{manifest.max_retries});
+  doc.set("studies", io::Json(manifest.studies));
+  io::Json tasks = io::Json::array();
+  for (const TaskRecord& rec : manifest.tasks) {
+    io::Json t = io::Json::object();
+    t.set("id", io::Json{rec.id});
+    t.set("study", io::Json{rec.study});
+    t.set("shard", io::Json{rec.shard});
+    t.set("status",
+          io::Json{kStatusNames[static_cast<std::size_t>(rec.status)]});
+    t.set("attempts", io::Json{rec.attempts});
+    t.set("wall_time_ms", io::Json{rec.wall_time_ms});
+    tasks.push_back(std::move(t));
+  }
+  doc.set("tasks", std::move(tasks));
+  if (manifest.metrics.has_value()) doc.set("metrics", *manifest.metrics);
+  io::write_file_atomic(path, doc.dump(2) + "\n");
+}
 
 WorkQueue::WorkQueue(std::string dir, std::string artifact_ext)
     : dir_{std::move(dir)}, artifact_ext_{std::move(artifact_ext)} {
@@ -120,8 +222,8 @@ std::string WorkQueue::trace_path(const std::string& task_id) const {
 }
 
 void WorkQueue::enqueue(const Ticket& ticket) {
-  Ticket t = ticket;
-  t.owner.clear();  // queued tickets have no owner
+  // Queued tickets have no owner and no claim time.
+  const Ticket t{ticket.task_id, ticket.attempts, "", 0};
   io::write_file_atomic(
       (fs::path{dir_} / "queue" / (t.task_id + std::string{kTodoSuffix}))
           .string(),
@@ -155,6 +257,10 @@ std::optional<Ticket> WorkQueue::try_claim(const std::string& owner) {
       t.task_id = id;  // corrupt ticket: claim it anyway, attempts reset
     }
     t.owner = owner;
+    t.claimed_at_ms = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::system_clock::now().time_since_epoch())
+            .count());
     io::write_file_atomic(claim.string(), ticket_text(t));
     return t;
   }
@@ -166,24 +272,6 @@ void WorkQueue::heartbeat(const Ticket& claimed) const {
                          (claimed.task_id + std::string{kClaimSuffix});
   std::error_code ec;
   fs::last_write_time(claim, fs::file_time_type::clock::now(), ec);
-}
-
-void WorkQueue::heartbeat(const Ticket& claimed, const io::Json& status) const {
-  const fs::path claim = fs::path{dir_} / "claims" /
-                         (claimed.task_id + std::string{kClaimSuffix});
-  // Same ownership guard as complete(): after a stale-claim takeover the
-  // on-disk file is someone else's live claim — never overwrite it.
-  try {
-    if (parse_ticket(claim.string()).owner != claimed.owner) return;
-  } catch (const io::JsonError&) {
-    return;  // gone or unreadable: nothing to refresh
-  }
-  io::Json doc = io::Json::object();
-  doc.set("task", io::Json{claimed.task_id});
-  doc.set("attempts", io::Json{claimed.attempts});
-  if (!claimed.owner.empty()) doc.set("owner", io::Json{claimed.owner});
-  doc.set("status", status);
-  io::write_file_atomic(claim.string(), doc.dump(2) + "\n");
 }
 
 void WorkQueue::release_for_retry(const Ticket& claimed, std::size_t attempts) {

@@ -1,10 +1,13 @@
-// Filesystem-backed work queue for campaign shards. The state directory is
-// the single source of truth — no sockets, no daemon — so any number of
-// coordinator processes (on any machine sharing the directory) can
-// cooperate, crash, and resume:
+// Filesystem-backed work queue for campaign shards, and the one reader and
+// writer of every campaign state file. The state directory is the single
+// source of truth — no sockets, no daemon — so any number of coordinator
+// processes (on any machine sharing the directory) can cooperate, crash,
+// and resume:
 //
+//   <dir>/campaign.json         the manifest (Manifest, read_manifest)
 //   <dir>/queue/<task>.todo     claimable ticket {"task", "attempts"}
-//   <dir>/claims/<task>.claim   claimed ticket (+ "owner"); mtime = heartbeat
+//   <dir>/claims/<task>.claim   claimed ticket (+ "owner", "claimed_at_ms");
+//                               mtime = heartbeat
 //   <dir>/specs/<task>.json     the shard StudySpec the worker executes
 //   <dir>/artifacts/<task>.json validated shard artifact (.part while landing)
 //   <dir>/logs/<task>.log       worker stdout + stderr
@@ -18,6 +21,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,12 +31,61 @@
 namespace varbench::campaign {
 
 /// A queue ticket: how many launches the task has already consumed, and —
-/// while claimed — who holds it.
+/// while claimed — who holds it and since when.
 struct Ticket {
   std::string task_id;
   std::size_t attempts = 0;
   std::string owner;
+  /// Unix-epoch milliseconds at which try_claim stamped the claim; 0 for a
+  /// queued ticket and for claims of coordinators that predate the stamp.
+  std::uint64_t claimed_at_ms = 0;
 };
+
+/// Read a ticket or claim file. Keys this build does not know are ignored,
+/// so state dirs shared with older and newer coordinators interoperate.
+/// Throws io::JsonError when the file is gone or malformed.
+[[nodiscard]] Ticket parse_ticket(const std::string& path);
+
+/// A task's state in the manifest. The coordinator's own view: a claimed or
+/// queued task is pending.
+enum class TaskStatus { kPending, kDone, kFailed };
+
+/// One task row of campaign.json.
+struct TaskRecord {
+  std::string id;
+  std::size_t study = 0;
+  std::string shard;  // ShardSpec::label(), "i/N"
+  TaskStatus status = TaskStatus::kPending;
+  /// Launches consumed, the last one's number: 0 for a task this run
+  /// reused or has not launched yet, and when the manifest omits it.
+  std::size_t attempts = 0;
+  /// Wall time of the task's last successful attempt: provenance, never
+  /// identity. 0 until one is known (and when the manifest omits it).
+  double wall_time_ms = 0.0;
+};
+
+/// campaign.json, the resumable record of a campaign.
+struct Manifest {
+  std::size_t shards = 1;
+  std::size_t max_retries = 0;
+  /// The study specs as raw JSON, so a reader can label a study this build
+  /// cannot run.
+  std::vector<io::Json> studies;
+  std::vector<TaskRecord> tasks;
+  /// The coordinator's "metrics" provenance block (docs/metrics.md).
+  std::optional<io::Json> metrics;
+};
+
+/// The one schema rule of campaign.json, the evolution contract of
+/// ResultTable (docs/study_api.md): schema v1 reads as always; v2 reads
+/// strictly, refusing a field this build does not know by its JSON path;
+/// any other schema is refused. Every error is an io::JsonError naming
+/// `path`. `attempts`, `wall_time_ms` and `metrics` are optional.
+[[nodiscard]] Manifest read_manifest(const std::string& path);
+
+/// Atomically write `manifest` to `path` in schema v1, the one every
+/// deployed reader understands.
+void write_manifest(const std::string& path, const Manifest& manifest);
 
 class WorkQueue {
  public:
@@ -73,22 +126,13 @@ class WorkQueue {
   [[nodiscard]] bool is_claimed(const std::string& task_id) const;
 
   /// Claim the first queued task (lexicographic ticket order) via atomic
-  /// rename, stamping `owner` into the claim. Returns nullopt when the
-  /// queue is empty or every ticket was claimed by a racer first.
+  /// rename, stamping `owner` and the claim time into the claim — the one
+  /// time a claim body is written. Returns nullopt when the queue is empty
+  /// or every ticket was claimed by a racer first.
   [[nodiscard]] std::optional<Ticket> try_claim(const std::string& owner);
 
   /// Refresh the claim's heartbeat (mtime). No-op if the claim is gone.
   void heartbeat(const Ticket& claimed) const;
-
-  /// Heartbeat that also embeds a live progress snapshot: rewrites the
-  /// claim body as the ticket fields plus a "status" object (which
-  /// `varbench status` renders), refreshing mtime via the atomic-write
-  /// rename. Readers that only look at mtime — stale-claim reclaim, old
-  /// tooling — are unaffected, and parse_ticket ignores the extra key, so
-  /// old state dirs and new ones interoperate both ways. No-op unless
-  /// `claimed.owner` still owns the on-disk claim (same takeover guard as
-  /// complete()).
-  void heartbeat(const Ticket& claimed, const io::Json& status) const;
 
   /// Return a claimed task to the queue carrying `attempts` (the launches
   /// consumed so far) — the retry path.

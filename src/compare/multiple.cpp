@@ -43,10 +43,11 @@ math::Matrix pairwise_pab_matrix(const ContestantScores& scores) {
   return m;
 }
 
-TopGroupResult significance_top_group(const ContestantScores& scores,
+TopGroupResult significance_top_group(const exec::ExecContext& ctx,
+                                      const ContestantScores& scores,
                                       rngx::Rng& rng, double gamma,
-                                      double alpha, std::size_t num_resamples,
-                                      const exec::ExecContext& exec) {
+                                      double alpha,
+                                      std::size_t num_resamples) {
   check_scores(scores);
   TopGroupResult result;
   const std::size_t n = scores.size();
@@ -63,7 +64,7 @@ TopGroupResult significance_top_group(const ContestantScores& scores,
   // best vs a, one independent comparison per contestant: if NOT
   // (significant and meaningful), a stays in the group.
   const auto in_group = exec::parallel_replicate<std::uint8_t>(
-      exec, n, rng, "top_group",
+      ctx, n, rng, "top_group",
       [&](std::size_t a, rngx::Rng& comparison_rng) -> std::uint8_t {
         if (a == result.best) return 1;
         const auto r = stats::test_probability_of_outperforming(
@@ -80,9 +81,9 @@ TopGroupResult significance_top_group(const ContestantScores& scores,
   return result;
 }
 
-RankingStability ranking_stability(const ContestantScores& scores,
-                                   rngx::Rng& rng, std::size_t num_resamples,
-                                   const exec::ExecContext& exec) {
+RankingStability ranking_stability(const exec::ExecContext& ctx,
+                                   const ContestantScores& scores,
+                                   rngx::Rng& rng, std::size_t num_resamples) {
   check_scores(scores);
   const std::size_t n = scores.size();
   const std::size_t k = scores.front().size();
@@ -93,7 +94,7 @@ RankingStability ranking_stability(const ContestantScores& scores,
   // Each resample reports its ranking; counts accumulate serially in
   // resample order afterwards.
   const auto orders = exec::parallel_replicate<std::vector<std::size_t>>(
-      exec, num_resamples, rng, "ranking_stability",
+      ctx, num_resamples, rng, "ranking_stability",
       [&](std::size_t, rngx::Rng& resample_rng) {
         std::vector<std::size_t> idx(k, 0);
         for (auto& v : idx) {

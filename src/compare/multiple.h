@@ -33,12 +33,11 @@ struct TopGroupResult {
 /// whose comparison against it is not both significant and meaningful, at a
 /// Bonferroni-corrected level over the m = n-1 comparisons. Each comparison
 /// runs on its own derived RNG stream, so the group is bit-identical for
-/// every `exec.num_threads`.
+/// every `ctx.num_threads`.
 [[nodiscard]] TopGroupResult significance_top_group(
-    const ContestantScores& scores, rngx::Rng& rng,
-    double gamma = stats::kDefaultGamma, double alpha = 0.05,
-    std::size_t num_resamples = 500,
-    const exec::ExecContext& exec = exec::ExecContext::serial());
+    const exec::ExecContext& ctx, const ContestantScores& scores,
+    rngx::Rng& rng, double gamma = stats::kDefaultGamma, double alpha = 0.05,
+    std::size_t num_resamples = 500);
 
 struct RankingStability {
   // rank_probability(a, r): probability contestant a lands at rank r
@@ -50,8 +49,7 @@ struct RankingStability {
 /// Bootstrap the k paired splits and recompute the ranking each time.
 /// Each resample runs on its own derived RNG stream (thread-count invariant).
 [[nodiscard]] RankingStability ranking_stability(
-    const ContestantScores& scores, rngx::Rng& rng,
-    std::size_t num_resamples = 1000,
-    const exec::ExecContext& exec = exec::ExecContext::serial());
+    const exec::ExecContext& ctx, const ContestantScores& scores,
+    rngx::Rng& rng, std::size_t num_resamples = 1000);
 
 }  // namespace varbench::compare

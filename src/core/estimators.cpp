@@ -87,25 +87,6 @@ EstimatorResult ideal_estimator(const exec::ExecContext& ctx,
   return summarize(std::move(measures), counter.fits);
 }
 
-EstimatorResult ideal_estimator(const exec::ExecContext& ctx,
-                                const LearningPipeline& pipeline,
-                                const ml::Dataset& pool,
-                                const Splitter& splitter,
-                                const HpoRunConfig& hpo, std::size_t k,
-                                rngx::Rng& master) {
-  return ideal_estimator(ctx, pipeline, pool, splitter, hpo, k,
-                         exec::IndexRange{0, k}, master);
-}
-
-EstimatorResult ideal_estimator(const LearningPipeline& pipeline,
-                                const ml::Dataset& pool,
-                                const Splitter& splitter,
-                                const HpoRunConfig& hpo, std::size_t k,
-                                rngx::Rng& master) {
-  return ideal_estimator(exec::ExecContext::serial(), pipeline, pool, splitter,
-                         hpo, k, master);
-}
-
 EstimatorResult fix_hopt_estimator(const exec::ExecContext& ctx,
                                    const LearningPipeline& pipeline,
                                    const ml::Dataset& pool,
@@ -138,26 +119,6 @@ EstimatorResult fix_hopt_estimator(const exec::ExecContext& ctx,
                                    &counter);
       });
   return summarize(std::move(measures), counter.fits);
-}
-
-EstimatorResult fix_hopt_estimator(const exec::ExecContext& ctx,
-                                   const LearningPipeline& pipeline,
-                                   const ml::Dataset& pool,
-                                   const Splitter& splitter,
-                                   const HpoRunConfig& hpo, std::size_t k,
-                                   RandomizeSubset subset, rngx::Rng& master) {
-  return fix_hopt_estimator(ctx, pipeline, pool, splitter, hpo, k, subset,
-                            exec::IndexRange{0, k}, master);
-}
-
-EstimatorResult fix_hopt_estimator(const LearningPipeline& pipeline,
-                                   const ml::Dataset& pool,
-                                   const Splitter& splitter,
-                                   const HpoRunConfig& hpo, std::size_t k,
-                                   RandomizeSubset subset,
-                                   rngx::Rng& master) {
-  return fix_hopt_estimator(exec::ExecContext::serial(), pipeline, pool,
-                            splitter, hpo, k, subset, master);
 }
 
 std::size_t ideal_estimator_cost(std::size_t k, std::size_t t) {

@@ -44,27 +44,14 @@ struct EstimatorResult {
 /// The k measurements are independent given per-index RNG streams; `ctx`
 /// fans them out with the usual thread-count-invariance guarantee, and
 /// `range` restricts the run to the global measurement indices
-/// [range.begin, range.end) of a k-measurement estimate (shard execution:
-/// the subrange's measures are bit-identical to the corresponding slice of
-/// the full run). Exactly one u64 is drawn from `master` regardless of k,
-/// range, and thread count.
+/// [range.begin, range.end) of a k-measurement estimate ({0, k} for the
+/// whole estimate; shard execution: the subrange's measures are
+/// bit-identical to the corresponding slice of the full run). Exactly one
+/// u64 is drawn from `master` regardless of k, range, and thread count.
 [[nodiscard]] EstimatorResult ideal_estimator(
     const exec::ExecContext& ctx, const LearningPipeline& pipeline,
     const ml::Dataset& pool, const Splitter& splitter, const HpoRunConfig& hpo,
     std::size_t k, exec::IndexRange range, rngx::Rng& master);
-
-[[nodiscard]] EstimatorResult ideal_estimator(
-    const exec::ExecContext& ctx, const LearningPipeline& pipeline,
-    const ml::Dataset& pool, const Splitter& splitter, const HpoRunConfig& hpo,
-    std::size_t k, rngx::Rng& master);
-
-/// Serial convenience — the same computation with no fan-out.
-[[nodiscard]] EstimatorResult ideal_estimator(const LearningPipeline& pipeline,
-                                              const ml::Dataset& pool,
-                                              const Splitter& splitter,
-                                              const HpoRunConfig& hpo,
-                                              std::size_t k,
-                                              rngx::Rng& master);
 
 /// Algorithm 2 (FixHOptEst). Requires O(k+T) fits. `subset` selects which
 /// ξO sources are re-randomized between the k measurements. Stage 1 (the
@@ -76,17 +63,6 @@ struct EstimatorResult {
     const ml::Dataset& pool, const Splitter& splitter, const HpoRunConfig& hpo,
     std::size_t k, RandomizeSubset subset, exec::IndexRange range,
     rngx::Rng& master);
-
-[[nodiscard]] EstimatorResult fix_hopt_estimator(
-    const exec::ExecContext& ctx, const LearningPipeline& pipeline,
-    const ml::Dataset& pool, const Splitter& splitter, const HpoRunConfig& hpo,
-    std::size_t k, RandomizeSubset subset, rngx::Rng& master);
-
-/// Serial convenience — the same computation with no fan-out.
-[[nodiscard]] EstimatorResult fix_hopt_estimator(
-    const LearningPipeline& pipeline, const ml::Dataset& pool,
-    const Splitter& splitter, const HpoRunConfig& hpo, std::size_t k,
-    RandomizeSubset subset, rngx::Rng& master);
 
 /// Theoretical fit-cost of each estimator (Fig. 4's O(k·T) vs O(k+T)),
 /// used to derive the paper's 51× compute-saving claim.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "src/campaign/status.h"
+#include "src/campaign/work_queue.h"
 #include "src/io/json.h"
 
 namespace varbench::report {
@@ -21,12 +21,11 @@ std::string study_identity(const study::ResultTable& t) {
 namespace {
 
 CampaignProvenance read_campaign_provenance(const std::string& path) {
-  const io::Json doc = io::Json::parse(io::read_file(path));
   // A v2 manifest's "metrics" block describes the run, not the results:
   // known to the schema rule, ignored for reporting.
-  campaign::check_manifest_schema(doc, "report", path);
+  const campaign::Manifest manifest = campaign::read_manifest(path);
   CampaignProvenance prov;
-  const auto& studies = doc.at("studies").as_array();
+  const auto& studies = manifest.studies;
   prov.study_wall_ms.reserve(studies.size());
   for (std::size_t k = 0; k < studies.size(); ++k) {
     // Label from the raw spec document (kind + case_study are required spec
@@ -40,9 +39,9 @@ CampaignProvenance read_campaign_provenance(const std::string& path) {
   // A report over a partial campaign would silently look complete (only
   // the finished studies reach merged/) — refuse instead of under-reporting.
   std::vector<std::string> unfinished;
-  for (const io::Json& task : doc.at("tasks").as_array()) {
-    if (task.at("status").as_string() != "done") {
-      unfinished.push_back(task.at("id").as_string());
+  for (const campaign::TaskRecord& task : manifest.tasks) {
+    if (task.status != campaign::TaskStatus::kDone) {
+      unfinished.push_back(task.id);
     }
   }
   if (!unfinished.empty()) {
@@ -57,16 +56,15 @@ CampaignProvenance read_campaign_provenance(const std::string& path) {
         "); finish it (varbench campaign --resume) or report a merged "
         "artifact directly");
   }
-  for (const io::Json& task : doc.at("tasks").as_array()) {
+  for (const campaign::TaskRecord& task : manifest.tasks) {
     ++prov.tasks;
-    const io::Json* wall = task.find("wall_time_ms");
-    if (wall == nullptr || !wall->is_number()) continue;
-    const double ms = wall->as_double();
+    const double ms = task.wall_time_ms;
     if (ms <= 0.0) continue;  // never ran (or a pre-provenance manifest)
     ++prov.tasks_with_wall_time;
     prov.total_wall_ms += ms;
-    const auto k = static_cast<std::size_t>(task.at("study").as_uint64());
-    if (k < prov.study_wall_ms.size()) prov.study_wall_ms[k].second += ms;
+    if (task.study < prov.study_wall_ms.size()) {
+      prov.study_wall_ms[task.study].second += ms;
+    }
   }
   return prov;
 }

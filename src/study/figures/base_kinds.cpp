@@ -1,11 +1,11 @@
-// Four of the original five study kinds: the variance-source
-// decomposition, the paired comparison, one HOpt run and the estimator
-// sweep, each on one case study (docs/study_api.md). The fifth, the
-// detection simulation, shares Fig. 6's code in fig_detection.cpp.
+// Three of the original five study kinds: the paired comparison, one HOpt
+// run and the estimator sweep, each on one case study (docs/study_api.md).
+// The variance-source decomposition shares Fig. 1's code in
+// fig_variance.cpp, and the detection simulation Fig. 6's in
+// fig_detection.cpp.
 #include <stdexcept>
 
 #include "src/core/estimators.h"
-#include "src/core/variance_study.h"
 #include "src/rngx/rng.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/prob_outperform.h"
@@ -61,73 +61,6 @@ const EstimatorName& estimator_by_name(const std::string& name) {
 }
 
 }  // namespace
-
-// ------------------------------------------------------------- variance
-
-ResultTable run_variance(const StudySpec& spec) {
-  const auto cs = casestudies::make_case_study(spec.case_study, spec.scale);
-  core::VarianceStudyConfig cfg;
-  cfg.repetitions = spec.repetitions;
-  cfg.hpo_algorithms = spec.figure.hpo_algorithms;
-  cfg.hpo_repetitions = spec.resolved_hpo_repetitions();
-  cfg.hpo_budget = spec.figure.hpo_budget;
-  cfg.include_numerical_noise = spec.figure.include_numerical_noise;
-  cfg.exec = exec_of(spec);
-  cfg.shard_index = spec.shard.index;
-  cfg.shard_count = spec.shard.count;
-  rngx::Rng master{spec.seed};
-  const auto result = core::run_variance_study(*cs.pipeline, *cs.pool,
-                                               *cs.splitter, cfg, master);
-
-  ResultTable t;
-  t.columns = {"seq", "source", "rep", "measure"};
-  std::size_t offset = 0;  // seq offset of the current group in the FULL run
-  for (const auto& row : result.rows) {
-    const std::size_t group_size = row.source == rngx::VariationSource::kHpo
-                                       ? cfg.hpo_repetitions
-                                       : cfg.repetitions;
-    const auto slice = slice_of(spec, group_size);
-    if (row.measures.size() != slice.size()) {
-      throw std::logic_error("variance runner: engine returned " +
-                             std::to_string(row.measures.size()) +
-                             " measures for a slice of " +
-                             std::to_string(slice.size()));
-    }
-    for (std::size_t j = 0; j < row.measures.size(); ++j) {
-      const std::size_t rep = slice.begin + j;
-      t.add_row({Cell{offset + rep}, Cell{row.label}, Cell{rep},
-                 Cell{row.measures[j]}});
-    }
-    offset += group_size;
-  }
-  return t;
-}
-
-void summarize_variance(const ResultTable& t, std::FILE* out) {
-  const std::size_t source_col = t.column_index("source");
-  const std::size_t measure_col = t.column_index("measure");
-  // Group by source label in first-appearance (engine) order.
-  std::vector<std::pair<std::string, std::vector<double>>> groups;
-  for (const auto& row : t.rows) {
-    const std::string label = row[source_col].as_string();
-    if (groups.empty() || groups.back().first != label) {
-      groups.emplace_back(label, std::vector<double>{});
-    }
-    groups.back().second.push_back(row[measure_col].as_double());
-  }
-  double boot = 0.0;
-  for (const auto& [label, measures] : groups) {
-    if (label == "Data (bootstrap)") boot = stats::stddev(measures);
-  }
-  std::fprintf(out, "%-22s %10s %10s %14s\n", "source", "mean", "std",
-               "std/bootstrap");
-  for (const auto& [label, measures] : groups) {
-    const double mean = stats::mean(measures);
-    const double stddev = stats::stddev(measures);
-    std::fprintf(out, "%-22s %10.4f %10.4f %14.2f\n", label.c_str(), mean,
-                 stddev, boot > 0.0 ? stddev / boot : 0.0);
-  }
-}
 
 // -------------------------------------------------------------- compare
 

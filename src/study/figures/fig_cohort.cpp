@@ -149,7 +149,8 @@ void summarize_multi_contestants(const ResultTable& t, std::FILE* out) {
                "worse)\n");
   rngx::Rng top_rng{rngx::derive_seed(spec.seed, "top")};
   const auto top = compare::significance_top_group(
-      scores, top_rng, spec.figure.gamma, 0.05, spec.figure.resamples);
+      exec::ExecContext::serial(), scores, top_rng, spec.figure.gamma, 0.05,
+      spec.figure.resamples);
   std::fprintf(out, "  best by mean: %s (Bonferroni-adjusted alpha = %.4f)\n",
                names[top.best].c_str(), top.adjusted_alpha);
   std::fprintf(out, "  report together:");
@@ -160,7 +161,8 @@ void summarize_multi_contestants(const ResultTable& t, std::FILE* out) {
   std::fprintf(out, "\nranking stability under bootstrap of the splits\n");
   rngx::Rng boot_rng{rngx::derive_seed(spec.seed, "rank")};
   const auto stability = compare::ranking_stability(
-      scores, boot_rng, 4 * spec.figure.resamples);
+      exec::ExecContext::serial(), scores, boot_rng,
+      4 * spec.figure.resamples);
   std::fprintf(out, "  %-12s %12s %28s\n", "contestant", "P(rank 1)",
                "rank distribution (1..n)");
   for (std::size_t c = 0; c < names.size(); ++c) {

@@ -1,8 +1,9 @@
-// Fig. 1 (variance decomposition across case studies) and Fig. G.3
-// (per-source normality): both drive the core variance-study engine per
-// task, emitting raw per-repetition measures. Shard slices pass straight
-// through to the engine's shard_index/shard_count support; the G.3
-// "Altogether" group fans out on its own per-index streams.
+// The variance study kind (one case study), Fig. 1 (variance decomposition
+// across case studies) and Fig. G.3 (per-source normality): all drive the
+// core variance-study engine, emitting raw per-repetition measures through
+// one row emitter. Shard slices pass straight through to the engine's
+// shard_index/shard_count support; the G.3 "Altogether" group fans out on
+// its own per-index streams.
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
@@ -55,9 +56,10 @@ core::VarianceStudyConfig variance_config(const StudySpec& spec) {
 }
 
 /// Emit one engine result into the table, advancing the global seq
-/// bookkeeping; shard slices of each source group land at their global
+/// bookkeeping: one row per measure holding seq, the `lead` cells, source,
+/// rep and measure. Shard slices of each source group land at their global
 /// rep indices.
-void emit_variance_rows(const StudySpec& spec, const std::string& task,
+void emit_variance_rows(const StudySpec& spec, const Row& lead,
                         const core::VarianceStudyResult& result,
                         std::size_t hpo_repetitions, GroupSeq& gs,
                         ResultTable& t) {
@@ -67,7 +69,7 @@ void emit_variance_rows(const StudySpec& spec, const std::string& task,
                                        : spec.repetitions;
     const auto slice = slice_of(spec, group_size);
     if (row.measures.size() != slice.size()) {
-      throw std::logic_error("figure variance runner: engine returned " +
+      throw std::logic_error("variance runner: engine returned " +
                              std::to_string(row.measures.size()) +
                              " measures for a slice of " +
                              std::to_string(slice.size()));
@@ -75,13 +77,61 @@ void emit_variance_rows(const StudySpec& spec, const std::string& task,
     const std::size_t start = gs.enter(group_size);
     for (std::size_t j = 0; j < row.measures.size(); ++j) {
       const std::size_t rep = slice.begin + j;
-      t.add_row({Cell{gs.seq(start, rep)}, Cell{task}, Cell{row.label},
-                 Cell{rep}, Cell{row.measures[j]}});
+      Row cells{Cell{gs.seq(start, rep)}};
+      cells.insert(cells.end(), lead.begin(), lead.end());
+      cells.insert(cells.end(),
+                   {Cell{row.label}, Cell{rep}, Cell{row.measures[j]}});
+      t.add_row(std::move(cells));
     }
   }
 }
 
 }  // namespace
+
+// ------------------------------------------------------------- variance
+
+ResultTable run_variance(const StudySpec& spec) {
+  const auto cs = casestudies::make_case_study(spec.case_study, spec.scale);
+  core::VarianceStudyConfig cfg = variance_config(spec);
+  cfg.hpo_algorithms = spec.figure.hpo_algorithms;
+  cfg.hpo_repetitions = spec.resolved_hpo_repetitions();
+  cfg.hpo_budget = spec.figure.hpo_budget;
+  cfg.include_numerical_noise = spec.figure.include_numerical_noise;
+  rngx::Rng master{spec.seed};
+  const auto result = core::run_variance_study(*cs.pipeline, *cs.pool,
+                                               *cs.splitter, cfg, master);
+  ResultTable t;
+  t.columns = {"seq", "source", "rep", "measure"};
+  GroupSeq gs;
+  emit_variance_rows(spec, {}, result, cfg.hpo_repetitions, gs, t);
+  return t;
+}
+
+void summarize_variance(const ResultTable& t, std::FILE* out) {
+  const std::size_t source_col = t.column_index("source");
+  const std::size_t measure_col = t.column_index("measure");
+  // Group by source label in first-appearance (engine) order.
+  std::vector<std::pair<std::string, std::vector<double>>> groups;
+  for (const auto& row : t.rows) {
+    const std::string label = row[source_col].as_string();
+    if (groups.empty() || groups.back().first != label) {
+      groups.emplace_back(label, std::vector<double>{});
+    }
+    groups.back().second.push_back(row[measure_col].as_double());
+  }
+  double boot = 0.0;
+  for (const auto& [label, measures] : groups) {
+    if (label == "Data (bootstrap)") boot = stats::stddev(measures);
+  }
+  std::fprintf(out, "%-22s %10s %10s %14s\n", "source", "mean", "std",
+               "std/bootstrap");
+  for (const auto& [label, measures] : groups) {
+    const double mean = stats::mean(measures);
+    const double stddev = stats::stddev(measures);
+    std::fprintf(out, "%-22s %10.4f %10.4f %14.2f\n", label.c_str(), mean,
+                 stddev, boot > 0.0 ? stddev / boot : 0.0);
+  }
+}
 
 // ---------------------------------------------------------------- fig01
 
@@ -100,7 +150,7 @@ ResultTable run_fig01(const StudySpec& spec) {
     rngx::Rng master{rngx::derive_seed(spec.seed, task)};
     const auto result = core::run_variance_study(*cs.pipeline, *cs.pool,
                                                  *cs.splitter, cfg, master);
-    emit_variance_rows(spec, task, result, hpo_reps, gs, t);
+    emit_variance_rows(spec, {Cell{task}}, result, hpo_reps, gs, t);
   }
   return t;
 }
@@ -146,7 +196,8 @@ ResultTable run_figG3(const StudySpec& spec) {
     rngx::Rng master{rngx::derive_seed(spec.seed, task)};
     const auto result = core::run_variance_study(*cs.pipeline, *cs.pool,
                                                  *cs.splitter, cfg, master);
-    emit_variance_rows(spec, task, result, /*hpo_repetitions=*/0, gs, t);
+    emit_variance_rows(spec, {Cell{task}}, result, /*hpo_repetitions=*/0, gs,
+                       t);
 
     // "Altogether": every learning ξO source randomized jointly, as in the
     // figure's last row, on per-index streams.

@@ -7,14 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "src/campaign/campaign.h"
+#include "src/campaign/status.h"
 #include "src/campaign/subprocess.h"
 #include "src/campaign/work_queue.h"
 #include "src/io/json.h"
+#include "src/report/artifact.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 
@@ -111,6 +115,15 @@ std::string merged_path_of(const CampaignReport& report) {
 
 std::string unsharded_canonical(const study::StudySpec& spec) {
   return study::run_study(spec).canonical_text();
+}
+
+/// `text` with the first occurrence of `from` replaced by `to`.
+std::string replace_first(std::string text, std::string_view from,
+                          std::string_view to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << "no '" << from << "' in " << text;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
 }
 
 // ----------------------------------------------------------------- plan
@@ -406,6 +419,70 @@ TEST(Campaign, FullyCompleteResumeLaunchesNothingAndRestoresMergedOutput) {
   EXPECT_EQ(io::read_file(merged_path_of(report)), unsharded_canonical(spec));
 }
 
+TEST(Campaign, ResumeReadsAV2Manifest) {
+  // --resume reads what `status` and `report` read: a v2 manifest of the
+  // same campaign resumes, and is written back as v1 (writers emit v1).
+  const TempDir dir{"resumev2"};
+  const auto spec = tiny_compare_spec();
+  auto cfg = quick_config(dir.str());
+  const auto first = run_campaign(cfg, {spec}, in_process_launcher());
+  ASSERT_TRUE(first.ok());
+  const std::string merged = io::read_file(merged_path_of(first));
+  const std::string manifest_path = WorkQueue{dir.str()}.manifest_path();
+  io::write_file(manifest_path,
+                 replace_first(io::read_file(manifest_path),
+                               "varbench.campaign.v1", "varbench.campaign.v2"));
+
+  SpyLauncher spy;
+  cfg.resume = true;
+  const auto report = run_campaign(cfg, {spec}, spy.launcher());
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.launched, 0u);
+  EXPECT_TRUE(spy.launches.empty());
+  EXPECT_EQ(io::read_file(merged_path_of(report)), merged);
+  EXPECT_EQ(io::Json::parse(io::read_file(manifest_path))
+                .at("schema")
+                .as_string(),
+            "varbench.campaign.v1");
+}
+
+TEST(Campaign, ResumeStatusAndReportRefuseTheSameManifests) {
+  const TempDir dir{"refuse"};
+  const auto spec = tiny_compare_spec();
+  auto cfg = quick_config(dir.str());
+  ASSERT_TRUE(run_campaign(cfg, {spec}, in_process_launcher()).ok());
+  const std::string manifest_path = WorkQueue{dir.str()}.manifest_path();
+  const std::string v1 = io::read_file(manifest_path);
+  cfg.resume = true;
+
+  const std::string v2 = replace_first(v1, "varbench.campaign.v1",
+                                       "varbench.campaign.v2");
+  for (const auto& [text, needle] :
+       {std::pair<std::string, std::string>{
+            replace_first(v2, "\"attempts\":",
+                          "\"gpu_hours\": 3, \"attempts\":"),
+            "$.tasks[].gpu_hours"},
+        {replace_first(v1, "varbench.campaign.v1", "varbench.campaign.v3"),
+         "varbench.campaign.v3"}}) {
+    io::write_file(manifest_path, text);
+    const auto error_of = [](const auto& read) {
+      try {
+        read();
+      } catch (const io::JsonError& e) {
+        return std::string{e.what()};
+      }
+      return std::string{"<no error>"};
+    };
+    const std::string resume = error_of(
+        [&] { (void)run_campaign(cfg, {spec}, in_process_launcher()); });
+    EXPECT_NE(resume.find(manifest_path), std::string::npos) << resume;
+    EXPECT_NE(resume.find(needle), std::string::npos) << resume;
+    EXPECT_EQ(error_of([&] { (void)read_status(dir.str()); }), resume);
+    EXPECT_EQ(error_of([&] { (void)report::load_artifact_dir(dir.str()); }),
+              resume);
+  }
+}
+
 TEST(Campaign, InitializedDirRequiresResumeFlag) {
   const TempDir dir{"guard"};
   const auto spec = tiny_compare_spec();
@@ -430,6 +507,46 @@ TEST(Campaign, ResumeRejectsMismatchedSpecOrShardCount) {
   bad_shards.shards = 5;
   EXPECT_THROW((void)run_campaign(bad_shards, {spec}, in_process_launcher()),
                io::JsonError);
+}
+
+// --------------------------------------------------------------- manifest
+
+/// FNV-1a-64 of a byte string.
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// `text` with the number after every `"wall_time_ms": ` replaced by 0:
+/// wall times are provenance and differ from run to run.
+std::string zero_wall_times(std::string text) {
+  const std::string key = "\"wall_time_ms\": ";
+  for (std::size_t at = text.find(key); at != std::string::npos;
+       at = text.find(key, at)) {
+    at += key.size();
+    text.replace(at, text.find_first_of(",\n}", at) - at, "0");
+  }
+  return text;
+}
+
+TEST(Manifest, WriterKeepsTheParentsBytes) {
+  // The digest of the bytes the coordinator wrote before Manifest had one
+  // writer, recorded by this same test body against that library.
+  const TempDir dir{"golden"};
+  auto spec_b = tiny_compare_spec();
+  spec_b.seed = 7;
+  auto cfg = quick_config(dir.str());
+  cfg.shards = 2;
+  ASSERT_TRUE(
+      run_campaign(cfg, {tiny_compare_spec(), spec_b}, in_process_launcher())
+          .ok());
+  const std::string text =
+      zero_wall_times(io::read_file(WorkQueue{dir.str()}.manifest_path()));
+  EXPECT_EQ(fnv1a64(text), 0xfdd815dc02072700ULL) << text;
 }
 
 // ----------------------------------------------------------- subprocess

@@ -69,13 +69,15 @@ TEST(Estimators, FitAccounting) {
   hpo_cfg.budget = 4;
 
   rngx::Rng master{2};
-  const auto ideal =
-      ideal_estimator(pipeline, pool, splitter, hpo_cfg, 3, master);
+  const exec::ExecContext serial = exec::ExecContext::serial();
+  const auto ideal = ideal_estimator(serial, pipeline, pool, splitter,
+                                     hpo_cfg, 3, {0, 3}, master);
   EXPECT_EQ(ideal.k(), 3u);
   EXPECT_EQ(ideal.fits, 3u * 5u);  // k·(T+1)
 
-  const auto biased = fix_hopt_estimator(pipeline, pool, splitter, hpo_cfg, 3,
-                                         RandomizeSubset::kAll, master);
+  const auto biased =
+      fix_hopt_estimator(serial, pipeline, pool, splitter, hpo_cfg, 3,
+                         RandomizeSubset::kAll, {0, 3}, master);
   EXPECT_EQ(biased.k(), 3u);
   EXPECT_EQ(biased.fits, 4u + 3u);  // T + k
 }
@@ -86,8 +88,8 @@ TEST(Estimators, SummaryStatisticsConsistent) {
   const OutOfBootstrapSplitter splitter{120, 60};
   const HpoRunConfig hpo_cfg;  // defaults only: fast
   rngx::Rng master{3};
-  const auto r =
-      ideal_estimator(pipeline, pool, splitter, hpo_cfg, 8, master);
+  const auto r = ideal_estimator(exec::ExecContext::serial(), pipeline, pool,
+                                 splitter, hpo_cfg, 8, {0, 8}, master);
   EXPECT_NEAR(r.mean, stats::mean(r.measures), 1e-12);
   EXPECT_NEAR(r.stddev, stats::stddev(r.measures), 1e-12);
 }
@@ -102,10 +104,13 @@ TEST(Estimators, FixInitHoldsDataSplitFixed) {
   const HpoRunConfig hpo_cfg;
   rngx::Rng m1{4};
   rngx::Rng m2{4};
-  const auto init_only = fix_hopt_estimator(pipeline, pool, splitter, hpo_cfg,
-                                            10, RandomizeSubset::kInit, m1);
-  const auto data_only = fix_hopt_estimator(pipeline, pool, splitter, hpo_cfg,
-                                            10, RandomizeSubset::kData, m2);
+  const exec::ExecContext serial = exec::ExecContext::serial();
+  const auto init_only =
+      fix_hopt_estimator(serial, pipeline, pool, splitter, hpo_cfg, 10,
+                         RandomizeSubset::kInit, {0, 10}, m1);
+  const auto data_only =
+      fix_hopt_estimator(serial, pipeline, pool, splitter, hpo_cfg, 10,
+                         RandomizeSubset::kData, {0, 10}, m2);
   // Both are valid estimates of the same µ, so their means should be close
   // relative to the data-split spread.
   EXPECT_NEAR(init_only.mean, data_only.mean,
@@ -118,11 +123,13 @@ TEST(Estimators, ZeroKThrows) {
   const OutOfBootstrapSplitter splitter{120, 60};
   const HpoRunConfig hpo_cfg;
   rngx::Rng master{5};
-  EXPECT_THROW(
-      (void)ideal_estimator(pipeline, pool, splitter, hpo_cfg, 0, master),
-      std::invalid_argument);
-  EXPECT_THROW((void)fix_hopt_estimator(pipeline, pool, splitter, hpo_cfg, 0,
-                                        RandomizeSubset::kAll, master),
+  const exec::ExecContext serial = exec::ExecContext::serial();
+  EXPECT_THROW((void)ideal_estimator(serial, pipeline, pool, splitter, hpo_cfg,
+                                     0, {0, 0}, master),
+               std::invalid_argument);
+  EXPECT_THROW((void)fix_hopt_estimator(serial, pipeline, pool, splitter,
+                                        hpo_cfg, 0, RandomizeSubset::kAll,
+                                        {0, 0}, master),
                std::invalid_argument);
 }
 

@@ -182,12 +182,12 @@ TEST(ExecDeterminism, EstimatorsBitIdenticalAcrossThreadCounts) {
     const exec::ExecContext ctx{threads};
     rngx::Rng m1{21};
     ideal.push_back(core::ideal_estimator(ctx, pipeline, pool, splitter,
-                                          hpo_cfg, 4, m1));
+                                          hpo_cfg, 4, {0, 4}, m1));
     rngx::Rng m2{22};
     biased.push_back(core::fix_hopt_estimator(ctx, pipeline, pool, splitter,
                                               hpo_cfg, 4,
                                               core::RandomizeSubset::kAll,
-                                              m2));
+                                              {0, 4}, m2));
   }
   for (std::size_t t = 1; t < ideal.size(); ++t) {
     EXPECT_EQ(ideal[t].measures, ideal[0].measures)
@@ -197,17 +197,6 @@ TEST(ExecDeterminism, EstimatorsBitIdenticalAcrossThreadCounts) {
         << "fix_hopt_estimator differs at " << kThreadCounts[t] << " threads";
     EXPECT_EQ(biased[t].fits, biased[0].fits);
   }
-  // The ctx-less overloads are the serial special case of the same
-  // computation.
-  rngx::Rng m1{21};
-  EXPECT_EQ(
-      core::ideal_estimator(pipeline, pool, splitter, hpo_cfg, 4, m1).measures,
-      ideal[0].measures);
-  rngx::Rng m2{22};
-  EXPECT_EQ(core::fix_hopt_estimator(pipeline, pool, splitter, hpo_cfg, 4,
-                                     core::RandomizeSubset::kAll, m2)
-                .measures,
-            biased[0].measures);
 }
 
 TEST(ExecDeterminism, EstimatorShardSlicesMatchFullRun) {
@@ -220,7 +209,7 @@ TEST(ExecDeterminism, EstimatorShardSlicesMatchFullRun) {
   rngx::Rng full_rng{23};
   const auto full = core::ideal_estimator(exec::ExecContext::serial(),
                                           pipeline, pool, splitter, hpo_cfg, k,
-                                          full_rng);
+                                          {0, k}, full_rng);
   std::vector<double> stitched;
   for (std::size_t shard = 0; shard < 2; ++shard) {
     rngx::Rng rng{23};
@@ -294,11 +283,11 @@ TEST(ExecDeterminism, RankingStabilityBitIdenticalAcrossThreadCounts) {
   std::vector<compare::TopGroupResult> groups;
   for (const std::size_t threads : kThreadCounts) {
     rngx::Rng rng{15};
-    results.push_back(compare::ranking_stability(
-        scores, rng, 400, exec::ExecContext{threads}));
+    results.push_back(compare::ranking_stability(exec::ExecContext{threads},
+                                                 scores, rng, 400));
     rngx::Rng group_rng{16};
     groups.push_back(compare::significance_top_group(
-        scores, group_rng, 0.75, 0.05, 200, exec::ExecContext{threads}));
+        exec::ExecContext{threads}, scores, group_rng, 0.75, 0.05, 200));
   }
   for (std::size_t t = 1; t < results.size(); ++t) {
     EXPECT_EQ(results[t].prob_first, results[0].prob_first);

@@ -79,11 +79,12 @@ TEST(Integration, BiasedEstimatorCheaperThanIdeal) {
   cfg.budget = 4;
   rngx::Rng m1{3};
   rngx::Rng m2{3};
-  const auto ideal = core::ideal_estimator(*cs.pipeline, *cs.pool,
-                                           *cs.splitter, cfg, 4, m1);
+  const exec::ExecContext serial = exec::ExecContext::serial();
+  const auto ideal = core::ideal_estimator(serial, *cs.pipeline, *cs.pool,
+                                           *cs.splitter, cfg, 4, {0, 4}, m1);
   const auto biased = core::fix_hopt_estimator(
-      *cs.pipeline, *cs.pool, *cs.splitter, cfg, 4,
-      core::RandomizeSubset::kAll, m2);
+      serial, *cs.pipeline, *cs.pool, *cs.splitter, cfg, 4,
+      core::RandomizeSubset::kAll, {0, 4}, m2);
   EXPECT_GT(ideal.fits, biased.fits);
   // Both estimate the same µ; they should agree within a few σ.
   EXPECT_NEAR(ideal.mean, biased.mean,

@@ -7,6 +7,8 @@
 namespace varbench::compare {
 namespace {
 
+const exec::ExecContext kSerial = exec::ExecContext::serial();
+
 ContestantScores three_contestants(std::size_t k, rngx::Rng& rng) {
   // 0: weak, 1: strong, 2: strong (tied with 1 within noise).
   ContestantScores s(3);
@@ -47,7 +49,7 @@ TEST(TopGroup, KeepsIndistinguishableContestants) {
   rngx::Rng rng{2};
   const auto scores = three_contestants(40, rng);
   auto test_rng = rng.split("test");
-  const auto result = significance_top_group(scores, test_rng);
+  const auto result = significance_top_group(kSerial, scores, test_rng);
   // Best is 1 or 2; both must be in the group; 0 must not.
   EXPECT_TRUE(result.best == 1 || result.best == 2);
   EXPECT_TRUE(std::find(result.group.begin(), result.group.end(), 1u) !=
@@ -67,7 +69,7 @@ TEST(TopGroup, SingleDominantContestantAlone) {
     s[1].push_back(rng.normal(0.5, 0.01));
   }
   auto test_rng = rng.split("test");
-  const auto result = significance_top_group(s, test_rng);
+  const auto result = significance_top_group(kSerial, s, test_rng);
   EXPECT_EQ(result.best, 0u);
   EXPECT_EQ(result.group, (std::vector<std::size_t>{0}));
 }
@@ -76,7 +78,7 @@ TEST(RankingStability, ProbabilitiesAreDistributions) {
   rngx::Rng rng{4};
   const auto scores = three_contestants(30, rng);
   auto boot_rng = rng.split("boot");
-  const auto r = ranking_stability(scores, boot_rng, 500);
+  const auto r = ranking_stability(kSerial, scores, boot_rng, 500);
   for (std::size_t a = 0; a < 3; ++a) {
     double row_sum = 0.0;
     for (std::size_t rank = 0; rank < 3; ++rank) {
@@ -93,7 +95,7 @@ TEST(RankingStability, WeakContestantNeverFirst) {
   rngx::Rng rng{5};
   const auto scores = three_contestants(30, rng);
   auto boot_rng = rng.split("boot");
-  const auto r = ranking_stability(scores, boot_rng, 500);
+  const auto r = ranking_stability(kSerial, scores, boot_rng, 500);
   EXPECT_LT(r.prob_first[0], 0.01);
   // The two strong contestants split the first place — the paper's point
   // that competition winners carry arbitrariness.
@@ -104,7 +106,7 @@ TEST(RankingStability, WeakContestantNeverFirst) {
 TEST(RankingStability, DeterministicScoresGiveDegenerateRanking) {
   ContestantScores s{{0.9, 0.9, 0.9}, {0.5, 0.5, 0.5}};
   rngx::Rng rng{6};
-  const auto r = ranking_stability(s, rng, 200);
+  const auto r = ranking_stability(kSerial, s, rng, 200);
   EXPECT_DOUBLE_EQ(r.prob_first[0], 1.0);
   EXPECT_DOUBLE_EQ(r.prob_first[1], 0.0);
 }
