@@ -231,14 +231,17 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
           "campaign: '" + cfg.dir + "' already holds a campaign — pass "
           "--resume to finish its gaps, or point --dir at a fresh directory");
     }
-    // Wall times a previous coordinator recorded survive --resume: they are
-    // the provenance of reused artifacts that carry none themselves (the
-    // promote path records coordinator-measured time for exactly those).
+    // Wall times and attempts a previous coordinator recorded survive
+    // --resume: they are the provenance and retry history of reused
+    // artifacts that carry none themselves (the promote path records
+    // coordinator-measured time for exactly those). A task that runs again
+    // is claimed afresh and counts its attempts from its new ticket.
     const Manifest prior = read_manifest(queue.manifest_path());
     check_resumable(prior, studies, cfg.shards);
     for (std::size_t i = 0; i < tasks.size() && i < prior.tasks.size(); ++i) {
       if (prior.tasks[i].id == tasks[i].id) {
         manifest.tasks[i].wall_time_ms = prior.tasks[i].wall_time_ms;
+        manifest.tasks[i].attempts = prior.tasks[i].attempts;
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "src/core/variance_study.h"
 
+#include <memory>
 #include <stdexcept>
 
 #include "src/exec/parallel_replicate.h"
@@ -31,11 +32,20 @@ SourceVariance summarize(rngx::VariationSource source, std::string label,
 
 }  // namespace
 
-VarianceStudyResult run_variance_study(const LearningPipeline& pipeline,
-                                       const ml::Dataset& pool,
-                                       const Splitter& splitter,
-                                       const VarianceStudyConfig& config,
-                                       rngx::Rng& master) {
+VarianceStudyResult PlannedVarianceStudy::result() const {
+  VarianceStudyResult result;
+  for (const auto& row : rows) {
+    result.rows.push_back(summarize(row.source, row.label, *row.measures));
+  }
+  return result;
+}
+
+PlannedVarianceStudy add_variance_study(exec::ReplicatePlan& plan,
+                                        const LearningPipeline& pipeline,
+                                        const ml::Dataset& pool,
+                                        const Splitter& splitter,
+                                        const VarianceStudyConfig& config,
+                                        rngx::Rng& master) {
   if (config.repetitions < 2) {
     throw std::invalid_argument("run_variance_study: repetitions < 2");
   }
@@ -48,7 +58,13 @@ VarianceStudyResult run_variance_study(const LearningPipeline& pipeline,
   const auto slice = [&](std::size_t reps) {
     return exec::shard_subrange(reps, config.shard_index, config.shard_count);
   };
-  VarianceStudyResult result;
+  PlannedVarianceStudy planned;
+  const auto add_row = [&](rngx::VariationSource source, std::string label,
+                           const std::vector<double>& measures) {
+    planned.rows.push_back({source, std::move(label), &measures});
+  };
+  // The probes' closures copy what they use: the plan runs after this
+  // function returns.
   const rngx::VariationSeeds base;  // all seeds fixed to defaults
   const hpo::ParamPoint defaults = pipeline.default_params();
 
@@ -65,54 +81,72 @@ VarianceStudyResult run_variance_study(const LearningPipeline& pipeline,
   };
 
   for (const auto& probe : kProbes) {
-    auto measures = exec::parallel_replicate_range<double>(
-        config.exec, slice(config.repetitions), master,
-        rngx::to_string(probe.source), [&](std::size_t, rngx::Rng& rng) {
-          const auto seeds = base.with_randomized(probe.source, rng);
-          return measure_with_params(pipeline, pool, splitter, defaults, seeds);
-        });
-    result.rows.push_back(
-        summarize(probe.source, probe.label, std::move(measures)));
+    add_row(probe.source, probe.label,
+            plan.add<double>(
+                slice(config.repetitions), master,
+                rngx::to_string(probe.source),
+                [&pipeline, &pool, &splitter, defaults, base,
+                 source = probe.source](std::size_t, rngx::Rng& rng) {
+                  const auto seeds = base.with_randomized(source, rng);
+                  return measure_with_params(pipeline, pool, splitter,
+                                             defaults, seeds);
+                }));
   }
 
   if (config.include_numerical_noise) {
     // All seeds fixed; any remaining fluctuation is "numerical noise".
-    auto measures = exec::parallel_replicate_range<double>(
-        config.exec, slice(config.repetitions), master, "numerical_noise",
-        [&](std::size_t, rngx::Rng&) {
-          return measure_with_params(pipeline, pool, splitter, defaults, base);
-        });
-    result.rows.push_back(summarize(rngx::VariationSource::kNumerical,
-                                    "Numerical noise", std::move(measures)));
+    add_row(rngx::VariationSource::kNumerical, "Numerical noise",
+            plan.add<double>(slice(config.repetitions), master,
+                             "numerical_noise",
+                             [&pipeline, &pool, &splitter, defaults,
+                              base](std::size_t, rngx::Rng&) {
+                               return measure_with_params(
+                                   pipeline, pool, splitter, defaults, base);
+                             }));
   }
 
   // ξH probes: independent HOpt runs with all ξO fixed; each run's best λ̂*
   // is then measured once under the fixed ξO.
   for (const auto& algo_name : config.hpo_algorithms) {
-    const auto algorithm = hpo::make_hpo_algorithm(algo_name);
+    const std::shared_ptr<const hpo::HpoAlgorithm> algorithm =
+        hpo::make_hpo_algorithm(algo_name);
     HpoRunConfig hpo_cfg;
     hpo_cfg.algorithm = algorithm.get();
     hpo_cfg.budget = config.hpo_budget;
     hpo_cfg.validation_fraction = config.validation_fraction;
-    // The repetition loop owns the hardware; HOpt's trial loop stays serial
-    // inside each repetition to avoid oversubscription.
+    // The plan owns the hardware; HOpt's trial loop stays serial inside
+    // each repetition to avoid oversubscription.
     hpo_cfg.exec = config.exec.inline_view();
-    auto measures = exec::parallel_replicate_range<double>(
-        config.exec, slice(config.hpo_repetitions), master, algo_name,
-        [&](std::size_t, rngx::Rng& rng) {
-          const auto seeds =
-              base.with_randomized(rngx::VariationSource::kHpo, rng);
-          auto split_rng = seeds.rng_for(rngx::VariationSource::kDataSplit);
-          const Split s = splitter.split(pool, split_rng);
-          const auto [trainvalid, test] = materialize(pool, s);
-          const auto lambda = run_hpo(pipeline, trainvalid, hpo_cfg, seeds);
-          return pipeline.train_and_evaluate(trainvalid, test, lambda, seeds);
-        });
-    result.rows.push_back(summarize(rngx::VariationSource::kHpo,
-                                    std::string{algorithm->name()},
-                                    std::move(measures)));
+    add_row(rngx::VariationSource::kHpo, std::string{algorithm->name()},
+            plan.add<double>(
+                slice(config.hpo_repetitions), master, algo_name,
+                [&pipeline, &pool, &splitter, base, algorithm,
+                 hpo_cfg](std::size_t, rngx::Rng& rng) {
+                  const auto seeds =
+                      base.with_randomized(rngx::VariationSource::kHpo, rng);
+                  auto split_rng =
+                      seeds.rng_for(rngx::VariationSource::kDataSplit);
+                  const Split s = splitter.split(pool, split_rng);
+                  const auto [trainvalid, test] = materialize(pool, s);
+                  const auto lambda =
+                      run_hpo(pipeline, trainvalid, hpo_cfg, seeds);
+                  return pipeline.train_and_evaluate(trainvalid, test, lambda,
+                                                     seeds);
+                }));
   }
-  return result;
+  return planned;
+}
+
+VarianceStudyResult run_variance_study(const LearningPipeline& pipeline,
+                                       const ml::Dataset& pool,
+                                       const Splitter& splitter,
+                                       const VarianceStudyConfig& config,
+                                       rngx::Rng& master) {
+  exec::ReplicatePlan plan;
+  const PlannedVarianceStudy planned =
+      add_variance_study(plan, pipeline, pool, splitter, config, master);
+  plan.run(config.exec);
+  return planned.result();
 }
 
 }  // namespace varbench::core

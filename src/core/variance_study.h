@@ -9,6 +9,7 @@
 #include "src/core/estimators.h"
 #include "src/core/pipeline.h"
 #include "src/exec/exec_context.h"
+#include "src/exec/parallel_replicate.h"
 
 namespace varbench::core {
 
@@ -50,10 +51,36 @@ struct VarianceStudyResult {
   [[nodiscard]] double bootstrap_std() const;
 };
 
+/// A variance study whose repetition ranges wait in a caller's plan: one
+/// row per probe, in result order, each pointing at the measures vector
+/// the plan fills.
+struct PlannedVarianceStudy {
+  struct Row {
+    rngx::VariationSource source = rngx::VariationSource::kDataSplit;
+    std::string label;
+    const std::vector<double>* measures = nullptr;
+  };
+  std::vector<Row> rows;
+
+  /// The study's result; call it once the plan has run.
+  [[nodiscard]] VarianceStudyResult result() const;
+};
+
+/// Add the study's repetition ranges to `plan` — its ξO probes, the
+/// numerical-noise probe and its ξH probes, in that order — drawing their
+/// master seeds from `master` now, as run_variance_study draws them.
+/// `pipeline`, `pool` and `splitter` must outlive the plan's run; the
+/// HOpt trial loops run inline on `config.exec`'s sink.
+[[nodiscard]] PlannedVarianceStudy add_variance_study(
+    exec::ReplicatePlan& plan, const LearningPipeline& pipeline,
+    const ml::Dataset& pool, const Splitter& splitter,
+    const VarianceStudyConfig& config, rngx::Rng& master);
+
 /// Probe each ξO source (and numerical noise) with default hyperparameters:
 /// for each source, re-randomize only that source `repetitions` times and
 /// record the performance distribution. Then probe each requested HPO
-/// algorithm: re-run HOpt with fresh ξH while ξO stays fixed.
+/// algorithm: re-run HOpt with fresh ξH while ξO stays fixed. All probes
+/// run as one plan on `config.exec`.
 [[nodiscard]] VarianceStudyResult run_variance_study(
     const LearningPipeline& pipeline, const ml::Dataset& pool,
     const Splitter& splitter, const VarianceStudyConfig& config,

@@ -4,7 +4,8 @@
 //   ThreadPool          process-wide workers, grow-on-demand   (thread_pool.h)
 //   parallel_for        chunked self-scheduling index loops    (parallel_for.h)
 //   parallel_replicate  per-index RNG streams → bit-identical
-//                       Monte-Carlo results at any thread count
+//                       Monte-Carlo results at any thread count; a
+//                       ReplicatePlan runs many such ranges as one region
 //                                                         (parallel_replicate.h)
 //
 // Consumers receive an ExecContext (exec_context.h) through their config

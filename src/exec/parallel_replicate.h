@@ -5,14 +5,18 @@
 // N threads, and the serial fallback all produce the same vector. This is the
 // repo-wide replacement for "loop r times drawing from one shared Rng&",
 // which is inherently order-dependent and therefore unparallelizable.
+// ReplicatePlan runs several such ranges as one region, with the bits the
+// separate calls give; parallel_replicate_range is a one-range plan.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/exec/exec_context.h"
@@ -30,19 +34,6 @@ namespace varbench::exec {
       stream_seed + index * 0x9E3779B97F4A7C15ULL;  // jump to element `index`
   return rngx::splitmix64(state);
 }
-
-/// A contiguous slice [begin, end) of a replicate index space — the unit of
-/// process-level sharding. Per-index RNG streams are keyed by the *global*
-/// index, so computing any subrange yields exactly the values the full run
-/// would produce at those indices (docs/study_api.md).
-struct IndexRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-
-  [[nodiscard]] constexpr std::size_t size() const { return end - begin; }
-  friend constexpr bool operator==(const IndexRange&,
-                                   const IndexRange&) = default;
-};
 
 /// The balanced contiguous partition of [0, n) into `shard_count` slices:
 /// slice i gets floor/ceil(n / count) items, earlier slices the larger share.
@@ -98,22 +89,106 @@ void parallel_replicate_blocks(const ExecContext& ctx, IndexRange range,
                             std::forward<Fn>(fn));
 }
 
+/// Several replicate ranges run as one parallel region (docs/determinism.md
+/// §2). `add` takes a range, its master seed (or one draw from a parent
+/// Rng, made at once, as parallel_replicate_range makes it), its tag and
+/// `fn(global_index, rng)`, and returns the vector `run` fills: out[j] is
+/// global index range.begin + j, computed with the child Rng derived from
+/// (master seed, tag, global index) — exactly what a separate
+/// parallel_replicate_range call gives. `run(ctx)` computes every added
+/// range in one region: each range is cut alone, as parallel_for cuts one
+/// range, and the chunk lists are concatenated in add order, so no chunk
+/// spans two ranges and one thread runs the ranges in add order. The plan
+/// owns each `fn` (a copy) and result vector; whatever the `fn`s refer to
+/// must outlive `run`. T must be default-constructible and movable.
+class ReplicatePlan {
+ public:
+  template <typename T, typename Fn>
+  std::vector<T>& add(IndexRange range, std::uint64_t master_seed,
+                      std::string_view tag, Fn&& fn) {
+    auto added = std::make_unique<Range<T, std::decay_t<Fn>>>(
+        range, rngx::derive_seed(master_seed, tag), std::forward<Fn>(fn));
+    std::vector<T>& out = added->out;
+    ranges_.push_back(std::move(added));
+    return out;
+  }
+
+  /// As above with the master seed drawn from `master` — exactly one draw.
+  template <typename T, typename Fn>
+  std::vector<T>& add(IndexRange range, rngx::Rng& master,
+                      std::string_view tag, Fn&& fn) {
+    return add<T>(range, master.next_u64(), tag, std::forward<Fn>(fn));
+  }
+
+  /// Compute every added range; blocks until done. Inside another region
+  /// (or on one thread) the ranges run inline, one chunk each, in add
+  /// order. The first exception thrown by any `fn` is rethrown here.
+  void run(const ExecContext& ctx) {
+    std::size_t n = 0;
+    for (const auto& r : ranges_) n += r->range.size();
+    if (n == 0) return;
+    const std::size_t threads = detail::region_threads(ctx, n);
+    std::vector<IndexRange> chunks;
+    std::vector<RangeBase*> owner;  // the range chunk c belongs to
+    for (const auto& r : ranges_) {
+      if (r->range.size() == 0) continue;
+      if (threads <= 1) {
+        chunks.push_back(r->range);
+      } else {
+        detail::cut_chunks(r->range, std::min(threads, r->range.size()), 0,
+                           chunks);
+      }
+      owner.resize(chunks.size(), r.get());
+    }
+    detail::run_region(ctx, threads, chunks,
+                       [&](std::size_t c) { owner[c]->run(chunks[c]); });
+  }
+
+ private:
+  struct RangeBase {
+    RangeBase(IndexRange r, std::uint64_t seed)
+        : range(r), stream_seed(seed) {}
+    RangeBase(const RangeBase&) = delete;
+    RangeBase& operator=(const RangeBase&) = delete;
+    virtual ~RangeBase() = default;
+    /// Compute the global indices of `chunk`, a slice of `range`.
+    virtual void run(IndexRange chunk) = 0;
+
+    IndexRange range;
+    std::uint64_t stream_seed;
+  };
+
+  template <typename T, typename Fn>
+  struct Range final : RangeBase {
+    Range(IndexRange r, std::uint64_t seed, Fn f)
+        : RangeBase(r, seed), fn(std::move(f)), out(r.size()) {}
+    void run(IndexRange chunk) override {
+      for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+        rngx::Rng rng{replicate_seed(stream_seed, i)};
+        out[i - range.begin] = fn(i, rng);
+      }
+    }
+
+    Fn fn;
+    std::vector<T> out;
+  };
+
+  std::vector<std::unique_ptr<RangeBase>> ranges_;
+};
+
 /// Run `fn(global_index, rng)` for every global index in `range`, each with
 /// an independent child Rng derived from (master_seed, tag, global_index),
 /// and collect the results in index order (out[j] is global index
-/// range.begin + j). T must be default-constructible and movable.
+/// range.begin + j): a one-range ReplicatePlan.
 template <typename T, typename Fn>
 [[nodiscard]] std::vector<T> parallel_replicate_range(
     const ExecContext& ctx, IndexRange range, std::uint64_t master_seed,
     std::string_view tag, Fn&& fn) {
-  std::vector<T> out(range.size());
-  parallel_replicate_blocks(
-      ctx, range, 1, master_seed, tag,
-      [&](IndexRange one, std::span<const std::uint64_t> seed) {
-        rngx::Rng rng{seed[0]};
-        out[one.begin - range.begin] = fn(one.begin, rng);
-      });
-  return out;
+  ReplicatePlan plan;
+  std::vector<T>& out =
+      plan.add<T>(range, master_seed, tag, std::forward<Fn>(fn));
+  plan.run(ctx);
+  return std::move(out);
 }
 
 /// As above with the master seed drawn from `master` — exactly one draw,

@@ -72,7 +72,8 @@ struct MetricDef {
 // X(symbol, name, subsystem, unit, kind, help)
 #define VARBENCH_METRIC_ENTRIES(X)                                           \
   X(ExecRegions, "exec.parallel_regions", "exec", "count", kCounter,         \
-    "parallel_for regions that actually fanned out to the pool")             \
+    "parallel regions entered (parallel_for calls and plan runs), inline "   \
+    "ones included")                                                         \
   X(ExecTasksSubmitted, "exec.tasks_submitted", "exec", "count", kCounter,   \
     "helper tasks enqueued on the global ThreadPool")                        \
   X(ExecChunks, "exec.chunks", "exec", "count", kCounter,                    \
@@ -128,7 +129,10 @@ struct MetricDef {
     kInstant, "failed attempt requeued for retry; ident = hash of the task " \
     "id")                                                                    \
   X(CampaignStudyMerged, "campaign.study_merged", "campaign", "ns", kSpan,   \
-    "per-study incremental merge of all landed shards; ident = study index")
+    "per-study incremental merge of all landed shards; ident = study index") \
+  X(ExecIdleNs, "exec.idle_ns", "exec", "ns", kCounter,                      \
+    "thread-time regions that fanned out spent waiting: threads x region "   \
+    "wall - the region's chunk run times")
 
 enum : MetricId {
 #define VARBENCH_METRIC_ENUM(sym, name, subsystem, unit, kind, help) k##sym,

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/casestudies/registry.h"
@@ -189,35 +190,42 @@ constexpr std::array<std::pair<std::string_view, double>, 3> kVariants{
 }  // namespace
 
 ResultTable run_multi_dataset(const StudySpec& spec) {
+  using Runs = std::array<double, kVariants.size()>;
+  const auto studies = task_case_studies(spec);
+  const auto slice = slice_of(spec, spec.repetitions);
+  // Every dataset's runs go into one plan; rows follow in dataset order.
+  exec::ReplicatePlan plan;
+  std::vector<const std::vector<Runs>*> runs;
+  runs.reserve(studies.size());
+  for (const auto& cs : studies) {
+    runs.push_back(&plan.add<Runs>(
+        slice, rngx::derive_seed(spec.seed, cs.id), "multi_dataset_run",
+        [&cs](std::size_t, rngx::Rng& rng) {
+          const auto seeds = rngx::VariationSeeds::random(rng);  // paired
+          Runs out{};
+          for (std::size_t v = 0; v < kVariants.size(); ++v) {
+            auto params = cs.pipeline->default_params();
+            if (params.count("learning_rate") != 0) {
+              params["learning_rate"] *= kVariants[v].second;
+            }
+            out[v] = core::measure_with_params(*cs.pipeline, *cs.pool,
+                                               *cs.splitter, params, seeds);
+          }
+          return out;
+        }));
+  }
+  plan.run(exec_of(spec));
   ResultTable t;
   t.columns = {"seq", "dataset", "variant", "run", "measure"};
   GroupSeq gs;
-  for (const auto& task : resolve_tasks(spec)) {
-    const auto cs = casestudies::make_case_study(task, spec.scale);
-    const auto slice = slice_of(spec, spec.repetitions);
-    const auto runs =
-        exec::parallel_replicate_range<std::array<double, kVariants.size()>>(
-            exec_of(spec), slice, rngx::derive_seed(spec.seed, task),
-            "multi_dataset_run", [&](std::size_t, rngx::Rng& rng) {
-              const auto seeds = rngx::VariationSeeds::random(rng);  // paired
-              std::array<double, kVariants.size()> out{};
-              for (std::size_t v = 0; v < kVariants.size(); ++v) {
-                auto params = cs.pipeline->default_params();
-                if (params.count("learning_rate") != 0) {
-                  params["learning_rate"] *= kVariants[v].second;
-                }
-                out[v] = core::measure_with_params(
-                    *cs.pipeline, *cs.pool, *cs.splitter, params, seeds);
-              }
-              return out;
-            });
+  for (std::size_t k = 0; k < studies.size(); ++k) {
     const std::size_t start = gs.enter(spec.repetitions, kVariants.size());
-    for (std::size_t j = 0; j < runs.size(); ++j) {
+    for (std::size_t j = 0; j < runs[k]->size(); ++j) {
       const std::size_t run = slice.begin + j;
       for (std::size_t v = 0; v < kVariants.size(); ++v) {
-        t.add_row({Cell{gs.seq(start, run, v)}, Cell{task},
+        t.add_row({Cell{gs.seq(start, run, v)}, Cell{studies[k].id},
                    Cell{std::string{kVariants[v].first}}, Cell{run},
-                   Cell{runs[j][v]}});
+                   Cell{(*runs[k])[j][v]}});
       }
     }
   }
@@ -336,21 +344,27 @@ ModelScore evaluate_single(const ml::Dataset& train, const ml::Dataset& test,
           ml::evaluate_model(m, test, ml::Metric::kPearson)};
 }
 
+/// One MHCflurry-style ensemble member's test-set predictions.
+std::vector<double> member_predictions(const ml::Dataset& train,
+                                       const ml::Dataset& test,
+                                       std::size_t hidden,
+                                       const rngx::VariationSeeds& seeds) {
+  const auto m = ml::train_mlp(train, mhc_train_config(hidden), seeds);
+  const auto pred = m.forward(test.x);
+  std::vector<double> out(test.size());
+  for (std::size_t i = 0; i < test.size(); ++i) out[i] = pred(i, 0);
+  return out;
+}
+
 /// MHCflurry-style: average the predictions of several independently
-/// initialized shallow MLPs.
-ModelScore evaluate_ensemble(const ml::Dataset& train, const ml::Dataset& test,
-                             std::size_t members, std::size_t hidden,
-                             rngx::Rng& master) {
+/// initialized shallow MLPs, summed in member order.
+ModelScore ensemble_score(std::span<const std::vector<double>> members,
+                          const ml::Dataset& test) {
   std::vector<double> avg(test.size(), 0.0);
-  for (std::size_t e = 0; e < members; ++e) {
-    rngx::VariationSeeds s;
-    s.weight_init = master.next_u64();
-    s.data_order = master.next_u64();
-    const auto m = ml::train_mlp(train, mhc_train_config(hidden), s);
-    const auto pred = m.forward(test.x);
-    for (std::size_t i = 0; i < test.size(); ++i) avg[i] += pred(i, 0);
+  for (const auto& pred : members) {
+    for (std::size_t i = 0; i < test.size(); ++i) avg[i] += pred[i];
   }
-  for (double& v : avg) v /= static_cast<double>(members);
+  for (double& v : avg) v /= static_cast<double>(members.size());
   return {ml::roc_auc(avg, ml::binarize(test.y, 0.5)),
           stats::pearson(avg, test.y)};
 }
@@ -359,6 +373,18 @@ constexpr std::string_view kTable8Models[] = {
     "MLP-MHC (single, h=150)", "NetMHCpan4-analogue (single, h=60)",
     "MHCflurry-analogue (8-ensemble, h=60)"};
 
+constexpr std::size_t kEnsembleMembers = 8;
+/// A rep's fits: h=150, h=60, then the ensemble's members.
+constexpr std::size_t kFitsPerRep = 2 + kEnsembleMembers;
+
+/// What a rep's fits share: its seeds, its split and its members' seeds.
+struct Table8Rep {
+  rngx::VariationSeeds seeds;
+  ml::Dataset train;
+  ml::Dataset test;
+  std::array<rngx::VariationSeeds, kEnsembleMembers> members;
+};
+
 }  // namespace
 
 ResultTable run_table8(const StudySpec& spec) {
@@ -366,31 +392,54 @@ ResultTable run_table8(const StudySpec& spec) {
   t.columns = {"seq", "model", "rep", "auc", "pcc"};
   const auto cs = casestudies::make_case_study(spec.case_study, spec.scale);
   const auto slice = slice_of(spec, spec.repetitions);
-  const auto reps =
-      exec::parallel_replicate_range<std::array<ModelScore, 3>>(
-          exec_of(spec), slice, rngx::derive_seed(spec.seed, "table8"),
-          "table8_rep", [&](std::size_t, rngx::Rng& rng) {
-            const auto seeds = rngx::VariationSeeds::random(rng);
-            auto split_rng =
-                seeds.rng_for(rngx::VariationSource::kDataSplit);
-            const auto split = cs.splitter->split(*cs.pool, split_rng);
-            const auto [train, test] = core::materialize(*cs.pool, split);
-            std::array<ModelScore, 3> out;
-            out[0] = evaluate_single(train, test, 150, seeds);
-            out[1] = evaluate_single(train, test, 60, seeds);
-            auto ens_rng = rng.split("ensemble");
-            out[2] = evaluate_ensemble(train, test, 8, 60, ens_rng);
-            return out;
-          });
+  const exec::ExecContext ctx = exec_of(spec);
+  // Each rep's seeds, split and member seeds, drawn from the rep's stream
+  // in the order one whole-rep replicate draws them. This is cheap next to
+  // the fits, so it runs inline.
+  const auto reps = exec::parallel_replicate_range<Table8Rep>(
+      ctx.inline_view(), slice, rngx::derive_seed(spec.seed, "table8"),
+      "table8_rep", [&](std::size_t, rngx::Rng& rng) {
+        Table8Rep rep;
+        rep.seeds = rngx::VariationSeeds::random(rng);
+        auto split_rng = rep.seeds.rng_for(rngx::VariationSource::kDataSplit);
+        const auto split = cs.splitter->split(*cs.pool, split_rng);
+        std::tie(rep.train, rep.test) = core::materialize(*cs.pool, split);
+        auto ens_rng = rng.split("ensemble");
+        for (auto& member : rep.members) {
+          member.weight_init = ens_rng.next_u64();
+          member.data_order = ens_rng.next_u64();
+        }
+        return rep;
+      });
+  // Every fit of every rep fans out in one region, in rep order.
+  std::vector<ModelScore> singles(reps.size() * 2);
+  std::vector<std::vector<double>> preds(reps.size() * kEnsembleMembers);
+  exec::parallel_for(ctx, 0, reps.size() * kFitsPerRep, [&](std::size_t f) {
+    const std::size_t j = f / kFitsPerRep;
+    const std::size_t fit = f % kFitsPerRep;
+    const Table8Rep& rep = reps[j];
+    if (fit < 2) {
+      singles[j * 2 + fit] = evaluate_single(rep.train, rep.test,
+                                             fit == 0 ? 150 : 60, rep.seeds);
+    } else {
+      const std::size_t e = fit - 2;
+      preds[j * kEnsembleMembers + e] =
+          member_predictions(rep.train, rep.test, 60, rep.members[e]);
+    }
+  });
   GroupSeq gs;
   const std::size_t start =
       gs.enter(spec.repetitions, std::size(kTable8Models));
   for (std::size_t j = 0; j < reps.size(); ++j) {
     const std::size_t rep = slice.begin + j;
+    const std::array<ModelScore, 3> scores{
+        singles[j * 2], singles[j * 2 + 1],
+        ensemble_score({preds.data() + j * kEnsembleMembers, kEnsembleMembers},
+                       reps[j].test)};
     for (std::size_t m = 0; m < std::size(kTable8Models); ++m) {
       t.add_row({Cell{gs.seq(start, rep, m)},
                  Cell{std::string{kTable8Models[m]}}, Cell{rep},
-                 Cell{reps[j][m].auc}, Cell{reps[j][m].pcc}});
+                 Cell{scores[m].auc}, Cell{scores[m].pcc}});
     }
   }
   return t;

@@ -3,7 +3,8 @@
 // core variance-study engine, emitting raw per-repetition measures through
 // one row emitter. Shard slices pass straight through to the engine's
 // shard_index/shard_count support; the G.3 "Altogether" group fans out on
-// its own per-index streams.
+// its own per-index streams. A multi-task figure adds every task's ranges
+// to one plan and emits its rows after the plan has run.
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
@@ -136,21 +137,28 @@ void summarize_variance(const ResultTable& t, std::FILE* out) {
 // ---------------------------------------------------------------- fig01
 
 ResultTable run_fig01(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq", "task", "source", "rep", "measure"};
-  GroupSeq gs;
   const std::size_t hpo_reps = spec.resolved_hpo_repetitions();
-  for (const auto& task : resolve_tasks(spec)) {
-    const auto cs = casestudies::make_case_study(task, spec.scale);
+  const auto studies = task_case_studies(spec);
+  // Every task's probes run as one plan; rows follow in task order.
+  exec::ReplicatePlan plan;
+  std::vector<core::PlannedVarianceStudy> planned;
+  for (const auto& cs : studies) {
     core::VarianceStudyConfig cfg = variance_config(spec);
     cfg.hpo_algorithms = spec.figure.hpo_algorithms;
     cfg.hpo_repetitions = hpo_reps;
     cfg.hpo_budget = spec.figure.hpo_budget;
     cfg.include_numerical_noise = true;
-    rngx::Rng master{rngx::derive_seed(spec.seed, task)};
-    const auto result = core::run_variance_study(*cs.pipeline, *cs.pool,
-                                                 *cs.splitter, cfg, master);
-    emit_variance_rows(spec, {Cell{task}}, result, hpo_reps, gs, t);
+    rngx::Rng master{rngx::derive_seed(spec.seed, cs.id)};
+    planned.push_back(core::add_variance_study(
+        plan, *cs.pipeline, *cs.pool, *cs.splitter, cfg, master));
+  }
+  plan.run(exec_of(spec));
+  ResultTable t;
+  t.columns = {"seq", "task", "source", "rep", "measure"};
+  GroupSeq gs;
+  for (std::size_t k = 0; k < studies.size(); ++k) {
+    emit_variance_rows(spec, {Cell{studies[k].id}}, planned[k].result(),
+                       hpo_reps, gs, t);
   }
   return t;
 }
@@ -186,33 +194,43 @@ void summarize_fig01(const ResultTable& t, std::FILE* out) {
 // ---------------------------------------------------------------- figG3
 
 ResultTable run_figG3(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq", "task", "source", "rep", "measure"};
-  GroupSeq gs;
-  for (const auto& task : resolve_tasks(spec)) {
-    const auto cs = casestudies::make_case_study(task, spec.scale);
+  const auto studies = task_case_studies(spec);
+  const auto slice = slice_of(spec, spec.repetitions);
+  // Every task's probes and its "Altogether" group run as one plan; rows
+  // follow in task order.
+  exec::ReplicatePlan plan;
+  std::vector<core::PlannedVarianceStudy> planned;
+  std::vector<const std::vector<double>*> altogether;
+  for (const auto& cs : studies) {
     core::VarianceStudyConfig cfg = variance_config(spec);
     cfg.include_numerical_noise = false;  // the figure's source set
-    rngx::Rng master{rngx::derive_seed(spec.seed, task)};
-    const auto result = core::run_variance_study(*cs.pipeline, *cs.pool,
-                                                 *cs.splitter, cfg, master);
-    emit_variance_rows(spec, {Cell{task}}, result, /*hpo_repetitions=*/0, gs,
-                       t);
+    rngx::Rng master{rngx::derive_seed(spec.seed, cs.id)};
+    planned.push_back(core::add_variance_study(
+        plan, *cs.pipeline, *cs.pool, *cs.splitter, cfg, master));
 
     // "Altogether": every learning ξO source randomized jointly, as in the
     // figure's last row, on per-index streams.
-    const auto defaults = cs.pipeline->default_params();
-    const auto slice = slice_of(spec, spec.repetitions);
-    const auto measures = exec::parallel_replicate_range<double>(
-        exec_of(spec), slice,
-        rngx::derive_seed(spec.seed, task + ":altogether"),
-        "figG3_altogether", [&](std::size_t, rngx::Rng& rng) {
+    altogether.push_back(&plan.add<double>(
+        slice, rngx::derive_seed(spec.seed, cs.id + ":altogether"),
+        "figG3_altogether",
+        [&cs, defaults = cs.pipeline->default_params()](std::size_t,
+                                                        rngx::Rng& rng) {
           const rngx::VariationSeeds base;
           const auto seeds =
               base.with_randomized_set(rngx::kLearningSources, rng);
           return core::measure_with_params(*cs.pipeline, *cs.pool,
                                            *cs.splitter, defaults, seeds);
-        });
+        }));
+  }
+  plan.run(exec_of(spec));
+  ResultTable t;
+  t.columns = {"seq", "task", "source", "rep", "measure"};
+  GroupSeq gs;
+  for (std::size_t k = 0; k < studies.size(); ++k) {
+    const std::string& task = studies[k].id;
+    emit_variance_rows(spec, {Cell{task}}, planned[k].result(),
+                       /*hpo_repetitions=*/0, gs, t);
+    const std::vector<double>& measures = *altogether[k];
     const std::size_t start = gs.enter(spec.repetitions);
     for (std::size_t j = 0; j < measures.size(); ++j) {
       const std::size_t rep = slice.begin + j;

@@ -35,6 +35,18 @@ inline std::vector<std::string> resolve_tasks(const StudySpec& spec) {
   return casestudies::case_study_ids();
 }
 
+/// The case studies of resolve_tasks(spec), in that order; each one's `id`
+/// is its task. A runner whose plan spans several tasks keeps them alive
+/// until the plan has run.
+inline std::vector<casestudies::CaseStudy> task_case_studies(
+    const StudySpec& spec) {
+  std::vector<casestudies::CaseStudy> studies;
+  for (const auto& task : resolve_tasks(spec)) {
+    studies.push_back(casestudies::make_case_study(task, spec.scale));
+  }
+  return studies;
+}
+
 /// Tracks the seq offset of the current group within the FULL (unsharded)
 /// enumeration while a shard emits only its slice of each group.
 class GroupSeq {

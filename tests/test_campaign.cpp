@@ -446,6 +446,33 @@ TEST(Campaign, ResumeReadsAV2Manifest) {
             "varbench.campaign.v1");
 }
 
+TEST(Campaign, ResumeKeepsRetryHistory) {
+  // A reused shard keeps the attempts that produced it; the shard that
+  // runs again counts from its new claim.
+  const TempDir dir{"resumeretries"};
+  const auto spec = tiny_compare_spec();
+  auto cfg = quick_config(dir.str());
+  cfg.shards = 2;
+  SpyLauncher flaky;
+  flaky.failures_per_task["s0-0of2"] = 1;
+  ASSERT_TRUE(run_campaign(cfg, {spec}, flaky.launcher()).ok());
+  ASSERT_EQ(read_status(dir.str()).retries, 1u);
+
+  const WorkQueue q{dir.str()};
+  fs::remove(q.artifact_path("s0-1of2"));
+  SpyLauncher spy;
+  cfg.resume = true;
+  const auto report = run_campaign(cfg, {spec}, spy.launcher());
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.launched, 1u);
+  EXPECT_EQ(read_status(dir.str()).retries, 1u);
+  const Manifest manifest = read_manifest(q.manifest_path());
+  ASSERT_EQ(manifest.tasks.size(), 2u);
+  EXPECT_EQ(manifest.tasks[0].id, "s0-0of2");
+  EXPECT_EQ(manifest.tasks[0].attempts, 2u);
+  EXPECT_EQ(manifest.tasks[1].attempts, 1u);
+}
+
 TEST(Campaign, ResumeStatusAndReportRefuseTheSameManifests) {
   const TempDir dir{"refuse"};
   const auto spec = tiny_compare_spec();

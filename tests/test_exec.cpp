@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <latch>
 #include <stdexcept>
 #include <vector>
@@ -168,6 +169,195 @@ TEST(RngSplit, DistinctTagsIndependentStreams) {
   const double corr =
       (sum_ab / n - (sum_a / n) * (sum_b / n)) / (1.0 / 12.0);
   EXPECT_LT(std::abs(corr), 0.1);
+}
+
+// ------------------------------------------------------------ ReplicatePlan
+
+/// Two uniforms and the index: a result whose bits name its stream.
+struct Pair {
+  double a = 0.0;
+  double b = 0.0;
+  std::size_t index = 0;
+  friend bool operator==(const Pair&, const Pair&) = default;
+};
+
+TEST(ReplicatePlan, MatchesSeparateRanges) {
+  const auto uniform = [](std::size_t i, rngx::Rng& r) {
+    return r.uniform() + static_cast<double>(i);
+  };
+  const auto pair = [](std::size_t i, rngx::Rng& r) {
+    return Pair{r.uniform(), r.normal(), i};
+  };
+  const auto draws = [](std::size_t, rngx::Rng& r) {
+    return std::vector<std::uint64_t>{r.next_u64(), r.next_u64()};
+  };
+  const IndexRange slice = shard_subrange(30, 1, 3);  // {10, 20}
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const ExecContext ctx{threads};
+    rngx::Rng separate_master{41};
+    const auto s0 = parallel_replicate_range<double>(
+        ctx, IndexRange{0, 0}, separate_master, "empty", uniform);
+    const auto s1 = parallel_replicate_range<Pair>(
+        ctx, IndexRange{0, 1}, separate_master, "one", pair);
+    const auto s2 = parallel_replicate_range<std::vector<std::uint64_t>>(
+        ctx, IndexRange{0, 5}, separate_master, "five", draws);
+    const auto s3 = parallel_replicate_range<double>(ctx, IndexRange{0, 30},
+                                                     91, "thirty", uniform);
+    const auto s4 = parallel_replicate_range<Pair>(ctx, slice,
+                                                   separate_master, "slice",
+                                                   pair);
+
+    rngx::Rng plan_master{41};
+    ReplicatePlan plan;
+    const auto& p0 =
+        plan.add<double>(IndexRange{0, 0}, plan_master, "empty", uniform);
+    const auto& p1 = plan.add<Pair>(IndexRange{0, 1}, plan_master, "one", pair);
+    const auto& p2 = plan.add<std::vector<std::uint64_t>>(
+        IndexRange{0, 5}, plan_master, "five", draws);
+    const auto& p3 = plan.add<double>(IndexRange{0, 30}, 91, "thirty", uniform);
+    const auto& p4 = plan.add<Pair>(slice, plan_master, "slice", pair);
+    plan.run(ctx);
+
+    EXPECT_EQ(p0, s0) << threads;
+    EXPECT_EQ(p1, s1) << threads;
+    EXPECT_EQ(p2, s2) << threads;
+    EXPECT_EQ(p3, s3) << threads;
+    EXPECT_EQ(p4, s4) << threads;
+    ASSERT_EQ(p4.size(), slice.size());
+    EXPECT_EQ(p4.front().index, slice.begin);
+    EXPECT_EQ(plan_master.next_u64(), separate_master.next_u64()) << threads;
+  }
+}
+
+/// The exec.chunks / exec.chunk_size / exec.parallel_regions cells that
+/// `work` records on a fresh sink.
+template <typename Work>
+std::vector<metrics::MetricSnapshot> chunk_cells(Work&& work) {
+  metrics::Sink sink;
+  sink.enable(metrics::kExecRegions);
+  sink.enable(metrics::kExecChunks);
+  sink.enable(metrics::kExecChunkSize);
+  work(sink);
+  return sink.snapshot().metrics;
+}
+
+bool same_cells(const std::vector<metrics::MetricSnapshot>& a,
+                const std::vector<metrics::MetricSnapshot>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id || a[i].count != b[i].count ||
+        a[i].sum != b[i].sum || a[i].bins != b[i].bins) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ReplicatePlan, CutsEachRangeLikeParallelFor) {
+  const auto value = [](std::size_t i, rngx::Rng&) {
+    return static_cast<double>(i);
+  };
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t n : {1u, 3u, 37u, 100u, 1000u}) {
+      const auto by_plan = chunk_cells([&](metrics::Sink& sink) {
+        ExecContext ctx{threads};
+        ctx.metrics = &sink;
+        (void)parallel_replicate<double>(ctx, n, 7, "t", value);
+      });
+      const auto by_loop = chunk_cells([&](metrics::Sink& sink) {
+        ExecContext ctx{threads};
+        ctx.metrics = &sink;
+        parallel_for(ctx, 0, n, [](std::size_t) {});
+      });
+      EXPECT_TRUE(same_cells(by_plan, by_loop)) << threads << " " << n;
+    }
+  }
+  // Two ranges in one region are cut as each is cut alone: 100 indices at
+  // grain 6 and 37 at grain 2 on 2 threads, never a chunk across the seam
+  // (cutting the 137 concatenated indices would give 18 chunks of 8 and 1).
+  const auto two_ranges = chunk_cells([&](metrics::Sink& sink) {
+    ExecContext ctx{2};
+    ctx.metrics = &sink;
+    ReplicatePlan plan;
+    (void)plan.add<double>(IndexRange{0, 100}, 1, "a", value);
+    (void)plan.add<double>(IndexRange{0, 37}, 2, "b", value);
+    plan.run(ctx);
+  });
+  const auto separate = chunk_cells([&](metrics::Sink& sink) {
+    ExecContext ctx{2};
+    ctx.metrics = &sink;
+    parallel_for(ctx, 0, 100, [](std::size_t) {});
+    parallel_for(ctx, 0, 37, [](std::size_t) {});
+  });
+  ASSERT_EQ(two_ranges.size(), 3u);
+  EXPECT_EQ(two_ranges[0].sum, 1u);  // one region
+  EXPECT_EQ(separate[0].sum, 2u);
+  for (const std::size_t cell : {1u, 2u}) {  // chunks, chunk sizes
+    EXPECT_EQ(two_ranges[cell].count, separate[cell].count);
+    EXPECT_EQ(two_ranges[cell].sum, separate[cell].sum);
+    EXPECT_EQ(two_ranges[cell].bins, separate[cell].bins);
+  }
+  EXPECT_EQ(two_ranges[1].sum, 17u + 19u);
+}
+
+TEST(ReplicatePlan, PropagatesAnExceptionFromOneRange) {
+  for (const std::size_t threads : {1u, 4u}) {
+    ReplicatePlan plan;
+    (void)plan.add<int>(IndexRange{0, 20}, 1, "fine",
+                        [](std::size_t, rngx::Rng&) { return 1; });
+    (void)plan.add<int>(IndexRange{0, 20}, 2, "boom",
+                        [](std::size_t i, rngx::Rng&) {
+                          if (i == 13) throw std::runtime_error("boom");
+                          return 1;
+                        });
+    EXPECT_THROW(plan.run(ExecContext{threads}), std::runtime_error)
+        << threads;
+  }
+}
+
+TEST(ReplicatePlan, RunsInlineInsideAParallelBody) {
+  const auto draw = [](std::size_t, rngx::Rng& r) { return r.uniform(); };
+  ReplicatePlan serial_plan;
+  const auto& expected = serial_plan.add<double>(IndexRange{0, 16}, 5, "x",
+                                                 draw);
+  serial_plan.run(ExecContext{1});
+
+  metrics::Sink inner_sink;
+  inner_sink.enable(metrics::kExecRegionThreads);
+  ExecContext inner{4};
+  inner.metrics = &inner_sink;
+  std::vector<std::vector<double>> got(8);
+  parallel_for(ExecContext{4}, 0, got.size(), [&](std::size_t k) {
+    ReplicatePlan plan;
+    const auto& out = plan.add<double>(IndexRange{0, 16}, 5, "x", draw);
+    plan.run(inner);
+    got[k] = out;
+  });
+  for (const auto& g : got) EXPECT_EQ(g, expected);
+  const metrics::Snapshot snap = inner_sink.snapshot();
+  const auto* threads = snap.find(metrics::kExecRegionThreads);
+  ASSERT_NE(threads, nullptr);
+  EXPECT_EQ(threads->count, got.size());
+  EXPECT_EQ(threads->bins[metrics::bin_index(1)], got.size());  // all inline
+}
+
+TEST(ExecIdle, CountsOnlyRegionsThatFanOut) {
+  metrics::Sink sink;
+  sink.enable(metrics::kExecIdleNs);
+  ExecContext four{4};
+  four.metrics = &sink;
+  ExecContext one{1};
+  one.metrics = &sink;
+  parallel_for(one, 0, 64, [](std::size_t) {});
+  parallel_for(four, 0, 3, [](std::size_t) {});
+  ReplicatePlan plan;
+  (void)plan.add<double>(IndexRange{0, 64}, 1, "t",
+                         [](std::size_t, rngx::Rng& r) { return r.uniform(); });
+  plan.run(four);
+  const metrics::Snapshot snap = sink.snapshot();
+  const auto* idle = snap.find(metrics::kExecIdleNs);
+  ASSERT_NE(idle, nullptr);
+  EXPECT_EQ(idle->count, 2u);  // the 3-index loop and the plan
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 // shard at a DIFFERENT thread count — and merging the artifacts must be
 // bit-identical to the unsharded run, because every repetition/grid unit
 // runs on an RNG stream keyed by its global index (docs/study_api.md).
+// The runners that put several tasks into one plan also give the same text
+// at every thread count.
 #include <gtest/gtest.h>
 
+#include "src/metrics/metrics.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
@@ -141,6 +144,78 @@ TEST(FigureShard, ArtifactsSurviveSerialization) {
   }
   const ResultTable merged = merge_result_tables(std::move(shards));
   EXPECT_EQ(merged.canonical_text(), unsharded.canonical_text());
+}
+
+// ------------------------------------------------------------- flat plans
+
+/// A kind whose runner puts every task's ranges into one plan (table8: one
+/// region of fits), over several tasks but not pascalvoc_fcn, whose fits
+/// carry deliberately unseeded numerical noise.
+StudySpec flat_plan_spec(StudyKind kind) {
+  StudySpec spec = tiny_figure_spec(kind);
+  switch (kind) {
+    case StudyKind::kFig01VarianceSources:
+    case StudyKind::kFigG3Normality:
+    case StudyKind::kMultiDataset:
+      spec.figure.tasks = {"glue_rte_bert", "mhc_mlp", "cifar10_vgg11"};
+      break;
+    case StudyKind::kFigF2HpoCurves:
+      spec.repetitions = 3;
+      spec.figure.tasks = {"glue_rte_bert", "mhc_mlp"};
+      spec.figure.hpo_algorithms = {"random_search", "bayes_opt"};
+      spec.figure.budget = 3;
+      break;
+    case StudyKind::kTable8MhcModels:
+      spec.repetitions = 3;
+      break;
+    default:
+      break;
+  }
+  return spec;
+}
+
+TEST(FlatPlans, SameTextAtOneTwoAndFourThreadsAndAcrossShards) {
+  for (const StudyKind kind :
+       {StudyKind::kFig01VarianceSources, StudyKind::kFigG3Normality,
+        StudyKind::kMultiDataset, StudyKind::kFigF2HpoCurves,
+        StudyKind::kTable8MhcModels}) {
+    StudySpec spec = flat_plan_spec(kind);
+    spec.threads = 1;
+    const ResultTable serial = run_study(spec);
+    ASSERT_TRUE(serial.is_complete()) << to_string(kind);
+    ASSERT_GT(serial.rows.size(), 0u) << to_string(kind);
+    for (const std::size_t threads : {2u, 4u}) {
+      spec.threads = threads;
+      EXPECT_EQ(run_study(spec).canonical_text(), serial.canonical_text())
+          << to_string(kind) << " at " << threads << " threads";
+    }
+    std::vector<ResultTable> shards;
+    for (std::size_t i = 0; i < 3; ++i) {
+      StudySpec shard_spec = spec;
+      shard_spec.shard = ShardSpec{i, 3};
+      shards.push_back(run_study(shard_spec));
+    }
+    EXPECT_EQ(merge_result_tables(std::move(shards)).canonical_text(),
+              serial.canonical_text())
+        << to_string(kind) << " 3-shard merge diverged";
+  }
+}
+
+TEST(FlatPlans, Fig01FansOutExactlyOneRegion) {
+  StudySpec spec = flat_plan_spec(StudyKind::kFig01VarianceSources);
+  spec.threads = 4;
+  metrics::Sink& sink = metrics::global_sink();
+  sink.reset();
+  sink.enable(metrics::kExecRegionThreads);
+  (void)run_study(spec);
+  const metrics::Snapshot snap = sink.snapshot();
+  sink.disable(metrics::kExecRegionThreads);
+  sink.reset();
+  const auto* threads = snap.find(metrics::kExecRegionThreads);
+  ASSERT_NE(threads, nullptr);
+  // The plan's region fans out; the HOpt trial loops inside it run inline.
+  EXPECT_EQ(threads->count - threads->bins[metrics::bin_index(1)], 1u);
+  EXPECT_EQ(threads->bins[metrics::bin_index(4)], 1u);
 }
 
 }  // namespace
