@@ -45,6 +45,23 @@ ml::TrainConfig MlpPipeline::resolve_config(
   return cfg;
 }
 
+bool MlpPipeline::reads(rngx::VariationSource source,
+                        const hpo::ParamPoint& lambda) const {
+  const ml::TrainConfig cfg = resolve_config(lambda);
+  switch (source) {
+    case rngx::VariationSource::kDataAugment:
+      return ml::is_active(cfg.augment);
+    case rngx::VariationSource::kDropout:
+      return cfg.model.dropout > 0.0;
+    case rngx::VariationSource::kNumerical:
+      return cfg.numerical_noise_std > 0.0;
+    case rngx::VariationSource::kHpo:
+      return false;
+    default:
+      return true;
+  }
+}
+
 double MlpPipeline::train_and_evaluate(const ml::Dataset& train,
                                        const ml::Dataset& test,
                                        const hpo::ParamPoint& lambda,

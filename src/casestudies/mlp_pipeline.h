@@ -38,6 +38,13 @@ class MlpPipeline final : public core::LearningPipeline {
   [[nodiscard]] std::string_view name() const override { return spec_.name; }
   [[nodiscard]] ml::Metric metric() const override { return spec_.metric; }
 
+  /// From λ's resolved TrainConfig: augmentation is read iff it is active,
+  /// dropout iff its rate is > 0, numerical noise iff its std is > 0. The
+  /// HPO seed is never read (HOpt reads it, not the fit); every other
+  /// source always is.
+  [[nodiscard]] bool reads(rngx::VariationSource source,
+                           const hpo::ParamPoint& lambda) const override;
+
   /// The training configuration that a given λ resolves to (exposed for
   /// tests and diagnostics).
   [[nodiscard]] ml::TrainConfig resolve_config(

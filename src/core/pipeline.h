@@ -38,6 +38,19 @@ class LearningPipeline {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual ml::Metric metric() const = 0;
+
+  /// Whether a measurement under λ (measure_with_params: split, train,
+  /// evaluate) depends on `source`'s seed. false promises that every seed
+  /// of that source gives the same bits, so a caller may measure once and
+  /// reuse the value for every draw of it (add_variance_study does). For
+  /// kNumerical, true means the pipeline adds noise that no seed controls:
+  /// two measurements under equal seeds may differ, and nothing measured
+  /// under it is reused. The default, true for every source, is always
+  /// safe.
+  [[nodiscard]] virtual bool reads(rngx::VariationSource /*source*/,
+                                   const hpo::ParamPoint& /*lambda*/) const {
+    return true;
+  }
 };
 
 /// Counts Opt() invocations — the unit of the paper's O(k·T) vs O(k+T)

@@ -35,7 +35,10 @@ SourceVariance summarize(rngx::VariationSource source, std::string label,
 VarianceStudyResult PlannedVarianceStudy::result() const {
   VarianceStudyResult result;
   for (const auto& row : rows) {
-    result.rows.push_back(summarize(row.source, row.label, *row.measures));
+    result.rows.push_back(summarize(
+        row.source, row.label,
+        row.repeat > 0 ? std::vector<double>(row.repeat, row.measures->front())
+                       : *row.measures));
   }
   return result;
 }
@@ -68,6 +71,31 @@ PlannedVarianceStudy add_variance_study(exec::ReplicatePlan& plan,
   const rngx::VariationSeeds base;  // all seeds fixed to defaults
   const hpo::ParamPoint defaults = pipeline.default_params();
 
+  const exec::IndexRange reps = slice(config.repetitions);
+
+  // A probe that would train the base fit once per repetition repeats one
+  // base fit's measure instead (see the header); its master draw stays.
+  const bool pure =
+      !pipeline.reads(rngx::VariationSource::kNumerical, defaults);
+  const auto repeats_base_fit = [&](rngx::VariationSource source) {
+    return pure && !pipeline.reads(source, defaults) && reps.size() > 0;
+  };
+  const auto base_fit = [&pipeline, &pool, &splitter, defaults,
+                         base](std::size_t, rngx::Rng&) {
+    return measure_with_params(pipeline, pool, splitter, defaults, base);
+  };
+  const std::vector<double>* base_measure = nullptr;  // added on first use
+  const auto add_base_fit_row = [&](rngx::VariationSource source,
+                                    const char* label) {
+    (void)master.next_u64();
+    if (base_measure == nullptr) {
+      base_measure = &plan.add<double>(exec::IndexRange{0, 1},
+                                       /*master_seed=*/0, "base_fit",
+                                       base_fit);
+    }
+    planned.rows.push_back({source, label, base_measure, reps.size()});
+  };
+
   struct ProbedSource {
     rngx::VariationSource source;
     const char* label;
@@ -81,10 +109,13 @@ PlannedVarianceStudy add_variance_study(exec::ReplicatePlan& plan,
   };
 
   for (const auto& probe : kProbes) {
+    if (repeats_base_fit(probe.source)) {
+      add_base_fit_row(probe.source, probe.label);
+      continue;
+    }
     add_row(probe.source, probe.label,
             plan.add<double>(
-                slice(config.repetitions), master,
-                rngx::to_string(probe.source),
+                reps, master, rngx::to_string(probe.source),
                 [&pipeline, &pool, &splitter, defaults, base,
                  source = probe.source](std::size_t, rngx::Rng& rng) {
                   const auto seeds = base.with_randomized(source, rng);
@@ -95,14 +126,12 @@ PlannedVarianceStudy add_variance_study(exec::ReplicatePlan& plan,
 
   if (config.include_numerical_noise) {
     // All seeds fixed; any remaining fluctuation is "numerical noise".
-    add_row(rngx::VariationSource::kNumerical, "Numerical noise",
-            plan.add<double>(slice(config.repetitions), master,
-                             "numerical_noise",
-                             [&pipeline, &pool, &splitter, defaults,
-                              base](std::size_t, rngx::Rng&) {
-                               return measure_with_params(
-                                   pipeline, pool, splitter, defaults, base);
-                             }));
+    if (repeats_base_fit(rngx::VariationSource::kNumerical)) {
+      add_base_fit_row(rngx::VariationSource::kNumerical, "Numerical noise");
+    } else {
+      add_row(rngx::VariationSource::kNumerical, "Numerical noise",
+              plan.add<double>(reps, master, "numerical_noise", base_fit));
+    }
   }
 
   // ξH probes: independent HOpt runs with all ξO fixed; each run's best λ̂*

@@ -58,7 +58,11 @@ struct PlannedVarianceStudy {
   struct Row {
     rngx::VariationSource source = rngx::VariationSource::kDataSplit;
     std::string label;
+    // One measure per repetition of the probe's slice — or, when `repeat`
+    // is > 0, the base fit's one measure, which each of the slice's
+    // `repeat` repetitions would have reproduced bit for bit.
     const std::vector<double>* measures = nullptr;
+    std::size_t repeat = 0;
   };
   std::vector<Row> rows;
 
@@ -69,8 +73,15 @@ struct PlannedVarianceStudy {
 /// Add the study's repetition ranges to `plan` — its ξO probes, the
 /// numerical-noise probe and its ξH probes, in that order — drawing their
 /// master seeds from `master` now, as run_variance_study draws them.
-/// `pipeline`, `pool` and `splitter` must outlive the plan's run; the
-/// HOpt trial loops run inline on `config.exec`'s sink.
+/// A ξO or numerical-noise probe of a source the pipeline does not read
+/// (LearningPipeline::reads at the defaults), under a pipeline that reads
+/// no numerical noise, would train the base fit (defaults, base seeds)
+/// once per repetition. It adds no range of its own: the base fit goes in
+/// once per study, as a one-index range with an explicit seed that draws
+/// nothing from `master`, and its measure is repeated over the probe's
+/// slice. The probe still takes its one master draw, so every later probe
+/// keeps its stream. `pipeline`, `pool` and `splitter` must outlive the
+/// plan's run; the HOpt trial loops run inline on `config.exec`'s sink.
 [[nodiscard]] PlannedVarianceStudy add_variance_study(
     exec::ReplicatePlan& plan, const LearningPipeline& pipeline,
     const ml::Dataset& pool, const Splitter& splitter,

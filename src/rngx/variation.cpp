@@ -40,7 +40,10 @@ std::uint64_t VariationSeeds::seed_for(VariationSource source) const {
       return hpo;
     case VariationSource::kNumerical:
       // Numerical noise has no seed: it is what remains when all seeds are
-      // fixed. Callers probing it simply re-run with identical seeds.
+      // fixed. Callers probing it re-run with identical seeds; under a
+      // pipeline that reads no numerical noise (LearningPipeline::reads)
+      // every re-run gives the same bits, and add_variance_study computes
+      // that probe once.
       return 0;
   }
   throw std::invalid_argument("seed_for: unknown source");

@@ -198,18 +198,38 @@ ResultTable run_multi_dataset(const StudySpec& spec) {
   std::vector<const std::vector<Runs>*> runs;
   runs.reserve(studies.size());
   for (const auto& cs : studies) {
+    // A variant whose λ equals an earlier variant's measures the same fit
+    // under the same (paired) seeds, so it reuses that measure — unless
+    // the pipeline adds numerical noise, which no seed controls.
+    std::array<hpo::ParamPoint, kVariants.size()> params;
+    std::array<std::size_t, kVariants.size()> measured_as{};
+    for (std::size_t v = 0; v < kVariants.size(); ++v) {
+      params[v] = cs.pipeline->default_params();
+      if (params[v].count("learning_rate") != 0) {
+        params[v]["learning_rate"] *= kVariants[v].second;
+      }
+      measured_as[v] = v;
+      if (cs.pipeline->reads(rngx::VariationSource::kNumerical, params[v])) {
+        continue;
+      }
+      for (std::size_t w = 0; w < v; ++w) {
+        if (params[w] == params[v]) {
+          measured_as[v] = w;
+          break;
+        }
+      }
+    }
     runs.push_back(&plan.add<Runs>(
         slice, rngx::derive_seed(spec.seed, cs.id), "multi_dataset_run",
-        [&cs](std::size_t, rngx::Rng& rng) {
+        [&cs, params, measured_as](std::size_t, rngx::Rng& rng) {
           const auto seeds = rngx::VariationSeeds::random(rng);  // paired
           Runs out{};
           for (std::size_t v = 0; v < kVariants.size(); ++v) {
-            auto params = cs.pipeline->default_params();
-            if (params.count("learning_rate") != 0) {
-              params["learning_rate"] *= kVariants[v].second;
-            }
-            out[v] = core::measure_with_params(*cs.pipeline, *cs.pool,
-                                               *cs.splitter, params, seeds);
+            out[v] = measured_as[v] < v
+                         ? out[measured_as[v]]
+                         : core::measure_with_params(*cs.pipeline, *cs.pool,
+                                                     *cs.splitter, params[v],
+                                                     seeds);
           }
           return out;
         }));

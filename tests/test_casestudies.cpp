@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+#include <vector>
+
 #include "src/casestudies/calibration.h"
 #include "src/core/pipeline.h"
+#include "src/ml/synthetic.h"
+#include "src/ml/trainer.h"
 
 namespace varbench::casestudies {
 namespace {
@@ -108,6 +114,159 @@ TEST(MlpPipelineSpecifics, ResolveConfigHiddenAndUnknown) {
                std::invalid_argument);
   EXPECT_THROW((void)cs.pipeline->resolve_config({{"learning_rate", -1.0}}),
                std::invalid_argument);
+}
+
+// --------------------------------------------- reads() against the trainer
+
+template <typename T>
+bool same_bits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+bool same_bits(const ml::Mlp& a, const ml::Mlp& b) {
+  if (a.weights().size() != b.weights().size() ||
+      a.biases().size() != b.biases().size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.weights().size(); ++i) {
+    if (!same_bits(a.weights()[i].data(), b.weights()[i].data())) return false;
+  }
+  for (std::size_t i = 0; i < a.biases().size(); ++i) {
+    if (!same_bits<double>(a.biases()[i], b.biases()[i])) return false;
+  }
+  return true;
+}
+
+/// The fit a measurement under λ and `seeds` trains (as measure_with_params
+/// does: the splitter's train set under the data-split seed), run by
+/// ml::Trainer, which adds no numerical noise, unlike train_mlp.
+ml::Mlp measured_fit(const MlpPipeline& pipeline, const ml::Dataset& pool,
+                     const core::Splitter& splitter,
+                     const hpo::ParamPoint& lambda,
+                     const rngx::VariationSeeds& seeds) {
+  auto split_rng = seeds.rng_for(rngx::VariationSource::kDataSplit);
+  const auto [train, test] =
+      core::materialize(pool, splitter.split(pool, split_rng));
+  ml::Trainer trainer{train, pipeline.resolve_config(lambda), seeds};
+  trainer.run_to_completion();
+  return std::move(trainer).release_model();
+}
+
+/// Whether the claim `reads(source)` matches the trainer at the defaults:
+/// for each source in kLearningSources plus kHpo, the fit under the base
+/// seeds and the fit with only that source re-drawn must have bit-identical
+/// weights and biases exactly when the claim says the source is not read.
+template <typename Reads>
+testing::AssertionResult reads_matches_trainer(const MlpPipeline& pipeline,
+                                               const ml::Dataset& pool,
+                                               const core::Splitter& splitter,
+                                               const Reads& reads) {
+  const hpo::ParamPoint lambda = pipeline.default_params();
+  const rngx::VariationSeeds base;
+  const ml::Mlp base_fit = measured_fit(pipeline, pool, splitter, lambda, base);
+  std::vector<rngx::VariationSource> sources(rngx::kLearningSources.begin(),
+                                             rngx::kLearningSources.end());
+  sources.push_back(rngx::VariationSource::kHpo);
+  rngx::Rng master{17};
+  for (const rngx::VariationSource source : sources) {
+    const ml::Mlp fit = measured_fit(pipeline, pool, splitter, lambda,
+                                     base.with_randomized(source, master));
+    const bool identical = same_bits(base_fit, fit);
+    if (identical == reads(source)) {
+      return testing::AssertionFailure()
+             << pipeline.name() << ": " << rngx::to_string(source)
+             << (identical ? " is claimed read, but re-drawing it trains the "
+                             "same bits"
+                           : " is claimed unread, but re-drawing it moves "
+                             "the fit");
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+MlpPipeline dropout_jitter_pipeline() {
+  // The small pipeline of test_variance_study.cpp, dropout and jitter on.
+  MlpPipelineSpec spec;
+  spec.name = "study";
+  spec.base.model.hidden = {6};
+  spec.base.model.dropout = 0.2;
+  spec.base.augment.jitter_std = 0.1;
+  spec.base.epochs = 4;
+  spec.base.batch_size = 32;
+  spec.space.add({"learning_rate", 0.001, 0.5, hpo::ScaleKind::kLog});
+  spec.defaults = {{"learning_rate", 0.1}};
+  return MlpPipeline{std::move(spec)};
+}
+
+ml::Dataset dropout_jitter_pool() {
+  ml::GaussianMixtureConfig cfg;
+  cfg.num_classes = 2;
+  cfg.dim = 4;
+  cfg.n = 220;
+  cfg.class_sep = 1.3;
+  cfg.label_noise = 0.1;
+  rngx::Rng rng{1};
+  return ml::make_gaussian_mixture(cfg, rng);
+}
+
+TEST(MlpPipelineReads, MatchesTheTrainerForEveryCaseStudy) {
+  for (const auto& id : case_study_ids()) {
+    const auto cs = make_case_study(id, 0.1);
+    const hpo::ParamPoint lambda = cs.pipeline->default_params();
+    EXPECT_TRUE(reads_matches_trainer(
+        *cs.pipeline, *cs.pool, *cs.splitter,
+        [&](rngx::VariationSource s) { return cs.pipeline->reads(s, lambda); }));
+  }
+}
+
+TEST(MlpPipelineReads, MatchesTheTrainerWithDropoutAndJitter) {
+  const MlpPipeline pipeline = dropout_jitter_pipeline();
+  const ml::Dataset pool = dropout_jitter_pool();
+  const core::OutOfBootstrapSplitter splitter{120, 60};
+  const hpo::ParamPoint lambda = pipeline.default_params();
+  EXPECT_TRUE(reads_matches_trainer(
+      pipeline, pool, splitter,
+      [&](rngx::VariationSource s) { return pipeline.reads(s, lambda); }));
+}
+
+TEST(MlpPipelineReads, ClaimingDropoutUnreadWhileOnFailsTheCheck) {
+  const MlpPipeline pipeline = dropout_jitter_pipeline();
+  const ml::Dataset pool = dropout_jitter_pool();
+  const core::OutOfBootstrapSplitter splitter{120, 60};
+  const hpo::ParamPoint lambda = pipeline.default_params();
+  EXPECT_FALSE(reads_matches_trainer(
+      pipeline, pool, splitter, [&](rngx::VariationSource s) {
+        return s != rngx::VariationSource::kDropout && pipeline.reads(s, lambda);
+      }));
+}
+
+TEST(MlpPipelineReads, FollowsTheResolvedConfig) {
+  using rngx::VariationSource;
+  const auto mhc = make_case_study("mhc_mlp", 0.1);
+  const hpo::ParamPoint lambda = mhc.pipeline->default_params();
+  EXPECT_FALSE(mhc.pipeline->reads(VariationSource::kDataAugment, lambda));
+  EXPECT_FALSE(mhc.pipeline->reads(VariationSource::kDropout, lambda));
+  EXPECT_FALSE(mhc.pipeline->reads(VariationSource::kNumerical, lambda));
+  EXPECT_FALSE(mhc.pipeline->reads(VariationSource::kHpo, lambda));
+  for (const VariationSource s :
+       {VariationSource::kDataSplit, VariationSource::kDataOrder,
+        VariationSource::kWeightInit}) {
+    EXPECT_TRUE(mhc.pipeline->reads(s, lambda)) << rngx::to_string(s);
+  }
+  // A λ that turns dropout on makes its seed read.
+  hpo::ParamPoint with_dropout = lambda;
+  with_dropout["dropout"] = 0.3;
+  EXPECT_TRUE(mhc.pipeline->reads(VariationSource::kDropout, with_dropout));
+  const auto voc = make_case_study("pascalvoc_fcn", 0.1);
+  EXPECT_TRUE(voc.pipeline->reads(VariationSource::kNumerical,
+                                  voc.pipeline->default_params()));
+  const auto cifar = make_case_study("cifar10_vgg11", 0.1);
+  EXPECT_TRUE(cifar.pipeline->reads(VariationSource::kDataAugment,
+                                    cifar.pipeline->default_params()));
+  const auto rte = make_case_study("glue_rte_bert", 0.1);
+  EXPECT_TRUE(rte.pipeline->reads(VariationSource::kDropout,
+                                  rte.pipeline->default_params()));
 }
 
 TEST(Calibration, AllRegistryIdsCovered) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdint>
+
 #include "src/casestudies/mlp_pipeline.h"
 #include "src/metrics/metrics.h"
 #include "src/ml/synthetic.h"
@@ -152,6 +156,156 @@ TEST(VarianceStudy, NestedHpoLoopsRecordIntoTheCallersSink) {
   // One plan region for the 5 ξO loops and the HPO repetition loop, plus
   // one inline trial loop per repetition.
   EXPECT_EQ(recorded.find(metrics::kExecRegions)->count, 3u);
+}
+
+/// Forwards every call to `inner` and counts the fits. With
+/// `forward_reads` false it keeps LearningPipeline's default reads(), so
+/// every probe trains each of its repetitions.
+class ForwardingPipeline final : public LearningPipeline {
+ public:
+  ForwardingPipeline(const LearningPipeline& inner, bool forward_reads)
+      : inner_{inner}, forward_reads_{forward_reads} {}
+
+  [[nodiscard]] double train_and_evaluate(
+      const ml::Dataset& train, const ml::Dataset& test,
+      const hpo::ParamPoint& lambda,
+      const rngx::VariationSeeds& seeds) const override {
+    ++fits;
+    return inner_.train_and_evaluate(train, test, lambda, seeds);
+  }
+  [[nodiscard]] const hpo::SearchSpace& search_space() const override {
+    return inner_.search_space();
+  }
+  [[nodiscard]] hpo::ParamPoint default_params() const override {
+    return inner_.default_params();
+  }
+  [[nodiscard]] std::string_view name() const override { return inner_.name(); }
+  [[nodiscard]] ml::Metric metric() const override { return inner_.metric(); }
+  [[nodiscard]] bool reads(rngx::VariationSource source,
+                           const hpo::ParamPoint& lambda) const override {
+    return forward_reads_ ? inner_.reads(source, lambda)
+                          : LearningPipeline::reads(source, lambda);
+  }
+
+  mutable std::atomic<std::size_t> fits{0};
+
+ private:
+  const LearningPipeline& inner_;
+  bool forward_reads_;
+};
+
+/// Rows equal bit for bit: sources, labels, every measure, mean and std.
+void expect_same_rows(const VarianceStudyResult& a,
+                      const VarianceStudyResult& b) {
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    const SourceVariance& x = a.rows[i];
+    const SourceVariance& y = b.rows[i];
+    EXPECT_EQ(x.source, y.source) << x.label;
+    EXPECT_EQ(x.label, y.label);
+    ASSERT_EQ(x.measures.size(), y.measures.size()) << x.label;
+    for (std::size_t j = 0; j < x.measures.size(); ++j) {
+      EXPECT_EQ(bits(x.measures[j]), bits(y.measures[j])) << x.label << j;
+    }
+    EXPECT_EQ(bits(x.mean), bits(y.mean)) << x.label;
+    EXPECT_EQ(bits(x.stddev), bits(y.stddev)) << x.label;
+  }
+}
+
+TEST(VarianceStudyFitOnce, UnreadSourcesGiveTheRowsOfEveryRepetition) {
+  // No dropout, no jitter, no numerical noise: augment, dropout and
+  // numerical noise are unread, so their probes repeat the base fit.
+  const auto pool = study_pool();
+  const auto pipeline = study_pipeline(0.0, 0.0, 0.0);
+  const OutOfBootstrapSplitter splitter{120, 60};
+  const ForwardingPipeline every_fit{pipeline, /*forward_reads=*/false};
+  VarianceStudyConfig cfg;
+  cfg.repetitions = 4;
+  cfg.hpo_algorithms = {"random_search"};
+  cfg.hpo_repetitions = 2;
+  cfg.hpo_budget = 2;
+  for (const std::size_t threads : {1u, 4u}) {
+    cfg.exec = exec::ExecContext{threads};
+    rngx::Rng master_a{9};
+    rngx::Rng master_b{9};
+    const auto once =
+        run_variance_study(pipeline, pool, splitter, cfg, master_a);
+    const auto every =
+        run_variance_study(every_fit, pool, splitter, cfg, master_b);
+    expect_same_rows(once, every);
+    // The skipped probes took their master draws: the streams line up.
+    EXPECT_EQ(master_a.next_u64(), master_b.next_u64()) << threads;
+  }
+}
+
+TEST(VarianceStudyFitOnce, EveryShardIncludingAnEmptySliceMatches) {
+  const auto pool = study_pool();
+  const auto pipeline = study_pipeline(0.0, 0.0, 0.0);
+  const OutOfBootstrapSplitter splitter{120, 60};
+  const ForwardingPipeline every_fit{pipeline, /*forward_reads=*/false};
+  VarianceStudyConfig cfg;
+  cfg.repetitions = 2;  // shard 2/3's slice is empty
+  cfg.hpo_algorithms = {"random_search"};
+  cfg.hpo_repetitions = 2;
+  cfg.hpo_budget = 2;
+  rngx::Rng whole_master{10};
+  const auto whole =
+      run_variance_study(pipeline, pool, splitter, cfg, whole_master);
+  std::vector<std::vector<double>> merged(whole.rows.size());
+  for (std::size_t i = 0; i < 3; ++i) {
+    cfg.shard_index = i;
+    cfg.shard_count = 3;
+    rngx::Rng master_a{10};
+    rngx::Rng master_b{10};
+    const auto once =
+        run_variance_study(pipeline, pool, splitter, cfg, master_a);
+    const auto every =
+        run_variance_study(every_fit, pool, splitter, cfg, master_b);
+    expect_same_rows(once, every);
+    EXPECT_EQ(master_a.next_u64(), master_b.next_u64()) << i;
+    ASSERT_EQ(once.rows.size(), whole.rows.size());
+    for (std::size_t r = 0; r < once.rows.size(); ++r) {
+      if (i == 2) {
+        EXPECT_TRUE(once.rows[r].measures.empty()) << once.rows[r].label;
+      }
+      merged[r].insert(merged[r].end(), once.rows[r].measures.begin(),
+                       once.rows[r].measures.end());
+    }
+  }
+  for (std::size_t r = 0; r < whole.rows.size(); ++r) {
+    EXPECT_EQ(merged[r], whole.rows[r].measures) << whole.rows[r].label;
+  }
+}
+
+TEST(VarianceStudyFitOnce, UnreadProbesTrainOneFitBetweenThem) {
+  const auto pool = study_pool();
+  const auto pipeline = study_pipeline(0.0, 0.0, 0.0);
+  const OutOfBootstrapSplitter splitter{120, 60};
+  VarianceStudyConfig cfg;
+  cfg.repetitions = 5;
+  const ForwardingPipeline every_fit{pipeline, /*forward_reads=*/false};
+  const ForwardingPipeline forwarded{pipeline, /*forward_reads=*/true};
+  rngx::Rng master_a{12};
+  rngx::Rng master_b{12};
+  (void)run_variance_study(every_fit, pool, splitter, cfg, master_a);
+  (void)run_variance_study(forwarded, pool, splitter, cfg, master_b);
+  // Six probes of R fits each, against three read probes of R fits plus
+  // one base fit for augment, dropout and numerical noise together.
+  EXPECT_EQ(every_fit.fits.load(), 6 * cfg.repetitions);
+  EXPECT_EQ(forwarded.fits.load(), 3 * cfg.repetitions + 1);
+}
+
+TEST(VarianceStudyFitOnce, NumericalNoiseStillTrainsEveryRepetition) {
+  const auto pool = study_pool();
+  const auto pipeline = study_pipeline(0.0, 0.0, /*numerical=*/0.05);
+  const OutOfBootstrapSplitter splitter{120, 60};
+  VarianceStudyConfig cfg;
+  cfg.repetitions = 5;
+  const ForwardingPipeline forwarded{pipeline, /*forward_reads=*/true};
+  rngx::Rng master{13};
+  (void)run_variance_study(forwarded, pool, splitter, cfg, master);
+  EXPECT_EQ(forwarded.fits.load(), 6 * cfg.repetitions);
 }
 
 TEST(VarianceStudy, TooFewRepetitionsThrows) {
