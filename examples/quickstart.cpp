@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
 
   // Step 4: the recommended decision criterion, derived from the artifact.
   std::printf("\n");
-  study::print_summary(table, stdout);
+  report::print_summary(table, stdout);
   std::printf(
       "\n(the decision used the full distributions, not just the averages)\n");
 

@@ -64,6 +64,6 @@ int main(int argc, char** argv) {
               merged.rows.size(), identical ? "yes" : "NO");
 
   std::printf("\n");
-  study::print_summary(merged, stdout);
+  report::print_summary(merged, stdout);
   return identical ? 0 : 1;
 }

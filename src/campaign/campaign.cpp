@@ -397,7 +397,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
         } else {
           queue.heartbeat(it->ticket);
           // Beat-to-beat period vs poll_interval: scheduling jitter of the
-          // reap loop (autoscaling signal, ROADMAP item 2).
+          // reap loop.
           if (sink.is_enabled(metrics::kCampaignHeartbeatJitterNs)) {
             const auto beat = std::chrono::steady_clock::now();
             const auto period = std::chrono::duration_cast<

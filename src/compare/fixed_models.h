@@ -28,8 +28,8 @@ struct FixedModelComparison {
 
 /// Bootstrap the test examples (jointly for A and B — the models are
 /// evaluated on the SAME resampled set) and measure how often A's mean
-/// beats B's. Decision logic mirrors the pipeline-level P(A>B) test:
-/// significant when the CI of P excludes 0.5, meaningful vs gamma.
+/// beats B's. Significant when the percentile CI of the mean difference
+/// A − B lies above 0 (ci.lower > 0); meaningful when P(A>B) >= gamma.
 [[nodiscard]] FixedModelComparison compare_fixed_models(
     std::span<const double> per_example_a, std::span<const double> per_example_b,
     rngx::Rng& rng, double gamma = stats::kDefaultGamma,

@@ -6,37 +6,42 @@
 
 namespace varbench::core {
 
+InnerSplit inner_split(const ml::Dataset& trainvalid,
+                       double validation_fraction, rngx::Rng& hpo_rng) {
+  if (!(validation_fraction > 0.0 && validation_fraction < 1.0)) {
+    throw std::invalid_argument(
+        "inner_split: validation_fraction outside (0, 1)");
+  }
+  std::vector<std::size_t> order(trainvalid.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  hpo_rng.shuffle(order);
+  const auto n_valid = std::max<std::size_t>(
+      1, static_cast<std::size_t>(validation_fraction *
+                                  static_cast<double>(trainvalid.size())));
+  if (n_valid >= trainvalid.size()) {
+    throw std::invalid_argument(
+        "inner_split: validation split leaves no train data");
+  }
+  const std::span<const std::size_t> valid_idx{order.data(), n_valid};
+  const std::span<const std::size_t> train_idx{order.data() + n_valid,
+                                               trainvalid.size() - n_valid};
+  return {ml::subset(trainvalid, train_idx), ml::subset(trainvalid, valid_idx)};
+}
+
 hpo::ParamPoint run_hpo(const LearningPipeline& pipeline,
                         const ml::Dataset& trainvalid,
                         const HpoRunConfig& config,
                         const rngx::VariationSeeds& seeds,
                         FitCounter* counter) {
   if (config.algorithm == nullptr) return pipeline.default_params();
-  if (!(config.validation_fraction > 0.0 && config.validation_fraction < 1.0)) {
-    throw std::invalid_argument("run_hpo: validation_fraction outside (0, 1)");
-  }
   auto hpo_rng = seeds.rng_for(rngx::VariationSource::kHpo);
-
-  // Inner S_t / S_v split of S_tv — part of HOpt's arbitrary choices (ξH).
-  std::vector<std::size_t> order(trainvalid.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  hpo_rng.shuffle(order);
-  const auto n_valid = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config.validation_fraction *
-                                  static_cast<double>(trainvalid.size())));
-  if (n_valid >= trainvalid.size()) {
-    throw std::invalid_argument("run_hpo: validation split leaves no train data");
-  }
-  const std::span<const std::size_t> valid_idx{order.data(), n_valid};
-  const std::span<const std::size_t> train_idx{order.data() + n_valid,
-                                               trainvalid.size() - n_valid};
-  const ml::Dataset inner_train = ml::subset(trainvalid, train_idx);
-  const ml::Dataset inner_valid = ml::subset(trainvalid, valid_idx);
-
+  // The inner split is part of HOpt's arbitrary choices (ξH).
+  const InnerSplit inner =
+      inner_split(trainvalid, config.validation_fraction, hpo_rng);
   const hpo::Objective objective = [&](const hpo::ParamPoint& lambda) {
     if (counter != nullptr) ++counter->fits;
     // Minimize risk = 1 - performance (metrics are higher-is-better).
-    return 1.0 - pipeline.train_and_evaluate(inner_train, inner_valid, lambda,
+    return 1.0 - pipeline.train_and_evaluate(inner.train, inner.valid, lambda,
                                              seeds);
   };
   const hpo::HpoResult result = config.algorithm->optimize(

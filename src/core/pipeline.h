@@ -67,7 +67,19 @@ struct HpoRunConfig {
   exec::ExecContext exec;         // fan-out for independent trial evaluations
 };
 
-/// HOpt(S_tv; ξO, ξH): tune hyperparameters on an inner train/valid split of
+/// HOpt's inner S_t / S_v split of `trainvalid`: its rows shuffled by the
+/// ξH stream `hpo_rng`, the first max(1, ⌊fraction·n⌋) held out for
+/// validation. Throws std::invalid_argument for a fraction outside (0, 1)
+/// or a split that leaves no train data.
+struct InnerSplit {
+  ml::Dataset train;
+  ml::Dataset valid;
+};
+[[nodiscard]] InnerSplit inner_split(const ml::Dataset& trainvalid,
+                                     double validation_fraction,
+                                     rngx::Rng& hpo_rng);
+
+/// HOpt(S_tv; ξO, ξH): tune hyperparameters on the inner_split of
 /// `trainvalid`. The inner split and all algorithm stochasticity come from
 /// the ξH stream. Returns λ̂*.
 [[nodiscard]] hpo::ParamPoint run_hpo(const LearningPipeline& pipeline,

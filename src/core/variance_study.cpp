@@ -151,16 +151,9 @@ PlannedVarianceStudy add_variance_study(exec::ReplicatePlan& plan,
                 slice(config.hpo_repetitions), master, algo_name,
                 [&pipeline, &pool, &splitter, base, algorithm,
                  hpo_cfg](std::size_t, rngx::Rng& rng) {
-                  const auto seeds =
-                      base.with_randomized(rngx::VariationSource::kHpo, rng);
-                  auto split_rng =
-                      seeds.rng_for(rngx::VariationSource::kDataSplit);
-                  const Split s = splitter.split(pool, split_rng);
-                  const auto [trainvalid, test] = materialize(pool, s);
-                  const auto lambda =
-                      run_hpo(pipeline, trainvalid, hpo_cfg, seeds);
-                  return pipeline.train_and_evaluate(trainvalid, test, lambda,
-                                                     seeds);
+                  return run_pipeline_once(
+                      pipeline, pool, splitter, hpo_cfg,
+                      base.with_randomized(rngx::VariationSource::kHpo, rng));
                 }));
   }
   return planned;

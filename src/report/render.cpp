@@ -5,6 +5,7 @@
 
 #include "src/io/csv.h"
 #include "src/io/json.h"
+#include "src/study/study_kinds.h"
 
 namespace varbench::report {
 
@@ -137,6 +138,8 @@ Grid table_grid(const study::ResultTable& table) {
       if (cell.is_string()) {
         cells.push_back(cell.as_string());
         g.left_columns = std::max(g.left_columns, c + 1);
+      } else if (cell.is_null()) {
+        cells.push_back("-");
       } else if (cell.is_number() &&
                  cell.number_kind() == io::Json::NumKind::kDouble) {
         cells.push_back(fmt(cell.as_double()));
@@ -404,6 +407,34 @@ std::string render_table(const study::ResultTable& table, Format format) {
     grid_text(g, out);
   }
   return out;
+}
+
+void print_summary(const study::ResultTable& table, std::FILE* out) {
+  if (!table.is_complete()) {
+    std::fprintf(out,
+                 "partial artifact: shard %s of '%s' (%zu rows) — run "
+                 "`varbench merge` over all %zu shard files for summaries\n",
+                 table.shard.label().c_str(), table.name.c_str(),
+                 table.rows.size(), table.shard.count);
+    return;
+  }
+  if (!table.spec.has_value()) {
+    std::fprintf(out, "'%s': %zu rows × %zu columns (seed %llu)\n",
+                 table.name.c_str(), table.rows.size(), table.columns.size(),
+                 static_cast<unsigned long long>(table.seed));
+    return;
+  }
+  const study::StudyKindDef& def = study::kind_def(table.spec->kind);
+  std::string text;
+  if (!def.claim.empty()) {
+    text += std::string{def.title} + "\n  paper claim: " +
+            std::string{def.claim} + "\n";
+  }
+  for (const study::ResultTable& block : def.summarize(table)) {
+    if (!text.empty()) text += '\n';
+    text += block.name + "\n" + render_table(block, Format::kText);
+  }
+  std::fputs(text.c_str(), out);
 }
 
 std::string render_all(const std::vector<Report>& reports, Format format) {

@@ -5,6 +5,7 @@
 // can diff them (docs/reporting.md).
 #pragma once
 
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,10 +35,18 @@ enum class Format : int { kText, kMarkdown, kCsv, kJson };
 
 /// Render a table itself — the column names as the header, one grid row
 /// per table row — for tables that already are summaries, such as
-/// `varbench trace --summary`'s one row per span. Text, markdown and csv
-/// use the report grids (strings as they are, doubles in the report's
-/// number format, other cells as JSON); kJson is table.to_json_text().
+/// `varbench trace --summary`'s one row per span and the summary blocks of
+/// print_summary. Text, markdown and csv use the report grids (strings as
+/// they are, doubles in the report's number format, null as "-", other
+/// cells as JSON); kJson is table.to_json_text().
 [[nodiscard]] std::string render_table(const study::ResultTable& table,
                                        Format format);
+
+/// The summary `varbench run` and `varbench merge` print for a complete
+/// study table: a figure kind's title and paper claim, then each block of
+/// its kind's summarizer (study_kinds.h), its name above
+/// render_table(block, kText). For a partial (shard) table, a note
+/// pointing at `varbench merge`; for a spec-less table, its shape.
+void print_summary(const study::ResultTable& table, std::FILE* out);
 
 }  // namespace varbench::report

@@ -97,7 +97,7 @@ ResultTable run_compare(const StudySpec& spec) {
   return t;
 }
 
-void summarize_compare(const ResultTable& t, std::FILE* out) {
+std::vector<ResultTable> summarize_compare(const ResultTable& t) {
   const StudySpec& spec = t.spec.value();
   const auto pa = t.column_values("perf_a");
   const auto pb = t.column_values("perf_b");
@@ -111,12 +111,14 @@ void summarize_compare(const ResultTable& t, std::FILE* out) {
   const auto r = stats::test_probability_of_outperforming(
       exec::ExecContext{}, pa, pb, rng, spec.figure.gamma,
       spec.figure.num_resamples);
-  std::fprintf(out, "mean A = %.4f, mean B = %.4f\n", stats::mean(pa),
-               stats::mean(pb));
-  std::fprintf(out, "P(A>B) = %.3f, CI [%.3f, %.3f], gamma = %.2f\n",
-               r.p_a_greater_b, r.ci.lower, r.ci.upper, spec.figure.gamma);
-  std::fprintf(out, "conclusion: %s\n",
-               std::string(stats::to_string(r.conclusion)).c_str());
+  ResultTable block = summary_block(
+      "paired comparison",
+      {"mean A", "mean B", "P(A>B)", "ci.lo", "ci.hi", "gamma", "conclusion"});
+  block.add_row({Cell{stats::mean(pa)}, Cell{stats::mean(pb)},
+                 Cell{r.p_a_greater_b}, Cell{r.ci.lower}, Cell{r.ci.upper},
+                 Cell{spec.figure.gamma},
+                 Cell{std::string{stats::to_string(r.conclusion)}}});
+  return {std::move(block)};
 }
 
 // ------------------------------------------------------------------ hpo
@@ -150,15 +152,16 @@ ResultTable run_hpo(const StudySpec& spec) {
   return t;
 }
 
-void summarize_hpo(const ResultTable& t, std::FILE* out) {
+std::vector<ResultTable> summarize_hpo(const ResultTable& t) {
   const auto row = t.rows.at(0);
-  std::fprintf(out, "%s on %s: final test %s = %.4f (%zu fits)\n",
-               row[t.column_index("algo")].as_string().c_str(),
-               t.spec.value().case_study.c_str(),
-               row[t.column_index("metric")].as_string().c_str(),
-               row[t.column_index("measure")].as_double(),
-               static_cast<std::size_t>(
-                   row[t.column_index("fits")].as_uint64()));
+  ResultTable block = summary_block(
+      "one HOpt run", {"algo", "case study", "metric", "final test", "fits"});
+  block.add_row({Cell{row[t.column_index("algo")].as_string()},
+                 Cell{t.spec.value().case_study},
+                 Cell{row[t.column_index("metric")].as_string()},
+                 Cell{row[t.column_index("measure")].as_double()},
+                 Cell{row[t.column_index("fits")].as_uint64()}});
+  return {std::move(block)};
 }
 
 // ------------------------------------------------------------ estimator
@@ -200,23 +203,16 @@ ResultTable run_estimator(const StudySpec& spec) {
   return t;
 }
 
-void summarize_estimator(const ResultTable& t, std::FILE* out) {
-  const std::size_t est_col = t.column_index("estimator");
-  const std::size_t measure_col = t.column_index("measure");
-  std::vector<std::pair<std::string, std::vector<double>>> groups;
-  for (const auto& row : t.rows) {
-    const std::string name = row[est_col].as_string();
-    if (groups.empty() || groups.back().first != name) {
-      groups.emplace_back(name, std::vector<double>{});
-    }
-    groups.back().second.push_back(row[measure_col].as_double());
+std::vector<ResultTable> summarize_estimator(const ResultTable& t) {
+  ResultTable block =
+      summary_block("estimators", {"estimator", "k", "mean", "std"});
+  for (const RowGroup& est : group_rows(t, {"estimator"})) {
+    const auto measures = est.values("measure");
+    block.add_row({Cell{est.cell("estimator").as_string()},
+                   Cell{measures.size()}, Cell{stats::mean(measures)},
+                   Cell{stats::stddev(measures)}});
   }
-  std::fprintf(out, "%-10s %6s %10s %10s\n", "estimator", "k", "mean", "std");
-  for (const auto& [name, measures] : groups) {
-    std::fprintf(out, "%-10s %6zu %10.4f %10.4f\n", name.c_str(),
-                 measures.size(), stats::mean(measures),
-                 stats::stddev(measures));
-  }
+  return {std::move(block)};
 }
 
 }  // namespace varbench::study::figures

@@ -55,50 +55,49 @@ ResultTable run_fig03(const StudySpec& spec) {
   return t;
 }
 
-void summarize_fig03(const ResultTable& t, std::FILE* out) {
-  const std::size_t task_col = t.column_index("task");
+std::vector<ResultTable> summarize_fig03(const ResultTable& t) {
   const std::size_t year_col = t.column_index("year");
   const std::size_t acc_col = t.column_index("accuracy");
   const std::size_t imp_col = t.column_index("improvement");
   const std::size_t sigma_col = t.column_index("sigma");
   const std::size_t thr_col = t.column_index("threshold");
+  std::vector<ResultTable> blocks;
   double sum_improvement = 0.0;
   double sum_sigma = 0.0;
-  std::string task;
-  for (const auto& row : t.rows) {
-    if (row[task_col].as_string() != task) {
-      task = row[task_col].as_string();
-      std::fprintf(out, "\n%s\n", task.c_str());
-      std::fprintf(out,
-                   "  benchmark sigma = %.3f%%   significance threshold = "
-                   "%.3f%%\n",
-                   100.0 * row[sigma_col].as_double(),
-                   100.0 * row[thr_col].as_double());
-      std::fprintf(out, "  %-6s %10s %12s %s\n", "year", "accuracy",
-                   "improvement", "verdict");
+  for (const RowGroup& task : group_rows(t, {"task"})) {
+    ResultTable block = summary_block(
+        task.cell("task").as_string(),
+        {"year", "accuracy %", "improvement %", "benchmark sigma %",
+         "significance threshold %", "verdict"});
+    for (const std::size_t r : task.rows()) {
+      const RowView row = t.rows[r];
+      const double sigma = row[sigma_col].as_double();
+      const double threshold = row[thr_col].as_double();
+      Cell improvement;
+      std::string verdict = "(baseline)";
+      if (!row[imp_col].is_null()) {
+        const double delta = row[imp_col].as_double();
+        improvement = Cell{100.0 * delta};
+        verdict = delta > threshold ? "significant" : "NON-significant";
+        sum_improvement += delta;
+        sum_sigma += sigma;
+      }
+      block.add_row({row[year_col].to_json(),
+                     Cell{100.0 * row[acc_col].as_double()}, improvement,
+                     Cell{100.0 * sigma}, Cell{100.0 * threshold},
+                     Cell{verdict}});
     }
-    const auto year = static_cast<int>(row[year_col].as_int64());
-    if (row[imp_col].is_null()) {
-      std::fprintf(out, "  %-6d %9.2f%% %12s (baseline)\n", year,
-                   100.0 * row[acc_col].as_double(), "-");
-      continue;
-    }
-    const double improvement = row[imp_col].as_double();
-    const bool significant = improvement > row[thr_col].as_double();
-    std::fprintf(out, "  %-6d %9.2f%% %11.2f%% %s\n", year,
-                 100.0 * row[acc_col].as_double(), 100.0 * improvement,
-                 significant ? "significant" : "NON-significant (x)");
-    sum_improvement += improvement;
-    sum_sigma += row[sigma_col].as_double();
+    blocks.push_back(std::move(block));
   }
-  std::fprintf(out,
-               "\ndelta calibration (Section 4.2)\n"
-               "  mean improvement / sigma across tasks = %.2f\n"
-               "  paper's regression coefficient        = %.4f\n"
-               "  (delta = 1.9952*sigma is the average-comparison threshold "
-               "of Fig. 6)\n",
-               sum_sigma > 0.0 ? sum_improvement / sum_sigma : 0.0,
-               compare::kPublishedImprovementCoeff);
+  // delta = coefficient * sigma is the average-comparison threshold of
+  // Fig. 6.
+  ResultTable delta = summary_block(
+      "delta calibration (Section 4.2)",
+      {"mean improvement / sigma", "paper's regression coefficient"});
+  delta.add_row({Cell{sum_sigma > 0.0 ? sum_improvement / sum_sigma : 0.0},
+                 Cell{compare::kPublishedImprovementCoeff}});
+  blocks.push_back(std::move(delta));
+  return blocks;
 }
 
 // ---------------------------------------------------------------- fig04
@@ -121,29 +120,31 @@ ResultTable run_fig04(const StudySpec& spec) {
   return t;
 }
 
-void summarize_fig04(const ResultTable& t, std::FILE* out) {
-  std::fprintf(out, "  %-8s %-8s %14s %16s %8s\n", "k", "T", "IdealEst fits",
-               "FixHOptEst fits", "ratio");
-  for (const auto& row : t.rows) {
-    std::fprintf(out, "  %-8llu %-8llu %14llu %16llu %7.1fx\n",
-                 static_cast<unsigned long long>(
-                     row[t.column_index("k")].as_uint64()),
-                 static_cast<unsigned long long>(
-                     row[t.column_index("T")].as_uint64()),
-                 static_cast<unsigned long long>(
-                     row[t.column_index("ideal_fits")].as_uint64()),
-                 static_cast<unsigned long long>(
-                     row[t.column_index("fixhopt_fits")].as_uint64()),
-                 row[t.column_index("ratio")].as_double());
+std::vector<ResultTable> summarize_fig04(const ResultTable& t) {
+  ResultTable fits = summary_block(
+      "estimator fit counts",
+      {"k", "T", "IdealEst fits", "FixHOptEst fits", "ratio"});
+  std::vector<std::size_t> cols;
+  for (const char* name : {"k", "T", "ideal_fits", "fixhopt_fits", "ratio"}) {
+    cols.push_back(t.column_index(name));
   }
-  std::fprintf(out,
-               "\n  paper's wall-clock: IdealEst(k=100) = 1070 h, FixHOptEst "
-               "= 21 h => 51x.\n  Our fit-count ratio at (k=100, T=200) = "
-               "%.1fx; wall-clock ratios sit\n  slightly below the fit ratio "
-               "because HPO trials train on the smaller\n  inner split.\n",
-               static_cast<double>(core::ideal_estimator_cost(100, 200)) /
-                   static_cast<double>(core::fix_hopt_estimator_cost(100,
-                                                                     200)));
+  for (const RowView row : t.rows) {
+    Row cells;
+    for (const std::size_t c : cols) cells.push_back(row[c].to_json());
+    fits.add_row(cells);
+  }
+  // Wall-clock ratios sit slightly below the fit ratio because HPO trials
+  // train on the smaller inner split.
+  ResultTable paper = summary_block(
+      "paper's wall-clock vs our fit count",
+      {"k", "T", "paper IdealEst h", "paper FixHOptEst h", "paper ratio",
+       "fit-count ratio"});
+  const auto ideal = static_cast<double>(core::ideal_estimator_cost(100, 200));
+  const auto fixhopt =
+      static_cast<double>(core::fix_hopt_estimator_cost(100, 200));
+  paper.add_row({Cell{std::size_t{100}}, Cell{std::size_t{200}}, Cell{1070.0},
+                 Cell{21.0}, Cell{1070.0 / 21.0}, Cell{ideal / fixhopt}});
+  return {std::move(fits), std::move(paper)};
 }
 
 // ---------------------------------------------------------------- figC1
@@ -164,58 +165,30 @@ ResultTable run_figC1(const StudySpec& spec) {
   return t;
 }
 
-void summarize_figC1(const ResultTable& t, std::FILE* out) {
+std::vector<ResultTable> summarize_figC1(const ResultTable& t) {
+  ResultTable sizes = summary_block("Noether minimum sample size",
+                                    {"gamma", "beta", "N", "paper N"});
   const std::size_t gamma_col = t.column_index("gamma");
   const std::size_t beta_col = t.column_index("beta");
   const std::size_t n_col = t.column_index("n_required");
-  // Pivot: one line per gamma, one column per beta (first-appearance order).
-  std::vector<double> betas;
-  for (const auto& row : t.rows) {
+  for (const RowView row : t.rows) {
+    const double gamma = row[gamma_col].as_double();
     const double beta = row[beta_col].as_double();
-    bool known = false;
-    for (const double b : betas) known = known || b == beta;
-    if (!known) betas.push_back(beta);
+    // The paper's recommendation: N = 29 at gamma = 0.75, alpha = beta =
+    // 0.05.
+    sizes.add_row({Cell{gamma}, Cell{beta}, row[n_col].to_json(),
+                   gamma == 0.75 && beta == 0.05 ? Cell{std::size_t{29}}
+                                                 : Cell{}});
   }
-  std::fprintf(out, "  %-8s", "gamma");
-  for (const double beta : betas) std::fprintf(out, " N(beta=%.2f)", beta);
-  std::fprintf(out, "\n");
-  std::string line;
-  double gamma = -1.0;
-  const auto flush = [&] {
-    if (line.empty()) return;
-    if (gamma == 0.75) line += "   <-- recommended (paper: N=29)";
-    std::fprintf(out, "%s\n", line.c_str());
-  };
-  for (const auto& row : t.rows) {
-    if (row[gamma_col].as_double() != gamma) {
-      flush();
-      gamma = row[gamma_col].as_double();
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "  %-8.2f", gamma);
-      line = buf;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof buf, " %12llu",
-                  static_cast<unsigned long long>(row[n_col].as_uint64()));
-    line += buf;
-  }
-  flush();
-
-  std::fprintf(out, "\npower achieved at selected (N, gamma)\n  %-6s", "N");
-  for (const double g : {0.6, 0.7, 0.75, 0.8, 0.9}) {
-    std::fprintf(out, "  g=%.2f", g);
-  }
-  std::fprintf(out, "\n");
-  for (const std::size_t n : {10u, 20u, 29u, 50u, 100u}) {
-    std::fprintf(out, "  %-6zu", static_cast<std::size_t>(n));
+  ResultTable power = summary_block("power achieved at selected (N, gamma)",
+                                    {"N", "gamma", "power %"});
+  for (const std::size_t n : {10, 20, 29, 50, 100}) {
     for (const double g : {0.6, 0.7, 0.75, 0.8, 0.9}) {
-      std::fprintf(out, "  %5.1f%%", 100.0 * stats::noether_power(n, g, 0.05));
+      power.add_row({Cell{n}, Cell{g},
+                     Cell{100.0 * stats::noether_power(n, g, 0.05)}});
     }
-    std::fprintf(out, "\n");
   }
-  std::fprintf(out,
-               "\nShape check vs paper: N(0.75, 0.05, 0.05) == 29 and the "
-               "curve\nexplodes below gamma ~ 0.6 (>150 runs).\n");
+  return {std::move(sizes), std::move(power)};
 }
 
 // --------------------------------------------------------------- tableD
@@ -251,26 +224,27 @@ ResultTable run_tableD(const StudySpec& spec) {
   return t;
 }
 
-void summarize_tableD(const ResultTable& t, std::FILE* out) {
-  const std::size_t task_col = t.column_index("task");
-  std::string task;
-  for (const auto& row : t.rows) {
-    if (row[task_col].as_string() != task) {
-      task = row[task_col].as_string();
-      std::fprintf(out, "\n%s\n", task.c_str());
-      std::fprintf(out, "  %-16s %-10s %12s %12s %10s\n", "hyperparameter",
-                   "scale", "low", "high", "default");
-    }
-    std::fprintf(out, "  %-16s %-10s %12g %12g %10g%s\n",
-                 row[t.column_index("param")].as_string().c_str(),
-                 row[t.column_index("scale_kind")].as_string().c_str(),
-                 row[t.column_index("low")].as_double(),
-                 row[t.column_index("high")].as_double(),
-                 row[t.column_index("default")].as_double(),
-                 row[t.column_index("integer")].as_uint64() != 0
-                     ? "  (integer)"
-                     : "");
+std::vector<ResultTable> summarize_tableD(const ResultTable& t) {
+  std::vector<std::size_t> cols;
+  for (const char* name : {"param", "scale_kind", "low", "high", "default"}) {
+    cols.push_back(t.column_index(name));
   }
+  const std::size_t integer_col = t.column_index("integer");
+  std::vector<ResultTable> blocks;
+  for (const RowGroup& task : group_rows(t, {"task"})) {
+    ResultTable block = summary_block(
+        task.cell("task").as_string(),
+        {"hyperparameter", "scale", "low", "high", "default", "values"});
+    for (const std::size_t r : task.rows()) {
+      Row cells;
+      for (const std::size_t c : cols) cells.push_back(t.rows[r][c].to_json());
+      cells.push_back(
+          Cell{t.rows[r][integer_col].as_uint64() != 0 ? "integer" : "real"});
+      block.add_row(cells);
+    }
+    blocks.push_back(std::move(block));
+  }
+  return blocks;
 }
 
 }  // namespace varbench::study::figures

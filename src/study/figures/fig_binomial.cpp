@@ -47,63 +47,42 @@ ResultTable run_fig02(const StudySpec& spec) {
   return t;
 }
 
-void summarize_fig02(const ResultTable& t, std::FILE* out) {
-  std::fprintf(out, "theory: binomial std vs test-set size\n");
-  std::fprintf(out, "  %-10s", "n'");
-  for (const double acc : {0.66, 0.91, 0.95}) {
-    std::fprintf(out, "  Binom(n,%.2f)", acc);
-  }
-  std::fprintf(out, "\n");
-  for (const double n : {1e2, 1e3, 1e4, 1e5, 1e6}) {
-    std::fprintf(out, "  %-10.0f", n);
+std::vector<ResultTable> summarize_fig02(const ResultTable& t) {
+  ResultTable theory =
+      summary_block("theory: binomial std vs test-set size",
+                    {"n'", "accuracy", "binomial std %"});
+  for (const std::size_t n : {100, 1000, 10000, 100000, 1000000}) {
     for (const double acc : {0.66, 0.91, 0.95}) {
-      std::fprintf(out, "  %11.4f%%",
-                   100.0 * stats::binomial_accuracy_std(acc, n));
+      theory.add_row({Cell{n}, Cell{acc},
+                      Cell{100.0 * stats::binomial_accuracy_std(
+                                       acc, static_cast<double>(n))}});
     }
-    std::fprintf(out, "\n");
   }
 
-  std::fprintf(out, "\npractice: bootstrap-measured std on the case studies\n");
-  std::fprintf(out, "  %-18s %8s %10s %16s %16s\n", "task", "n'", "measure",
-               "empirical std", "binomial model");
-  const std::size_t task_col = t.column_index("task");
-  const std::size_t size_col = t.column_index("test_size");
-  const std::size_t measure_col = t.column_index("measure");
-  std::vector<std::string> tasks;
-  for (const auto& row : t.rows) {
-    const std::string task = row[task_col].as_string();
-    if (tasks.empty() || tasks.back() != task) tasks.push_back(task);
-  }
-  for (const auto& task : tasks) {
-    std::vector<double> measures;
-    double test_size = 0.0;
-    std::size_t n = 0;
-    for (const auto& row : t.rows) {
-      if (row[task_col].as_string() != task) continue;
-      measures.push_back(row[measure_col].as_double());
-      test_size += row[size_col].as_double();
-      ++n;
-    }
-    test_size /= static_cast<double>(n);
+  ResultTable practice = summary_block(
+      "practice: bootstrap-measured std on the case studies",
+      {"task", "n'", "measure %", "empirical std %", "binomial model %"});
+  for (const RowGroup& task : group_rows(t, {"task"})) {
+    const auto measures = task.values("measure");
+    const double test_size = stats::mean(task.values("test_size"));
     const double acc = stats::mean(measures);
-    std::fprintf(out, "  %-18s %8.0f %9.2f%% %15.3f%% %15.3f%%\n",
-                 task.c_str(), test_size, 100.0 * acc,
-                 100.0 * stats::stddev(measures),
-                 100.0 * stats::binomial_accuracy_std(acc, test_size));
+    practice.add_row(
+        {Cell{task.cell("task").as_string()}, Cell{test_size},
+         Cell{100.0 * acc}, Cell{100.0 * stats::stddev(measures)},
+         Cell{100.0 * stats::binomial_accuracy_std(acc, test_size)}});
   }
 
-  std::fprintf(out,
-               "\npaper reference points (test sizes of the original tasks)\n");
+  ResultTable paper = summary_block(
+      "paper reference points (test sizes of the original tasks)",
+      {"task", "n'", "binomial std %"});
   for (const auto& c : casestudies::paper_calibrations()) {
     if (c.metric != "accuracy") continue;
-    std::fprintf(out, "  %-18s n'=%-6zu binomial std = %.3f%%\n",
-                 c.paper_task.c_str(), c.paper_test_size,
-                 100.0 * stats::binomial_accuracy_std(
-                             c.mu, static_cast<double>(c.paper_test_size)));
+    paper.add_row({Cell{c.paper_task}, Cell{c.paper_test_size},
+                   Cell{100.0 * stats::binomial_accuracy_std(
+                                    c.mu, static_cast<double>(
+                                              c.paper_test_size))}});
   }
-  std::fprintf(out,
-               "\nShape check vs paper: empirical bootstrap std should be "
-               "within ~2x\nof the binomial prediction for every task.\n");
+  return {std::move(theory), std::move(practice), std::move(paper)};
 }
 
 }  // namespace varbench::study::figures

@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -63,30 +64,6 @@ std::vector<Contestant> contestant_entries(
   return entries;
 }
 
-/// Rebuild the per-contestant paired score series from a cohort-style
-/// table (value column `column`, grouped by `label_col` appearance order).
-std::pair<std::vector<std::string>, compare::ContestantScores>
-scores_by_label(const ResultTable& t, std::string_view label_col,
-                std::string_view column) {
-  const std::size_t lc = t.column_index(label_col);
-  const std::size_t vc = t.column_index(column);
-  std::vector<std::string> labels;
-  compare::ContestantScores scores;
-  for (const auto& row : t.rows) {
-    const std::string label = row[lc].as_string();
-    std::size_t i = labels.size();
-    for (std::size_t j = 0; j < labels.size(); ++j) {
-      if (labels[j] == label) i = j;
-    }
-    if (i == labels.size()) {
-      labels.push_back(label);
-      scores.emplace_back();
-    }
-    scores[i].push_back(row[vc].as_double());
-  }
-  return {std::move(labels), std::move(scores)};
-}
-
 }  // namespace
 
 ResultTable run_multi_contestants(const StudySpec& spec) {
@@ -121,63 +98,72 @@ ResultTable run_multi_contestants(const StudySpec& spec) {
   return t;
 }
 
-void summarize_multi_contestants(const ResultTable& t, std::FILE* out) {
+std::vector<ResultTable> summarize_multi_contestants(const ResultTable& t) {
   const StudySpec& spec = t.spec.value();
-  const auto [names, scores] = scores_by_label(t, "contestant", "measure");
+  std::vector<std::string> names;
+  compare::ContestantScores scores;
+  for (const RowGroup& contestant : group_rows(t, {"contestant"})) {
+    names.push_back(contestant.cell("contestant").as_string());
+    scores.push_back(contestant.values("measure"));
+  }
 
-  std::fprintf(out, "mean performance per contestant\n");
+  ResultTable means = summary_block("mean performance per contestant",
+                                    {"contestant", "mean", "std"});
   for (std::size_t c = 0; c < names.size(); ++c) {
-    std::fprintf(out, "  %-12s %.4f ± %.4f\n", names[c].c_str(),
-                 stats::mean(scores[c]), stats::stddev(scores[c]));
+    means.add_row({Cell{names[c]}, Cell{stats::mean(scores[c])},
+                   Cell{stats::stddev(scores[c])}});
   }
 
-  std::fprintf(out, "\npairwise P(row > column)\n  %-12s", "");
-  for (const auto& n : names) {
-    std::fprintf(out, " %10s", n.substr(0, 10).c_str());
-  }
-  std::fprintf(out, "\n");
+  std::vector<std::string> columns{"contestant"};
+  columns.insert(columns.end(), names.begin(), names.end());
+  ResultTable pairwise =
+      summary_block("pairwise P(row > column)", std::move(columns));
   const auto pab = compare::pairwise_pab_matrix(scores);
   for (std::size_t i = 0; i < names.size(); ++i) {
-    std::fprintf(out, "  %-12s", names[i].c_str());
+    Row row{Cell{names[i]}};
     for (std::size_t j = 0; j < names.size(); ++j) {
-      std::fprintf(out, " %10.2f", pab(i, j));
+      row.push_back(Cell{pab(i, j)});
     }
-    std::fprintf(out, "\n");
+    pairwise.add_row(row);
   }
 
-  std::fprintf(out,
-               "\ntop group (best + all not significantly-and-meaningfully "
-               "worse)\n");
   rngx::Rng top_rng{rngx::derive_seed(spec.seed, "top")};
   const auto top = compare::significance_top_group(
       exec::ExecContext::serial(), scores, top_rng, spec.figure.gamma, 0.05,
       spec.figure.resamples);
-  std::fprintf(out, "  best by mean: %s (Bonferroni-adjusted alpha = %.4f)\n",
-               names[top.best].c_str(), top.adjusted_alpha);
-  std::fprintf(out, "  report together:");
-  for (const auto idx : top.group) std::fprintf(out, " %s",
-                                                names[idx].c_str());
-  std::fprintf(out, "\n");
+  std::string together;
+  for (const auto idx : top.group) {
+    together += (together.empty() ? "" : " ") + names[idx];
+  }
+  ResultTable top_group = summary_block(
+      "top group (best + all not significantly-and-meaningfully worse)",
+      {"best by mean", "Bonferroni-adjusted alpha", "report together"});
+  top_group.add_row({Cell{names[top.best]}, Cell{top.adjusted_alpha},
+                     Cell{together}});
 
-  std::fprintf(out, "\nranking stability under bootstrap of the splits\n");
+  // Near-tied contestants split P(rank 1): declaring a single winner is
+  // arbitrary, which is why the paper recommends reporting the whole
+  // significance group.
   rngx::Rng boot_rng{rngx::derive_seed(spec.seed, "rank")};
   const auto stability = compare::ranking_stability(
       exec::ExecContext::serial(), scores, boot_rng,
       4 * spec.figure.resamples);
-  std::fprintf(out, "  %-12s %12s %28s\n", "contestant", "P(rank 1)",
-               "rank distribution (1..n)");
-  for (std::size_t c = 0; c < names.size(); ++c) {
-    std::fprintf(out, "  %-12s %11.1f%%    ", names[c].c_str(),
-                 100.0 * stability.prob_first[c]);
-    for (std::size_t r = 0; r < names.size(); ++r) {
-      std::fprintf(out, " %4.0f%%", 100.0 * stability.rank_probability(c, r));
-    }
-    std::fprintf(out, "\n");
+  std::vector<std::string> rank_columns{"contestant"};
+  for (std::size_t r = 0; r < names.size(); ++r) {
+    rank_columns.push_back("rank " + std::to_string(r + 1) + " %");
   }
-  std::fprintf(out,
-               "\nReading: near-tied contestants split P(rank 1) — declaring "
-               "a single\n'winner' is arbitrary, which is why the paper "
-               "recommends reporting the\nwhole significance group.\n");
+  ResultTable ranks =
+      summary_block("ranking stability under bootstrap of the splits",
+                    std::move(rank_columns));
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    Row row{Cell{names[c]}};
+    for (std::size_t r = 0; r < names.size(); ++r) {
+      row.push_back(Cell{100.0 * stability.rank_probability(c, r)});
+    }
+    ranks.add_row(row);
+  }
+  return {std::move(means), std::move(pairwise), std::move(top_group),
+          std::move(ranks)};
 }
 
 // -------------------------------------------------------- multi_dataset
@@ -186,6 +172,14 @@ namespace {
 
 constexpr std::array<std::pair<std::string_view, double>, 3> kVariants{
     {{"tuned", 1.0}, {"half-lr", 0.5}, {"tenth-lr", 0.1}}};
+
+std::size_t variant_index(const std::string& name) {
+  for (std::size_t v = 0; v < kVariants.size(); ++v) {
+    if (kVariants[v].first == name) return v;
+  }
+  throw std::invalid_argument("multi_dataset: unknown variant '" + name +
+                              "'");
+}
 
 }  // namespace
 
@@ -252,88 +246,82 @@ ResultTable run_multi_dataset(const StudySpec& spec) {
   return t;
 }
 
-void summarize_multi_dataset(const ResultTable& t, std::FILE* out) {
-  const std::size_t dataset_col = t.column_index("dataset");
-  const std::size_t variant_col = t.column_index("variant");
-  const std::size_t measure_col = t.column_index("measure");
-  std::vector<std::string> datasets;
-  for (const auto& row : t.rows) {
-    const std::string d = row[dataset_col].as_string();
-    if (datasets.empty() || datasets.back() != d) datasets.push_back(d);
-  }
-  // Raw series per (dataset, variant).
-  std::vector<std::array<std::vector<double>, kVariants.size()>> series(
-      datasets.size());
-  for (const auto& row : t.rows) {
-    std::size_t d = 0;
-    while (datasets[d] != row[dataset_col].as_string()) ++d;
-    std::size_t v = 0;
-    while (kVariants[v].first != row[variant_col].as_string()) ++v;
-    series[d][v].push_back(row[measure_col].as_double());
-  }
-
+std::vector<ResultTable> summarize_multi_dataset(const ResultTable& t) {
+  const auto datasets = group_rows(t, {"dataset"});
+  std::vector<std::string> columns{"dataset"};
+  for (const auto& [name, mult] : kVariants) columns.emplace_back(name);
+  ResultTable scores =
+      summary_block("mean score per (dataset, variant)", std::move(columns));
   math::Matrix mean_scores{datasets.size(), kVariants.size()};
-  std::fprintf(out, "mean score per (dataset, variant)\n  %-18s", "dataset");
-  for (const auto& [name, mult] : kVariants) {
-    std::fprintf(out, " %10s", std::string{name}.c_str());
-  }
-  std::fprintf(out, "\n");
-  for (std::size_t d = 0; d < datasets.size(); ++d) {
-    std::fprintf(out, "  %-18s", datasets[d].c_str());
-    for (std::size_t v = 0; v < kVariants.size(); ++v) {
-      mean_scores(d, v) = stats::mean(series[d][v]);
-      std::fprintf(out, " %10.4f", mean_scores(d, v));
-    }
-    std::fprintf(out, "\n");
-  }
-
-  std::fprintf(out, "\nDemsar: Friedman test + Nemenyi critical difference\n");
-  if (datasets.size() < 2) {
-    // Both rank across datasets: one dataset has nothing to rank against.
-    std::fprintf(out,
-                 "  skipped: both need at least 2 datasets, this table has "
-                 "%zu\n",
-                 datasets.size());
-  } else {
-    const auto fr = stats::friedman_test(mean_scores);
-    std::fprintf(out, "  chi2_F = %.3f, p = %.4f (Iman-Davenport F = %.3f)\n",
-                 fr.chi_squared, fr.p_value, fr.iman_davenport_f);
-    std::fprintf(out, "  average ranks:");
-    for (std::size_t v = 0; v < kVariants.size(); ++v) {
-      std::fprintf(out, " %s=%.2f", std::string{kVariants[v].first}.c_str(),
-                   fr.average_ranks[v]);
-    }
-    std::fprintf(out, "\n  Nemenyi CD (alpha=0.05) = %.2f ranks\n",
-                 stats::nemenyi_critical_difference(kVariants.size(),
-                                                    datasets.size()));
-    const auto group = stats::nemenyi_top_group(fr, datasets.size());
-    std::fprintf(out, "  indistinguishable-from-best group:");
-    for (const auto v : group) {
-      std::fprintf(out, " %s", std::string{kVariants[v].first}.c_str());
-    }
-    std::fprintf(out, "\n");
-  }
-
-  std::fprintf(out,
-               "\nDror et al.: per-dataset replicability (tuned vs "
-               "tenth-lr)\n");
+  // Dror et al.: tuned vs tenth-lr, per dataset.
   std::vector<double> pvals;
   for (std::size_t d = 0; d < datasets.size(); ++d) {
+    std::array<std::vector<double>, kVariants.size()> series;
+    for (const RowGroup& variant : datasets[d].by({"variant"})) {
+      series[variant_index(variant.cell("variant").as_string())] =
+          variant.values("measure");
+    }
+    Row row{Cell{datasets[d].cell("dataset").as_string()}};
+    for (std::size_t v = 0; v < kVariants.size(); ++v) {
+      mean_scores(d, v) = stats::mean(series[v]);
+      row.push_back(Cell{mean_scores(d, v)});
+    }
+    scores.add_row(row);
     pvals.push_back(
-        stats::wilcoxon_signed_rank(series[d][0], series[d][2]).p_value);
+        stats::wilcoxon_signed_rank(series[0], series[2]).p_value);
   }
+  std::vector<ResultTable> blocks;
+  blocks.push_back(std::move(scores));
+
+  const std::string demsar =
+      "Demsar: Friedman test + Nemenyi critical difference";
+  if (datasets.size() < 2) {
+    // Both rank across datasets: one dataset has nothing to rank against.
+    ResultTable skipped = summary_block(demsar, {"skipped", "datasets"});
+    skipped.add_row(
+        {Cell{"both need at least 2 datasets"}, Cell{datasets.size()}});
+    blocks.push_back(std::move(skipped));
+  } else {
+    const auto fr = stats::friedman_test(mean_scores);
+    std::string group;
+    for (const auto v : stats::nemenyi_top_group(fr, datasets.size())) {
+      group += (group.empty() ? "" : " ") + std::string{kVariants[v].first};
+    }
+    ResultTable friedman = summary_block(
+        demsar, {"chi2_F", "p", "Iman-Davenport F", "alpha",
+                 "Nemenyi CD (ranks)", "indistinguishable-from-best group"});
+    friedman.add_row(
+        {Cell{fr.chi_squared}, Cell{fr.p_value}, Cell{fr.iman_davenport_f},
+         Cell{0.05},
+         Cell{stats::nemenyi_critical_difference(kVariants.size(),
+                                                 datasets.size())},
+         Cell{group}});
+    blocks.push_back(std::move(friedman));
+    ResultTable ranks = summary_block("Friedman average ranks",
+                                      {"variant", "average rank"});
+    for (std::size_t v = 0; v < kVariants.size(); ++v) {
+      ranks.add_row({Cell{std::string{kVariants[v].first}},
+                     Cell{fr.average_ranks[v]}});
+    }
+    blocks.push_back(std::move(ranks));
+  }
+
   const auto rep = stats::replicability_analysis(pvals, 0.05);
+  ResultTable per_dataset = summary_block(
+      "Dror et al.: per-dataset replicability (tuned vs tenth-lr)",
+      {"dataset", "p", "verdict"});
   for (std::size_t d = 0; d < datasets.size(); ++d) {
-    std::fprintf(out, "  %-18s p = %.4f  %s\n", datasets[d].c_str(),
-                 pvals[d], rep.significant[d] ? "significant" : "-");
+    per_dataset.add_row({Cell{datasets[d].cell("dataset").as_string()},
+                         Cell{pvals[d]},
+                         rep.significant[d] ? Cell{"significant"} : Cell{}});
   }
-  std::fprintf(out, "  significant on %zu/%zu datasets; improves-on-all: %s\n",
-               rep.significant_count, rep.dataset_count,
-               rep.improves_on_all ? "YES" : "no");
-  std::fprintf(out,
-               "\nReading: with few datasets the Friedman test's power is "
-               "limited,\nwhile the per-dataset counting verdict is direct "
-               "and interpretable.\n");
+  blocks.push_back(std::move(per_dataset));
+  ResultTable verdict = summary_block(
+      "Dror et al. verdict", {"significant", "datasets", "improves on all"});
+  verdict.add_row({Cell{rep.significant_count}, Cell{rep.dataset_count},
+                   Cell{rep.improves_on_all ? "yes" : "no"}});
+  blocks.push_back(std::move(verdict));
+  return blocks;
 }
 
 // --------------------------------------------------------------- table8
@@ -465,29 +453,23 @@ ResultTable run_table8(const StudySpec& spec) {
   return t;
 }
 
-void summarize_table8(const ResultTable& t, std::FILE* out) {
-  const std::size_t model_col = t.column_index("model");
-  const std::size_t auc_col = t.column_index("auc");
-  const std::size_t pcc_col = t.column_index("pcc");
-  std::fprintf(out, "  %-40s %14s %14s\n", "model design", "AUC", "PCC");
-  for (const std::string_view model : kTable8Models) {
-    std::vector<double> auc;
-    std::vector<double> pcc;
-    for (const auto& row : t.rows) {
-      if (row[model_col].as_string() != model) continue;
-      auc.push_back(row[auc_col].as_double());
-      pcc.push_back(row[pcc_col].as_double());
-    }
-    std::fprintf(out, "  %-40s %7.3f±%.3f %7.3f±%.3f\n",
-                 std::string{model}.c_str(), stats::mean(auc),
-                 stats::stddev(auc), stats::mean(pcc), stats::stddev(pcc));
+std::vector<ResultTable> summarize_table8(const ResultTable& t) {
+  ResultTable models = summary_block(
+      "model design", {"model", "AUC mean", "AUC std", "PCC mean", "PCC std"});
+  for (const RowGroup& model : group_rows(t, {"model"})) {
+    const auto auc = model.values("auc");
+    const auto pcc = model.values("pcc");
+    models.add_row({Cell{model.cell("model").as_string()},
+                    Cell{stats::mean(auc)}, Cell{stats::stddev(auc)},
+                    Cell{stats::mean(pcc)}, Cell{stats::stddev(pcc)}});
   }
-  std::fprintf(out,
-               "\n  paper (Table 8, NetMHC-CVsplits): NetMHCpan4 AUC .854 "
-               "PCC .620;\n  MHCflurry .964*/.671* (leakage-inflated); "
-               "MLP-MHC .861/.660.\nShape check: designs within a few points "
-               "of each other; the ensemble\nat least matches the equivalent "
-               "single model.\n");
+  ResultTable paper = summary_block("paper (Table 8, NetMHC-CVsplits)",
+                                    {"model", "AUC", "PCC", "note"});
+  paper.add_row({Cell{"NetMHCpan4"}, Cell{0.854}, Cell{0.620}, Cell{}});
+  paper.add_row(
+      {Cell{"MHCflurry"}, Cell{0.964}, Cell{0.671}, Cell{"leakage-inflated"}});
+  paper.add_row({Cell{"MLP-MHC"}, Cell{0.861}, Cell{0.660}, Cell{}});
+  return {std::move(models), std::move(paper)};
 }
 
 // --------------------------------------------------- ablation_splitters
@@ -607,42 +589,35 @@ ResultTable run_ablation_splitters(const StudySpec& spec) {
   return t;
 }
 
-void summarize_ablation_splitters(const ResultTable& t, std::FILE* out) {
-  const std::size_t strategy_col = t.column_index("strategy");
-  const std::size_t mean_col = t.column_index("mean");
-  const std::size_t std_col = t.column_index("within_std");
+std::vector<ResultTable> summarize_ablation_splitters(const ResultTable& t) {
+  const auto strategies = group_rows(t, {"strategy"});
   double truth = 0.0;
-  for (const auto& row : t.rows) {
-    if (row[strategy_col].as_string() == "truth") {
-      truth = row[mean_col].as_double();
+  for (const RowGroup& strategy : strategies) {
+    if (strategy.cell("strategy").as_string() == "truth") {
+      truth = strategy.cell("mean").as_double();
     }
   }
-  std::fprintf(out, "ground truth (fresh draws from D): accuracy = %.4f\n\n",
-               truth);
-  std::fprintf(out, "%zu measures per procedure, repeated\n",
-               kSplitsPerProcedure);
-  for (const std::string_view strategy : kStrategies) {
-    std::vector<double> means;
-    std::vector<double> withins;
-    for (const auto& row : t.rows) {
-      if (row[strategy_col].as_string() != strategy) continue;
-      means.push_back(row[mean_col].as_double());
-      withins.push_back(row[std_col].as_double());
-    }
+  ResultTable ground = summary_block("ground truth (fresh draws from D)",
+                                     {"accuracy"});
+  ground.add_row({Cell{truth}});
+  // The fixed held-out set has the smallest within-procedure spread, but
+  // its mean carries the bias of one arbitrary split; CV's folds overlap in
+  // train data, correlating its measures.
+  ResultTable procedures = summary_block(
+      "procedures, repeated",
+      {"strategy", "measures per procedure", "mean", "|mean-truth|",
+       "std(mean)", "within-std"});
+  for (const RowGroup& strategy : strategies) {
+    const std::string& name = strategy.cell("strategy").as_string();
+    if (name == "truth") continue;
+    const auto means = strategy.values("mean");
     const double mean = stats::mean(means);
-    std::fprintf(out,
-                 "  %-18s mean=%.4f  |mean-truth|=%.4f  std(mean)=%.4f  "
-                 "within-std=%.4f\n",
-                 std::string{strategy}.c_str(), mean, std::abs(mean - truth),
-                 stats::stddev(means), stats::mean(withins));
+    procedures.add_row({Cell{name}, Cell{kSplitsPerProcedure}, Cell{mean},
+                        Cell{std::abs(mean - truth)},
+                        Cell{stats::stddev(means)},
+                        Cell{stats::mean(strategy.values("within_std"))}});
   }
-  std::fprintf(out,
-               "\nReading: the fixed held-out set has the smallest "
-               "*within*-procedure\nspread but its mean estimate carries the "
-               "bias of that one arbitrary\nsplit — the paper's argument for "
-               "out-of-bootstrap when the goal is the\nexpected performance "
-               "on D. CV's folds overlap in train data,\ncorrelating its "
-               "measures; OOB supports any train/test sizes.\n");
+  return {std::move(ground), std::move(procedures)};
 }
 
 }  // namespace varbench::study::figures

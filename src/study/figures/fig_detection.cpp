@@ -5,7 +5,6 @@
 // paired-vs-unpaired ablation. Raw rows are one simulation round each (0/1
 // detection flags per criterion) on per-round streams; the rate curves are
 // averages derived at summary time.
-#include <array>
 #include <iterator>
 #include <memory>
 #include <stdexcept>
@@ -93,31 +92,32 @@ const char* region_label(double p, double gamma) {
                                                : "H0H1";
 }
 
-std::vector<std::size_t> criterion_columns(const ResultTable& t) {
-  std::vector<std::size_t> cols;
-  for (const char* name : kDetectionCriteria) {
-    cols.push_back(t.column_index(name));
-  }
-  return cols;
+/// 100 × the mean of 0/1 hits: a detection rate in percent.
+double percent(const std::vector<double>& hits) {
+  double sum = 0.0;
+  for (const double h : hits) sum += h;
+  return 100.0 * sum / static_cast<double>(hits.size());
 }
 
-/// The rate table of both detection summaries: a header, then per grid
-/// point its truth region and each criterion's detection rate (hits over
-/// rounds), every line prefixed by `indent`.
-void print_detection_rates(std::FILE* out, const char* indent, double gamma,
-                           const std::vector<double>& p_grid,
-                           const std::vector<std::array<double, 4>>& hits,
-                           const std::vector<double>& rounds) {
-  std::fprintf(out, "%s%-6s %-8s %8s %13s %9s %11s\n", indent, "P(A>B)",
-               "region", "oracle", "single_point", "average", "prob_outp.");
-  for (std::size_t gi = 0; gi < p_grid.size(); ++gi) {
-    std::fprintf(out, "%s%-6.2f %-8s %7.0f%% %12.0f%% %8.0f%% %10.0f%%\n",
-                 indent, p_grid[gi], region_label(p_grid[gi], gamma),
-                 100.0 * hits[gi][0] / rounds[gi],
-                 100.0 * hits[gi][1] / rounds[gi],
-                 100.0 * hits[gi][2] / rounds[gi],
-                 100.0 * hits[gi][3] / rounds[gi]);
+/// The rate table of both detection summaries: per grid point P(A>B) (its
+/// rounds pooled by equal p), its truth region and each criterion's
+/// detection rate.
+ResultTable detection_rates(std::string name, const RowGroup& rounds,
+                            double gamma) {
+  std::vector<std::string> columns{"P(A>B)", "region"};
+  for (const char* criterion : kDetectionCriteria) {
+    columns.push_back(std::string{criterion} + " %");
   }
+  ResultTable block = summary_block(std::move(name), std::move(columns));
+  for (const RowGroup& point : rounds.by({"p"})) {
+    const double p = point.cell("p").as_double();
+    Row row{Cell{p}, Cell{region_label(p, gamma)}};
+    for (const char* criterion : kDetectionCriteria) {
+      row.push_back(Cell{percent(point.values(criterion))});
+    }
+    block.add_row(row);
+  }
+  return block;
 }
 
 }  // namespace
@@ -140,28 +140,9 @@ ResultTable run_detection(const StudySpec& spec) {
   return t;
 }
 
-void summarize_detection(const ResultTable& t, std::FILE* out) {
-  const std::size_t p_col = t.column_index("p");
-  const std::vector<std::size_t> cols = criterion_columns(t);
-  // Grid points in first-appearance order; rows are round-ordered, so each
-  // p value's rounds are contiguous.
-  std::vector<double> p_grid;
-  std::vector<std::array<double, 4>> hits;
-  std::vector<double> rounds;
-  for (const auto& row : t.rows) {
-    const double p = row[p_col].as_double();
-    if (p_grid.empty() || p_grid.back() != p) {
-      p_grid.push_back(p);
-      hits.push_back({});
-      rounds.push_back(0.0);
-    }
-    rounds.back() += 1.0;
-    for (std::size_t ci = 0; ci < cols.size(); ++ci) {
-      hits.back()[ci] += row[cols[ci]].as_double();
-    }
-  }
-  print_detection_rates(out, "", t.spec.value().figure.gamma, p_grid, hits,
-                        rounds);
+std::vector<ResultTable> summarize_detection(const ResultTable& t) {
+  return {detection_rates("detection rates", all_rows(t),
+                          t.spec.value().figure.gamma)};
 }
 
 // ---------------------------------------------------------------- fig06
@@ -181,44 +162,19 @@ ResultTable run_fig06(const StudySpec& spec) {
   return t;
 }
 
-void summarize_fig06(const ResultTable& t, std::FILE* out) {
-  const std::size_t est_col = t.column_index("estimator");
-  const std::size_t p_col = t.column_index("p");
-  const std::vector<std::size_t> cols = criterion_columns(t);
-  for (const std::string_view est : {"ideal", "fix_all"}) {
-    std::fprintf(out, "\n%s estimator (%s)\n", std::string{est}.c_str(),
-                 est == "ideal" ? "solid lines"
-                                : "FixHOptEst(k, All), dashed lines");
-    // Grid points in first-appearance order, averaged over every task.
-    std::vector<double> p_grid;
-    std::vector<std::array<double, 4>> hits;
-    std::vector<double> rounds;
-    for (const auto& row : t.rows) {
-      if (row[est_col].as_string() != est) continue;
-      const double p = row[p_col].as_double();
-      std::size_t gi = p_grid.size();
-      for (std::size_t i = 0; i < p_grid.size(); ++i) {
-        if (p_grid[i] == p) gi = i;
-      }
-      if (gi == p_grid.size()) {
-        p_grid.push_back(p);
-        hits.push_back({});
-        rounds.push_back(0.0);
-      }
-      rounds[gi] += 1.0;
-      for (std::size_t ci = 0; ci < cols.size(); ++ci) {
-        hits[gi][ci] += row[cols[ci]].as_double();
-      }
-    }
-    print_detection_rates(out, "  ", t.spec.value().figure.gamma, p_grid,
-                          hits, rounds);
+std::vector<ResultTable> summarize_fig06(const ResultTable& t) {
+  std::vector<ResultTable> blocks;
+  for (const RowGroup& est : group_rows(t, {"estimator"})) {
+    // Each estimator's rates are averaged over every task.
+    const std::string& label = est.cell("estimator").as_string();
+    blocks.push_back(detection_rates(
+        label + " estimator (" +
+            (label == "ideal" ? "solid lines"
+                              : "FixHOptEst(k, All), dashed lines") +
+            ")",
+        est, t.spec.value().figure.gamma));
   }
-  std::fprintf(out,
-               "\nShape check vs paper: at P=0.5 single_point has the "
-               "highest FP rate;\nin the H1 region average has the highest FN "
-               "rate and prob_outperforming\ntracks the oracle most closely; "
-               "the biased estimator degrades\nprob_outperforming only "
-               "mildly.\n");
+  return blocks;
 }
 
 // ---------------------------------------------------------------- figI6
@@ -297,57 +253,24 @@ ResultTable run_figI6(const StudySpec& spec) {
   return t;
 }
 
-void summarize_figI6(const ResultTable& t, std::FILE* out) {
-  const std::size_t axis_col = t.column_index("axis");
-  const std::size_t p_col = t.column_index("p");
-  const std::size_t x_col = t.column_index("x");
-  const std::size_t avg_col = t.column_index("average");
-  const std::size_t pab_col = t.column_index("prob_outperforming");
-  const std::size_t tt_col = t.column_index("t_test");
-  for (const std::string_view axis : {"k", "gamma"}) {
-    std::fprintf(out, "\ndetection rate vs %s\n",
-                 axis == "k" ? "sample size (at the spec gamma)"
-                             : "gamma (at the spec k)");
-    std::fprintf(out, "  %-8s %-10s %9s %9s %9s\n", "P(A>B)",
-                 axis == "k" ? "k" : "gamma", "average", "prob_outp",
-                 "t-test");
-    double p = -1.0;
-    double x = -1.0;
-    double n = 0.0;
-    std::array<double, 3> sums{};
-    const auto flush = [&] {
-      if (n == 0.0) return;
-      if (axis == "k") {
-        std::fprintf(out, "  %-8.2f %-10.0f %8.0f%% %8.0f%% %8.0f%%\n", p, x,
-                     100.0 * sums[0] / n, 100.0 * sums[1] / n,
-                     100.0 * sums[2] / n);
-      } else {
-        std::fprintf(out, "  %-8.2f %-10.2f %8.0f%% %8.0f%% %8.0f%%\n", p, x,
-                     100.0 * sums[0] / n, 100.0 * sums[1] / n,
-                     100.0 * sums[2] / n);
-      }
-      n = 0.0;
-      sums = {};
-    };
-    for (const auto& row : t.rows) {
-      if (row[axis_col].as_string() != axis) continue;
-      if (row[p_col].as_double() != p || row[x_col].as_double() != x) {
-        flush();
-        p = row[p_col].as_double();
-        x = row[x_col].as_double();
-      }
-      n += 1.0;
-      sums[0] += row[avg_col].as_double();
-      sums[1] += row[pab_col].as_double();
-      sums[2] += row[tt_col].as_double();
+std::vector<ResultTable> summarize_figI6(const ResultTable& t) {
+  std::vector<ResultTable> blocks;
+  for (const RowGroup& axis : group_rows(t, {"axis"})) {
+    const bool by_k = axis.cell("axis").as_string() == "k";
+    ResultTable block = summary_block(
+        by_k ? "detection rate vs sample size (at the spec gamma)"
+             : "detection rate vs gamma (at the spec k)",
+        {"P(A>B)", by_k ? "k" : "gamma", "average %", "prob_outperforming %",
+         "t-test %"});
+    for (const RowGroup& point : axis.by({"p", "x"})) {
+      block.add_row({point.cell("p").to_json(), point.cell("x").to_json(),
+                     Cell{percent(point.values("average"))},
+                     Cell{percent(point.values("prob_outperforming"))},
+                     Cell{percent(point.values("t_test"))}});
     }
-    flush();
+    blocks.push_back(std::move(block));
   }
-  std::fprintf(out,
-               "\nShape check vs paper: at P=0.5 all methods stay near/below "
-               "~5-10%%\nregardless of k; for P>=0.7 the P(A>B) test's rate "
-               "grows with k while\nthe fixed-delta average barely moves; "
-               "raising gamma lowers detection\nrates for both methods.\n");
+  return blocks;
 }
 
 // ----------------------------------------------------- ablation_pairing
@@ -423,39 +346,18 @@ ResultTable run_ablation_pairing(const StudySpec& spec) {
   return t;
 }
 
-void summarize_ablation_pairing(const ResultTable& t, std::FILE* out) {
-  const std::size_t edge_col = t.column_index("edge");
-  const std::size_t paired_col = t.column_index("paired");
-  const std::size_t unpaired_col = t.column_index("unpaired");
-  std::fprintf(out, "\n  %-12s %18s %18s\n", "true edge", "paired detection",
-               "unpaired detection");
-  double edge = -1.0;
-  double n = 0.0;
-  double paired = 0.0;
-  double unpaired = 0.0;
-  const auto flush = [&] {
-    if (n == 0.0) return;
-    std::fprintf(out, "  %-12.3f %17.0f%% %17.0f%%\n", edge,
-                 100.0 * paired / n, 100.0 * unpaired / n);
-    n = paired = unpaired = 0.0;
-  };
-  for (const auto& row : t.rows) {
-    if (row[edge_col].as_double() != edge) {
-      flush();
-      edge = row[edge_col].as_double();
-    }
-    n += 1.0;
-    paired += row[paired_col].as_double();
-    unpaired += row[unpaired_col].as_double();
+std::vector<ResultTable> summarize_ablation_pairing(const ResultTable& t) {
+  // For true edges below the shared-noise scale kSharedStd, pairing
+  // removes the shared split effect from Var(A-B).
+  ResultTable block = summary_block(
+      "paired vs unpaired detection",
+      {"true edge", "paired detection %", "unpaired detection %"});
+  for (const RowGroup& edge : group_rows(t, {"edge"})) {
+    block.add_row({edge.cell("edge").to_json(),
+                   Cell{percent(edge.values("paired"))},
+                   Cell{percent(edge.values("unpaired"))}});
   }
-  flush();
-  std::fprintf(out,
-               "\nReading: at edge=0 both stay near the nominal "
-               "false-positive rate;\nfor small true edges (below the "
-               "shared-noise scale %.3f) the paired\ndesign detects far more "
-               "often — pairing removes the shared split\neffect from "
-               "Var(A-B).\n",
-               kSharedStd);
+  return {std::move(block)};
 }
 
 }  // namespace varbench::study::figures

@@ -4,7 +4,6 @@
 // nulls if an algorithm stops early) so `seq` stays a dense enumeration.
 #include <algorithm>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,23 +35,16 @@ SeedCurves run_one_seed(const casestudies::CaseStudy& cs,
   auto split_rng = seeds.rng_for(rngx::VariationSource::kDataSplit);
   const auto split = cs.splitter->split(*cs.pool, split_rng);
   const auto [trainvalid, test] = core::materialize(*cs.pool, split);
-  // Inner split for the HPO objective.
+  // HOpt's inner split for the objective, as run_hpo makes it.
   auto hpo_rng = seeds.rng_for(rngx::VariationSource::kHpo);
-  std::vector<std::size_t> order(trainvalid.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  hpo_rng.shuffle(order);
-  const std::size_t n_valid = order.size() / 4;
-  const auto inner_valid = ml::subset(
-      trainvalid, std::span<const std::size_t>{order.data(), n_valid});
-  const auto inner_train = ml::subset(
-      trainvalid, std::span<const std::size_t>{order.data() + n_valid,
-                                               order.size() - n_valid});
+  const core::InnerSplit inner = core::inner_split(
+      trainvalid, core::HpoRunConfig{}.validation_fraction, hpo_rng);
   SeedCurves out;
   double best_valid = 1e9;
   double test_at_best = 1e9;
   const hpo::Objective objective = [&](const hpo::ParamPoint& lambda) {
     const double valid_risk =
-        1.0 - cs.pipeline->train_and_evaluate(inner_train, inner_valid,
+        1.0 - cs.pipeline->train_and_evaluate(inner.train, inner.valid,
                                               lambda, seeds);
     if (valid_risk < best_valid) {
       best_valid = valid_risk;
@@ -128,7 +120,7 @@ ResultTable run_figF2(const StudySpec& spec) {
   return t;
 }
 
-void summarize_figF2(const ResultTable& t, std::FILE* out) {
+std::vector<ResultTable> summarize_figF2(const ResultTable& t) {
   const std::size_t budget = t.spec.value().figure.budget;
   std::vector<std::size_t> checkpoints{1, std::max<std::size_t>(1, budget / 4),
                                        std::max<std::size_t>(1, budget / 2),
@@ -136,60 +128,34 @@ void summarize_figF2(const ResultTable& t, std::FILE* out) {
                                        budget};
   checkpoints.erase(std::unique(checkpoints.begin(), checkpoints.end()),
                     checkpoints.end());
-  const std::size_t task_col = t.column_index("task");
-  const std::size_t algo_col = t.column_index("algo");
-  const std::size_t iter_col = t.column_index("iter");
-  const std::size_t valid_col = t.column_index("valid");
-  const std::size_t test_col = t.column_index("test");
-  // (task, algo) groups in first-appearance order.
-  std::vector<std::pair<std::string, std::string>> groups;
-  for (const auto& row : t.rows) {
-    std::pair<std::string, std::string> key{row[task_col].as_string(),
-                                            row[algo_col].as_string()};
-    if (groups.empty() || groups.back() != key) groups.push_back(key);
-  }
-  std::string task;
-  for (const auto& [group_task, algo] : groups) {
-    if (group_task != task) {
-      task = group_task;
-      std::fprintf(out, "\n%s (risk = 1 - metric)\n", task.c_str());
-      std::fprintf(out, "  %-22s", "algorithm");
-      for (const std::size_t c : checkpoints) {
-        std::fprintf(out, "      iter %3zu", c);
-      }
-      std::fprintf(out, "\n");
-    }
-    for (const auto* which : {"valid", "test"}) {
-      const std::size_t value_col =
-          std::string_view{which} == "valid" ? valid_col : test_col;
-      std::fprintf(out, "  %-22s",
-                   (algo + " [" + which + "]").c_str());
-      for (const std::size_t c : checkpoints) {
-        std::vector<double> at;
-        for (const auto& row : t.rows) {
-          if (row[task_col].as_string() != task ||
-              row[algo_col].as_string() != algo ||
-              row[iter_col].as_uint64() != c - 1 ||
-              row[value_col].is_null()) {
-            continue;
-          }
-          at.push_back(row[value_col].as_double());
+  std::vector<ResultTable> blocks;
+  for (const RowGroup& task : group_rows(t, {"task"})) {
+    ResultTable block = summary_block(
+        task.cell("task").as_string() + " (risk = 1 - metric)",
+        {"algorithm", "iter", "valid mean", "valid std", "test mean",
+         "test std"});
+    for (const RowGroup& algo : task.by({"algo"})) {
+      for (const RowGroup& iter : algo.by({"iter"})) {
+        const std::size_t at = iter.cell("iter").as_uint64() + 1;
+        if (std::find(checkpoints.begin(), checkpoints.end(), at) ==
+            checkpoints.end()) {
+          continue;
         }
-        if (at.empty()) {
-          std::fprintf(out, " %13s", "-");
-        } else {
-          std::fprintf(out, " %6.3f±%.3f", stats::mean(at),
-                       stats::stddev(at));
+        Row row{Cell{algo.cell("algo").as_string()}, Cell{at}};
+        // Across-seed mean and std; a checkpoint every seed's curve
+        // stopped before stays null.
+        for (const char* curve : {"valid", "test"}) {
+          const auto at_iter = iter.values(curve);
+          row.push_back(at_iter.empty() ? Cell{} : Cell{stats::mean(at_iter)});
+          row.push_back(at_iter.empty() ? Cell{}
+                                        : Cell{stats::stddev(at_iter)});
         }
+        block.add_row(row);
       }
-      std::fprintf(out, "\n");
     }
+    blocks.push_back(std::move(block));
   }
-  std::fprintf(out,
-               "\nShape check vs paper: all algorithms reach similar final "
-               "valid risk;\nthe across-seed std (the ±) does not keep "
-               "shrinking with more\niterations — HPO variance would not "
-               "vanish with larger budgets.\n");
+  return blocks;
 }
 
 }  // namespace varbench::study::figures

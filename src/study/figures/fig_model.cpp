@@ -64,61 +64,48 @@ ResultTable run_fig05(const StudySpec& spec) {
   return t;
 }
 
-void summarize_fig05(const ResultTable& t, std::FILE* out) {
-  const std::size_t task_col = t.column_index("task");
-  const std::size_t est_col = t.column_index("estimator");
-  const std::size_t k_col = t.column_index("k");
-  const std::size_t mean_col = t.column_index("mean_measure");
-  std::vector<std::string> tasks;
-  for (const auto& row : t.rows) {
-    const std::string task = row[task_col].as_string();
-    if (tasks.empty() || tasks.back() != task) tasks.push_back(task);
+std::vector<ResultTable> summarize_fig05(const ResultTable& t) {
+  std::vector<std::string> columns{"k", "IdealEst"};
+  for (const auto& [label, subset] : kSubsets) {
+    const std::string name{core::to_string(subset)};
+    columns.push_back(name + " analytic");
+    columns.push_back(name + " simulated");
   }
-  for (const auto& task : tasks) {
-    const auto& calib = casestudies::calibration_for(task);
-    // k values in first-appearance order for this task.
-    std::vector<std::size_t> ks;
-    for (const auto& row : t.rows) {
-      if (row[task_col].as_string() != task) continue;
-      const auto k = static_cast<std::size_t>(row[k_col].as_uint64());
-      bool known = false;
-      for (const std::size_t x : ks) known = known || x == k;
-      if (!known) ks.push_back(k);
-    }
-    std::fprintf(out, "\n%-18s (sigma_ideal=%.4f %s)\n",
-                 calib.paper_task.c_str(), calib.sigma_ideal,
-                 calib.metric.c_str());
-    std::fprintf(out, "  %-4s %12s %14s %14s %14s\n", "k", "IdealEst",
-                 "Fix(k,Init)", "Fix(k,Data)", "Fix(k,All)");
-    for (const std::size_t k : ks) {
-      std::fprintf(out, "  %-4zu %12.5f", k,
-                   calib.sigma_ideal / std::sqrt(static_cast<double>(k)));
+  std::vector<ResultTable> blocks;
+  ResultTable plateaus = summary_block(
+      "plateau equivalents: FixHOptEst(k, subset) ~ IdealEst(plateau k)",
+      {"task", "metric", "sigma_ideal", "Init plateau k", "Data plateau k",
+       "All plateau k"});
+  for (const RowGroup& task : group_rows(t, {"task"})) {
+    const auto& calib =
+        casestudies::calibration_for(task.cell("task").as_string());
+    ResultTable block = summary_block(calib.paper_task, columns);
+    for (const RowGroup& at_k : task.by({"k"})) {
+      const auto k = static_cast<std::size_t>(at_k.cell("k").as_uint64());
+      Row row{Cell{k},
+              Cell{calib.sigma_ideal / std::sqrt(static_cast<double>(k))}};
+      const auto estimators = at_k.by({"estimator"});
       for (const auto& [label, subset] : kSubsets) {
         std::vector<double> means;
-        for (const auto& row : t.rows) {
-          if (row[task_col].as_string() == task &&
-              row[est_col].as_string() == label &&
-              static_cast<std::size_t>(row[k_col].as_uint64()) == k) {
-            means.push_back(row[mean_col].as_double());
+        for (const RowGroup& est : estimators) {
+          if (est.cell("estimator").as_string() == label) {
+            means = est.values("mean_measure");
           }
         }
-        const double analytic = std::sqrt(core::biased_estimator_variance(
-            calib.sigma_ideal * calib.sigma_ideal, calib.rho_for(subset), k));
-        std::fprintf(out, " %7.5f/%.5f", analytic, stats::stddev(means));
+        row.push_back(Cell{std::sqrt(core::biased_estimator_variance(
+            calib.sigma_ideal * calib.sigma_ideal, calib.rho_for(subset),
+            k))});
+        row.push_back(Cell{stats::stddev(means)});
       }
-      std::fprintf(out, "\n");
+      block.add_row(row);
     }
-    std::fprintf(out,
-                 "  plateau equivalents: Init ~ IdealEst(k=%.1f), Data ~ "
-                 "IdealEst(k=%.1f), All ~ IdealEst(k=%.1f)\n",
-                 1.0 / calib.rho_init, 1.0 / calib.rho_data,
-                 1.0 / calib.rho_all);
+    blocks.push_back(std::move(block));
+    plateaus.add_row({Cell{calib.paper_task}, Cell{calib.metric},
+                      Cell{calib.sigma_ideal}, Cell{1.0 / calib.rho_init},
+                      Cell{1.0 / calib.rho_data}, Cell{1.0 / calib.rho_all}});
   }
-  std::fprintf(out,
-               "\nShape check vs paper: column order Ideal <= Fix(All) <= "
-               "Fix(Data)\n<= Fix(Init) at every k>1, with Fix(Init) "
-               "flattening earliest\n(analytic/simulated pairs agree within "
-               "Monte-Carlo noise).\n");
+  blocks.push_back(std::move(plateaus));
+  return blocks;
 }
 
 // ---------------------------------------------------------------- figH5
@@ -203,72 +190,48 @@ ResultTable run_figH5(const StudySpec& spec) {
   return t;
 }
 
-void summarize_figH5(const ResultTable& t, std::FILE* out) {
+std::vector<ResultTable> summarize_figH5(const ResultTable& t) {
   const StudySpec& spec = t.spec.value();
-  const std::size_t task_col = t.column_index("task");
-  const std::size_t est_col = t.column_index("estimator");
-  const std::size_t mean_col = t.column_index("mean");
-  const std::size_t m2_col = t.column_index("m2");
-  std::string task;
-  std::string est;
-  std::vector<double> means;
-  double m2_sum = 0.0;
-  const auto flush = [&] {
-    if (means.empty()) return;
-    const auto& v = h5_variant(est);
-    const std::size_t k = h5_k(spec, v);
-    const double mu = casestudies::calibration_for(task).mu;
-    const double n = static_cast<double>(means.size());
-    const double grand = stats::mean(means);
-    const double var_means = stats::variance(means);
-    // Pooled variance of all n·k single draws via the law of total
-    // variance: Σᵢ m2ᵢ + k·Σᵢ(meanᵢ − grand)², over n·k − 1.
-    double between = 0.0;
-    for (const double m : means) between += (m - grand) * (m - grand);
-    const double var_singles =
-        n * static_cast<double>(k) > 1.0
-            ? (m2_sum + static_cast<double>(k) * between) /
-                  (n * static_cast<double>(k) - 1.0)
-            : 0.0;
-    double mse = 0.0;
-    for (const double m : means) mse += (m - mu) * (m - mu);
-    mse /= n;
-    char label[32];
-    if (v.ideal_profile) {
-      std::snprintf(label, sizeof label, "IdealEst(%zu)", k);
-    } else {
-      std::snprintf(label, sizeof label, "FixHOptEst(%zu, %s)", k,
-                    std::string{core::to_string(v.subset)}.c_str());
+  std::vector<ResultTable> blocks;
+  for (const RowGroup& task : group_rows(t, {"task"})) {
+    const auto& calib =
+        casestudies::calibration_for(task.cell("task").as_string());
+    ResultTable block = summary_block(
+        calib.paper_task + " (metric=" + calib.metric + ")",
+        {"estimator", "k", "bias", "Var(mu_k)", "rho", "MSE"});
+    for (const RowGroup& est : task.by({"estimator"})) {
+      const auto& v = h5_variant(est.cell("estimator").as_string());
+      const std::size_t k = h5_k(spec, v);
+      const auto means = est.values("mean");
+      double m2_sum = 0.0;
+      for (const double m2 : est.values("m2")) m2_sum += m2;
+      const double n = static_cast<double>(means.size());
+      const double grand = stats::mean(means);
+      const double var_means = stats::variance(means);
+      // Pooled variance of all n·k single draws via the law of total
+      // variance: Σᵢ m2ᵢ + k·Σᵢ(meanᵢ − grand)², over n·k − 1.
+      double between = 0.0;
+      for (const double m : means) between += (m - grand) * (m - grand);
+      const double var_singles =
+          n * static_cast<double>(k) > 1.0
+              ? (m2_sum + static_cast<double>(k) * between) /
+                    (n * static_cast<double>(k) - 1.0)
+              : 0.0;
+      double mse = 0.0;
+      for (const double m : means) mse += (m - calib.mu) * (m - calib.mu);
+      mse /= n;
+      block.add_row(
+          {Cell{v.ideal_profile ? std::string{"IdealEst"}
+                                : "FixHOptEst(" +
+                                      std::string{core::to_string(v.subset)} +
+                                      ")"},
+           Cell{k}, Cell{std::abs(grand - calib.mu)}, Cell{var_means},
+           Cell{stats::implied_correlation(var_means, var_singles, k)},
+           Cell{mse}});
     }
-    std::fprintf(out, "  %-24s %10.5f %12.3e %8.3f %12.3e\n", label,
-                 std::abs(grand - mu), var_means,
-                 stats::implied_correlation(var_means, var_singles, k), mse);
-    means.clear();
-    m2_sum = 0.0;
-  };
-  for (const auto& row : t.rows) {
-    if (row[task_col].as_string() != task ||
-        row[est_col].as_string() != est) {
-      flush();
-      if (row[task_col].as_string() != task) {
-        task = row[task_col].as_string();
-        const auto& calib = casestudies::calibration_for(task);
-        std::fprintf(out, "\n%-18s (metric=%s)\n", calib.paper_task.c_str(),
-                     calib.metric.c_str());
-        std::fprintf(out, "  %-24s %10s %12s %8s %12s\n", "estimator", "bias",
-                     "Var(mu_k)", "rho", "MSE");
-      }
-      est = row[est_col].as_string();
-    }
-    means.push_back(row[mean_col].as_double());
-    m2_sum += row[m2_col].as_double();
+    blocks.push_back(std::move(block));
   }
-  flush();
-  std::fprintf(out,
-               "\nShape check vs paper: IdealEst(k) has the smallest MSE by "
-               "far;\namong the biased estimators MSE improves in the order "
-               "Init -> Data ->\nAll, driven by the drop in rho, not by "
-               "bias.\n");
+  return blocks;
 }
 
 }  // namespace varbench::study::figures

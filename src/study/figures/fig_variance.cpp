@@ -5,7 +5,6 @@
 // shard_index/shard_count support; the G.3 "Altogether" group fans out on
 // its own per-index streams. A multi-task figure adds every task's ranges
 // to one plan and emits its rows after the plan has run.
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -20,32 +19,6 @@
 namespace varbench::study::figures {
 
 namespace {
-
-/// Group the (task, source) rows of a variance-style table in
-/// first-appearance order — tables are seq-ordered, so groups are
-/// contiguous in complete artifacts.
-struct SourceGroup {
-  std::string task;
-  std::string source;
-  std::vector<double> measures;
-};
-
-std::vector<SourceGroup> source_groups(const ResultTable& t) {
-  const std::size_t task_col = t.column_index("task");
-  const std::size_t source_col = t.column_index("source");
-  const std::size_t measure_col = t.column_index("measure");
-  std::vector<SourceGroup> groups;
-  for (const auto& row : t.rows) {
-    const std::string task = row[task_col].as_string();
-    const std::string source = row[source_col].as_string();
-    if (groups.empty() || groups.back().task != task ||
-        groups.back().source != source) {
-      groups.push_back(SourceGroup{task, source, {}});
-    }
-    groups.back().measures.push_back(row[measure_col].as_double());
-  }
-  return groups;
-}
 
 core::VarianceStudyConfig variance_config(const StudySpec& spec) {
   core::VarianceStudyConfig cfg;
@@ -87,6 +60,29 @@ void emit_variance_rows(const StudySpec& spec, const Row& lead,
   }
 }
 
+/// A variance-sources block over one study's rows grouped by source: each
+/// source's mean, std, and std over the data-bootstrap row's std (0 when
+/// there is no bootstrap spread).
+ResultTable sources_block(std::string name,
+                          const std::vector<RowGroup>& sources) {
+  double boot = 0.0;
+  for (const RowGroup& g : sources) {
+    if (g.cell("source").as_string() == "Data (bootstrap)") {
+      boot = stats::stddev(g.values("measure"));
+    }
+  }
+  ResultTable block = summary_block(std::move(name),
+                                    {"source", "mean", "std", "std/bootstrap"});
+  for (const RowGroup& g : sources) {
+    const auto measures = g.values("measure");
+    const double stddev = stats::stddev(measures);
+    block.add_row({Cell{g.cell("source").as_string()},
+                   Cell{stats::mean(measures)}, Cell{stddev},
+                   Cell{boot > 0.0 ? stddev / boot : 0.0}});
+  }
+  return block;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- variance
@@ -108,30 +104,8 @@ ResultTable run_variance(const StudySpec& spec) {
   return t;
 }
 
-void summarize_variance(const ResultTable& t, std::FILE* out) {
-  const std::size_t source_col = t.column_index("source");
-  const std::size_t measure_col = t.column_index("measure");
-  // Group by source label in first-appearance (engine) order.
-  std::vector<std::pair<std::string, std::vector<double>>> groups;
-  for (const auto& row : t.rows) {
-    const std::string label = row[source_col].as_string();
-    if (groups.empty() || groups.back().first != label) {
-      groups.emplace_back(label, std::vector<double>{});
-    }
-    groups.back().second.push_back(row[measure_col].as_double());
-  }
-  double boot = 0.0;
-  for (const auto& [label, measures] : groups) {
-    if (label == "Data (bootstrap)") boot = stats::stddev(measures);
-  }
-  std::fprintf(out, "%-22s %10s %10s %14s\n", "source", "mean", "std",
-               "std/bootstrap");
-  for (const auto& [label, measures] : groups) {
-    const double mean = stats::mean(measures);
-    const double stddev = stats::stddev(measures);
-    std::fprintf(out, "%-22s %10.4f %10.4f %14.2f\n", label.c_str(), mean,
-                 stddev, boot > 0.0 ? stddev / boot : 0.0);
-  }
+std::vector<ResultTable> summarize_variance(const ResultTable& t) {
+  return {sources_block("variance per source", group_rows(t, {"source"}))};
 }
 
 // ---------------------------------------------------------------- fig01
@@ -163,32 +137,13 @@ ResultTable run_fig01(const StudySpec& spec) {
   return t;
 }
 
-void summarize_fig01(const ResultTable& t, std::FILE* out) {
-  const auto groups = source_groups(t);
-  std::string task;
-  double boot = 0.0;
-  for (const auto& g : groups) {
-    if (g.task != task) {
-      task = g.task;
-      boot = 0.0;
-      for (const auto& other : groups) {
-        if (other.task == task && other.source == "Data (bootstrap)") {
-          boot = stats::stddev(other.measures);
-        }
-      }
-      std::fprintf(out, "\n%s\n", task.c_str());
-      std::fprintf(out, "  %-22s %10s %10s %14s\n", "source", "mean", "std",
-                   "std/bootstrap");
-    }
-    const double stddev = stats::stddev(g.measures);
-    std::fprintf(out, "  %-22s %10.4f %10.4f %14.2f\n", g.source.c_str(),
-                 stats::mean(g.measures), stddev,
-                 boot > 0.0 ? stddev / boot : 0.0);
+std::vector<ResultTable> summarize_fig01(const ResultTable& t) {
+  std::vector<ResultTable> blocks;
+  for (const RowGroup& task : group_rows(t, {"task"})) {
+    blocks.push_back(
+        sources_block(task.cell("task").as_string(), task.by({"source"})));
   }
-  std::fprintf(out,
-               "\nShape check vs paper: bootstrap row should have the largest "
-               "std in\nmost tasks, and the HPO rows should be comparable to "
-               "the weight-init\nrow (Fig. 1's center-of-mass).\n");
+  return blocks;
 }
 
 // ---------------------------------------------------------------- figG3
@@ -241,24 +196,33 @@ ResultTable run_figG3(const StudySpec& spec) {
   return t;
 }
 
-void summarize_figG3(const ResultTable& t, std::FILE* out) {
-  std::fprintf(out, "  %-18s %-22s %8s %8s\n", "task", "source", "W",
-               "p-value");
-  for (const auto& g : source_groups(t)) {
-    if (stats::min_value(g.measures) == stats::max_value(g.measures)) {
-      std::fprintf(out, "  %-18s %-22s %8s %8s (constant)\n", g.task.c_str(),
-                   g.source.c_str(), "-", "-");
-      continue;
+std::vector<ResultTable> summarize_figG3(const ResultTable& t) {
+  ResultTable block = summary_block("Shapiro-Wilk per (task, source)",
+                                    {"task", "source", "W", "p-value",
+                                     "verdict"});
+  for (const RowGroup& g : group_rows(t, {"task", "source"})) {
+    const auto measures = g.values("measure");
+    // W and p stay null where the test is undefined: a constant group, or
+    // a size outside its domain (as report's normality estimator).
+    Cell w;
+    Cell p;
+    Cell verdict;
+    if (stats::min_value(measures) == stats::max_value(measures)) {
+      verdict = Cell{"constant"};
+    } else if (measures.size() < 3) {
+      verdict = Cell{"n < 3"};
+    } else if (measures.size() > 5000) {
+      verdict = Cell{"n > 5000"};
+    } else {
+      const auto sw = stats::shapiro_wilk(measures);
+      w = Cell{sw.w_statistic};
+      p = Cell{sw.p_value};
+      if (sw.p_value < 0.05) verdict = Cell{"non-normal"};
     }
-    const auto sw = stats::shapiro_wilk(g.measures);
-    std::fprintf(out, "  %-18s %-22s %8.4f %8.4f%s\n", g.task.c_str(),
-                 g.source.c_str(), sw.w_statistic, sw.p_value,
-                 sw.p_value < 0.05 ? "  *non-normal" : "");
+    block.add_row({Cell{g.cell("task").as_string()},
+                   Cell{g.cell("source").as_string()}, w, p, verdict});
   }
-  std::fprintf(out,
-               "\nShape check vs paper: most (task, source) cells accept "
-               "normality at\np>0.05; small-test-set tasks may reject due to "
-               "discretized accuracies.\n");
+  return {std::move(block)};
 }
 
 }  // namespace varbench::study::figures

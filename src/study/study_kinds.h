@@ -1,15 +1,15 @@
 // The study-kind table: one row per StudyKind binds everything about a
 // kind — its spec name, its `varbench list` title, the paper claim it
 // checks, whether it shards, the params it declares, its defaults, its
-// runner and its summary printer. Row i is enumerator i (static_assert'd
+// runner and its summarizer. Row i is enumerator i (static_assert'd
 // in src/study/study_kinds.cpp), so a new kind is an enumerator plus one
-// row; the spec layer, run_study, print_summary, `varbench list` and the
-// campaign planner all read the row.
+// row; the spec layer, run_study, report::print_summary, `varbench list`
+// and the campaign planner all read the row.
 #pragma once
 
-#include <cstdio>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "src/study/result_table.h"
 #include "src/study/study_spec.h"
@@ -62,7 +62,9 @@ struct StudyKindDef {
   /// empty needs a registered case study in every spec.
   void (*defaults)(StudySpec&) = nullptr;
   ResultTable (*run)(const StudySpec&) = nullptr;
-  void (*summarize)(const ResultTable&, std::FILE*) = nullptr;
+  /// The summary of a complete table, computed from its raw rows: one
+  /// spec-less table per block, named by its heading, in print order.
+  std::vector<ResultTable> (*summarize)(const ResultTable&) = nullptr;
 };
 
 /// Every kind's row, in enumerator order.

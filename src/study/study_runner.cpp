@@ -124,28 +124,4 @@ io::Json study_kinds_json() {
   return kinds;
 }
 
-void print_summary(const ResultTable& table, std::FILE* out) {
-  if (!table.is_complete()) {
-    std::fprintf(out,
-                 "partial artifact: shard %s of '%s' (%zu rows) — run "
-                 "`varbench merge` over all %zu shard files for summaries\n",
-                 table.shard.label().c_str(), table.name.c_str(),
-                 table.rows.size(), table.shard.count);
-    return;
-  }
-  if (!table.spec.has_value()) {
-    std::fprintf(out, "'%s': %zu rows × %zu columns (seed %llu)\n",
-                 table.name.c_str(), table.rows.size(), table.columns.size(),
-                 static_cast<unsigned long long>(table.seed));
-    return;
-  }
-  const StudyKindDef& def = kind_def(table.spec->kind);
-  if (!def.claim.empty()) {
-    std::fprintf(out, "%.*s\n  paper claim: %.*s\n",
-                 static_cast<int>(def.title.size()), def.title.data(),
-                 static_cast<int>(def.claim.size()), def.claim.data());
-  }
-  def.summarize(table, out);
-}
-
 }  // namespace varbench::study

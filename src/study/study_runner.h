@@ -10,7 +10,7 @@
 // (docs/study_api.md).
 #pragma once
 
-#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "src/study/result_table.h"
@@ -30,13 +30,6 @@ void validate_study_spec(const StudySpec& spec);
 /// time). Throws io::JsonError /
 /// std::invalid_argument with actionable messages.
 [[nodiscard]] ResultTable run_study(const StudySpec& spec);
-
-/// Human-readable summary of a *complete* table (shard 1/1), computed from
-/// the raw rows: per-source statistics for variance studies, the P(A>B)
-/// decision for comparisons, detection-rate curves, etc.; a figure kind's
-/// summary opens with its title and paper claim. For a partial (shard)
-/// table, prints a note pointing at `varbench merge`.
-void print_summary(const ResultTable& table, std::FILE* out);
 
 /// One row of `varbench list`: everything a user needs to write a spec for
 /// the kind — its name, what it reproduces, whether `--shard` applies, and

@@ -10,7 +10,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -28,6 +27,7 @@
 #include "src/report/artifact.h"
 #include "src/rngx/rng.h"
 #include "src/study/result_table.h"
+#include "src/study/study_kinds.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
 
@@ -271,16 +271,9 @@ std::uint64_t read_u64(const std::string& bytes, std::size_t off);
 void write_u64(std::string& bytes, std::size_t off, std::uint64_t v);
 std::size_t entry_off(const std::string& bytes, std::size_t ci);
 
-/// Everything print_summary writes for `table`.
-std::string summary_text(const ResultTable& table) {
-  std::FILE* f = std::tmpfile();
-  if (f == nullptr) return "<no tmpfile>";
-  print_summary(table, f);
-  std::string text(static_cast<std::size_t>(std::ftell(f)), '\0');
-  std::rewind(f);
-  text.resize(std::fread(text.data(), 1, text.size(), f));
-  std::fclose(f);
-  return text;
+/// The summary blocks of `table`'s kind.
+std::vector<ResultTable> summary_of(const ResultTable& table) {
+  return kind_def(table.spec.value().kind).summarize(table);
 }
 
 TEST(ColumnarRoundTrip, EveryRegisteredStudyKind) {
@@ -290,17 +283,23 @@ TEST(ColumnarRoundTrip, EveryRegisteredStudyKind) {
     ASSERT_GT(table.rows.size(), 0u) << info.name;
     expect_vbt_roundtrip(table, dir.file(info.name + ".vbt"));
     // Every kind's summarizer runs over the row views, built and adopted
-    // alike, with the same text.
-    const std::string summary = summary_text(table);
+    // alike, with the same tables.
+    const std::vector<ResultTable> summary = summary_of(table);
     EXPECT_GT(summary.size(), 0u) << info.name;
     if (info.kind == StudyKind::kMultiDataset) {
       // One dataset: nothing for the Friedman test to rank across.
-      EXPECT_NE(summary.find("skipped: both need at least 2 datasets, this "
-                             "table has 1"),
-                std::string::npos)
-          << summary;
+      ASSERT_GE(summary.size(), 2u);
+      const ResultTable& demsar = summary[1];
+      EXPECT_EQ(demsar.name,
+                "Demsar: Friedman test + Nemenyi critical difference");
+      ASSERT_EQ(demsar.columns,
+                (std::vector<std::string>{"skipped", "datasets"}));
+      ASSERT_EQ(demsar.rows.size(), 1u);
+      EXPECT_EQ(demsar.rows[0][0].as_string(),
+                "both need at least 2 datasets");
+      EXPECT_EQ(demsar.rows[0][1].as_uint64(), 1u);
     }
-    EXPECT_EQ(summary_text(ResultTable::load(dir.file(info.name + ".vbt"))),
+    EXPECT_EQ(summary_of(ResultTable::load(dir.file(info.name + ".vbt"))),
               summary)
         << info.name;
   }

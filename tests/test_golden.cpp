@@ -1,21 +1,29 @@
-// The golden manifest (tests/golden/study_kinds.json): for each pinned
+// The golden manifests. tests/golden/study_kinds.json: for each pinned
 // spec, the FNV-1a hash (rngx::hash_tag) of its artifact's canonical text
 // and its row count, at each pinned thread count. The pins were recorded
 // from run_study on the code before a change that had to leave every byte
 // where it was, so they are goldens, not self-consistency: a change that
 // moves a byte fails here, and the failure names every kind that moved.
-// A change that moves bytes on purpose re-records the pins and says so in
-// CHANGES.md.
+// tests/golden/summaries.json: for one tiny spec of every kind, the hash
+// of its summary blocks' to_json_text (in order) and the block count,
+// recorded when the summaries became tables. A change that moves bytes or
+// summary cells on purpose re-records the pins and says so in CHANGES.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/io/json.h"
 #include "src/rngx/rng.h"
 #include "src/study/result_table.h"
+#include "src/study/study_kinds.h"
 #include "src/study/study_runner.h"
 #include "src/study/study_spec.h"
 
@@ -28,32 +36,75 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-TEST(GoldenManifest, PinnedSpecsReproduceTheirCanonicalText) {
-  const io::Json manifest = io::Json::parse(
-      io::read_file(VARBENCH_GOLDEN_DIR "/study_kinds.json"));
-  ASSERT_EQ(manifest.at("schema").as_string(), "varbench.golden.v1");
+/// What a pin records of one run: a hash and a count.
+using Measure = std::function<std::pair<std::uint64_t, std::uint64_t>(
+    const ResultTable&)>;
+
+/// Runs every (spec, threads) pin of the manifest `file` and returns one
+/// line per pin whose measure moved from its pinned `hash_key` and
+/// `count_key` values, naming the kind. Appends each entry's kind to
+/// `kinds`.
+std::string moved_pins(const std::string& file, std::string_view schema,
+                       const std::string& hash_key,
+                       const std::string& count_key, const Measure& measure,
+                       std::vector<StudyKind>& kinds) {
+  const io::Json manifest = io::Json::parse(io::read_file(file));
+  EXPECT_EQ(manifest.at("schema").as_string(), schema);
   const io::Json::Array& entries = manifest.at("entries").as_array();
-  ASSERT_FALSE(entries.empty());
+  EXPECT_FALSE(entries.empty());
   std::string moved;
   for (const io::Json& entry : entries) {
     StudySpec spec = StudySpec::from_json(entry.at("spec"));
-    ASSERT_TRUE(spec.shard.is_unsharded()) << to_string(spec.kind);
+    EXPECT_TRUE(spec.shard.is_unsharded()) << to_string(spec.kind);
+    kinds.push_back(spec.kind);
     for (const io::Json& pin : entry.at("pins").as_array()) {
       spec.threads = pin.at("threads").as_uint64();
-      const ResultTable t = run_study(spec);
-      const std::string hash = hex(rngx::hash_tag(t.canonical_text()));
-      const std::uint64_t rows = t.rows.size();
-      const std::string& want_hash = pin.at("canonical_hash").as_string();
-      const std::uint64_t want_rows = pin.at("rows").as_uint64();
-      if (hash != want_hash || rows != want_rows) {
+      const auto [hash, count] = measure(run_study(spec));
+      const std::string& want_hash = pin.at(hash_key).as_string();
+      const std::uint64_t want_count = pin.at(count_key).as_uint64();
+      if (hex(hash) != want_hash || count != want_count) {
         moved += "\n  " + std::string{to_string(spec.kind)} + " at " +
-                 std::to_string(spec.threads) + " threads: " + hash + ", " +
-                 std::to_string(rows) + " rows (pinned " + want_hash + ", " +
-                 std::to_string(want_rows) + " rows)";
+                 std::to_string(spec.threads) + " threads: " + hex(hash) +
+                 ", " + std::to_string(count) + " " + count_key +
+                 " (pinned " + want_hash + ", " +
+                 std::to_string(want_count) + ")";
       }
     }
   }
+  return moved;
+}
+
+TEST(GoldenManifest, PinnedSpecsReproduceTheirCanonicalText) {
+  std::vector<StudyKind> kinds;
+  const std::string moved = moved_pins(
+      VARBENCH_GOLDEN_DIR "/study_kinds.json", "varbench.golden.v1",
+      "canonical_hash", "rows",
+      [](const ResultTable& t) {
+        return std::pair<std::uint64_t, std::uint64_t>{
+            rngx::hash_tag(t.canonical_text()), t.rows.size()};
+      },
+      kinds);
   EXPECT_TRUE(moved.empty()) << "kinds whose artifacts moved:" << moved;
+}
+
+TEST(GoldenManifest, EveryKindsSummaryBlocksArePinned) {
+  std::vector<StudyKind> kinds;
+  const std::string moved = moved_pins(
+      VARBENCH_GOLDEN_DIR "/summaries.json", "varbench.golden_summaries.v1",
+      "summary_hash", "blocks",
+      [](const ResultTable& t) {
+        const auto blocks = kind_def(t.spec.value().kind).summarize(t);
+        std::string text;
+        for (const ResultTable& block : blocks) text += block.to_json_text();
+        return std::pair<std::uint64_t, std::uint64_t>{rngx::hash_tag(text),
+                                                       blocks.size()};
+      },
+      kinds);
+  EXPECT_TRUE(moved.empty()) << "kinds whose summaries moved:" << moved;
+  for (const StudyKindDef& def : study_kinds()) {
+    EXPECT_NE(std::find(kinds.begin(), kinds.end(), def.kind), kinds.end())
+        << def.name << " has no summary pin";
+  }
 }
 
 }  // namespace

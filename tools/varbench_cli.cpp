@@ -221,7 +221,7 @@ int finish_study(const study::ResultTable& table, const Args& a) {
     io::write_file(*csv, table.to_csv());
     std::fprintf(stderr, "wrote %s\n", csv->c_str());
   }
-  study::print_summary(table, stdout);
+  report::print_summary(table, stdout);
   return 0;
 }
 
@@ -374,7 +374,7 @@ int cmd_merge(const Args& a) {
     io::write_file(*csv, merged.to_csv());
     std::fprintf(stderr, "wrote %s\n", csv->c_str());
   }
-  study::print_summary(merged, stdout);
+  report::print_summary(merged, stdout);
   return 0;
 }
 
