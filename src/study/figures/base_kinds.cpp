@@ -4,6 +4,7 @@
 // fig_variance.cpp, and the detection simulation Fig. 6's in
 // fig_detection.cpp.
 #include <stdexcept>
+#include <utility>
 
 #include "src/core/estimators.h"
 #include "src/rngx/rng.h"
@@ -76,8 +77,9 @@ ResultTable run_compare(const StudySpec& spec) {
   };
   // Paired runs are independent given per-run streams; fan them out. Both
   // configurations see the same ξ within a run (App. C.2 pairing).
-  const auto measures = exec::parallel_replicate_range<PairedMeasure>(
-      exec_of(spec), slice_of(spec, spec.repetitions), master, "compare",
+  RowPlan rows{spec, {"rep", "perf_a", "perf_b"}};
+  rows.replicates<PairedMeasure>(
+      spec.repetitions, 1, master.next_u64(), "compare",
       [&](std::size_t, rngx::Rng& run_rng) {
         const auto seeds = rngx::VariationSeeds::random(run_rng);
         return PairedMeasure{
@@ -85,16 +87,11 @@ ResultTable run_compare(const StudySpec& spec) {
                                       params_a, seeds),
             core::measure_with_params(*cs.pipeline, *cs.pool, *cs.splitter,
                                       params_b, seeds)};
+      },
+      [](std::size_t rep, const PairedMeasure& m, std::size_t) {
+        return Row{Cell{rep}, Cell{m.a}, Cell{m.b}};
       });
-
-  ResultTable t;
-  t.columns = {"seq", "rep", "perf_a", "perf_b"};
-  const auto slice = slice_of(spec, spec.repetitions);
-  for (std::size_t j = 0; j < measures.size(); ++j) {
-    const std::size_t rep = slice.begin + j;
-    t.add_row({Cell{rep}, Cell{rep}, Cell{measures[j].a}, Cell{measures[j].b}});
-  }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_compare(const ResultTable& t) {
@@ -143,13 +140,12 @@ ResultTable run_hpo(const StudySpec& spec) {
   core::FitCounter fits;
   const double perf = core::run_pipeline_once(*cs.pipeline, *cs.pool,
                                               *cs.splitter, cfg, seeds, &fits);
-  ResultTable t;
-  t.columns = {"seq", "rep", "algo", "metric", "measure", "fits"};
-  t.add_row({Cell{std::size_t{0}}, Cell{std::size_t{0}},
-             Cell{std::string{algo->name()}},
-             Cell{std::string{ml::to_string(cs.pipeline->metric())}},
-             Cell{perf}, Cell{fits.fits.load()}});
-  return t;
+  RowPlan rows{spec, {"rep", "algo", "metric", "measure", "fits"}};
+  const Row row{Cell{std::size_t{0}}, Cell{std::string{algo->name()}},
+                Cell{std::string{ml::to_string(cs.pipeline->metric())}},
+                Cell{perf}, Cell{fits.fits.load()}};
+  rows.group(1, 1, [row](std::size_t, std::size_t) { return row; });
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_hpo(const ResultTable& t) {
@@ -176,31 +172,29 @@ ResultTable run_estimator(const StudySpec& spec) {
   hpo_cfg.algorithm = algo.get();
   hpo_cfg.budget = spec.figure.hpo_budget;
 
-  ResultTable t;
-  t.columns = {"seq", "estimator", "rep", "measure"};
+  RowPlan rows{spec, {"estimator", "rep", "measure"}};
   const std::size_t k = spec.repetitions;
-  const auto slice = slice_of(spec, k);
-  std::size_t offset = 0;
+  const auto slice = rows.slice(k);
   for (const auto& name : spec.figure.estimators) {
     const EstimatorName& est = estimator_by_name(name);
     // Per-estimator master stream derived from (seed, name): independent of
     // the estimator order and identical in every shard.
     rngx::Rng master{rngx::derive_seed(spec.seed, name)};
-    const auto result =
+    auto result =
         est.ideal
             ? core::ideal_estimator(exec_of(spec), *cs.pipeline, *cs.pool,
                                     *cs.splitter, hpo_cfg, k, slice, master)
             : core::fix_hopt_estimator(exec_of(spec), *cs.pipeline, *cs.pool,
                                        *cs.splitter, hpo_cfg, k, est.subset,
                                        slice, master);
-    for (std::size_t j = 0; j < result.measures.size(); ++j) {
-      const std::size_t rep = slice.begin + j;
-      t.add_row({Cell{offset + rep}, Cell{name}, Cell{rep},
-                 Cell{result.measures[j]}});
-    }
-    offset += k;
+    rows.group(k, 1,
+               [name, measures = std::move(result.measures),
+                begin = slice.begin](std::size_t rep, std::size_t) {
+                 return Row{Cell{name}, Cell{rep},
+                            Cell{measures.at(rep - begin)}};
+               });
   }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_estimator(const ResultTable& t) {

@@ -19,18 +19,14 @@ namespace varbench::study::figures {
 // ---------------------------------------------------------------- fig03
 
 ResultTable run_fig03(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq",         "task",  "year",      "accuracy",
-               "improvement", "sigma", "threshold", "significant"};
   const double z = stats::normal_quantile(0.95);
   // Build the full enumeration (cheap: static series), emit the slice.
-  std::vector<Row> rows;
+  std::vector<Row> all;
   for (const auto& series : casestudies::sota_series()) {
     const double threshold = z * std::sqrt(2.0) * series.benchmark_sigma;
     for (std::size_t i = 0; i < series.points.size(); ++i) {
       const auto& pt = series.points[i];
-      Row row{Cell{rows.size()}, Cell{series.task}, Cell{pt.year},
-              Cell{pt.accuracy}};
+      Row row{Cell{series.task}, Cell{pt.year}, Cell{pt.accuracy}};
       if (i == 0) {
         row.push_back(Cell{});  // baseline: no increment
         row.push_back(Cell{series.benchmark_sigma});
@@ -45,14 +41,16 @@ ResultTable run_fig03(const StudySpec& spec) {
         row.push_back(Cell{
             static_cast<std::size_t>(improvement > threshold ? 1 : 0)});
       }
-      rows.push_back(std::move(row));
+      all.push_back(std::move(row));
     }
   }
-  const auto slice = slice_of(spec, rows.size());
-  for (std::size_t i = slice.begin; i < slice.end; ++i) {
-    t.add_row(std::move(rows[i]));
-  }
-  return t;
+  RowPlan rows{spec, {"task", "year", "accuracy", "improvement", "sigma",
+                      "threshold", "significant"}};
+  const std::size_t n = all.size();
+  rows.group(n, 1, [all = std::move(all)](std::size_t i, std::size_t) {
+    return all[i];
+  });
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_fig03(const ResultTable& t) {
@@ -103,21 +101,21 @@ std::vector<ResultTable> summarize_fig03(const ResultTable& t) {
 // ---------------------------------------------------------------- fig04
 
 ResultTable run_fig04(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq", "k", "T", "ideal_fits", "fixhopt_fits", "ratio"};
-  const std::size_t n = spec.figure.k_grid.size() * spec.figure.t_grid.size();
-  const auto slice = slice_of(spec, n);
-  for (std::size_t i = slice.begin; i < slice.end; ++i) {
-    const std::size_t k = spec.figure.k_grid[i / spec.figure.t_grid.size()];
-    const std::size_t budget =
-        spec.figure.t_grid[i % spec.figure.t_grid.size()];
-    const std::size_t ideal = core::ideal_estimator_cost(k, budget);
-    const std::size_t biased = core::fix_hopt_estimator_cost(k, budget);
-    t.add_row({Cell{i}, Cell{k}, Cell{budget}, Cell{ideal}, Cell{biased},
-               Cell{static_cast<double>(ideal) /
-                    static_cast<double>(biased)}});
-  }
-  return t;
+  RowPlan rows{spec, {"k", "T", "ideal_fits", "fixhopt_fits", "ratio"}};
+  const auto& k_grid = spec.figure.k_grid;
+  const auto& t_grid = spec.figure.t_grid;
+  rows.group(k_grid.size() * t_grid.size(), 1,
+             [&](std::size_t i, std::size_t) {
+               const std::size_t k = k_grid[i / t_grid.size()];
+               const std::size_t budget = t_grid[i % t_grid.size()];
+               const std::size_t ideal = core::ideal_estimator_cost(k, budget);
+               const std::size_t biased =
+                   core::fix_hopt_estimator_cost(k, budget);
+               return Row{Cell{k}, Cell{budget}, Cell{ideal}, Cell{biased},
+                          Cell{static_cast<double>(ideal) /
+                               static_cast<double>(biased)}};
+             });
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_fig04(const ResultTable& t) {
@@ -150,19 +148,17 @@ std::vector<ResultTable> summarize_fig04(const ResultTable& t) {
 // ---------------------------------------------------------------- figC1
 
 ResultTable run_figC1(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq", "gamma", "beta", "n_required"};
-  const std::size_t n =
-      spec.figure.gamma_grid.size() * spec.figure.beta_grid.size();
-  const auto slice = slice_of(spec, n);
-  for (std::size_t i = slice.begin; i < slice.end; ++i) {
-    const double gamma =
-        spec.figure.gamma_grid[i / spec.figure.beta_grid.size()];
-    const double beta = spec.figure.beta_grid[i % spec.figure.beta_grid.size()];
-    t.add_row({Cell{i}, Cell{gamma}, Cell{beta},
-               Cell{stats::noether_sample_size(gamma, 0.05, beta)}});
-  }
-  return t;
+  RowPlan rows{spec, {"gamma", "beta", "n_required"}};
+  const auto& gamma_grid = spec.figure.gamma_grid;
+  const auto& beta_grid = spec.figure.beta_grid;
+  rows.group(gamma_grid.size() * beta_grid.size(), 1,
+             [&](std::size_t i, std::size_t) {
+               const double gamma = gamma_grid[i / beta_grid.size()];
+               const double beta = beta_grid[i % beta_grid.size()];
+               return Row{Cell{gamma}, Cell{beta},
+                          Cell{stats::noether_sample_size(gamma, 0.05, beta)}};
+             });
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_figC1(const ResultTable& t) {
@@ -194,12 +190,16 @@ std::vector<ResultTable> summarize_figC1(const ResultTable& t) {
 // --------------------------------------------------------------- tableD
 
 ResultTable run_tableD(const StudySpec& spec) {
+  // The shard unit is a task, whose row count is its number of search
+  // dimensions, so the table keeps its own seq: a running count of every
+  // task's rows.
   ResultTable t;
   t.columns = {"seq", "task", "param",   "scale_kind",
                "low", "high", "default", "integer"};
   const auto tasks = resolve_tasks(spec);
-  const auto task_slice = slice_of(spec, tasks.size());
-  GroupSeq gs;
+  const auto task_slice =
+      exec::shard_subrange(tasks.size(), spec.shard.index, spec.shard.count);
+  std::size_t seq = 0;
   for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
     // Every shard walks all tasks to keep the global seq offsets exact;
     // only in-slice tasks emit rows. Search spaces and defaults are
@@ -208,13 +208,14 @@ ResultTable run_tableD(const StudySpec& spec) {
     // every task's full pool on every shard.
     const auto cs = casestudies::make_case_study(tasks[ti], 0.05);
     const auto& dims = cs.pipeline->search_space().dims();
-    const std::size_t start = gs.enter(dims.size());
-    if (ti < task_slice.begin || ti >= task_slice.end) continue;
+    if (ti < task_slice.begin || ti >= task_slice.end) {
+      seq += dims.size();
+      continue;
+    }
     const auto defaults = cs.pipeline->default_params();
-    for (std::size_t d = 0; d < dims.size(); ++d) {
-      const auto& dim = dims[d];
+    for (const auto& dim : dims) {
       const auto it = defaults.find(dim.name);
-      t.add_row({Cell{gs.seq(start, d)}, Cell{tasks[ti]}, Cell{dim.name},
+      t.add_row({Cell{seq++}, Cell{tasks[ti]}, Cell{dim.name},
                  Cell{dim.scale == hpo::ScaleKind::kLog ? "log" : "linear"},
                  Cell{dim.lo}, Cell{dim.hi},
                  Cell{it != defaults.end() ? it->second : 0.0},

@@ -13,20 +13,17 @@
 namespace varbench::study::figures {
 
 ResultTable run_fig02(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq", "task", "rep", "test_size", "measure"};
-  GroupSeq gs;
-  for (const auto& task : resolve_tasks(spec)) {
-    const auto cs = casestudies::make_case_study(task, spec.scale);
-    const auto defaults = cs.pipeline->default_params();
-    struct Point {
-      std::size_t test_size = 0;
-      double measure = 0.0;
-    };
-    const auto slice = slice_of(spec, spec.repetitions);
-    const auto points = exec::parallel_replicate_range<Point>(
-        exec_of(spec), slice, rngx::derive_seed(spec.seed, task), "fig02_rep",
-        [&](std::size_t, rngx::Rng& rng) {
+  const auto studies = task_case_studies(spec);
+  RowPlan rows{spec, {"task", "rep", "test_size", "measure"}};
+  struct Point {
+    std::size_t test_size = 0;
+    double measure = 0.0;
+  };
+  for (const auto& cs : studies) {
+    rows.replicates<Point>(
+        spec.repetitions, 1, rngx::derive_seed(spec.seed, cs.id), "fig02_rep",
+        [&cs, defaults = cs.pipeline->default_params()](std::size_t,
+                                                        rngx::Rng& rng) {
           const rngx::VariationSeeds base;
           const auto seeds =
               base.with_randomized(rngx::VariationSource::kDataSplit, rng);
@@ -36,15 +33,13 @@ ResultTable run_fig02(const StudySpec& spec) {
           return Point{split.test.size(),
                        cs.pipeline->train_and_evaluate(train, test, defaults,
                                                        seeds)};
+        },
+        [task = cs.id](std::size_t rep, const Point& p, std::size_t) {
+          return Row{Cell{task}, Cell{rep}, Cell{p.test_size},
+                     Cell{p.measure}};
         });
-    const std::size_t start = gs.enter(spec.repetitions);
-    for (std::size_t j = 0; j < points.size(); ++j) {
-      const std::size_t rep = slice.begin + j;
-      t.add_row({Cell{gs.seq(start, rep)}, Cell{task}, Cell{rep},
-                 Cell{points[j].test_size}, Cell{points[j].measure}});
-    }
   }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_fig02(const ResultTable& t) {

@@ -67,35 +67,28 @@ std::vector<Contestant> contestant_entries(
 }  // namespace
 
 ResultTable run_multi_contestants(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq", "contestant", "rep", "measure"};
+  RowPlan rows{spec, {"contestant", "rep", "measure"}};
   const auto cs = casestudies::make_case_study(spec.case_study, spec.scale);
   const auto entries = contestant_entries(*cs.pipeline);
-  const auto slice = slice_of(spec, spec.repetitions);
   // Paired design: every contestant sees the same per-rep ξ draw.
-  const auto measures =
-      exec::parallel_replicate_range<std::vector<double>>(
-          exec_of(spec), slice, rngx::derive_seed(spec.seed, "contestants"),
-          "multi_contestants_rep", [&](std::size_t, rngx::Rng& rng) {
-            const auto seeds = rngx::VariationSeeds::random(rng);
-            std::vector<double> out;
-            out.reserve(entries.size());
-            for (const auto& entry : entries) {
-              out.push_back(core::measure_with_params(
-                  *cs.pipeline, *cs.pool, *cs.splitter, entry.params, seeds));
-            }
-            return out;
-          });
-  GroupSeq gs;
-  const std::size_t start = gs.enter(spec.repetitions, entries.size());
-  for (std::size_t j = 0; j < measures.size(); ++j) {
-    const std::size_t rep = slice.begin + j;
-    for (std::size_t c = 0; c < entries.size(); ++c) {
-      t.add_row({Cell{gs.seq(start, rep, c)}, Cell{entries[c].name},
-                 Cell{rep}, Cell{measures[j][c]}});
-    }
-  }
-  return t;
+  rows.replicates<std::vector<double>>(
+      spec.repetitions, entries.size(),
+      rngx::derive_seed(spec.seed, "contestants"), "multi_contestants_rep",
+      [&](std::size_t, rngx::Rng& rng) {
+        const auto seeds = rngx::VariationSeeds::random(rng);
+        std::vector<double> out;
+        out.reserve(entries.size());
+        for (const auto& entry : entries) {
+          out.push_back(core::measure_with_params(
+              *cs.pipeline, *cs.pool, *cs.splitter, entry.params, seeds));
+        }
+        return out;
+      },
+      [&entries](std::size_t rep, const std::vector<double>& measures,
+                 std::size_t c) {
+        return Row{Cell{entries[c].name}, Cell{rep}, Cell{measures.at(c)}};
+      });
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_multi_contestants(const ResultTable& t) {
@@ -186,11 +179,7 @@ std::size_t variant_index(const std::string& name) {
 ResultTable run_multi_dataset(const StudySpec& spec) {
   using Runs = std::array<double, kVariants.size()>;
   const auto studies = task_case_studies(spec);
-  const auto slice = slice_of(spec, spec.repetitions);
-  // Every dataset's runs go into one plan; rows follow in dataset order.
-  exec::ReplicatePlan plan;
-  std::vector<const std::vector<Runs>*> runs;
-  runs.reserve(studies.size());
+  RowPlan rows{spec, {"dataset", "variant", "run", "measure"}};
   for (const auto& cs : studies) {
     // A variant whose λ equals an earlier variant's measures the same fit
     // under the same (paired) seeds, so it reuses that measure — unless
@@ -213,8 +202,9 @@ ResultTable run_multi_dataset(const StudySpec& spec) {
         }
       }
     }
-    runs.push_back(&plan.add<Runs>(
-        slice, rngx::derive_seed(spec.seed, cs.id), "multi_dataset_run",
+    rows.replicates<Runs>(
+        spec.repetitions, kVariants.size(),
+        rngx::derive_seed(spec.seed, cs.id), "multi_dataset_run",
         [&cs, params, measured_as](std::size_t, rngx::Rng& rng) {
           const auto seeds = rngx::VariationSeeds::random(rng);  // paired
           Runs out{};
@@ -226,24 +216,13 @@ ResultTable run_multi_dataset(const StudySpec& spec) {
                                                      seeds);
           }
           return out;
-        }));
+        },
+        [dataset = cs.id](std::size_t run, const Runs& runs, std::size_t v) {
+          return Row{Cell{dataset}, Cell{std::string{kVariants[v].first}},
+                     Cell{run}, Cell{runs[v]}};
+        });
   }
-  plan.run(exec_of(spec));
-  ResultTable t;
-  t.columns = {"seq", "dataset", "variant", "run", "measure"};
-  GroupSeq gs;
-  for (std::size_t k = 0; k < studies.size(); ++k) {
-    const std::size_t start = gs.enter(spec.repetitions, kVariants.size());
-    for (std::size_t j = 0; j < runs[k]->size(); ++j) {
-      const std::size_t run = slice.begin + j;
-      for (std::size_t v = 0; v < kVariants.size(); ++v) {
-        t.add_row({Cell{gs.seq(start, run, v)}, Cell{studies[k].id},
-                   Cell{std::string{kVariants[v].first}}, Cell{run},
-                   Cell{(*runs[k])[j][v]}});
-      }
-    }
-  }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_multi_dataset(const ResultTable& t) {
@@ -396,10 +375,9 @@ struct Table8Rep {
 }  // namespace
 
 ResultTable run_table8(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq", "model", "rep", "auc", "pcc"};
+  RowPlan rows{spec, {"model", "rep", "auc", "pcc"}};
   const auto cs = casestudies::make_case_study(spec.case_study, spec.scale);
-  const auto slice = slice_of(spec, spec.repetitions);
+  const auto slice = rows.slice(spec.repetitions);
   const exec::ExecContext ctx = exec_of(spec);
   // Each rep's seeds, split and member seeds, drawn from the rep's stream
   // in the order one whole-rep replicate draws them. This is cheap next to
@@ -435,22 +413,22 @@ ResultTable run_table8(const StudySpec& spec) {
           member_predictions(rep.train, rep.test, 60, rep.members[e]);
     }
   });
-  GroupSeq gs;
-  const std::size_t start =
-      gs.enter(spec.repetitions, std::size(kTable8Models));
+  std::vector<std::array<ModelScore, std::size(kTable8Models)>> scores;
   for (std::size_t j = 0; j < reps.size(); ++j) {
-    const std::size_t rep = slice.begin + j;
-    const std::array<ModelScore, 3> scores{
-        singles[j * 2], singles[j * 2 + 1],
-        ensemble_score({preds.data() + j * kEnsembleMembers, kEnsembleMembers},
-                       reps[j].test)};
-    for (std::size_t m = 0; m < std::size(kTable8Models); ++m) {
-      t.add_row({Cell{gs.seq(start, rep, m)},
-                 Cell{std::string{kTable8Models[m]}}, Cell{rep},
-                 Cell{scores[m].auc}, Cell{scores[m].pcc}});
-    }
+    scores.push_back(
+        {singles[j * 2], singles[j * 2 + 1],
+         ensemble_score(
+             {preds.data() + j * kEnsembleMembers, kEnsembleMembers},
+             reps[j].test)});
   }
-  return t;
+  rows.group(spec.repetitions, std::size(kTable8Models),
+             [scores = std::move(scores), begin = slice.begin](
+                 std::size_t rep, std::size_t m) {
+               const ModelScore& score = scores.at(rep - begin)[m];
+               return Row{Cell{std::string{kTable8Models[m]}}, Cell{rep},
+                          Cell{score.auc}, Cell{score.pcc}};
+             });
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_table8(const ResultTable& t) {
@@ -538,55 +516,50 @@ std::vector<double> run_procedure(std::string_view strategy,
 }  // namespace
 
 ResultTable run_ablation_splitters(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq", "strategy", "rep", "mean", "within_std"};
+  RowPlan rows{spec, {"strategy", "rep", "mean", "within_std"}};
   const auto gen = splitters_generator(spec.scale);
   rngx::Rng pool_rng{rngx::derive_seed(spec.seed, "pool")};
   const auto pool = ml::make_gaussian_mixture(gen, pool_rng);
   const auto tcfg = splitters_train_config();
-  GroupSeq gs;
 
   // Ground truth: train on the full pool, evaluate on a large fresh draw
-  // from the generating distribution D — a one-row group.
-  {
-    const auto truth_slice = slice_of(spec, 1);
-    const std::size_t start = gs.enter(1);
-    if (truth_slice.size() != 0) {
-      auto fresh_cfg = gen;
-      fresh_cfg.n = 20000;
-      rngx::Rng fresh_rng{rngx::derive_seed(spec.seed, "fresh")};
-      const auto fresh = ml::make_gaussian_mixture(fresh_cfg, fresh_rng);
-      const rngx::VariationSeeds base_seeds;
-      const double truth = ml::evaluate_model(
-          ml::train_mlp(pool, tcfg, base_seeds), fresh,
-          ml::Metric::kAccuracy);
-      t.add_row({Cell{gs.seq(start, 0)}, Cell{"truth"},
-                 Cell{std::size_t{0}}, Cell{truth}, Cell{0.0}});
-    }
-  }
+  // from the generating distribution D — a one-row group whose one index
+  // draws nothing from its stream.
+  rows.replicates<double>(
+      1, 1, /*master_seed=*/0, "splitters_truth",
+      [&](std::size_t, rngx::Rng&) {
+        auto fresh_cfg = gen;
+        fresh_cfg.n = 20000;
+        rngx::Rng fresh_rng{rngx::derive_seed(spec.seed, "fresh")};
+        const auto fresh = ml::make_gaussian_mixture(fresh_cfg, fresh_rng);
+        const rngx::VariationSeeds base_seeds;
+        return ml::evaluate_model(ml::train_mlp(pool, tcfg, base_seeds), fresh,
+                                  ml::Metric::kAccuracy);
+      },
+      [](std::size_t, double truth, std::size_t) {
+        return Row{Cell{"truth"}, Cell{std::size_t{0}}, Cell{truth},
+                   Cell{0.0}};
+      });
 
+  struct ProcedureStats {
+    double mean = 0.0;
+    double within_std = 0.0;
+  };
   for (const std::string_view strategy : kStrategies) {
-    const auto slice = slice_of(spec, spec.repetitions);
-    struct ProcedureStats {
-      double mean = 0.0;
-      double within_std = 0.0;
-    };
-    const auto procedures = exec::parallel_replicate_range<ProcedureStats>(
-        exec_of(spec), slice,
+    rows.replicates<ProcedureStats>(
+        spec.repetitions, 1,
         rngx::derive_seed(spec.seed, std::string{strategy}),
-        "splitters_procedure", [&](std::size_t, rngx::Rng& rng) {
+        "splitters_procedure",
+        [strategy, &pool, &tcfg](std::size_t, rngx::Rng& rng) {
           const auto m = run_procedure(strategy, pool, tcfg, rng);
           return ProcedureStats{stats::mean(m), stats::stddev(m)};
+        },
+        [strategy](std::size_t rep, const ProcedureStats& p, std::size_t) {
+          return Row{Cell{std::string{strategy}}, Cell{rep}, Cell{p.mean},
+                     Cell{p.within_std}};
         });
-    const std::size_t start = gs.enter(spec.repetitions);
-    for (std::size_t j = 0; j < procedures.size(); ++j) {
-      const std::size_t rep = slice.begin + j;
-      t.add_row({Cell{gs.seq(start, rep)}, Cell{std::string{strategy}},
-                 Cell{rep}, Cell{procedures[j].mean},
-                 Cell{procedures[j].within_std}});
-    }
   }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_ablation_splitters(const ResultTable& t) {

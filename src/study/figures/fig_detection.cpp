@@ -38,22 +38,21 @@ std::vector<std::unique_ptr<compare::ComparisonCriterion>> detection_criteria(
   return criteria;
 }
 
-/// seq, the `lead` columns, p, sim, then one 0/1 column per criterion.
+/// The `lead` columns, p, sim, then one 0/1 column per criterion.
 std::vector<std::string> detection_columns(
     const std::vector<std::string>& lead) {
-  std::vector<std::string> columns{"seq"};
-  columns.insert(columns.end(), lead.begin(), lead.end());
+  std::vector<std::string> columns = lead;
   columns.insert(columns.end(), {"p", "sim"});
   columns.insert(columns.end(), std::begin(kDetectionCriteria),
                  std::end(kDetectionCriteria));
   return columns;
 }
 
-/// Enters one `gs` group of p_grid × repetitions detection rounds for one
+/// Declares one group of p_grid × repetitions detection rounds for one
 /// task under one estimator, simulates this shard's slice of them on a
-/// stream seeded by `seed`, and adds one row per round: seq, the `lead`
-/// cells, p, sim, and one 0/1 hit per criterion.
-void add_detection_rows(ResultTable& t, GroupSeq& gs, const StudySpec& spec,
+/// stream seeded by `seed`, and emits one row per round: the `lead` cells,
+/// p, sim, and one 0/1 hit per criterion.
+void add_detection_rows(RowPlan& rows, const StudySpec& spec,
                         const casestudies::TaskCalibration& calib, bool ideal,
                         std::uint64_t seed, const Row& lead) {
   compare::DetectionRateConfig cfg;
@@ -64,25 +63,25 @@ void add_detection_rows(ResultTable& t, GroupSeq& gs, const StudySpec& spec,
                                              : spec.figure.p_grid;
   cfg.exec = exec_of(spec);
   const std::size_t rounds = cfg.p_grid.size() * cfg.simulations;
-  const std::size_t start = gs.enter(rounds);
-  const auto slice = slice_of(spec, rounds);
+  const auto slice = rows.slice(rounds);
   rngx::Rng rng{seed};
-  const auto hits = compare::detection_rounds(
+  auto hits = compare::detection_rounds(
       ideal ? calib.ideal_profile()
             : calib.profile(core::RandomizeSubset::kAll),
       ideal ? compare::EstimatorKind::kIdeal : compare::EstimatorKind::kBiased,
       detection_criteria(calib, spec), cfg, slice, rng);
-  for (std::size_t j = 0; j < hits.size(); ++j) {
-    const std::size_t round = slice.begin + j;
-    Row row{Cell{gs.seq(start, round)}};
-    row.insert(row.end(), lead.begin(), lead.end());
-    row.push_back(Cell{cfg.p_grid[round / cfg.simulations]});
-    row.push_back(Cell{round % cfg.simulations});
-    for (const std::uint8_t h : hits[j]) {
-      row.push_back(Cell{static_cast<std::size_t>(h)});
-    }
-    t.add_row(std::move(row));
-  }
+  rows.group(rounds, 1,
+             [lead, p_grid = cfg.p_grid, simulations = cfg.simulations,
+              hits = std::move(hits),
+              begin = slice.begin](std::size_t round, std::size_t) {
+               Row row = lead;
+               row.push_back(Cell{p_grid[round / simulations]});
+               row.push_back(Cell{round % simulations});
+               for (const std::uint8_t h : hits.at(round - begin)) {
+                 row.push_back(Cell{static_cast<std::size_t>(h)});
+               }
+               return row;
+             });
 }
 
 const char* region_label(double p, double gamma) {
@@ -131,13 +130,10 @@ ResultTable run_detection(const StudySpec& spec) {
                                 "'ideal' or 'biased', got '" +
                                 spec.figure.estimator + "'");
   }
-  ResultTable t;
-  t.columns = detection_columns({});
-  GroupSeq gs;
-  add_detection_rows(t, gs, spec,
-                     casestudies::calibration_for(spec.case_study), ideal,
-                     spec.seed, {});
-  return t;
+  RowPlan rows{spec, detection_columns({})};
+  add_detection_rows(rows, spec, casestudies::calibration_for(spec.case_study),
+                     ideal, spec.seed, {});
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_detection(const ResultTable& t) {
@@ -148,18 +144,16 @@ std::vector<ResultTable> summarize_detection(const ResultTable& t) {
 // ---------------------------------------------------------------- fig06
 
 ResultTable run_fig06(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = detection_columns({"estimator", "task"});
-  GroupSeq gs;
+  RowPlan rows{spec, detection_columns({"estimator", "task"})};
   for (const std::string_view est : {"ideal", "fix_all"}) {
     for (const auto& task : resolve_tasks(spec)) {
       add_detection_rows(
-          t, gs, spec, casestudies::calibration_for(task), est == "ideal",
+          rows, spec, casestudies::calibration_for(task), est == "ideal",
           rngx::derive_seed(spec.seed, std::string{est} + ":" + task),
           {Cell{std::string{est}}, Cell{task}});
     }
   }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_fig06(const ResultTable& t) {
@@ -190,30 +184,30 @@ struct I6Hits {
 }  // namespace
 
 ResultTable run_figI6(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq", "axis",    "p",
-               "x",   "sim",     "average",
-               "prob_outperforming", "t_test"};
+  RowPlan rows{spec, {"axis", "p", "x", "sim", "average",
+                      "prob_outperforming", "t_test"}};
   const auto& calib = casestudies::calibration_for(spec.case_study);
   const auto profile = calib.ideal_profile();
   const double sigma = calib.sigma_ideal;
   const double delta_pub = compare::published_improvement_delta(sigma);
-  GroupSeq gs;
+  const std::size_t resamples = spec.figure.resamples;
 
-  const auto run_group = [&](const std::string& axis, double p, double x,
+  const auto add_group = [&](const std::string& axis, double p, double x,
                              std::size_t k, double gamma, double delta,
                              std::size_t pi, std::size_t xi) {
-    const compare::AverageComparison avg{delta};
-    const compare::ProbOutperformCriterion pab{gamma, spec.figure.resamples};
-    const compare::OracleComparison ttest{sigma, 0.05};
-    const double offset = compare::mean_offset_for_probability(p, sigma);
-    const auto slice = slice_of(spec, spec.repetitions);
-    const auto hits = exec::parallel_replicate_range<I6Hits>(
-        exec_of(spec), slice,
+    rows.replicates<I6Hits>(
+        spec.repetitions, 1,
         rngx::derive_seed(spec.seed, "figI6/" + axis + "/" +
                                          std::to_string(pi) + "/" +
                                          std::to_string(xi)),
-        "figI6_sim", [&](std::size_t, rngx::Rng& rng) {
+        "figI6_sim",
+        [profile, sigma, k, gamma, delta, resamples,
+         offset = compare::mean_offset_for_probability(p, sigma)](
+            std::size_t, rngx::Rng& rng) {
+          // The criteria are not copyable; building them draws nothing.
+          const compare::AverageComparison avg{delta};
+          const compare::ProbOutperformCriterion pab{gamma, resamples};
+          const compare::OracleComparison ttest{sigma, 0.05};
           const auto a = compare::simulate_measures(
               profile, compare::EstimatorKind::kIdeal, offset, k, rng);
           const auto b = compare::simulate_measures(
@@ -223,21 +217,22 @@ ResultTable run_figI6(const StudySpec& spec) {
           h.prob = pab.detects(a, b, rng) ? 1 : 0;
           h.t_test = ttest.detects(a, b, rng) ? 1 : 0;
           return h;
+        },
+        [axis, p, x](std::size_t sim, const I6Hits& h, std::size_t) {
+          return Row{Cell{axis},
+                     Cell{p},
+                     Cell{x},
+                     Cell{sim},
+                     Cell{static_cast<std::size_t>(h.average)},
+                     Cell{static_cast<std::size_t>(h.prob)},
+                     Cell{static_cast<std::size_t>(h.t_test)}};
         });
-    const std::size_t start = gs.enter(spec.repetitions);
-    for (std::size_t j = 0; j < hits.size(); ++j) {
-      const std::size_t sim = slice.begin + j;
-      t.add_row({Cell{gs.seq(start, sim)}, Cell{axis}, Cell{p}, Cell{x},
-                 Cell{sim}, Cell{static_cast<std::size_t>(hits[j].average)},
-                 Cell{static_cast<std::size_t>(hits[j].prob)},
-                 Cell{static_cast<std::size_t>(hits[j].t_test)}});
-    }
   };
 
   for (std::size_t pi = 0; pi < spec.figure.p_grid.size(); ++pi) {
     for (std::size_t ki = 0; ki < spec.figure.k_grid.size(); ++ki) {
       const std::size_t k = spec.figure.k_grid[ki];
-      run_group("k", spec.figure.p_grid[pi], static_cast<double>(k), k,
+      add_group("k", spec.figure.p_grid[pi], static_cast<double>(k), k,
                 spec.figure.gamma, delta_pub, pi, ki);
     }
   }
@@ -246,11 +241,11 @@ ResultTable run_figI6(const StudySpec& spec) {
       const double gamma = spec.figure.gamma_grid[gi];
       // Appendix I: for the average criterion γ converts into the
       // equivalent difference δ = √2·σ·Φ⁻¹(γ).
-      run_group("gamma", spec.figure.p_grid[pi], gamma, spec.figure.k, gamma,
+      add_group("gamma", spec.figure.p_grid[pi], gamma, spec.figure.k, gamma,
                 compare::mean_offset_for_probability(gamma, sigma), pi, gi);
     }
   }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_figI6(const ResultTable& t) {
@@ -298,52 +293,47 @@ void simulate_pair(double edge, std::size_t k, rngx::Rng& rng,
 }  // namespace
 
 ResultTable run_ablation_pairing(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq", "edge", "sim", "paired", "unpaired"};
-  GroupSeq gs;
+  RowPlan rows{spec, {"edge", "sim", "paired", "unpaired"}};
+  struct Hits {
+    std::uint8_t paired = 0;
+    std::uint8_t unpaired = 0;
+  };
   for (std::size_t ei = 0; ei < spec.figure.edges.size(); ++ei) {
     const double edge = spec.figure.edges[ei];
-    struct Hits {
-      std::uint8_t paired = 0;
-      std::uint8_t unpaired = 0;
-    };
-    const auto slice = slice_of(spec, spec.repetitions);
-    const auto hits = exec::parallel_replicate_range<Hits>(
-        exec_of(spec), slice,
+    rows.replicates<Hits>(
+        spec.repetitions, 1,
         rngx::derive_seed(spec.seed, "pairing/" + std::to_string(ei)),
-        "pairing_sim", [&](std::size_t, rngx::Rng& rng) {
+        "pairing_sim",
+        [edge, k = spec.figure.k, gamma = spec.figure.gamma,
+         resamples = spec.figure.resamples](std::size_t, rngx::Rng& rng) {
           std::vector<double> a;
           std::vector<double> b;
           Hits h;
-          simulate_pair(edge, spec.figure.k, rng, a, b, true);
+          simulate_pair(edge, k, rng, a, b, true);
           const auto r1 = stats::test_probability_of_outperforming(
-              exec::ExecContext{}, a, b, rng, spec.figure.gamma,
-              spec.figure.resamples);
+              exec::ExecContext{}, a, b, rng, gamma, resamples);
           h.paired = r1.conclusion ==
                              stats::ComparisonConclusion::
                                  kSignificantAndMeaningful
                          ? 1
                          : 0;
-          simulate_pair(edge, spec.figure.k, rng, a, b, false);
+          simulate_pair(edge, k, rng, a, b, false);
           const auto r2 = stats::test_probability_of_outperforming(
-              exec::ExecContext{}, a, b, rng, spec.figure.gamma,
-              spec.figure.resamples);
+              exec::ExecContext{}, a, b, rng, gamma, resamples);
           h.unpaired = r2.conclusion ==
                                stats::ComparisonConclusion::
                                    kSignificantAndMeaningful
                            ? 1
                            : 0;
           return h;
+        },
+        [edge](std::size_t sim, const Hits& h, std::size_t) {
+          return Row{Cell{edge}, Cell{sim},
+                     Cell{static_cast<std::size_t>(h.paired)},
+                     Cell{static_cast<std::size_t>(h.unpaired)}};
         });
-    const std::size_t start = gs.enter(spec.repetitions);
-    for (std::size_t j = 0; j < hits.size(); ++j) {
-      const std::size_t sim = slice.begin + j;
-      t.add_row({Cell{gs.seq(start, sim)}, Cell{edge}, Cell{sim},
-                 Cell{static_cast<std::size_t>(hits[j].paired)},
-                 Cell{static_cast<std::size_t>(hits[j].unpaired)}});
-    }
   }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_ablation_pairing(const ResultTable& t) {

@@ -65,59 +65,36 @@ SeedCurves run_one_seed(const casestudies::CaseStudy& cs,
 ResultTable run_figF2(const StudySpec& spec) {
   const std::size_t budget = spec.figure.budget;
   const auto studies = task_case_studies(spec);
-  const auto slice = slice_of(spec, spec.repetitions);
-  // Every (task, algorithm) pair's seeds run as one plan; rows follow in
-  // (task, algorithm) order.
-  struct Curves {
-    std::string task;
-    std::string algo;
-    const std::vector<SeedCurves>* per_seed;
-  };
-  exec::ReplicatePlan plan;
-  std::vector<Curves> groups;
+  RowPlan rows{spec, {"task", "algo", "seed", "iter", "valid", "test"}};
   for (const auto& cs : studies) {
     for (const auto& algo_name : spec.figure.hpo_algorithms) {
       const std::shared_ptr<const hpo::HpoAlgorithm> algo =
           hpo::make_hpo_algorithm(algo_name);
-      groups.push_back({cs.id, algo_name,
-                        &plan.add<SeedCurves>(
-                            slice,
-                            rngx::derive_seed(spec.seed,
-                                              cs.id + "/" + algo_name),
-                            "figF2_seed",
-                            [&cs, algo, budget](std::size_t,
-                                                rngx::Rng& seed_rng) {
-                              return run_one_seed(cs, *algo, budget,
-                                                  seed_rng);
-                            })});
+      rows.replicates<SeedCurves>(
+          spec.repetitions, budget,
+          rngx::derive_seed(spec.seed, cs.id + "/" + algo_name), "figF2_seed",
+          [&cs, algo, budget](std::size_t, rngx::Rng& seed_rng) {
+            return run_one_seed(cs, *algo, budget, seed_rng);
+          },
+          [task = cs.id, algo_name](std::size_t seed_index,
+                                    const SeedCurves& curves,
+                                    std::size_t iter) {
+            // Algorithms that stop before exhausting the budget pad with
+            // nulls so every seed contributes exactly `budget` rows.
+            Row row{Cell{task}, Cell{algo_name}, Cell{seed_index},
+                    Cell{iter}};
+            if (iter < curves.valid.size()) {
+              row.push_back(Cell{curves.valid[iter]});
+              row.push_back(Cell{curves.test[iter]});
+            } else {
+              row.push_back(Cell{});
+              row.push_back(Cell{});
+            }
+            return row;
+          });
     }
   }
-  plan.run(exec_of(spec));
-  ResultTable t;
-  t.columns = {"seq", "task", "algo", "seed", "iter", "valid", "test"};
-  GroupSeq gs;
-  for (const auto& [task, algo_name, per_seed] : groups) {
-    const std::size_t start = gs.enter(spec.repetitions, budget);
-    for (std::size_t j = 0; j < per_seed->size(); ++j) {
-      const std::size_t seed_index = slice.begin + j;
-      const SeedCurves& curves = (*per_seed)[j];
-      for (std::size_t iter = 0; iter < budget; ++iter) {
-        // Algorithms that stop before exhausting the budget pad with
-        // nulls so every seed contributes exactly `budget` rows.
-        Row row{Cell{gs.seq(start, seed_index, iter)}, Cell{task},
-                Cell{algo_name}, Cell{seed_index}, Cell{iter}};
-        if (iter < curves.valid.size()) {
-          row.push_back(Cell{curves.valid[iter]});
-          row.push_back(Cell{curves.test[iter]});
-        } else {
-          row.push_back(Cell{});
-          row.push_back(Cell{});
-        }
-        t.add_row(std::move(row));
-      }
-    }
-  }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_figF2(const ResultTable& t) {

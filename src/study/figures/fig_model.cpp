@@ -34,34 +34,30 @@ constexpr SubsetName kSubsets[] = {
 // ---------------------------------------------------------------- fig05
 
 ResultTable run_fig05(const StudySpec& spec) {
-  ResultTable t;
-  t.columns = {"seq", "task", "estimator", "k", "realization", "mean_measure"};
-  GroupSeq gs;
+  RowPlan rows{spec, {"task", "estimator", "k", "realization", "mean_measure"}};
   for (const auto& task : resolve_tasks(spec)) {
     const auto& calib = casestudies::calibration_for(task);
     for (const auto& [label, subset] : kSubsets) {
       const auto profile = calib.profile(subset);
       for (const std::size_t k : spec.figure.k_grid) {
-        const auto slice = slice_of(spec, spec.repetitions);
-        const auto means = exec::parallel_replicate_range<double>(
-            exec_of(spec), slice,
+        rows.replicates<double>(
+            spec.repetitions, 1,
             rngx::derive_seed(spec.seed, task + "/" + std::string{label} +
                                              "/k" + std::to_string(k)),
-            "fig05_realization", [&](std::size_t, rngx::Rng& rng) {
+            "fig05_realization",
+            [profile, k](std::size_t, rngx::Rng& rng) {
               return stats::mean(compare::simulate_measures(
                   profile, compare::EstimatorKind::kBiased, 0.0, k, rng));
+            },
+            [task, label = std::string{label}, k](
+                std::size_t r, double mean, std::size_t) {
+              return Row{Cell{task}, Cell{label}, Cell{k}, Cell{r},
+                         Cell{mean}};
             });
-        const std::size_t start = gs.enter(spec.repetitions);
-        for (std::size_t j = 0; j < means.size(); ++j) {
-          const std::size_t r = slice.begin + j;
-          t.add_row({Cell{gs.seq(start, r)}, Cell{task},
-                     Cell{std::string{label}}, Cell{k}, Cell{r},
-                     Cell{means[j]}});
-        }
       }
     }
   }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_fig05(const ResultTable& t) {
@@ -148,46 +144,42 @@ const H5Variant& h5_variant(const std::string& label) {
 }  // namespace
 
 ResultTable run_figH5(const StudySpec& spec) {
-  ResultTable t;
   // Sufficient statistics per realization: the mean of its k draws and the
   // within-realization sum of squared deviations (m2). Bias, Var(µ̃(k)),
   // the pooled single-measure variance, ρ, and MSE all derive from these.
-  t.columns = {"seq", "task", "estimator", "realization", "mean", "m2"};
-  GroupSeq gs;
+  RowPlan rows{spec, {"task", "estimator", "realization", "mean", "m2"}};
+  struct Moments {
+    double mean = 0.0;
+    double m2 = 0.0;
+  };
   for (const auto& task : resolve_tasks(spec)) {
     const auto& calib = casestudies::calibration_for(task);
     for (const auto& v : kH5Variants) {
-      const auto profile =
-          v.ideal_profile ? calib.ideal_profile() : calib.profile(v.subset);
-      const std::size_t k = h5_k(spec, v);
-      struct Moments {
-        double mean = 0.0;
-        double m2 = 0.0;
-      };
-      const auto slice = slice_of(spec, spec.repetitions);
-      const auto draws = exec::parallel_replicate_range<Moments>(
-          exec_of(spec), slice,
+      rows.replicates<Moments>(
+          spec.repetitions, 1,
           rngx::derive_seed(spec.seed, task + "/" + std::string{v.label}),
-          "figH5_realization", [&](std::size_t, rngx::Rng& rng) {
-            const auto x =
-                compare::simulate_measures(profile, v.kind, 0.0, k, rng);
+          "figH5_realization",
+          [profile = v.ideal_profile ? calib.ideal_profile()
+                                     : calib.profile(v.subset),
+           kind = v.kind, k = h5_k(spec, v)](std::size_t, rngx::Rng& rng) {
+            const auto x = compare::simulate_measures(profile, kind, 0.0, k,
+                                                      rng);
             Moments m;
             m.mean = stats::mean(x);
             for (const double xi : x) {
               m.m2 += (xi - m.mean) * (xi - m.mean);
             }
             return m;
+          },
+          [task, label = std::string{v.label}](std::size_t r,
+                                               const Moments& m,
+                                               std::size_t) {
+            return Row{Cell{task}, Cell{label}, Cell{r}, Cell{m.mean},
+                       Cell{m.m2}};
           });
-      const std::size_t start = gs.enter(spec.repetitions);
-      for (std::size_t j = 0; j < draws.size(); ++j) {
-        const std::size_t r = slice.begin + j;
-        t.add_row({Cell{gs.seq(start, r)}, Cell{task},
-                   Cell{std::string{v.label}}, Cell{r}, Cell{draws[j].mean},
-                   Cell{draws[j].m2}});
-      }
     }
   }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_figH5(const ResultTable& t) {

@@ -1,11 +1,10 @@
 // The variance study kind (one case study), Fig. 1 (variance decomposition
 // across case studies) and Fig. G.3 (per-source normality): all drive the
 // core variance-study engine, emitting raw per-repetition measures through
-// one row emitter. Shard slices pass straight through to the engine's
+// one group per probe. Shard slices pass straight through to the engine's
 // shard_index/shard_count support; the G.3 "Altogether" group fans out on
 // its own per-index streams. A multi-task figure adds every task's ranges
-// to one plan and emits its rows after the plan has run.
-#include <stdexcept>
+// to one plan.
 #include <utility>
 
 #include "src/casestudies/registry.h"
@@ -29,34 +28,28 @@ core::VarianceStudyConfig variance_config(const StudySpec& spec) {
   return cfg;
 }
 
-/// Emit one engine result into the table, advancing the global seq
-/// bookkeeping: one row per measure holding seq, the `lead` cells, source,
-/// rep and measure. Shard slices of each source group land at their global
-/// rep indices.
-void emit_variance_rows(const StudySpec& spec, const Row& lead,
-                        const core::VarianceStudyResult& result,
-                        std::size_t hpo_repetitions, GroupSeq& gs,
-                        ResultTable& t) {
-  for (const auto& row : result.rows) {
-    const std::size_t group_size = row.source == rngx::VariationSource::kHpo
-                                       ? hpo_repetitions
-                                       : spec.repetitions;
-    const auto slice = slice_of(spec, group_size);
-    if (row.measures.size() != slice.size()) {
-      throw std::logic_error("variance runner: engine returned " +
-                             std::to_string(row.measures.size()) +
-                             " measures for a slice of " +
-                             std::to_string(slice.size()));
-    }
-    const std::size_t start = gs.enter(group_size);
-    for (std::size_t j = 0; j < row.measures.size(); ++j) {
-      const std::size_t rep = slice.begin + j;
-      Row cells{Cell{gs.seq(start, rep)}};
-      cells.insert(cells.end(), lead.begin(), lead.end());
-      cells.insert(cells.end(),
-                   {Cell{row.label}, Cell{rep}, Cell{row.measures[j]}});
-      t.add_row(std::move(cells));
-    }
+/// One group per probe of `planned`, in its order, each over the spec's
+/// repetitions (its ξH probes over `hpo_repetitions`): one row per measure
+/// holding the `lead` cells, source, rep and measure. A probe whose
+/// measures do not cover its slice throws std::out_of_range.
+void variance_groups(RowPlan& rows, const StudySpec& spec, const Row& lead,
+                     const core::PlannedVarianceStudy& planned,
+                     std::size_t hpo_repetitions) {
+  for (const auto& probe : planned.rows) {
+    const std::size_t units = probe.source == rngx::VariationSource::kHpo
+                                  ? hpo_repetitions
+                                  : spec.repetitions;
+    rows.group(units, 1,
+               [lead, probe, begin = rows.slice(units).begin](std::size_t rep,
+                                                              std::size_t) {
+                 // A repeated base fit's one measure stands for every rep.
+                 const double measure =
+                     probe.measures->at(probe.repeat > 0 ? 0 : rep - begin);
+                 Row cells = lead;
+                 cells.insert(cells.end(), {Cell{probe.label}, Cell{rep},
+                                            Cell{measure}});
+                 return cells;
+               });
   }
 }
 
@@ -95,13 +88,13 @@ ResultTable run_variance(const StudySpec& spec) {
   cfg.hpo_budget = spec.figure.hpo_budget;
   cfg.include_numerical_noise = spec.figure.include_numerical_noise;
   rngx::Rng master{spec.seed};
-  const auto result = core::run_variance_study(*cs.pipeline, *cs.pool,
-                                               *cs.splitter, cfg, master);
-  ResultTable t;
-  t.columns = {"seq", "source", "rep", "measure"};
-  GroupSeq gs;
-  emit_variance_rows(spec, {}, result, cfg.hpo_repetitions, gs, t);
-  return t;
+  RowPlan rows{spec, {"source", "rep", "measure"}};
+  variance_groups(rows, spec, {},
+                  core::add_variance_study(rows.plan(), *cs.pipeline,
+                                           *cs.pool, *cs.splitter, cfg,
+                                           master),
+                  cfg.hpo_repetitions);
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_variance(const ResultTable& t) {
@@ -113,9 +106,7 @@ std::vector<ResultTable> summarize_variance(const ResultTable& t) {
 ResultTable run_fig01(const StudySpec& spec) {
   const std::size_t hpo_reps = spec.resolved_hpo_repetitions();
   const auto studies = task_case_studies(spec);
-  // Every task's probes run as one plan; rows follow in task order.
-  exec::ReplicatePlan plan;
-  std::vector<core::PlannedVarianceStudy> planned;
+  RowPlan rows{spec, {"task", "source", "rep", "measure"}};
   for (const auto& cs : studies) {
     core::VarianceStudyConfig cfg = variance_config(spec);
     cfg.hpo_algorithms = spec.figure.hpo_algorithms;
@@ -123,18 +114,13 @@ ResultTable run_fig01(const StudySpec& spec) {
     cfg.hpo_budget = spec.figure.hpo_budget;
     cfg.include_numerical_noise = true;
     rngx::Rng master{rngx::derive_seed(spec.seed, cs.id)};
-    planned.push_back(core::add_variance_study(
-        plan, *cs.pipeline, *cs.pool, *cs.splitter, cfg, master));
+    variance_groups(rows, spec, {Cell{cs.id}},
+                    core::add_variance_study(rows.plan(), *cs.pipeline,
+                                             *cs.pool, *cs.splitter, cfg,
+                                             master),
+                    hpo_reps);
   }
-  plan.run(exec_of(spec));
-  ResultTable t;
-  t.columns = {"seq", "task", "source", "rep", "measure"};
-  GroupSeq gs;
-  for (std::size_t k = 0; k < studies.size(); ++k) {
-    emit_variance_rows(spec, {Cell{studies[k].id}}, planned[k].result(),
-                       hpo_reps, gs, t);
-  }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_fig01(const ResultTable& t) {
@@ -150,23 +136,22 @@ std::vector<ResultTable> summarize_fig01(const ResultTable& t) {
 
 ResultTable run_figG3(const StudySpec& spec) {
   const auto studies = task_case_studies(spec);
-  const auto slice = slice_of(spec, spec.repetitions);
-  // Every task's probes and its "Altogether" group run as one plan; rows
-  // follow in task order.
-  exec::ReplicatePlan plan;
-  std::vector<core::PlannedVarianceStudy> planned;
-  std::vector<const std::vector<double>*> altogether;
+  RowPlan rows{spec, {"task", "source", "rep", "measure"}};
   for (const auto& cs : studies) {
     core::VarianceStudyConfig cfg = variance_config(spec);
     cfg.include_numerical_noise = false;  // the figure's source set
     rngx::Rng master{rngx::derive_seed(spec.seed, cs.id)};
-    planned.push_back(core::add_variance_study(
-        plan, *cs.pipeline, *cs.pool, *cs.splitter, cfg, master));
+    variance_groups(rows, spec, {Cell{cs.id}},
+                    core::add_variance_study(rows.plan(), *cs.pipeline,
+                                             *cs.pool, *cs.splitter, cfg,
+                                             master),
+                    /*hpo_repetitions=*/0);
 
     // "Altogether": every learning ξO source randomized jointly, as in the
     // figure's last row, on per-index streams.
-    altogether.push_back(&plan.add<double>(
-        slice, rngx::derive_seed(spec.seed, cs.id + ":altogether"),
+    rows.replicates<double>(
+        spec.repetitions, 1,
+        rngx::derive_seed(spec.seed, cs.id + ":altogether"),
         "figG3_altogether",
         [&cs, defaults = cs.pipeline->default_params()](std::size_t,
                                                         rngx::Rng& rng) {
@@ -175,25 +160,13 @@ ResultTable run_figG3(const StudySpec& spec) {
               base.with_randomized_set(rngx::kLearningSources, rng);
           return core::measure_with_params(*cs.pipeline, *cs.pool,
                                            *cs.splitter, defaults, seeds);
-        }));
+        },
+        [task = cs.id](std::size_t rep, double measure, std::size_t) {
+          return Row{Cell{task}, Cell{"Altogether"}, Cell{rep},
+                     Cell{measure}};
+        });
   }
-  plan.run(exec_of(spec));
-  ResultTable t;
-  t.columns = {"seq", "task", "source", "rep", "measure"};
-  GroupSeq gs;
-  for (std::size_t k = 0; k < studies.size(); ++k) {
-    const std::string& task = studies[k].id;
-    emit_variance_rows(spec, {Cell{task}}, planned[k].result(),
-                       /*hpo_repetitions=*/0, gs, t);
-    const std::vector<double>& measures = *altogether[k];
-    const std::size_t start = gs.enter(spec.repetitions);
-    for (std::size_t j = 0; j < measures.size(); ++j) {
-      const std::size_t rep = slice.begin + j;
-      t.add_row({Cell{gs.seq(start, rep)}, Cell{task}, Cell{"Altogether"},
-                 Cell{rep}, Cell{measures[j]}});
-    }
-  }
-  return t;
+  return rows.run();
 }
 
 std::vector<ResultTable> summarize_figG3(const ResultTable& t) {

@@ -1,10 +1,13 @@
-// Internal helpers shared by the study runners and summarizers:
-// execution-context and shard-slice plumbing, task-set resolution, the
-// grouped row-emission bookkeeping every multi-group figure table needs to
-// keep `seq` a global enumeration (the merge contract, docs/study_api.md),
-// and the one row grouping every summary is built from.
+// Internal helpers shared by the study runners and summarizers: the
+// execution context, task-set resolution, the row plan every runner
+// declares its table on (it keeps `seq` a global enumeration under any
+// shard split, the merge contract of docs/study_api.md, and runs every
+// replicate range as one parallel region), and the one row grouping every
+// summary is built from.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -21,10 +24,6 @@ namespace varbench::study::figures {
 
 inline exec::ExecContext exec_of(const StudySpec& spec) {
   return exec::ExecContext{spec.threads};
-}
-
-inline exec::IndexRange slice_of(const StudySpec& spec, std::size_t n) {
-  return exec::shard_subrange(n, spec.shard.index, spec.shard.count);
 }
 
 /// The case studies / calibrations a figure spans. A non-"all"
@@ -51,28 +50,91 @@ inline std::vector<casestudies::CaseStudy> task_case_studies(
   return studies;
 }
 
-/// Tracks the seq offset of the current group within the FULL (unsharded)
-/// enumeration while a shard emits only its slice of each group.
-class GroupSeq {
+/// A runner's table, declared as groups in `seq` order. A group is
+/// `units` global units of `rows_per_unit` rows each; its first row's
+/// `seq` is the number of rows every earlier group holds in the unsharded
+/// table, and this shard emits only the rows of its slice of the group's
+/// units. Replicate ranges go into one exec::ReplicatePlan, which run()
+/// runs as one parallel region on the spec's threads before it emits
+/// every group in declaration order, `seq` first. Closures handed to
+/// replicates() or plan() run inside run(): they copy what they use, or
+/// refer only to what outlives run().
+class RowPlan {
  public:
-  /// Enter a group of `group_size` global units (each unit emitting
-  /// `rows_per_unit` rows) and return the seq of the group's first row.
-  std::size_t enter(std::size_t group_size, std::size_t rows_per_unit = 1) {
-    const std::size_t start = offset_;
-    rows_per_unit_ = rows_per_unit;
-    offset_ += group_size * rows_per_unit;
-    return start;
+  /// Emits row `row` of global unit `unit`, without its `seq`.
+  using Emit = std::function<Row(std::size_t unit, std::size_t row)>;
+
+  /// `columns` follow the leading `seq` column.
+  RowPlan(const StudySpec& spec, const std::vector<std::string>& columns)
+      : exec_{exec_of(spec)}, shard_{spec.shard} {
+    table_.columns = {"seq"};
+    table_.columns.insert(table_.columns.end(), columns.begin(),
+                          columns.end());
   }
-  /// seq of row `row` (< rows_per_unit) of global unit `unit` in the group
-  /// most recently entered.
-  [[nodiscard]] std::size_t seq(std::size_t group_start, std::size_t unit,
-                                std::size_t row = 0) const {
-    return group_start + unit * rows_per_unit_ + row;
+
+  /// This shard's units of a group of `units`.
+  [[nodiscard]] exec::IndexRange slice(std::size_t units) const {
+    return exec::shard_subrange(units, shard_.index, shard_.count);
+  }
+
+  /// Declare the next group; `emit` is called once the plan has run.
+  void group(std::size_t units, std::size_t rows_per_unit, Emit emit) {
+    groups_.push_back(
+        Group{next_seq_, slice(units), rows_per_unit, std::move(emit)});
+    next_seq_ += units * rows_per_unit;
+  }
+
+  /// A group whose units are replicates: `fn(unit, rng)` computes this
+  /// shard's units in the plan, on the (master_seed, tag) streams, and
+  /// `emit(unit, value, row)` reads each unit's value.
+  template <typename T, typename Fn, typename EmitValue>
+  void replicates(std::size_t units, std::size_t rows_per_unit,
+                  std::uint64_t master_seed, std::string_view tag, Fn&& fn,
+                  EmitValue emit) {
+    const exec::IndexRange s = slice(units);
+    const std::vector<T>& values =
+        plan_.add<T>(s, master_seed, tag, std::forward<Fn>(fn));
+    group(units, rows_per_unit,
+          [&values, begin = s.begin, emit = std::move(emit)](
+              std::size_t unit, std::size_t row) {
+            return emit(unit, values.at(unit - begin), row);
+          });
+  }
+
+  /// The plan, for callers that add their own ranges
+  /// (core::add_variance_study) and declare groups over their results.
+  [[nodiscard]] exec::ReplicatePlan& plan() { return plan_; }
+
+  /// Run the plan (an empty one opens no region), then emit every group.
+  [[nodiscard]] ResultTable run() {
+    plan_.run(exec_);
+    for (const Group& g : groups_) {
+      for (std::size_t unit = g.slice.begin; unit < g.slice.end; ++unit) {
+        for (std::size_t row = 0; row < g.rows_per_unit; ++row) {
+          Row cells = g.emit(unit, row);
+          cells.insert(cells.begin(),
+                       Cell{g.first + unit * g.rows_per_unit + row});
+          table_.add_row(cells);
+        }
+      }
+    }
+    return std::move(table_);
   }
 
  private:
-  std::size_t offset_ = 0;
-  std::size_t rows_per_unit_ = 1;
+  struct Group {
+    std::size_t first;
+    exec::IndexRange slice;
+    std::size_t rows_per_unit;
+    Emit emit;
+  };
+
+  exec::ExecContext exec_;
+  ShardSpec shard_;
+  ResultTable table_;
+  exec::ReplicatePlan plan_;
+  std::vector<Group> groups_;
+  std::size_t next_seq_ = 0;
 };
 
 /// Rows of one table whose key columns hold equal cells, in table order.
