@@ -30,6 +30,7 @@ void validate_case_study(const StudySpec& spec) {
 }  // namespace
 
 void validate_study_spec(const StudySpec& spec) {
+  reject_repeated_params(spec);
   const StudyKindDef& def = kind_def(spec.kind);
   // Analytic kinds enumerate a fixed grid, so a repetitions override would
   // silently mean nothing — reject it instead.

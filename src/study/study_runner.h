@@ -18,11 +18,13 @@
 
 namespace varbench::study {
 
-/// The pre-run checks of run_study without running anything: the case
-/// study exists (kinds whose defaults leave it empty), and analytic figure
-/// kinds keep repetitions == 1. Used by `varbench campaign
-/// --plan-only` so a plan-clean campaign cannot fail these checks at
-/// worker time. Throws std::invalid_argument with actionable messages.
+/// The pre-run checks of run_study without running anything: no list
+/// param repeats an entry (reject_repeated_params, which throws
+/// io::JsonError), the case study exists (kinds whose defaults leave it
+/// empty), and analytic figure kinds keep repetitions == 1. Used by
+/// `varbench campaign --plan-only` so a plan-clean campaign cannot fail
+/// these checks at worker time. Throws std::invalid_argument with
+/// actionable messages.
 void validate_study_spec(const StudySpec& spec);
 
 /// Validate the spec (validate_study_spec), run the kind's runner, and

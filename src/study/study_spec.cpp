@@ -1,5 +1,6 @@
 #include "src/study/study_spec.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -76,14 +77,30 @@ io::Json value_json(const std::vector<double>& v) {
   return io::double_array(v);
 }
 
-/// One StudyParams field: its ParamField bit, its key, and how to emit and
-/// read it. The table is the single source of truth for key names and key
-/// order; a kind's `params` mask selects rows.
+/// A list's first entry that an earlier entry equals, or null: a repeated
+/// task, estimator, algorithm or grid point keys the same streams, so it
+/// would only duplicate rows. A scalar repeats nothing.
+template <typename T>
+io::Json repeated_entry(const T&) {
+  return io::Json{};
+}
+template <typename T>
+io::Json repeated_entry(const std::vector<T>& v) {
+  for (auto it = v.begin(); it != v.end(); ++it) {
+    if (std::find(v.begin(), it, *it) != it) return io::Json{*it};
+  }
+  return io::Json{};
+}
+
+/// One StudyParams field: its ParamField bit, its key, and how to emit,
+/// read and check it. The table is the single source of truth for key
+/// names and key order; a kind's `params` mask selects rows.
 struct ParamRow {
   unsigned mask;
   std::string_view key;
   io::Json (*emit)(const StudyParams&);
   void (*read)(StudyParams&, const io::Json&, std::string_view key);
+  io::Json (*repeated)(const StudyParams&);
 };
 
 template <auto Member>
@@ -92,7 +109,8 @@ constexpr ParamRow param(unsigned mask, std::string_view key) {
           [](const StudyParams& p) { return value_json(p.*Member); },
           [](StudyParams& p, const io::Json& v, std::string_view k) {
             read_value(v, k, p.*Member);
-          }};
+          },
+          [](const StudyParams& p) { return repeated_entry(p.*Member); }};
 }
 
 constexpr ParamRow kParams[] = {
@@ -158,9 +176,23 @@ void validate_common(const StudySpec& spec) {
     throw io::JsonError("spec: shard " + spec.shard.label() +
                         " invalid (need index < count, count >= 1)");
   }
+  reject_repeated_params(spec);
 }
 
 }  // namespace
+
+void reject_repeated_params(const StudySpec& spec) {
+  const unsigned declared = kind_def(spec.kind).params;
+  for (const ParamRow& row : kParams) {
+    if ((declared & row.mask) == 0) continue;
+    const io::Json entry = row.repeated(spec.figure);
+    if (!entry.is_null()) {
+      throw io::JsonError("spec: 'params." + std::string{row.key} +
+                          "' lists " + entry.dump() +
+                          " more than once; list each entry once");
+    }
+  }
+}
 
 std::string_view to_string(StudyKind kind) { return kind_def(kind).name; }
 

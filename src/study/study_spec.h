@@ -158,6 +158,11 @@ struct StudySpec {
 /// whose defaults leave case_study empty gets one.
 [[nodiscard]] StudySpec default_spec(StudyKind kind);
 
+/// Throws io::JsonError naming the key and the value when a list param of
+/// the spec's kind (tasks, estimators, hpo_algorithms or a grid) lists an
+/// entry twice. from_json and validate_study_spec both check it.
+void reject_repeated_params(const StudySpec& spec);
+
 /// Apply a `--set key=value` override to a raw spec document before typed
 /// parsing. `key` is a dotted path ("seed", "params.gamma"); `value` is
 /// parsed as JSON when possible (numbers, bools, arrays), else taken as a

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/study/study_kinds.h"
+#include "src/study/study_runner.h"
+
 namespace varbench::study {
 namespace {
 
@@ -127,6 +130,53 @@ TEST(StudySpec, RejectsMalformedSpecs) {
       "gamma");
   expect_rejected(R"({"kind":"variance","case_study":"x","schema":"v999"})",
                   "schema");
+}
+
+// A repeated entry would key the same streams twice and duplicate rows:
+// every list param rejects one, naming the key and the value, when the
+// spec is parsed and when run_study validates a spec built in C++.
+TEST(StudySpec, ListParamsRejectRepeatedEntries) {
+  struct Case {
+    std::string text;
+    std::string message;
+  };
+  const Case cases[] = {
+      {R"({"kind":"fig02_binomial_model",
+           "params":{"tasks":["mhc_mlp","glue_rte_bert","mhc_mlp"]}})",
+       "'params.tasks' lists \"mhc_mlp\" more than once"},
+      {R"({"kind":"estimator","case_study":"mhc_mlp",
+           "params":{"estimators":["ideal","ideal"]}})",
+       "'params.estimators' lists \"ideal\" more than once"},
+      {R"({"kind":"figF2_hpo_curves",
+           "params":{"hpo_algorithms":["random_search","random_search"]}})",
+       "'params.hpo_algorithms' lists \"random_search\" more than once"},
+      {R"({"kind":"fig05_estimator_stderr","params":{"k_grid":[1,5,1]}})",
+       "'params.k_grid' lists 1 more than once"},
+      {R"({"kind":"fig04_estimator_cost","params":{"t_grid":[50,50]}})",
+       "'params.t_grid' lists 50 more than once"},
+      {R"({"kind":"figC1_sample_size","params":{"gamma_grid":[0.6,0.6]}})",
+       "'params.gamma_grid' lists 0.6 more than once"},
+      {R"({"kind":"figC1_sample_size","params":{"beta_grid":[0.05,0.05]}})",
+       "'params.beta_grid' lists 0.05 more than once"},
+      {R"({"kind":"detection","case_study":"mhc_mlp",
+           "params":{"p_grid":[0.5,0.9,0.5]}})",
+       "'params.p_grid' lists 0.5 more than once"},
+      {R"({"kind":"ablation_pairing","params":{"edges":[0.01,0.02,0.01]}})",
+       "'params.edges' lists 0.01 more than once"},
+  };
+  for (const Case& c : cases) expect_rejected(c.text, c.message);
+
+  StudySpec spec = default_spec(StudyKind::kFig02Binomial);
+  spec.figure.tasks = {"mhc_mlp", "mhc_mlp"};
+  try {
+    (void)run_study(spec);
+    FAIL() << "run_study accepted a repeated task";
+  } catch (const io::JsonError& e) {
+    EXPECT_NE(std::string{e.what()}.find(
+                  "'params.tasks' lists \"mhc_mlp\" more than once"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StudySpec, UnknownKeyErrorListsExpectedKeys) {
