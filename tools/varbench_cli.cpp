@@ -35,7 +35,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -91,18 +90,25 @@ struct Args {
   }
 };
 
-/// Flags that never consume the following token as a value.
-const std::set<std::string>& boolean_flags() {
-  static const std::set<std::string> flags{
-      "canonical", "gate",   "help",  "json",    "list", "no-append",
-      "plan-only", "resume", "summary", "trace", "watch"};
-  return flags;
-}
+/// One flag a subcommand accepts: its name, and what usage shows for the
+/// value it takes (empty: a boolean flag, which takes none).
+struct Flag {
+  std::string_view name;
+  std::string_view value;
+};
 
-/// `--key value`, `--key=value`, and bare boolean `--key`. A following
-/// token is a value unless it is itself a long flag (starts with "--"), so
-/// negative numbers (`--lr-mult -0.5`) parse as values.
-Args parse(int argc, char** argv, int from) {
+/// `--key value`, `--key=value`, and bare boolean `--key` (a flag whose
+/// `flags` entry takes no value, or --help). A following token is a value
+/// unless it is itself a long flag (starts with "--"), so negative numbers
+/// (`--lr-mult -0.5`) parse as values.
+Args parse(int argc, char** argv, int from, const std::vector<Flag>& flags) {
+  const auto boolean = [&](const std::string& key) {
+    if (key == "help") return true;
+    for (const Flag& flag : flags) {
+      if (flag.name == key) return flag.value.empty();
+    }
+    return false;
+  };
   Args a;
   for (int i = from; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -118,7 +124,7 @@ Args parse(int argc, char** argv, int from) {
     const std::string key = arg.substr(2);
     const bool has_value = i + 1 < argc &&
                            std::strncmp(argv[i + 1], "--", 2) != 0 &&
-                           boolean_flags().count(key) == 0;
+                           !boolean(key);
     a.options.emplace_back(key, has_value ? argv[++i] : "1");
   }
   return a;
@@ -126,21 +132,15 @@ Args parse(int argc, char** argv, int from) {
 
 /// Reject typo'd flags loudly: a misspelled --shard must not silently run
 /// the full unsharded study (mirrors the spec layer's unknown-key errors).
-void require_known_flags(const Args& a,
-                         std::initializer_list<std::string_view> known) {
+void require_known_flags(const Args& a, const std::vector<Flag>& flags) {
   for (const auto& [key, value] : a.options) {
     bool ok = false;
-    for (const std::string_view k : known) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
+    for (const Flag& flag : flags) ok = ok || flag.name == key;
     if (!ok) {
       std::string list;
-      for (const std::string_view k : known) {
+      for (const Flag& flag : flags) {
         if (!list.empty()) list += ", ";
-        list += "--" + std::string{k};
+        list += "--" + std::string{flag.name};
       }
       throw std::invalid_argument(
           "unknown flag '--" + key + "'" +
@@ -149,6 +149,9 @@ void require_known_flags(const Args& a,
     }
   }
 }
+
+/// Print subcommand `name`'s usage line and help to stderr; returns 2.
+int command_usage(std::string_view name);
 
 [[noreturn]] void bad_option(const std::string& key, const std::string& value,
                              const char* wanted) {
@@ -246,17 +249,7 @@ int emit_introspection(const io::Json& doc) {
 // ------------------------------------------------------- spec subcommands
 
 int cmd_run(const Args& a) {
-  require_known_flags(a, {"set", "shard", "threads", "out", "csv", "canonical",
-                          "format", "metrics", "metrics-out", "trace-out"});
-  if (a.positional.empty()) {
-    std::fprintf(stderr,
-                 "usage: varbench run <spec.json> [--set key=val ...] "
-                 "[--shard i/N] [--threads N] [--out out.json] "
-                 "[--csv out.csv] [--canonical] [--format auto|json|binary] "
-                 "[--metrics all|<subsystem>|<name>,... "
-                 "[--metrics-out metrics.json]] [--trace-out t.trace.json]\n");
-    return 2;
-  }
+  if (a.positional.empty()) return command_usage("run");
   io::Json doc = io::Json::parse(io::read_file(a.positional[0]));
   for (const std::string& assignment : a.all("set")) {
     study::apply_override(doc, assignment);
@@ -334,17 +327,7 @@ std::vector<std::string> expand_shard_paths(const std::string& operand) {
 }
 
 int cmd_merge(const Args& a) {
-  require_known_flags(a, {"out", "csv", "format"});
-  if (a.positional.empty()) {
-    std::fprintf(stderr,
-                 "usage: varbench merge <shard.json|shard.vbt | shard-dir> "
-                 "... [--out merged.json] [--csv merged.csv] "
-                 "[--format auto|json|binary]\n"
-                 "a directory operand merges every *.json/*.vbt inside it, "
-                 "all shards of one study (a campaign state dir: its "
-                 "artifacts/)\n");
-    return 2;
-  }
+  if (a.positional.empty()) return command_usage("merge");
   std::vector<study::ResultTable> shards;
   for (const auto& operand : a.positional) {
     std::vector<std::string> studies;
@@ -379,23 +362,10 @@ int cmd_merge(const Args& a) {
 }
 
 int cmd_campaign(const Args& a) {
-  require_known_flags(a, {"shards", "workers", "dir", "resume", "max-retries",
-                          "stale-ms", "task-timeout-ms", "set", "threads",
-                          "plan-only", "format", "metrics", "trace"});
   const std::string dir = opt_string(a, "dir", "");
   const bool plan_only = opt_flag(a, "plan-only");
   if (a.positional.empty() || (dir.empty() && !plan_only)) {
-    std::fprintf(stderr,
-                 "usage: varbench campaign <spec.json> ... --dir <state-dir> "
-                 "[--shards N] [--workers K] [--resume] [--max-retries R] "
-                 "[--stale-ms T] [--task-timeout-ms T] [--set key=val ...] "
-                 "[--threads N] [--plan-only] [--format json|binary] "
-                 "[--metrics all|<subsystem>|<name>,...] [--trace]\n"
-                 "each <spec.json> is one StudySpec or a JSON array of "
-                 "specs; --resume finishes the gaps of an existing state "
-                 "dir; --plan-only validates every spec and prints the task "
-                 "plan without running\n");
-    return 2;
+    return command_usage("campaign");
   }
   std::vector<io::Json> raw;
   for (const std::string& path : a.positional) {
@@ -485,16 +455,7 @@ int cmd_campaign(const Args& a) {
 /// identity bytes (and provenance, unless --canonical drops it) survive a
 /// JSON → binary → JSON round trip exactly (docs/artifacts.md).
 int cmd_convert(const Args& a) {
-  require_known_flags(a, {"format", "canonical"});
-  if (a.positional.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: varbench convert <in.json|in.vbt> <out.vbt|out.json> "
-                 "[--format auto|json|binary] [--canonical]\n"
-                 "the output format follows the output extension unless "
-                 "--format overrides it; --canonical drops provenance "
-                 "(threads/wall time) from the output\n");
-    return 2;
-  }
+  if (a.positional.size() != 2) return command_usage("convert");
   const auto table = study::ResultTable::load(a.positional[0]);
   table.save(a.positional[1], opt_artifact_format(a),
              /*include_provenance=*/!opt_flag(a, "canonical"));
@@ -505,19 +466,7 @@ int cmd_convert(const Args& a) {
 }
 
 int cmd_report(const Args& a) {
-  require_known_flags(a, {"spec", "set", "format", "compare", "threads",
-                          "out"});
-  if (a.positional.empty()) {
-    std::fprintf(stderr,
-                 "usage: varbench report <artifact.json | dir> "
-                 "[--spec r.json] [--set key=val ...] "
-                 "[--format text|markdown|csv|json] "
-                 "[--compare other.json] [--threads N] [--out file]\n"
-                 "renders every statistic derivable from a ResultTable "
-                 "artifact; a directory reports each study it holds "
-                 "(docs/reporting.md)\n");
-    return 2;
-  }
+  if (a.positional.empty()) return command_usage("report");
   io::Json spec_doc = io::Json::object();
   if (const std::string* path = a.find("spec")) {
     spec_doc = io::Json::parse(io::read_file(*path));
@@ -581,18 +530,7 @@ int cmd_report(const Args& a) {
 /// asked for) prints the per-span table, one row per span
 /// (docs/metrics.md).
 int cmd_trace(const Args& a) {
-  require_known_flags(a, {"chrome", "summary", "format"});
-  if (a.positional.empty()) {
-    std::fprintf(stderr,
-                 "usage: varbench trace <state-dir | run.trace.json> "
-                 "[--chrome out.json] [--summary] "
-                 "[--format text|markdown|csv|json]\n"
-                 "stitches <state-dir>/traces/*.trace.json (written by "
-                 "campaign --trace), or the one file run --trace-out "
-                 "wrote, into a Chrome trace-event timeline and a per-span "
-                 "summary (docs/metrics.md)\n");
-    return 2;
-  }
+  if (a.positional.empty()) return command_usage("trace");
   const metrics::StitchedTrace stitched =
       metrics::stitch_state_dir(a.positional[0]);
   std::fprintf(stderr, "trace: %zu span(s) across %zu process(es)\n",
@@ -617,16 +555,7 @@ int cmd_trace(const Args& a) {
 /// from heartbeats + claims + manifest alone — strictly read-only, safe to
 /// run beside a live coordinator (docs/campaigns.md).
 int cmd_status(const Args& a) {
-  require_known_flags(a, {"json", "watch", "interval-ms"});
-  if (a.positional.empty()) {
-    std::fprintf(stderr,
-                 "usage: varbench status <state-dir> [--json] [--watch] "
-                 "[--interval-ms T]\n"
-                 "reads the manifest, queue, and claim heartbeats of a "
-                 "(possibly running) campaign without touching them; "
-                 "--watch repolls until no task is pending\n");
-    return 2;
-  }
+  if (a.positional.empty()) return command_usage("status");
   const bool watch = opt_flag(a, "watch");
   const std::size_t interval = opt_size(a, "interval-ms", 1'000);
   for (;;) {
@@ -648,7 +577,6 @@ int cmd_status(const Args& a) {
 // ---------------------------------------------- registries and perf gate
 
 int cmd_list(const Args& a) {
-  require_known_flags(a, {"json"});
   if (a.find("json") != nullptr) {
     io::Json doc = tool_envelope();
     doc.set("kinds", study::study_kinds_json());
@@ -665,7 +593,6 @@ int cmd_list(const Args& a) {
 /// ids, names, kinds, units, subsystems (docs/metrics.md) — through the
 /// same introspection envelope as `list --json`.
 int cmd_metrics(const Args& a) {
-  require_known_flags(a, {"list", "json"});
   if (a.find("json") != nullptr) {
     io::Json doc = tool_envelope();
     doc.set("metrics", metrics::registry_json());
@@ -683,8 +610,6 @@ int cmd_metrics(const Args& a) {
 /// bench/BENCH_{exec,campaign,stats,ml,artifact_io}.json, and in gate mode
 /// fails on regressions beyond the noise band.
 int cmd_bench(const Args& a) {
-  require_known_flags(a, {"gate", "dir", "threshold", "repeats", "scale",
-                          "threads", "label", "no-append", "inject-slowdown"});
   benchutil::GateOptions opts;
   opts.bench_dir = opt_string(a, "dir", opts.bench_dir);
   opts.threshold = opt_double(a, "threshold", opts.threshold);
@@ -700,8 +625,7 @@ int cmd_bench(const Args& a) {
 
 // ----------------------------------------------- case-study utilities
 
-int cmd_tasks(const Args& a) {
-  require_known_flags(a, {});
+int cmd_tasks(const Args&) {
   std::printf("registered case studies:\n");
   for (const auto& id : casestudies::case_study_ids()) {
     const auto& c = casestudies::calibration_for(id);
@@ -712,7 +636,6 @@ int cmd_tasks(const Args& a) {
 }
 
 int cmd_plan(const Args& a) {
-  require_known_flags(a, {"gamma", "alpha", "beta"});
   const double gamma = opt_double(a, "gamma", 0.75);
   const double alpha = opt_double(a, "alpha", 0.05);
   const double beta = opt_double(a, "beta", 0.05);
@@ -725,11 +648,7 @@ int cmd_plan(const Args& a) {
 }
 
 int cmd_audit(const Args& a) {
-  require_known_flags(a, {"scale"});
-  if (a.positional.empty()) {
-    std::fprintf(stderr, "usage: varbench audit <task> [--scale S]\n");
-    return 2;
-  }
+  if (a.positional.empty()) return command_usage("audit");
   const auto cs = casestudies::make_case_study(a.positional[0],
                                                opt_double(a, "scale", 0.15));
   const auto cfg = cs.pipeline->resolve_config(cs.pipeline->default_params());
@@ -747,49 +666,156 @@ int cmd_audit(const Args& a) {
   return report.passed() ? 0 : 1;
 }
 
+/// A subcommand: the one list of the flags it accepts, which the parser,
+/// the unknown-flag check, `--help` and its own usage line all read.
+struct Command {
+  std::string_view name;
+  std::string_view operands;  // shown after the name; may be empty
+  std::vector<Flag> flags;
+  std::string_view about;  // shown under the usage line
+  int (*run)(const Args&);
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table{
+      {"run", "<spec.json>",
+       {{"set", "key=val ..."}, {"shard", "i/N"}, {"threads", "N"},
+        {"out", "out.json|out.vbt"}, {"csv", "out.csv"}, {"canonical", ""},
+        {"format", "auto|json|binary"},
+        {"metrics", "all|<subsystem>|<name>,..."},
+        {"metrics-out", "metrics.json"}, {"trace-out", "t.trace.json"}},
+       "run one study spec, write its artifact and print its summary "
+       "(docs/study_api.md)",
+       cmd_run},
+      {"merge", "<shard.json|shard.vbt | shard-dir> ...",
+       {{"out", "merged.json"}, {"csv", "merged.csv"},
+        {"format", "auto|json|binary"}},
+       "merge one study's shard artifacts; a directory operand merges every "
+       "*.json/*.vbt inside it (a campaign state dir: its artifacts/)",
+       cmd_merge},
+      {"convert", "<in.json|in.vbt> <out.vbt|out.json>",
+       {{"format", "auto|json|binary"}, {"canonical", ""}},
+       "re-encode an artifact between JSON and VBT1 binary, lossless both "
+       "ways (docs/artifacts.md); the output format follows the output "
+       "extension unless --format overrides it; --canonical drops "
+       "provenance (threads/wall time)", cmd_convert},
+      {"campaign", "<spec.json> ...",
+       {{"dir", "<state-dir>"}, {"shards", "N"}, {"workers", "K"},
+        {"resume", ""}, {"max-retries", "R"}, {"stale-ms", "T"},
+        {"task-timeout-ms", "T"}, {"set", "key=val ..."}, {"threads", "N"},
+        {"plan-only", ""}, {"format", "json|binary"},
+        {"metrics", "all|<subsystem>|<name>,..."}, {"trace", ""}},
+       "each <spec.json> is one StudySpec or a JSON array of specs; --dir "
+       "is required unless --plan-only, which validates every spec and "
+       "prints the task plan without running; --resume finishes the gaps "
+       "of an existing state dir (docs/campaigns.md)", cmd_campaign},
+      {"trace", "<state-dir | run.trace.json>",
+       {{"chrome", "out.json"}, {"summary", ""},
+        {"format", "text|markdown|csv|json"}},
+       "stitch <state-dir>/traces/*.trace.json (written by campaign "
+       "--trace), or the one file run --trace-out wrote, into a Chrome "
+       "trace-event timeline and a per-span summary (docs/metrics.md)",
+       cmd_trace},
+      {"status", "<state-dir>",
+       {{"json", ""}, {"watch", ""}, {"interval-ms", "T"}},
+       "live worker/task state from the manifest, queue and claim "
+       "heartbeats, read-only; --watch repolls until no task is pending "
+       "(docs/campaigns.md)", cmd_status},
+      {"list", "", {{"json", ""}},
+       "registered study kinds (incl. every paper figure/table); --json "
+       "emits the machine-readable registry", cmd_list},
+      {"metrics", "", {{"list", ""}, {"json", ""}},
+       "with --list, the metric registry: stable ids, names, units, "
+       "subsystems (docs/metrics.md); enable with --metrics <sel> on "
+       "run/campaign", cmd_metrics},
+      {"bench", "",
+       {{"gate", ""}, {"dir", "bench"}, {"threshold", "X"}, {"repeats", "N"},
+        {"scale", "S"}, {"threads", "N"}, {"label", "L"}, {"no-append", ""},
+        {"inject-slowdown", "X"}},
+       "run the instrumented microbenches, append the perf trajectory, "
+       "gate regressions (docs/metrics.md)", cmd_bench},
+      {"report", "<artifact.json | dir>",
+       {{"spec", "r.json"}, {"set", "key=val ..."},
+        {"format", "text|markdown|csv|json"}, {"compare", "other.json"},
+        {"threads", "N"}, {"out", "file"}},
+       "render every statistic derivable from a ResultTable artifact; a "
+       "directory reports each study it holds (docs/reporting.md)",
+       cmd_report},
+      {"tasks", "", {}, "list the registered case studies", cmd_tasks},
+      {"plan", "", {{"gamma", "G"}, {"alpha", "A"}, {"beta", "B"}},
+       "Noether runs per algorithm", cmd_plan},
+      {"audit", "<task>", {{"scale", "S"}},
+       "reproducibility audit of one pipeline", cmd_audit},
+  };
+  return table;
+}
+
+const Command* find_command(std::string_view name) {
+  for (const Command& c : commands()) {
+    if (c.name == name) return &c;
+  }
+  return nullptr;
+}
+
+/// `line` followed by `words`, one space apart, broken before a word that
+/// would pass column 78; continuation lines are indented 10 columns.
+std::string wrap(std::string line, const std::vector<std::string>& words) {
+  constexpr std::size_t kIndent = 10;
+  std::string out;
+  for (const std::string& word : words) {
+    if (line.size() > kIndent && line.size() + 1 + word.size() > 78) {
+      out += line + "\n";
+      line.assign(kIndent, ' ');
+    } else if (line.back() != ' ') {
+      line += ' ';
+    }
+    line += word;
+  }
+  while (!line.empty() && line.back() == ' ') line.pop_back();
+  return out + line + "\n";
+}
+
+/// The usage line of `c` after `lead`, then its help text.
+std::string command_text(std::string lead, const Command& c) {
+  std::vector<std::string> synopsis;
+  if (!c.operands.empty()) synopsis.emplace_back(c.operands);
+  for (const Flag& flag : c.flags) {
+    std::string item = "[--" + std::string{flag.name};
+    if (!flag.value.empty()) item += " " + std::string{flag.value};
+    synopsis.push_back(item + "]");
+  }
+  std::vector<std::string> about;
+  for (std::size_t at = 0; at < c.about.size();) {
+    const std::size_t space = std::min(c.about.find(' ', at), c.about.size());
+    about.emplace_back(c.about.substr(at, space - at));
+    at = space + 1;
+  }
+  return wrap(std::move(lead), synopsis) + wrap(std::string(10, ' '), about);
+}
+
+int command_usage(std::string_view name) {
+  const Command& c = *find_command(name);
+  std::fputs(command_text("usage: varbench " + std::string{c.name}, c).c_str(),
+             stderr);
+  return 2;
+}
+
 void usage() {
-  std::printf(
+  std::string text =
       "varbench — variance-aware ML benchmarking (MLSys 2021 reproduction)\n"
-      "spec-driven interface (docs/study_api.md):\n"
-      "  run     <spec.json> [--set key=val ...] [--shard i/N] [--threads N]\n"
-      "          [--out out.json|out.vbt] [--csv out.csv] [--canonical]\n"
-      "          [--format auto|json|binary]\n"
-      "  merge   <shard.json|shard.vbt | shard-dir> ... [--out merged.json]\n"
-      "          [--csv merged.csv] [--format auto|json|binary]\n"
-      "  convert <in> <out> [--format auto|json|binary] [--canonical]\n"
-      "          re-encode an artifact between JSON and VBT1 binary\n"
-      "          (lossless both ways, docs/artifacts.md)\n"
-      "  campaign <spec.json> --dir <state-dir> [--shards N] [--workers K]\n"
-      "          [--resume] [--max-retries R] [--plan-only]\n"
-      "          [--format json|binary] [--trace] (docs/campaigns.md)\n"
-      "  trace   <state-dir | run.trace.json> [--chrome out.json]\n"
-      "          [--summary]  stitch per-worker traces (or one run's\n"
-      "          --trace-out file) into a Chrome trace-event timeline +\n"
-      "          per-span summary (docs/metrics.md)\n"
-      "  status  <state-dir> [--json] [--watch]\n"
-      "          live worker/task state from heartbeats alone, read-only\n"
-      "          (docs/campaigns.md)\n"
-      "  list    [--json]  registered study kinds (incl. every paper\n"
-      "          figure/table); --json emits the machine-readable registry\n"
-      "  metrics --list [--json]  the metric registry: stable ids, names,\n"
-      "          units, subsystems (docs/metrics.md); enable with\n"
-      "          --metrics <sel> on run/campaign\n"
-      "  bench   [--gate] [--dir bench] [--threshold X] [--repeats N]\n"
-      "          [--scale S] [--threads N] [--label L] [--no-append]\n"
-      "          run the instrumented microbenches, append the perf\n"
-      "          trajectory, gate regressions (docs/metrics.md)\n"
-      "  report  <artifact.json | dir> [--spec r.json] [--set key=val ...]\n"
-      "          [--format text|markdown|csv|json] [--compare other.json]\n"
-      "          [--threads N] [--out file] (docs/reporting.md)\n"
-      "case-study utilities:\n"
-      "  tasks                       list case studies\n"
-      "  plan    [--gamma --alpha --beta]  Noether runs per algorithm\n"
-      "  audit   <task> [--scale]    reproducibility audit of one pipeline\n"
+      "subcommands (docs/study_api.md):\n";
+  for (const Command& c : commands()) {
+    std::string lead = "  " + std::string{c.name};
+    lead.resize(std::max<std::size_t>(lead.size() + 1, 10), ' ');
+    text += command_text(std::move(lead), c);
+  }
+  text +=
       "--threads N runs the Monte-Carlo loops on N threads (0 = all cores)\n"
       "and --shard i/N computes slice i of N; results are bit-identical for\n"
       "every N and any shard/merge split (docs/determinism.md).\n"
       "varbench --version prints the release version and exits; --help,\n"
-      "alone or after any subcommand, prints this text.\n");
+      "alone or after any subcommand, prints this text.\n";
+  std::fputs(text.c_str(), stdout);
 }
 
 }  // namespace
@@ -801,7 +827,10 @@ int main(int argc, char** argv) {
   }
   g_argv0 = argv[0];
   const std::string cmd = argv[1];
-  const Args args = parse(argc, argv, 2);
+  const Command* command = find_command(cmd);
+  const Args args =
+      parse(argc, argv, 2, command != nullptr ? command->flags
+                                              : std::vector<Flag>{});
   // --help, bare or after any subcommand, is the one help there is.
   if (cmd == "--help" || args.find("help") != nullptr) {
     usage();
@@ -813,24 +842,15 @@ int main(int argc, char** argv) {
                 kVersion.data());
     return 0;
   }
+  if (command == nullptr) {
+    usage();
+    return 2;
+  }
   try {
-    if (cmd == "run") return cmd_run(args);
-    if (cmd == "merge") return cmd_merge(args);
-    if (cmd == "convert") return cmd_convert(args);
-    if (cmd == "campaign") return cmd_campaign(args);
-    if (cmd == "report") return cmd_report(args);
-    if (cmd == "trace") return cmd_trace(args);
-    if (cmd == "status") return cmd_status(args);
-    if (cmd == "list") return cmd_list(args);
-    if (cmd == "metrics") return cmd_metrics(args);
-    if (cmd == "bench") return cmd_bench(args);
-    if (cmd == "tasks") return cmd_tasks(args);
-    if (cmd == "plan") return cmd_plan(args);
-    if (cmd == "audit") return cmd_audit(args);
+    require_known_flags(args, command->flags);
+    return command->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  usage();
-  return 2;
 }
