@@ -201,21 +201,46 @@ TEST(FlatPlans, SameTextAtOneTwoAndFourThreadsAndAcrossShards) {
   }
 }
 
-TEST(FlatPlans, Fig01FansOutExactlyOneRegion) {
-  StudySpec spec = flat_plan_spec(StudyKind::kFig01VarianceSources);
-  spec.threads = 4;
+// Each runner puts every replicate range into its one plan: fig01's
+// probes, and the groups fig02, fig05, figH5, figI6, ablation_pairing and
+// ablation_splitters once ran as one region each. Regions nested inside a
+// replicate (HOpt trials, the criteria's resampling) run inline.
+TEST(FlatPlans, EveryPlanFansOutExactlyOneRegion) {
+  std::vector<StudySpec> specs{
+      flat_plan_spec(StudyKind::kFig01VarianceSources)};
+  for (const char* text : {
+           R"({"kind": "fig02_binomial_model", "scale": 0.1, "repetitions": 3,
+               "params": {"tasks": ["glue_rte_bert", "cifar10_vgg11"]}})",
+           R"({"kind": "fig05_estimator_stderr", "repetitions": 3,
+               "params": {"tasks": ["glue_rte_bert", "mhc_mlp"],
+                          "k_grid": [1, 5]}})",
+           R"({"kind": "figH5_mse_decomposition", "repetitions": 4,
+               "params": {"tasks": ["glue_rte_bert"], "k": 5}})",
+           R"({"kind": "figI6_robustness", "repetitions": 4,
+               "params": {"resamples": 10, "k_grid": [10, 29],
+                          "gamma_grid": [0.6, 0.75], "p_grid": [0.5, 0.8]}})",
+           R"({"kind": "ablation_pairing", "repetitions": 4,
+               "params": {"resamples": 10}})",
+           R"({"kind": "ablation_splitters", "scale": 0.1,
+               "repetitions": 3})"}) {
+    specs.push_back(StudySpec::from_json_text(text));
+  }
   metrics::Sink& sink = metrics::global_sink();
-  sink.reset();
-  sink.enable(metrics::kExecRegionThreads);
-  (void)run_study(spec);
-  const metrics::Snapshot snap = sink.snapshot();
-  sink.disable(metrics::kExecRegionThreads);
-  sink.reset();
-  const auto* threads = snap.find(metrics::kExecRegionThreads);
-  ASSERT_NE(threads, nullptr);
-  // The plan's region fans out; the HOpt trial loops inside it run inline.
-  EXPECT_EQ(threads->count - threads->bins[metrics::bin_index(1)], 1u);
-  EXPECT_EQ(threads->bins[metrics::bin_index(4)], 1u);
+  for (StudySpec& spec : specs) {
+    spec.threads = 4;
+    sink.reset();
+    sink.enable(metrics::kExecRegionThreads);
+    (void)run_study(spec);
+    const metrics::Snapshot snap = sink.snapshot();
+    sink.disable(metrics::kExecRegionThreads);
+    sink.reset();
+    const auto* threads = snap.find(metrics::kExecRegionThreads);
+    ASSERT_NE(threads, nullptr) << to_string(spec.kind);
+    EXPECT_EQ(threads->count - threads->bins[metrics::bin_index(1)], 1u)
+        << to_string(spec.kind);
+    EXPECT_EQ(threads->bins[metrics::bin_index(4)], 1u)
+        << to_string(spec.kind);
+  }
 }
 
 }  // namespace
