@@ -1,6 +1,6 @@
 // Internal helpers shared by the study runners and summarizers: the
-// execution context, task-set resolution, the row plan every runner
-// declares its table on (it keeps `seq` a global enumeration under any
+// execution context, task-set resolution, the row plan the runners
+// declare their tables on (it keeps `seq` a global enumeration under any
 // shard split, the merge contract of docs/study_api.md, and runs every
 // replicate range as one parallel region), and the one row grouping every
 // summary is built from.
