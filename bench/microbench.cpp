@@ -271,8 +271,9 @@ std::vector<MicrobenchResult> run_stats_microbenches(
         rngx::Rng rng{1};
         const Stopwatch sw;
         const std::vector<double> statistics =
-            exec::parallel_replicate<double>(
-                ctx, resamples, rng, "bootstrap",
+            exec::parallel_replicate_range<double>(
+                ctx, exec::IndexRange{0, resamples}, rng.next_u64(),
+                "bootstrap",
                 [&](std::uint64_t, rngx::Rng& r) {
                   std::vector<double> resample(x.size());
                   for (double& v : resample) {

@@ -94,15 +94,4 @@ const std::vector<SotaSeries>& sota_series() {
   return kSeries;
 }
 
-double mean_improvement(const SotaSeries& series) {
-  if (series.points.size() < 2) {
-    throw std::invalid_argument("mean_improvement: need >= 2 points");
-  }
-  double sum = 0.0;
-  for (std::size_t i = 1; i < series.points.size(); ++i) {
-    sum += series.points[i].accuracy - series.points[i - 1].accuracy;
-  }
-  return sum / static_cast<double>(series.points.size() - 1);
-}
-
 }  // namespace varbench::casestudies

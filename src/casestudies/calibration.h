@@ -60,8 +60,4 @@ struct SotaSeries {
 /// Digitized paperswithcode.com SOTA progressions used in Fig. 3.
 [[nodiscard]] const std::vector<SotaSeries>& sota_series();
 
-/// Mean of the year-over-year SOTA increments of a series — the quantity the
-/// paper regresses δ = 1.9952·σ against.
-[[nodiscard]] double mean_improvement(const SotaSeries& series);
-
 }  // namespace varbench::casestudies

@@ -240,12 +240,4 @@ CaseStudy make_case_study(const std::string& id, double scale) {
   throw std::invalid_argument("make_case_study: unknown id " + id);
 }
 
-std::vector<CaseStudy> make_all_case_studies(double scale) {
-  std::vector<CaseStudy> all;
-  for (const auto& id : case_study_ids()) {
-    all.push_back(make_case_study(id, scale));
-  }
-  return all;
-}
-
 }  // namespace varbench::casestudies

@@ -34,6 +34,4 @@ struct CaseStudy {
 [[nodiscard]] CaseStudy make_case_study(const std::string& id,
                                         double scale = 1.0);
 
-[[nodiscard]] std::vector<CaseStudy> make_all_case_studies(double scale = 1.0);
-
 }  // namespace varbench::casestudies

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "src/exec/parallel_replicate.h"
 
@@ -41,7 +42,7 @@ std::vector<std::vector<std::uint8_t>> detection_rounds(
   // One task per (grid point, simulation round) pair, each on its own RNG
   // stream; every criterion sees the same simulated samples within a round.
   return exec::parallel_replicate_range<std::vector<std::uint8_t>>(
-      config.exec, range, rng, "detection_rates",
+      config.exec, range, rng.next_u64(), "detection_rates",
       [&](std::size_t round, rngx::Rng& round_rng) {
         const std::size_t gi = round / config.simulations;
         const auto a = simulate_measures(profile, estimator, offsets[gi],
@@ -54,38 +55,6 @@ std::vector<std::vector<std::uint8_t>> detection_rounds(
         }
         return detected;
       });
-}
-
-DetectionCurves characterize_detection_rates(
-    const TaskVarianceProfile& profile, EstimatorKind estimator,
-    std::span<const std::unique_ptr<ComparisonCriterion>> criteria,
-    const DetectionRateConfig& config, rngx::Rng& rng) {
-  if (criteria.empty()) {
-    throw std::invalid_argument("characterize_detection_rates: no criteria");
-  }
-  DetectionCurves curves;
-  curves.p_grid = config.p_grid.empty() ? default_p_grid() : config.p_grid;
-  for (const auto& c : criteria) {
-    curves.rates[std::string{c->name()}] =
-        std::vector<double>(curves.p_grid.size(), 0.0);
-  }
-
-  const std::size_t rounds = curves.p_grid.size() * config.simulations;
-  const auto hits = detection_rounds(profile, estimator, criteria, config,
-                                     exec::IndexRange{0, rounds}, rng);
-  for (std::size_t round = 0; round < rounds; ++round) {
-    const std::size_t gi = round / config.simulations;
-    for (std::size_t ci = 0; ci < criteria.size(); ++ci) {
-      if (hits[round][ci] != 0) {
-        curves.rates[std::string{criteria[ci]->name()}][gi] += 1.0;
-      }
-    }
-  }
-  for (auto& [name, rate] : curves.rates) {
-    (void)name;
-    for (double& r : rate) r /= static_cast<double>(config.simulations);
-  }
-  return curves;
 }
 
 TruthRegion classify_region(double p, double gamma) {

@@ -4,10 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/compare/criteria.h"
@@ -20,17 +18,10 @@ namespace varbench::compare {
 struct DetectionRateConfig {
   std::size_t k = 50;             // measurements per algorithm per simulation
   std::size_t simulations = 100;  // simulation rounds per grid point
-  double gamma = 0.75;            // the H1 threshold
   std::vector<double> p_grid;     // true P(A>B) values; empty → 0.4..1.0
   // Each (grid point, simulation round) pair runs on its own RNG stream;
-  // curves are bit-identical for every num_threads.
+  // the outcomes are bit-identical for every num_threads.
   exec::ExecContext exec;
-};
-
-struct DetectionCurves {
-  std::vector<double> p_grid;
-  // criterion name → detection rate (in [0,1]) at each grid point.
-  std::map<std::string, std::vector<double>> rates;
 };
 
 /// The default Fig. 6 x-axis: true P(A>B) from 0.4 to 1.0 in steps of 0.05,
@@ -48,14 +39,6 @@ struct DetectionCurves {
     const TaskVarianceProfile& profile, EstimatorKind estimator,
     std::span<const std::unique_ptr<ComparisonCriterion>> criteria,
     const DetectionRateConfig& config, exec::IndexRange range, rngx::Rng& rng);
-
-/// Run the Fig. 6 experiment for one task profile and one estimator kind.
-/// Criteria are evaluated on THE SAME simulated samples at each round, so
-/// curves are directly comparable.
-[[nodiscard]] DetectionCurves characterize_detection_rates(
-    const TaskVarianceProfile& profile, EstimatorKind estimator,
-    std::span<const std::unique_ptr<ComparisonCriterion>> criteria,
-    const DetectionRateConfig& config, rngx::Rng& rng);
 
 /// The three x-axis regions of Fig. 6 for a true probability p.
 enum class TruthRegion : int { kH0, kIntermediate, kH1 };

@@ -63,8 +63,8 @@ TopGroupResult significance_top_group(const exec::ExecContext& ctx,
   result.adjusted_alpha = stats::bonferroni_alpha(alpha, n - 1);
   // best vs a, one independent comparison per contestant: if NOT
   // (significant and meaningful), a stays in the group.
-  const auto in_group = exec::parallel_replicate<std::uint8_t>(
-      ctx, n, rng, "top_group",
+  const auto in_group = exec::parallel_replicate_range<std::uint8_t>(
+      ctx, exec::IndexRange{0, n}, rng.next_u64(), "top_group",
       [&](std::size_t a, rngx::Rng& comparison_rng) -> std::uint8_t {
         if (a == result.best) return 1;
         const auto r = stats::test_probability_of_outperforming(
@@ -93,8 +93,9 @@ RankingStability ranking_stability(const exec::ExecContext& ctx,
 
   // Each resample reports its ranking; counts accumulate serially in
   // resample order afterwards.
-  const auto orders = exec::parallel_replicate<std::vector<std::size_t>>(
-      ctx, num_resamples, rng, "ranking_stability",
+  const auto orders = exec::parallel_replicate_range<std::vector<std::size_t>>(
+      ctx, exec::IndexRange{0, num_resamples}, rng.next_u64(),
+      "ranking_stability",
       [&](std::size_t, rngx::Rng& resample_rng) {
         std::vector<std::size_t> idx(k, 0);
         for (auto& v : idx) {

@@ -78,7 +78,7 @@ EstimatorResult ideal_estimator(const exec::ExecContext& ctx,
   // Algorithm 1: fresh ξO and ξH per measurement, full HOpt each time; each
   // global index i draws its ξ from its own (master, tag, i) stream.
   auto measures = exec::parallel_replicate_range<double>(
-      ctx, range, master, "ideal_estimator",
+      ctx, range, master.next_u64(), "ideal_estimator",
       [&](std::size_t, rngx::Rng& rng) {
         const auto seeds = rngx::VariationSeeds::random(rng);
         return run_pipeline_once(pipeline, pool, splitter, inner, seeds,
@@ -112,7 +112,7 @@ EstimatorResult fix_hopt_estimator(const exec::ExecContext& ctx,
   // independent stream per global measurement index.
   const auto randomized = sources_of(subset);
   auto measures = exec::parallel_replicate_range<double>(
-      ctx, range, master, "fix_hopt_estimator",
+      ctx, range, master.next_u64(), "fix_hopt_estimator",
       [&](std::size_t, rngx::Rng& rng) {
         const auto seeds = base_seeds.with_randomized_set(randomized, rng);
         return measure_with_params(pipeline, pool, splitter, lambda, seeds,
@@ -134,11 +134,6 @@ double biased_estimator_variance(double var_single, double rho,
   if (k == 0) throw std::invalid_argument("biased_estimator_variance: k == 0");
   const auto kd = static_cast<double>(k);
   return var_single / kd + (kd - 1.0) / kd * rho * var_single;
-}
-
-double biased_estimator_mse(double var_single, double rho, double bias,
-                            std::size_t k) {
-  return biased_estimator_variance(var_single, rho, k) + bias * bias;
 }
 
 }  // namespace varbench::core

@@ -74,8 +74,4 @@ struct EstimatorResult {
 [[nodiscard]] double biased_estimator_variance(double var_single, double rho,
                                                std::size_t k);
 
-/// Mean squared error decomposition of Eq. 8: Var(µ̃(k)|ξ) + bias².
-[[nodiscard]] double biased_estimator_mse(double var_single, double rho,
-                                          double bias, std::size_t k);
-
 }  // namespace varbench::core

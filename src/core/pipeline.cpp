@@ -6,17 +6,19 @@
 
 namespace varbench::core {
 
-InnerSplit inner_split(const ml::Dataset& trainvalid,
-                       double validation_fraction, rngx::Rng& hpo_rng) {
-  if (!(validation_fraction > 0.0 && validation_fraction < 1.0)) {
-    throw std::invalid_argument(
-        "inner_split: validation_fraction outside (0, 1)");
-  }
+namespace {
+
+/// The share of S_tv that HOpt holds out as S_v.
+constexpr double kValidationFraction = 0.25;
+
+}  // namespace
+
+InnerSplit inner_split(const ml::Dataset& trainvalid, rngx::Rng& hpo_rng) {
   std::vector<std::size_t> order(trainvalid.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   hpo_rng.shuffle(order);
   const auto n_valid = std::max<std::size_t>(
-      1, static_cast<std::size_t>(validation_fraction *
+      1, static_cast<std::size_t>(kValidationFraction *
                                   static_cast<double>(trainvalid.size())));
   if (n_valid >= trainvalid.size()) {
     throw std::invalid_argument(
@@ -36,8 +38,7 @@ hpo::ParamPoint run_hpo(const LearningPipeline& pipeline,
   if (config.algorithm == nullptr) return pipeline.default_params();
   auto hpo_rng = seeds.rng_for(rngx::VariationSource::kHpo);
   // The inner split is part of HOpt's arbitrary choices (ξH).
-  const InnerSplit inner =
-      inner_split(trainvalid, config.validation_fraction, hpo_rng);
+  const InnerSplit inner = inner_split(trainvalid, hpo_rng);
   const hpo::Objective objective = [&](const hpo::ParamPoint& lambda) {
     if (counter != nullptr) ++counter->fits;
     // Minimize risk = 1 - performance (metrics are higher-is-better).

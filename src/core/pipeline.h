@@ -63,20 +63,18 @@ struct FitCounter {
 struct HpoRunConfig {
   const hpo::HpoAlgorithm* algorithm = nullptr;  // nullptr → defaults, no HPO
   std::size_t budget = 50;        // T: number of HPO trials
-  double validation_fraction = 0.25;  // inner S_t / S_v split of S_tv
   exec::ExecContext exec;         // fan-out for independent trial evaluations
 };
 
 /// HOpt's inner S_t / S_v split of `trainvalid`: its rows shuffled by the
-/// ξH stream `hpo_rng`, the first max(1, ⌊fraction·n⌋) held out for
-/// validation. Throws std::invalid_argument for a fraction outside (0, 1)
-/// or a split that leaves no train data.
+/// ξH stream `hpo_rng`, the first max(1, ⌊0.25·n⌋) held out for
+/// validation. Throws std::invalid_argument for a split that leaves no
+/// train data.
 struct InnerSplit {
   ml::Dataset train;
   ml::Dataset valid;
 };
 [[nodiscard]] InnerSplit inner_split(const ml::Dataset& trainvalid,
-                                     double validation_fraction,
                                      rngx::Rng& hpo_rng);
 
 /// HOpt(S_tv; ξO, ξH): tune hyperparameters on the inner_split of

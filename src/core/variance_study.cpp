@@ -115,7 +115,7 @@ PlannedVarianceStudy add_variance_study(exec::ReplicatePlan& plan,
     }
     add_row(probe.source, probe.label,
             plan.add<double>(
-                reps, master, rngx::to_string(probe.source),
+                reps, master.next_u64(), rngx::to_string(probe.source),
                 [&pipeline, &pool, &splitter, defaults, base,
                  source = probe.source](std::size_t, rngx::Rng& rng) {
                   const auto seeds = base.with_randomized(source, rng);
@@ -130,7 +130,8 @@ PlannedVarianceStudy add_variance_study(exec::ReplicatePlan& plan,
       add_base_fit_row(rngx::VariationSource::kNumerical, "Numerical noise");
     } else {
       add_row(rngx::VariationSource::kNumerical, "Numerical noise",
-              plan.add<double>(reps, master, "numerical_noise", base_fit));
+              plan.add<double>(reps, master.next_u64(), "numerical_noise",
+                               base_fit));
     }
   }
 
@@ -142,13 +143,12 @@ PlannedVarianceStudy add_variance_study(exec::ReplicatePlan& plan,
     HpoRunConfig hpo_cfg;
     hpo_cfg.algorithm = algorithm.get();
     hpo_cfg.budget = config.hpo_budget;
-    hpo_cfg.validation_fraction = config.validation_fraction;
     // The plan owns the hardware; HOpt's trial loop stays serial inside
     // each repetition to avoid oversubscription.
     hpo_cfg.exec = config.exec.inline_view();
     add_row(rngx::VariationSource::kHpo, std::string{algorithm->name()},
             plan.add<double>(
-                slice(config.hpo_repetitions), master, algo_name,
+                slice(config.hpo_repetitions), master.next_u64(), algo_name,
                 [&pipeline, &pool, &splitter, base, algorithm,
                  hpo_cfg](std::size_t, rngx::Rng& rng) {
                   return run_pipeline_once(

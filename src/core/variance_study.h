@@ -28,7 +28,6 @@ struct VarianceStudyConfig {
   std::vector<std::string> hpo_algorithms;  // e.g. {"random_search", ...}
   std::size_t hpo_repetitions = 10;         // paper: 20
   std::size_t hpo_budget = 30;              // paper: 200 trials
-  double validation_fraction = 0.25;
   bool include_numerical_noise = true;
   // Repetitions are independent given per-index RNG streams; the study result
   // is bit-identical for every num_threads (see docs/determinism.md).

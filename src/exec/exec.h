@@ -3,10 +3,10 @@
 // The three layers, bottom-up:
 //   ThreadPool          process-wide workers, grow-on-demand   (thread_pool.h)
 //   parallel_for        chunked self-scheduling index loops    (parallel_for.h)
-//   parallel_replicate  per-index RNG streams → bit-identical
-//                       Monte-Carlo results at any thread count; a
-//                       ReplicatePlan runs many such ranges as one region
-//                                                         (parallel_replicate.h)
+//   parallel_replicate_range / parallel_replicate_blocks / ReplicatePlan
+//                       per-index RNG streams → bit-identical Monte-Carlo
+//                       results at any thread count; a ReplicatePlan runs
+//                       many such ranges as one region  (parallel_replicate.h)
 //
 // Consumers receive an ExecContext (exec_context.h) through their config
 // structs; ExecContext::serial() is the default, and ctx.inline_view() is

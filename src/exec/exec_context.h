@@ -54,9 +54,6 @@ struct ExecContext {
     return nested;
   }
 
-  /// All hardware threads.
-  [[nodiscard]] static ExecContext hardware() { return ExecContext{0}; }
-
   friend bool operator==(const ExecContext&, const ExecContext&) = default;
 };
 

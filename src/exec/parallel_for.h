@@ -3,7 +3,7 @@
 // Scheduling is dynamic (an atomic chunk cursor), so thread assignment is
 // nondeterministic — which is exactly why bodies must depend only on their
 // index, never on which thread runs them or in what order. Determinism of
-// every randomized caller comes from parallel_replicate's per-index streams.
+// every randomized caller comes from the replicate ranges' per-index streams.
 // detail::run_region is the one scheduler, under parallel_for and under
 // ReplicatePlan::run (parallel_replicate.h).
 #pragma once

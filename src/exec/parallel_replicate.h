@@ -1,12 +1,18 @@
-// parallel_replicate: the deterministic Monte-Carlo fan-out primitive.
+// Replicate ranges: the deterministic Monte-Carlo fan-out primitive.
 //
 // Every task index derives its own RNG stream from (master seed, tag, index),
 // so replication results are bit-identical for every thread count — 1 thread,
 // N threads, and the serial fallback all produce the same vector. This is the
 // repo-wide replacement for "loop r times drawing from one shared Rng&",
 // which is inherently order-dependent and therefore unparallelizable.
-// ReplicatePlan runs several such ranges as one region, with the bits the
-// separate calls give; parallel_replicate_range is a one-range plan.
+// Three entry points: parallel_replicate_range (one range, one result per
+// index), parallel_replicate_blocks (one range in blocks of indices, for
+// SIMD-lane kernels) and ReplicatePlan::add (several ranges as one region,
+// with the bits the separate calls give; parallel_replicate_range is a
+// one-range plan). A caller that holds a parent Rng passes
+// `master.next_u64()` as the master seed: exactly one draw, independent of
+// the range and the thread count, so shard runs advance the parent stream
+// as the unsharded run does.
 #pragma once
 
 #include <algorithm>
@@ -80,18 +86,8 @@ void parallel_replicate_blocks(const ExecContext& ctx, IndexRange range,
   });
 }
 
-/// As above with the master seed drawn from `master` — exactly one draw.
-template <typename Fn>
-void parallel_replicate_blocks(const ExecContext& ctx, IndexRange range,
-                               std::size_t block_size, rngx::Rng& master,
-                               std::string_view tag, Fn&& fn) {
-  parallel_replicate_blocks(ctx, range, block_size, master.next_u64(), tag,
-                            std::forward<Fn>(fn));
-}
-
 /// Several replicate ranges run as one parallel region (docs/determinism.md
-/// §2). `add` takes a range, its master seed (or one draw from a parent
-/// Rng, made at once, as parallel_replicate_range makes it), its tag and
+/// §2). `add` takes a range, its master seed, its tag and
 /// `fn(global_index, rng)`, and returns the vector `run` fills: out[j] is
 /// global index range.begin + j, computed with the child Rng derived from
 /// (master seed, tag, global index) — exactly what a separate
@@ -111,13 +107,6 @@ class ReplicatePlan {
     std::vector<T>& out = added->out;
     ranges_.push_back(std::move(added));
     return out;
-  }
-
-  /// As above with the master seed drawn from `master` — exactly one draw.
-  template <typename T, typename Fn>
-  std::vector<T>& add(IndexRange range, rngx::Rng& master,
-                      std::string_view tag, Fn&& fn) {
-    return add<T>(range, master.next_u64(), tag, std::forward<Fn>(fn));
   }
 
   /// Compute every added range; blocks until done. Inside another region
@@ -189,43 +178,6 @@ template <typename T, typename Fn>
       plan.add<T>(range, master_seed, tag, std::forward<Fn>(fn));
   plan.run(ctx);
   return std::move(out);
-}
-
-/// As above with the master seed drawn from `master` — exactly one draw,
-/// independent of the range, the total n, and the thread count, so shard
-/// runs advance the parent stream identically to the unsharded run.
-template <typename T, typename Fn>
-[[nodiscard]] std::vector<T> parallel_replicate_range(const ExecContext& ctx,
-                                                      IndexRange range,
-                                                      rngx::Rng& master,
-                                                      std::string_view tag,
-                                                      Fn&& fn) {
-  return parallel_replicate_range<T>(ctx, range, master.next_u64(), tag,
-                                     std::forward<Fn>(fn));
-}
-
-/// Run `fn(index, rng)` for index in [0, n), each with an independent child
-/// Rng derived from (master_seed, tag, index), and collect the results in
-/// index order. T must be default-constructible and movable.
-template <typename T, typename Fn>
-[[nodiscard]] std::vector<T> parallel_replicate(const ExecContext& ctx,
-                                                std::size_t n,
-                                                std::uint64_t master_seed,
-                                                std::string_view tag, Fn&& fn) {
-  return parallel_replicate_range<T>(ctx, IndexRange{0, n}, master_seed, tag,
-                                     std::forward<Fn>(fn));
-}
-
-/// As above, but the master seed is drawn from `master` — exactly one draw,
-/// independent of n and of the thread count, so the parent stream advances
-/// identically in serial and parallel runs.
-template <typename T, typename Fn>
-[[nodiscard]] std::vector<T> parallel_replicate(const ExecContext& ctx,
-                                                std::size_t n,
-                                                rngx::Rng& master,
-                                                std::string_view tag, Fn&& fn) {
-  return parallel_replicate<T>(ctx, n, master.next_u64(), tag,
-                               std::forward<Fn>(fn));
 }
 
 }  // namespace varbench::exec

@@ -1,7 +1,7 @@
 // A lazily grown, process-wide worker pool. Parallel regions submit
 // self-scheduling tasks (each pops chunk indices off a shared atomic
 // counter), so the pool itself needs no notion of loops or determinism —
-// that lives in parallel_for / parallel_replicate.
+// that lives in parallel_for and the replicate ranges (parallel_replicate.h).
 #pragma once
 
 #include <cstddef>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "src/math/linalg.h"
@@ -78,17 +77,6 @@ GpPrediction GaussianProcess::predict(std::span<const double> x) const {
   const double var_norm =
       std::max(0.0, kernel(x, x) - math::dot(v, v));
   return {mean_norm * y_scale_ + y_mean_, var_norm * y_scale_ * y_scale_};
-}
-
-double GaussianProcess::log_marginal_likelihood() const {
-  if (!fitted()) {
-    throw std::logic_error("GaussianProcess::log_marginal_likelihood: not fitted");
-  }
-  const auto n = static_cast<double>(x_.rows());
-  const double data_fit = -0.5 * math::dot(y_norm_, alpha_);
-  const double complexity = -0.5 * math::cholesky_log_det(chol_);
-  const double norm_const = -0.5 * n * std::log(2.0 * std::numbers::pi);
-  return data_fit + complexity + norm_const;
 }
 
 }  // namespace varbench::hpo

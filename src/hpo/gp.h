@@ -30,15 +30,11 @@ class GaussianProcess {
   void fit(const math::Matrix& x, std::span<const double> y);
 
   [[nodiscard]] bool fitted() const noexcept { return !alpha_.empty(); }
-  [[nodiscard]] std::size_t num_points() const noexcept { return x_.rows(); }
   [[nodiscard]] const GpConfig& config() const noexcept { return config_; }
 
   /// Posterior mean and variance at a single query point (in original target
   /// units).
   [[nodiscard]] GpPrediction predict(std::span<const double> x) const;
-
-  /// Log marginal likelihood of the fitted data (model-selection diagnostic).
-  [[nodiscard]] double log_marginal_likelihood() const;
 
  private:
   [[nodiscard]] double kernel(std::span<const double> a,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -10,17 +9,6 @@
 #include "src/hpo/bayesopt.h"
 
 namespace varbench::hpo {
-
-std::vector<double> HpoResult::best_so_far() const {
-  std::vector<double> curve;
-  curve.reserve(trials.size());
-  double running_min = std::numeric_limits<double>::infinity();
-  for (const auto& t : trials) {
-    running_min = std::min(running_min, t.objective);
-    curve.push_back(running_min);
-  }
-  return curve;
-}
 
 namespace {
 

@@ -27,9 +27,6 @@ struct HpoResult {
   std::vector<Trial> trials;  // in evaluation order
   ParamPoint best;
   double best_objective = 0.0;
-
-  /// Running minimum of the objective — the optimization curve of Fig. F.2.
-  [[nodiscard]] std::vector<double> best_so_far() const;
 };
 
 class HpoAlgorithm {

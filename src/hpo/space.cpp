@@ -103,9 +103,4 @@ bool SearchSpace::contains(const ParamPoint& p) const {
   return true;
 }
 
-double value_or(const ParamPoint& p, const std::string& name, double fallback) {
-  const auto it = p.find(name);
-  return it == p.end() ? fallback : it->second;
-}
-
 }  // namespace varbench::hpo

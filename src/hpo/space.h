@@ -60,8 +60,4 @@ class SearchSpace {
   std::vector<Dimension> dims_;
 };
 
-/// Value of dimension `name`, or `fallback` when absent.
-[[nodiscard]] double value_or(const ParamPoint& p, const std::string& name,
-                              double fallback);
-
 }  // namespace varbench::hpo

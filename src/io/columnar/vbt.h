@@ -73,9 +73,6 @@ class MappedTable {
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::size_t num_rows() const { return rows_; }
   [[nodiscard]] std::size_t num_columns() const { return columns_.size(); }
-  [[nodiscard]] const std::vector<std::string>& column_names() const {
-    return names_;
-  }
   [[nodiscard]] ColumnType column_type(std::size_t ci) const;
 
   /// The artifact metadata document (canonical JSON minus "rows"):

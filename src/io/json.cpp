@@ -627,8 +627,12 @@ std::string read_file(const std::string& path) {
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
   const bool bad = std::ferror(f) != 0;
+  const int read_errno = errno;  // before fclose can overwrite it
   std::fclose(f);
-  if (bad) throw JsonError("error reading '" + path + "'");
+  if (bad) {
+    throw JsonError("error reading '" + path +
+                    "': " + std::strerror(read_errno));
+  }
   return out;
 }
 
@@ -653,10 +657,21 @@ void write_file_atomic(const std::string& path, std::string_view content) {
   static std::atomic<unsigned long> counter{0};
   const std::string tmp = path + ".tmp-" + std::to_string(pid) + "-" +
                           std::to_string(counter.fetch_add(1));
-  write_file(tmp, content);
+  // A failed write or rename leaves no temp file behind.
+  const auto discard_tmp = [&tmp] {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+  };
+  try {
+    write_file(tmp, content);
+  } catch (const JsonError&) {
+    discard_tmp();
+    throw;
+  }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
+    discard_tmp();
     throw JsonError("cannot move '" + tmp + "' to '" + path +
                     "': " + ec.message());
   }

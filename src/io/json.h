@@ -135,7 +135,8 @@ class Json {
 void dump_string(std::string& out, std::string_view s);
 void dump_double(std::string& out, double d);
 
-/// Read an entire file; throws JsonError (with the path) on I/O failure.
+/// Read an entire file; throws JsonError (with the path and the system's
+/// reason) on I/O failure.
 [[nodiscard]] std::string read_file(const std::string& path);
 
 /// Write `content` to `path` (truncate + write, in place); throws
@@ -145,7 +146,8 @@ void write_file(const std::string& path, std::string_view content);
 /// Write `content` to a temp file beside `path`, then rename it over
 /// `path`: a reader never sees a partial file, and a process that mapped
 /// the old file keeps reading the old bytes. Artifacts, tickets and
-/// manifests are written this way. Throws JsonError on failure.
+/// manifests are written this way. Throws JsonError on failure, after
+/// removing the temp file.
 void write_file_atomic(const std::string& path, std::string_view content);
 
 }  // namespace varbench::io

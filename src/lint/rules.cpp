@@ -157,7 +157,7 @@ void check_no_raw_thread(const FileCtx& f, std::vector<Finding>& out) {
           is_ident(t, i + 2, "hardware_concurrency"))) {
       add(out, kNoRawThread, t[i].line,
           "raw 'thread' outside src/exec: spawn work through ThreadPool / "
-          "parallel_for / parallel_replicate to keep thread-count "
+          "parallel_for / parallel_replicate_range to keep thread-count "
           "invariance");
       continue;
     }

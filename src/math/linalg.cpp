@@ -54,42 +54,4 @@ std::vector<double> cholesky_solve(const Matrix& l, std::span<const double> b) {
   return solve_lower_transposed(l, solve_lower(l, b));
 }
 
-double cholesky_log_det(const Matrix& l) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < l.rows(); ++i) s += std::log(l(i, i));
-  return 2.0 * s;
-}
-
-std::optional<std::vector<double>> solve_linear(Matrix a,
-                                                std::vector<double> b) {
-  if (a.rows() != a.cols() || b.size() != a.rows()) {
-    throw std::invalid_argument("solve_linear: shape mismatch");
-  }
-  const std::size_t n = a.rows();
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < n; ++r) {
-      if (std::abs(a(r, col)) > std::abs(a(pivot, col))) pivot = r;
-    }
-    if (std::abs(a(pivot, col)) < 1e-300) return std::nullopt;
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(a(col, c), a(pivot, c));
-      std::swap(b[col], b[pivot]);
-    }
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double f = a(r, col) / a(col, col);
-      if (f == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c) a(r, c) -= f * a(col, c);
-      b[r] -= f * b[col];
-    }
-  }
-  std::vector<double> x(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = b[ii];
-    for (std::size_t c = ii + 1; c < n; ++c) s -= a(ii, c) * x[c];
-    x[ii] = s / a(ii, ii);
-  }
-  return x;
-}
-
 }  // namespace varbench::math

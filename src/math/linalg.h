@@ -26,12 +26,4 @@ namespace varbench::math {
 [[nodiscard]] std::vector<double> cholesky_solve(const Matrix& l,
                                                  std::span<const double> b);
 
-/// log|A| from its Cholesky factor: 2·Σ log L(i,i).
-[[nodiscard]] double cholesky_log_det(const Matrix& l);
-
-/// Solve the general square system A·x = b by Gaussian elimination with
-/// partial pivoting. Returns std::nullopt when A is singular.
-[[nodiscard]] std::optional<std::vector<double>> solve_linear(
-    Matrix a, std::vector<double> b);
-
 }  // namespace varbench::math

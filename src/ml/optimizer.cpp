@@ -10,6 +10,10 @@ namespace varbench::ml {
 
 namespace {
 
+// Adam's moment decay rates (Kingma & Ba 2015 defaults, the BERT recipe).
+constexpr double kAdamBeta1 = 0.9;
+constexpr double kAdamBeta2 = 0.999;
+
 void ensure_state(std::vector<std::vector<double>>& state, std::size_t layers,
                   const std::vector<math::Matrix>& shapes) {
   if (state.size() == layers) return;
@@ -112,8 +116,8 @@ void AdamOptimizer::step(Mlp& model, const Gradients& g) {
   const auto& kernels = detail::active_step_kernels();
   detail::AdamArgs args;
   args.lr = current_lr();
-  args.beta1 = config_.adam_beta1;
-  args.beta2 = config_.adam_beta2;
+  args.beta1 = kAdamBeta1;
+  args.beta2 = kAdamBeta2;
   args.bc1 = 1.0 - std::pow(args.beta1, static_cast<double>(t_));
   args.bc2 = 1.0 - std::pow(args.beta2, static_cast<double>(t_));
   args.weight_decay = config_.weight_decay;

@@ -16,8 +16,6 @@ struct OptimizerConfig {
   double weight_decay = 0.0;  // L2 penalty, applied to weights only
   double momentum = 0.0;      // SGD only
   double lr_gamma = 1.0;      // per-epoch exponential decay factor
-  double adam_beta1 = 0.9;    // Adam only
-  double adam_beta2 = 0.999;  // Adam only
 };
 
 /// Serializable optimizer state: moment/velocity buffers + schedule

@@ -3,7 +3,7 @@
 // bootstrap CIs of the mean, Shapiro–Wilk normality flags, and (for two
 // groups or two artifacts) P(A>B) with its bootstrap CI and a permutation
 // test — computed from any complete ResultTable with no producing spec
-// required. All resampling fans out through exec::parallel_replicate on
+// required. All resampling fans out through exec::parallel_replicate_range on
 // per-index streams, so a report is bit-identical at every thread count
 // and across sharded-vs-unsharded inputs (docs/reporting.md).
 #pragma once

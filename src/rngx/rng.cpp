@@ -41,13 +41,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("uniform_int: lo > hi");
-  const auto range =
-      static_cast<std::uint64_t>(hi - lo) + 1;  // hi-lo fits: caller's contract
-  return lo + static_cast<std::int64_t>(uniform_index(range));
-}
-
 double Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;

@@ -142,8 +142,6 @@ class Rng {
   [[nodiscard]] double log_uniform(double lo, double hi);
   /// Uniform integer in [0, n). Unbiased (rejection sampling).
   [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n);
-  /// Uniform integer in [lo, hi] inclusive.
-  [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   /// Standard normal via Box–Muller (deterministic cache of the pair).
   [[nodiscard]] double normal();
   [[nodiscard]] double normal(double mean, double stddev);

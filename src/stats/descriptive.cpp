@@ -24,10 +24,6 @@ double variance(std::span<const double> x) {
 
 double stddev(std::span<const double> x) { return std::sqrt(variance(x)); }
 
-double standard_error(std::span<const double> x) {
-  return stddev(x) / std::sqrt(static_cast<double>(x.size()));
-}
-
 double min_value(std::span<const double> x) {
   if (x.empty()) throw std::invalid_argument("min_value: empty input");
   return *std::min_element(x.begin(), x.end());
@@ -114,20 +110,6 @@ std::vector<double> ranks(std::span<const double> x) {
     i = j + 1;
   }
   return r;
-}
-
-double spearman(std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size()) {
-    throw std::invalid_argument("spearman: size mismatch");
-  }
-  const auto rx = ranks(x);
-  const auto ry = ranks(y);
-  return pearson(rx, ry);
-}
-
-double stddev_of_stddev(double sigma, std::size_t n) {
-  if (n < 2) return 0.0;
-  return sigma / std::sqrt(2.0 * static_cast<double>(n - 1));
 }
 
 double implied_correlation(double var_of_mean, double var_single,

@@ -13,9 +13,6 @@ namespace varbench::stats {
 
 [[nodiscard]] double stddev(std::span<const double> x);
 
-/// Standard error of the mean: s/√n.
-[[nodiscard]] double standard_error(std::span<const double> x);
-
 [[nodiscard]] double min_value(std::span<const double> x);
 [[nodiscard]] double max_value(std::span<const double> x);
 
@@ -50,18 +47,9 @@ struct Moments {
 [[nodiscard]] double pearson(std::span<const double> x,
                              std::span<const double> y);
 
-/// Spearman rank correlation (Pearson on mid-ranks).
-[[nodiscard]] double spearman(std::span<const double> x,
-                              std::span<const double> y);
-
 /// Mid-ranks (1-based, ties get the average rank) — the Mann–Whitney /
 /// Wilcoxon building block.
 [[nodiscard]] std::vector<double> ranks(std::span<const double> x);
-
-/// Approximate standard deviation of the sample standard deviation of a
-/// normal sample of size n: σ/√(2(n-1)). Used for the uncertainty bands of
-/// Fig. 5 / H.4.
-[[nodiscard]] double stddev_of_stddev(double sigma, std::size_t n);
 
 /// Average pairwise Pearson correlation implied by the law of total variance:
 /// given Var(mean of k draws) and Var(single draw), solves Eq. 7 for ρ.

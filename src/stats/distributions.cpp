@@ -131,37 +131,9 @@ double incomplete_beta(double a, double b, double x) {
   return 1.0 - front * beta_cf(b, a, 1.0 - x) / b;
 }
 
-double student_t_cdf(double t, double nu) {
-  if (!(nu > 0.0)) throw std::invalid_argument("student_t_cdf: nu <= 0");
-  if (t == 0.0) return 0.5;
-  const double x = nu / (nu + t * t);
-  const double tail = 0.5 * incomplete_beta(nu / 2.0, 0.5, x);
-  return t > 0.0 ? 1.0 - tail : tail;
-}
-
 double student_t_two_sided_p(double t, double nu) {
   const double x = nu / (nu + t * t);
   return incomplete_beta(nu / 2.0, 0.5, x);
-}
-
-double binomial_pmf(std::int64_t k, std::int64_t n, double p) {
-  if (n < 0 || k < 0 || k > n) return 0.0;
-  if (p <= 0.0) return k == 0 ? 1.0 : 0.0;
-  if (p >= 1.0) return k == n ? 1.0 : 0.0;
-  const auto kd = static_cast<double>(k);
-  const auto nd = static_cast<double>(n);
-  const double log_pmf = log_gamma(nd + 1.0) - log_gamma(kd + 1.0) -
-                         log_gamma(nd - kd + 1.0) + kd * std::log(p) +
-                         (nd - kd) * std::log1p(-p);
-  return std::exp(log_pmf);
-}
-
-double binomial_cdf(std::int64_t k, std::int64_t n, double p) {
-  if (k < 0) return 0.0;
-  if (k >= n) return 1.0;
-  // P[X <= k] = I_{1-p}(n-k, k+1).
-  return incomplete_beta(static_cast<double>(n - k), static_cast<double>(k + 1),
-                         1.0 - p);
 }
 
 double binomial_accuracy_std(double accuracy, double test_size) {

@@ -3,8 +3,6 @@
 // internals) so results are bit-stable across platforms.
 #pragma once
 
-#include <cstdint>
-
 namespace varbench::stats {
 
 /// Standard normal probability density φ(x).
@@ -17,9 +15,6 @@ namespace varbench::stats {
 /// one Halley refinement; |relative error| < 1e-15 over (0,1)).
 [[nodiscard]] double normal_quantile(double p);
 
-/// Student-t CDF with ν degrees of freedom.
-[[nodiscard]] double student_t_cdf(double t, double nu);
-
 /// Two-sided p-value for a t statistic with ν degrees of freedom.
 [[nodiscard]] double student_t_two_sided_p(double t, double nu);
 
@@ -28,12 +23,6 @@ namespace varbench::stats {
 
 /// log Γ(x) (Lanczos approximation).
 [[nodiscard]] double log_gamma(double x);
-
-/// Binomial PMF P[X = k] for X ~ Binomial(n, p), computed in log-space.
-[[nodiscard]] double binomial_pmf(std::int64_t k, std::int64_t n, double p);
-
-/// Binomial CDF P[X <= k].
-[[nodiscard]] double binomial_cdf(std::int64_t k, std::int64_t n, double p);
 
 /// Standard deviation of the *proportion* X/n for X ~ Binomial(n, p):
 /// sqrt(p(1-p)/n). This is the paper's Fig. 2 model of test-set sampling

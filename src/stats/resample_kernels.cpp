@@ -57,8 +57,8 @@ std::vector<double> resample_mean_statistics(const exec::ExecContext& ctx,
   metrics::Sink& sink = ctx.sink();
   const std::size_t n = x.size();
   if (fits_u32(n)) {
-    return exec::parallel_replicate<double>(
-        ctx, num_resamples, rng, "bootstrap",
+    return exec::parallel_replicate_range<double>(
+        ctx, exec::IndexRange{0, num_resamples}, rng.next_u64(), "bootstrap",
         [&](std::size_t, rngx::Rng& resample_rng) {
           sink.add(metrics::kStatsResamples);
           exec::ScratchBuffer<std::uint32_t> idx{n};
@@ -66,8 +66,8 @@ std::vector<double> resample_mean_statistics(const exec::ExecContext& ctx,
           return gather_mean(x, std::span<const std::uint32_t>{idx.span()});
         });
   }
-  return exec::parallel_replicate<double>(
-      ctx, num_resamples, rng, "bootstrap",
+  return exec::parallel_replicate_range<double>(
+      ctx, exec::IndexRange{0, num_resamples}, rng.next_u64(), "bootstrap",
       [&](std::size_t, rngx::Rng& resample_rng) {
         sink.add(metrics::kStatsResamples);
         exec::ScratchBuffer<std::uint64_t> idx{n};
@@ -89,8 +89,9 @@ std::vector<double> resample_win_rate_statistics(const exec::ExecContext& ctx,
     half_wins[i] = static_cast<std::uint8_t>(2 * static_cast<int>(a[i] > b[i]) +
                                              static_cast<int>(a[i] == b[i]));
   }
-  return exec::parallel_replicate<double>(
-      ctx, num_resamples, rng, "paired_bootstrap",
+  return exec::parallel_replicate_range<double>(
+      ctx, exec::IndexRange{0, num_resamples}, rng.next_u64(),
+      "paired_bootstrap",
       [&](std::size_t, rngx::Rng& resample_rng) {
         sink.add(metrics::kStatsResamples);
         std::uint64_t count = 0;

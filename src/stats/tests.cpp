@@ -18,19 +18,6 @@
 
 namespace varbench::stats {
 
-TestResult one_sample_t_test(std::span<const double> x, double mu0) {
-  if (x.size() < 2) throw std::invalid_argument("one_sample_t_test: n < 2");
-  const double se = standard_error(x);
-  if (se == 0.0) {
-    const bool equal = mean(x) == mu0;
-    return {equal ? 0.0 : std::numeric_limits<double>::infinity(),
-            equal ? 1.0 : 0.0};
-  }
-  const double t = (mean(x) - mu0) / se;
-  const auto nu = static_cast<double>(x.size() - 1);
-  return {t, student_t_two_sided_p(t, nu)};
-}
-
 TestResult welch_t_test(std::span<const double> a, std::span<const double> b) {
   if (a.size() < 2 || b.size() < 2) {
     throw std::invalid_argument("welch_t_test: n < 2");
@@ -50,37 +37,6 @@ TestResult welch_t_test(std::span<const double> a, std::span<const double> b) {
       (va * va / static_cast<double>(a.size() - 1) +
        vb * vb / static_cast<double>(b.size() - 1));
   return {t, student_t_two_sided_p(t, nu)};
-}
-
-TestResult paired_t_test(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("paired_t_test: size mismatch");
-  }
-  std::vector<double> d(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) d[i] = a[i] - b[i];
-  return one_sample_t_test(d, 0.0);
-}
-
-TestResult z_test(double mean_a, double mean_b, double sigma_a, double sigma_b,
-                  std::size_t k) {
-  if (k == 0) throw std::invalid_argument("z_test: k == 0");
-  const double se =
-      std::sqrt((sigma_a * sigma_a + sigma_b * sigma_b) / static_cast<double>(k));
-  if (se == 0.0) {
-    const bool equal = mean_a == mean_b;
-    return {equal ? 0.0 : std::numeric_limits<double>::infinity(),
-            equal ? 1.0 : 0.0};
-  }
-  const double z = (mean_a - mean_b) / se;
-  return {z, 2.0 * normal_cdf(-std::abs(z))};
-}
-
-double z_test_minimum_detectable(double sigma_a, double sigma_b, std::size_t k,
-                                 double alpha) {
-  if (k == 0) throw std::invalid_argument("z_test_minimum_detectable: k == 0");
-  const double z = normal_quantile(1.0 - alpha);
-  return z * std::sqrt((sigma_a * sigma_a + sigma_b * sigma_b) /
-                       static_cast<double>(k));
 }
 
 MannWhitneyResult mann_whitney_u(std::span<const double> a,
@@ -205,8 +161,9 @@ TestResult permutation_test_mean_diff(const exec::ExecContext& ctx,
   pooled.insert(pooled.end(), b.begin(), b.end());
   const std::size_t na = a.size();
   metrics::Sink& sink = ctx.sink();
-  const auto extreme = exec::parallel_replicate<std::uint8_t>(
-      ctx, num_permutations, rng, "permutation",
+  const auto extreme = exec::parallel_replicate_range<std::uint8_t>(
+      ctx, exec::IndexRange{0, num_permutations}, rng.next_u64(),
+      "permutation",
       [&](std::size_t, rngx::Rng& perm_rng) -> std::uint8_t {
         sink.add(metrics::kStatsResamples);
         // Per-thread leased copy of the pool: same shuffle draws and the
@@ -240,14 +197,14 @@ TestResult paired_permutation_test(const exec::ExecContext& ctx,
   const double threshold = std::abs(observed);
   const auto n = static_cast<double>(d.size());
   metrics::Sink& sink = ctx.sink();
-  // Permutation i draws from the stream parallel_replicate would give index
-  // i, one SIMD lane per permutation (src/stats/signflip.h): same draws,
+  // Permutation i draws from the stream parallel_replicate_range would give
+  // index i, one SIMD lane per permutation (src/stats/signflip.h): same draws,
   // same sums. Only the extreme flags leave a block.
   const detail::SignflipKernel& kernel = detail::active_signflip_kernel();
   std::vector<std::uint8_t> extreme(num_permutations);
   exec::parallel_replicate_blocks(
-      ctx, exec::IndexRange{0, num_permutations}, kernel.block, rng,
-      "paired_permutation",
+      ctx, exec::IndexRange{0, num_permutations}, kernel.block,
+      rng.next_u64(), "paired_permutation",
       [&](exec::IndexRange block, std::span<const std::uint64_t> seeds) {
         // kernel.run writes sums[0, seeds.size()); the rest stays unread.
         std::array<double, exec::kMaxReplicateBlock> sums;

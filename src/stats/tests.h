@@ -1,7 +1,7 @@
 // Classical hypothesis tests used in benchmark comparisons:
-// t-tests, z-test, Mann–Whitney U, Wilcoxon signed-rank — plus their
+// Welch's t-test, Mann–Whitney U, Wilcoxon signed-rank — plus their
 // distribution-free Monte-Carlo counterparts (permutation tests), which run
-// through exec::parallel_replicate on per-permutation RNG streams and are
+// on per-permutation RNG streams (src/exec/parallel_replicate.h) and are
 // therefore bit-identical at every thread count (docs/determinism.md).
 #pragma once
 
@@ -20,27 +20,9 @@ struct TestResult {
   friend bool operator==(const TestResult&, const TestResult&) = default;
 };
 
-/// One-sample t-test of H0: mean(x) == mu0.
-[[nodiscard]] TestResult one_sample_t_test(std::span<const double> x,
-                                           double mu0);
-
 /// Welch's two-sample t-test of H0: mean(a) == mean(b) (unequal variances).
 [[nodiscard]] TestResult welch_t_test(std::span<const double> a,
                                       std::span<const double> b);
-
-/// Paired t-test of H0: mean(a - b) == 0.
-[[nodiscard]] TestResult paired_t_test(std::span<const double> a,
-                                       std::span<const double> b);
-
-/// Two-sample z-test with known standard deviations.
-[[nodiscard]] TestResult z_test(double mean_a, double mean_b, double sigma_a,
-                                double sigma_b, std::size_t k);
-
-/// Minimum detectable difference at level alpha for a two-sample z-test
-/// over k paired measurements: z_{1-α}·√((σA²+σB²)/k) — §3.1's detectability
-/// bound.
-[[nodiscard]] double z_test_minimum_detectable(double sigma_a, double sigma_b,
-                                               std::size_t k, double alpha);
 
 struct MannWhitneyResult {
   double u_statistic = 0.0;   // U for sample A
@@ -67,8 +49,8 @@ struct MannWhitneyResult {
 /// `statistic` is the observed mean(a) − mean(b); `p_value` is the
 /// two-sided add-one permutation p-value (1 + #{|perm| ≥ |obs|}) / (1 + R)
 /// over R label reshuffles of the pooled sample. Permutations fan out
-/// through exec::parallel_replicate — each permutation index owns an RNG
-/// stream derived from (rng, "permutation", index), so the result is
+/// through exec::parallel_replicate_range — each permutation index owns an
+/// RNG stream derived from (rng, "permutation", index), so the result is
 /// bit-identical for every thread count.
 [[nodiscard]] TestResult permutation_test_mean_diff(
     const exec::ExecContext& ctx, std::span<const double> a,

@@ -58,7 +58,6 @@ void add_detection_rows(RowPlan& rows, const StudySpec& spec,
   compare::DetectionRateConfig cfg;
   cfg.k = spec.figure.k;
   cfg.simulations = spec.repetitions;
-  cfg.gamma = spec.figure.gamma;
   cfg.p_grid = spec.figure.p_grid.empty() ? compare::default_p_grid()
                                              : spec.figure.p_grid;
   cfg.exec = exec_of(spec);

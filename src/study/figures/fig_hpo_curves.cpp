@@ -37,8 +37,7 @@ SeedCurves run_one_seed(const casestudies::CaseStudy& cs,
   const auto [trainvalid, test] = core::materialize(*cs.pool, split);
   // HOpt's inner split for the objective, as run_hpo makes it.
   auto hpo_rng = seeds.rng_for(rngx::VariationSource::kHpo);
-  const core::InnerSplit inner = core::inner_split(
-      trainvalid, core::HpoRunConfig{}.validation_fraction, hpo_rng);
+  const core::InnerSplit inner = core::inner_split(trainvalid, hpo_rng);
   SeedCurves out;
   double best_valid = 1e9;
   double test_at_best = 1e9;

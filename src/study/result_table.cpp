@@ -602,17 +602,6 @@ std::vector<double> ResultTable::column_values(std::string_view column) const {
   return out;
 }
 
-io::Json ResultTable::to_json(bool include_provenance) const {
-  io::Json doc = meta_json(/*include_provenance=*/false);
-  io::Json data = io::Json::array();
-  for (const auto& row : rows) data.push_back(io::Json{row.to_row()});
-  doc.set("rows", std::move(data));
-  if (include_provenance) {
-    doc.set("provenance", meta_json(true).at("provenance"));
-  }
-  return doc;
-}
-
 io::Json ResultTable::meta_json(bool include_provenance) const {
   io::Json doc = io::Json::object();
   doc.set("schema", io::Json{kTableSchema});
@@ -638,9 +627,9 @@ io::Json ResultTable::meta_json(bool include_provenance) const {
 }
 
 std::string ResultTable::to_json_text(bool include_provenance) const {
-  // Byte for byte to_json().dump(2) + "\n": the metadata renders through
-  // io::Json, the rows (one line each, cells ", "-separated) straight
-  // from the columns, spliced in as the document's member before
+  // Byte for byte io::Json's dump(2) + "\n" of the document: the metadata
+  // renders through io::Json, the rows (one line each, cells ", "-separated)
+  // straight from the columns, spliced in as the document's member before
   // "provenance".
   std::string out = meta_json(/*include_provenance=*/false).dump(2);
   out.resize(out.size() - 2);  // reopen the document: drop "\n}"
@@ -766,7 +755,7 @@ ResultTable ResultTable::load(const std::string& path) {
   if (file_has_vbt_magic(path)) {
     // The columnar layer's own errors already name the path and offset.
     auto mapped = io::columnar::MappedTable::open(path);
-    // Metadata rides the exact JSON document to_json writes (minus
+    // Metadata rides the exact JSON document to_json_text writes (minus
     // "rows"), so the JSON reader's validation — schema, spec round-trip,
     // shard sanity — applies unchanged.
     io::Json doc = mapped->metadata();

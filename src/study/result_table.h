@@ -7,7 +7,7 @@
 // Identity vs provenance: columns, rows, spec, seed, and shard define WHAT
 // was computed and are bit-stable under the determinism contract; threads
 // and wall time describe HOW it was computed and can never be (wall time is
-// wall time). `to_json(false)` / `canonical_text()` serialize identity
+// wall time). `to_json_text(false)` / `canonical_text()` serialize identity
 // only — that is the form the shard/merge equality check and the CI diff
 // operate on (docs/study_api.md).
 //
@@ -278,11 +278,11 @@ class ResultTable {
            a.rows == b.rows;
   }
 
-  [[nodiscard]] io::Json to_json(bool include_provenance = true) const;
-  /// The to_json document without its "rows" — the metadata block a VBT1
+  /// The JSON document without its "rows" — the metadata block a VBT1
   /// binary artifact embeds verbatim (src/io/columnar/).
   [[nodiscard]] io::Json meta_json(bool include_provenance = true) const;
-  /// to_json().dump(2) + "\n", rendered straight from the columns.
+  /// The JSON document, as io::Json would dump(2) it plus "\n", rendered
+  /// straight from the columns.
   [[nodiscard]] std::string to_json_text(bool include_provenance = true) const;
   /// Identity-only serialization — byte-comparable across shard/merge runs
   /// and thread counts.

@@ -5,15 +5,15 @@
 // (Bouthillier et al., MLSys 2021).
 //
 // Layering (each namespace is its own static library):
-//   varbench::math        dense matrices, Cholesky/linear solvers
+//   varbench::math        dense matrices, Cholesky and triangular solves
 //   varbench::rngx        reproducible RNG + named variation-seed streams (ξ)
 //   varbench::exec        deterministic parallel execution (thread pool,
-//                         parallel_for, per-index-stream parallel_replicate)
+//                         parallel_for, per-index-stream replicate ranges)
 //   varbench::stats       distributions, tests, bootstrap, P(A>B), sample size
 //   varbench::ml          datasets, MLPs, optimizers, metrics, training (Opt)
 //   varbench::hpo         search spaces, grid/random/Bayesian HPO (HOpt)
 //   varbench::core        pipelines, splitters, IdealEst/FixHOptEst, Fig.1 study
-//   varbench::compare     comparison criteria, §4.2 simulators, error rates
+//   varbench::compare     comparison criteria, §4.2 simulators, detection rounds
 //   varbench::casestudies the five case-study analogues + paper calibrations
 //   varbench::io          dependency-free JSON for specs and artifacts
 //   varbench::study       experiments-as-data: StudySpec, ResultTable,
@@ -27,7 +27,6 @@
 #include "src/casestudies/registry.h"         // IWYU pragma: export
 #include "src/compare/criteria.h"             // IWYU pragma: export
 #include "src/compare/error_rates.h"          // IWYU pragma: export
-#include "src/compare/fixed_models.h"          // IWYU pragma: export
 #include "src/compare/multiple.h"             // IWYU pragma: export
 #include "src/compare/simulation.h"           // IWYU pragma: export
 #include "src/core/estimators.h"              // IWYU pragma: export

@@ -28,11 +28,6 @@ TEST(Descriptive, SingleElementVarianceIsZero) {
   EXPECT_DOUBLE_EQ(variance(x), 0.0);
 }
 
-TEST(Descriptive, StandardError) {
-  const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-  EXPECT_NEAR(standard_error(x), stddev(x) / 2.0, 1e-12);
-}
-
 TEST(Descriptive, MinMax) {
   const std::vector<double> x{3.0, -1.0, 7.0};
   EXPECT_DOUBLE_EQ(min_value(x), -1.0);
@@ -110,17 +105,6 @@ TEST(Ranks, AllTied) {
   const std::vector<double> x{5.0, 5.0, 5.0};
   const auto r = ranks(x);
   for (const double v : r) EXPECT_DOUBLE_EQ(v, 2.0);
-}
-
-TEST(Spearman, MonotoneNonlinearIsOne) {
-  const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> y{1.0, 8.0, 27.0, 64.0};  // cubic: monotone
-  EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
-}
-
-TEST(StddevOfStddev, Formula) {
-  EXPECT_NEAR(stddev_of_stddev(2.0, 51), 2.0 / 10.0, 1e-12);
-  EXPECT_DOUBLE_EQ(stddev_of_stddev(2.0, 1), 0.0);
 }
 
 TEST(ImpliedCorrelation, InvertsEquation7) {

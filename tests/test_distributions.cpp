@@ -79,41 +79,10 @@ TEST(IncompleteBeta, SymmetryIdentity) {
               1.0 - incomplete_beta(4.0, 2.5, 0.7), 1e-12);
 }
 
-TEST(StudentT, CdfKnownValues) {
-  // t(ν=1) is the Cauchy distribution: F(1) = 3/4.
-  EXPECT_NEAR(student_t_cdf(1.0, 1.0), 0.75, 1e-10);
-  EXPECT_NEAR(student_t_cdf(0.0, 5.0), 0.5, 1e-12);
-  // Large ν approaches the normal.
-  EXPECT_NEAR(student_t_cdf(1.96, 1e6), normal_cdf(1.96), 1e-4);
-}
-
 TEST(StudentT, TwoSidedPValue) {
   // For ν=10, t=2.228 corresponds to p ≈ 0.05.
   EXPECT_NEAR(student_t_two_sided_p(2.228, 10.0), 0.05, 1e-3);
   EXPECT_NEAR(student_t_two_sided_p(0.0, 10.0), 1.0, 1e-12);
-}
-
-TEST(Binomial, PmfSumsToOne) {
-  double sum = 0.0;
-  for (std::int64_t k = 0; k <= 20; ++k) sum += binomial_pmf(k, 20, 0.3);
-  EXPECT_NEAR(sum, 1.0, 1e-10);
-}
-
-TEST(Binomial, PmfKnownValue) {
-  // P[X=2], n=4, p=0.5 → 6/16
-  EXPECT_NEAR(binomial_pmf(2, 4, 0.5), 0.375, 1e-12);
-}
-
-TEST(Binomial, CdfMatchesPmfSum) {
-  double sum = 0.0;
-  for (std::int64_t k = 0; k <= 7; ++k) sum += binomial_pmf(k, 15, 0.4);
-  EXPECT_NEAR(binomial_cdf(7, 15, 0.4), sum, 1e-10);
-}
-
-TEST(Binomial, DegeneratePs) {
-  EXPECT_DOUBLE_EQ(binomial_pmf(0, 10, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(binomial_pmf(10, 10, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(binomial_pmf(3, 10, 0.0), 0.0);
 }
 
 TEST(BinomialAccuracyStd, MatchesPaperFig2Examples) {

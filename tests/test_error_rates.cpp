@@ -26,6 +26,32 @@ std::vector<std::unique_ptr<ComparisonCriterion>> demo_criteria(
   return out;
 }
 
+/// Detection rate of criterion ci at grid point gi, as rates[ci][gi]: the
+/// hits of detection_rounds over every round, divided by the rounds per
+/// grid point.
+std::vector<std::vector<double>> detection_rates(
+    const TaskVarianceProfile& p,
+    std::span<const std::unique_ptr<ComparisonCriterion>> criteria,
+    const DetectionRateConfig& cfg, rngx::Rng& rng) {
+  const std::size_t grid =
+      (cfg.p_grid.empty() ? default_p_grid() : cfg.p_grid).size();
+  const std::size_t rounds = grid * cfg.simulations;
+  const auto hits =
+      detection_rounds(p, EstimatorKind::kIdeal, criteria, cfg,
+                       exec::IndexRange{0, rounds}, rng);
+  std::vector<std::vector<double>> rates(criteria.size(),
+                                         std::vector<double>(grid, 0.0));
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t ci = 0; ci < criteria.size(); ++ci) {
+      rates[ci][round / cfg.simulations] += hits[round][ci];
+    }
+  }
+  for (auto& rate : rates) {
+    for (double& r : rate) r /= static_cast<double>(cfg.simulations);
+  }
+  return rates;
+}
+
 TEST(DetectionRates, GridAndShape) {
   const auto p = demo_profile();
   const auto criteria = demo_criteria(p);
@@ -33,13 +59,11 @@ TEST(DetectionRates, GridAndShape) {
   cfg.k = 20;
   cfg.simulations = 30;
   rngx::Rng rng{1};
-  const auto curves = characterize_detection_rates(p, EstimatorKind::kIdeal,
-                                                   criteria, cfg, rng);
-  EXPECT_FALSE(curves.p_grid.empty());
-  EXPECT_EQ(curves.rates.size(), 4u);
-  for (const auto& [name, rates] : curves.rates) {
-    EXPECT_EQ(rates.size(), curves.p_grid.size()) << name;
-    for (const double r : rates) {
+  const auto rates = detection_rates(p, criteria, cfg, rng);
+  EXPECT_EQ(rates.size(), 4u);
+  for (std::size_t ci = 0; ci < rates.size(); ++ci) {
+    EXPECT_EQ(rates[ci].size(), default_p_grid().size()) << ci;
+    for (const double r : rates[ci]) {
       EXPECT_GE(r, 0.0);
       EXPECT_LE(r, 1.0);
     }
@@ -55,9 +79,7 @@ TEST(DetectionRates, OracleRisesWithTrueEffect) {
   cfg.simulations = 80;
   cfg.p_grid = {0.5, 0.75, 0.99};
   rngx::Rng rng{2};
-  const auto curves = characterize_detection_rates(p, EstimatorKind::kIdeal,
-                                                   criteria, cfg, rng);
-  const auto& r = curves.rates.at("oracle");
+  const auto r = detection_rates(p, criteria, cfg, rng)[0];  // oracle
   EXPECT_LT(r[0], 0.2);   // ≈ α at the null
   EXPECT_GT(r[2], 0.95);  // near-perfect power for huge effects
   EXPECT_LT(r[0], r[1]);
@@ -77,10 +99,11 @@ TEST(DetectionRates, AverageIsConservative) {
   cfg.simulations = 80;
   cfg.p_grid = {0.5, 0.85};
   rngx::Rng rng{3};
-  const auto curves = characterize_detection_rates(p, EstimatorKind::kIdeal,
-                                                   criteria, cfg, rng);
-  EXPECT_LT(curves.rates.at("average")[0], 0.05 + 0.06);
-  EXPECT_LT(curves.rates.at("average")[1], curves.rates.at("oracle")[1]);
+  const auto rates = detection_rates(p, criteria, cfg, rng);
+  const auto& average = rates[0];
+  const auto& oracle = rates[1];
+  EXPECT_LT(average[0], 0.05 + 0.06);
+  EXPECT_LT(average[1], oracle[1]);
 }
 
 TEST(DetectionRates, SinglePointNoisierThanAverage) {
@@ -95,10 +118,8 @@ TEST(DetectionRates, SinglePointNoisierThanAverage) {
   cfg.simulations = 300;
   cfg.p_grid = {0.5};
   rngx::Rng rng{4};
-  const auto curves = characterize_detection_rates(p, EstimatorKind::kIdeal,
-                                                   criteria, cfg, rng);
-  EXPECT_GT(curves.rates.at("single_point")[0],
-            curves.rates.at("average")[0]);
+  const auto rates = detection_rates(p, criteria, cfg, rng);
+  EXPECT_GT(rates[0][0], rates[1][0]);  // single point vs average
 }
 
 TEST(ClassifyRegion, ThreeZones) {
@@ -118,8 +139,8 @@ TEST(DetectionRates, NoCriteriaThrows) {
   const std::vector<std::unique_ptr<ComparisonCriterion>> empty;
   DetectionRateConfig cfg;
   rngx::Rng rng{5};
-  EXPECT_THROW((void)characterize_detection_rates(p, EstimatorKind::kIdeal,
-                                                  empty, cfg, rng),
+  EXPECT_THROW((void)detection_rounds(p, EstimatorKind::kIdeal, empty, cfg,
+                                      exec::IndexRange{0, 1}, rng),
                std::invalid_argument);
 }
 

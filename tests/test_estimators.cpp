@@ -55,10 +55,6 @@ TEST(Equation7, VarianceFormula) {
   EXPECT_NEAR(biased_estimator_variance(4.0, 0.25, 100000), 1.0, 1e-3);
 }
 
-TEST(Equation8, MseAddsSquaredBias) {
-  EXPECT_NEAR(biased_estimator_mse(4.0, 0.0, 0.5, 8), 0.5 + 0.25, 1e-12);
-}
-
 TEST(Estimators, FitAccounting) {
   const auto pool = tiny_pool();
   const auto pipeline = tiny_pipeline();

@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/stats/bootstrap.h"
+
 namespace varbench::exec {
 namespace {
 
@@ -92,7 +94,7 @@ TEST(ExecContext, SerialAndResolution) {
   EXPECT_TRUE(ExecContext::serial().is_serial());
   EXPECT_EQ(ExecContext{5}.resolved_threads(), 5u);
   // 0 = hardware concurrency, which is always at least one thread.
-  EXPECT_GE(ExecContext::hardware().resolved_threads(), 1u);
+  EXPECT_GE(ExecContext{0}.resolved_threads(), 1u);
 }
 
 TEST(ReplicateSeed, DeterministicAndDistinctPerIndex) {
@@ -105,8 +107,9 @@ TEST(ReplicateSeed, DeterministicAndDistinctPerIndex) {
 
 TEST(ParallelReplicate, BitIdenticalAcrossThreadCounts) {
   auto run = [](std::size_t threads) {
-    return parallel_replicate<double>(
-        ExecContext{threads}, 100, /*master_seed=*/123, "replicate_test",
+    return parallel_replicate_range<double>(
+        ExecContext{threads}, IndexRange{0, 100}, /*master_seed=*/123,
+        "replicate_test",
         [](std::size_t i, rngx::Rng& rng) {
           return rng.normal() + static_cast<double>(i) * rng.uniform();
         });
@@ -116,26 +119,27 @@ TEST(ParallelReplicate, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, run(8));
 }
 
+// A library caller with a parent Rng draws its master seed once, whatever
+// the replicate count and the thread count.
 TEST(ParallelReplicate, MasterAdvancesOneDrawRegardlessOfThreads) {
+  const std::vector<double> x{1.0, 4.0, 2.0, 8.0, 5.0};
   rngx::Rng m1{77};
   rngx::Rng m2{77};
-  (void)parallel_replicate<double>(ExecContext{1}, 10, m1, "t",
-                                   [](std::size_t, rngx::Rng& r) {
-                                     return r.uniform();
-                                   });
-  (void)parallel_replicate<double>(ExecContext{8}, 1000, m2, "t",
-                                   [](std::size_t, rngx::Rng& r) {
-                                     return r.uniform();
-                                   });
-  EXPECT_EQ(m1.next_u64(), m2.next_u64());
+  (void)stats::percentile_bootstrap_ci(ExecContext{1}, x, m1, 10);
+  (void)stats::percentile_bootstrap_ci(ExecContext{8}, x, m2, 1000);
+  rngx::Rng one_draw{77};
+  (void)one_draw.next_u64();
+  const std::uint64_t next = one_draw.next_u64();
+  EXPECT_EQ(m1.next_u64(), next);
+  EXPECT_EQ(m2.next_u64(), next);
 }
 
 TEST(ParallelReplicate, DistinctTagsGiveDistinctStreams) {
-  const auto a = parallel_replicate<double>(
-      ExecContext{2}, 50, /*master_seed=*/5, "stream_a",
+  const auto a = parallel_replicate_range<double>(
+      ExecContext{2}, IndexRange{0, 50}, /*master_seed=*/5, "stream_a",
       [](std::size_t, rngx::Rng& r) { return r.uniform(); });
-  const auto b = parallel_replicate<double>(
-      ExecContext{2}, 50, /*master_seed=*/5, "stream_b",
+  const auto b = parallel_replicate_range<double>(
+      ExecContext{2}, IndexRange{0, 50}, /*master_seed=*/5, "stream_b",
       [](std::size_t, rngx::Rng& r) { return r.uniform(); });
   EXPECT_NE(a, b);
 }
@@ -194,28 +198,24 @@ TEST(ReplicatePlan, MatchesSeparateRanges) {
   const IndexRange slice = shard_subrange(30, 1, 3);  // {10, 20}
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     const ExecContext ctx{threads};
-    rngx::Rng separate_master{41};
-    const auto s0 = parallel_replicate_range<double>(
-        ctx, IndexRange{0, 0}, separate_master, "empty", uniform);
-    const auto s1 = parallel_replicate_range<Pair>(
-        ctx, IndexRange{0, 1}, separate_master, "one", pair);
+    const auto s0 = parallel_replicate_range<double>(ctx, IndexRange{0, 0},
+                                                     41, "empty", uniform);
+    const auto s1 = parallel_replicate_range<Pair>(ctx, IndexRange{0, 1}, 42,
+                                                   "one", pair);
     const auto s2 = parallel_replicate_range<std::vector<std::uint64_t>>(
-        ctx, IndexRange{0, 5}, separate_master, "five", draws);
+        ctx, IndexRange{0, 5}, 43, "five", draws);
     const auto s3 = parallel_replicate_range<double>(ctx, IndexRange{0, 30},
                                                      91, "thirty", uniform);
-    const auto s4 = parallel_replicate_range<Pair>(ctx, slice,
-                                                   separate_master, "slice",
-                                                   pair);
+    const auto s4 =
+        parallel_replicate_range<Pair>(ctx, slice, 44, "slice", pair);
 
-    rngx::Rng plan_master{41};
     ReplicatePlan plan;
-    const auto& p0 =
-        plan.add<double>(IndexRange{0, 0}, plan_master, "empty", uniform);
-    const auto& p1 = plan.add<Pair>(IndexRange{0, 1}, plan_master, "one", pair);
-    const auto& p2 = plan.add<std::vector<std::uint64_t>>(
-        IndexRange{0, 5}, plan_master, "five", draws);
+    const auto& p0 = plan.add<double>(IndexRange{0, 0}, 41, "empty", uniform);
+    const auto& p1 = plan.add<Pair>(IndexRange{0, 1}, 42, "one", pair);
+    const auto& p2 = plan.add<std::vector<std::uint64_t>>(IndexRange{0, 5}, 43,
+                                                          "five", draws);
     const auto& p3 = plan.add<double>(IndexRange{0, 30}, 91, "thirty", uniform);
-    const auto& p4 = plan.add<Pair>(slice, plan_master, "slice", pair);
+    const auto& p4 = plan.add<Pair>(slice, 44, "slice", pair);
     plan.run(ctx);
 
     EXPECT_EQ(p0, s0) << threads;
@@ -225,7 +225,6 @@ TEST(ReplicatePlan, MatchesSeparateRanges) {
     EXPECT_EQ(p4, s4) << threads;
     ASSERT_EQ(p4.size(), slice.size());
     EXPECT_EQ(p4.front().index, slice.begin);
-    EXPECT_EQ(plan_master.next_u64(), separate_master.next_u64()) << threads;
   }
 }
 
@@ -262,7 +261,8 @@ TEST(ReplicatePlan, CutsEachRangeLikeParallelFor) {
       const auto by_plan = chunk_cells([&](metrics::Sink& sink) {
         ExecContext ctx{threads};
         ctx.metrics = &sink;
-        (void)parallel_replicate<double>(ctx, n, 7, "t", value);
+        (void)parallel_replicate_range<double>(ctx, IndexRange{0, n}, 7, "t",
+                                               value);
       });
       const auto by_loop = chunk_cells([&](metrics::Sink& sink) {
         ExecContext ctx{threads};

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "src/casestudies/mlp_pipeline.h"
 #include "src/compare/criteria.h"
@@ -119,7 +120,7 @@ TEST(ExecDeterminism, DetectionRatesBitIdenticalAcrossThreadCounts) {
   profile.sigma_bias = 0.01;
   profile.sigma_within = 0.01;
 
-  std::vector<compare::DetectionCurves> curves;
+  std::vector<std::vector<std::vector<std::uint8_t>>> hits;
   for (const std::size_t threads : kThreadCounts) {
     std::vector<std::unique_ptr<compare::ComparisonCriterion>> criteria;
     criteria.push_back(std::make_unique<compare::AverageComparison>(0.01));
@@ -131,11 +132,12 @@ TEST(ExecDeterminism, DetectionRatesBitIdenticalAcrossThreadCounts) {
     cfg.p_grid = {0.4, 0.5, 0.6, 0.75, 0.9};
     cfg.exec = exec::ExecContext{threads};
     rngx::Rng rng{11};
-    curves.push_back(compare::characterize_detection_rates(
-        profile, compare::EstimatorKind::kBiased, criteria, cfg, rng));
+    hits.push_back(compare::detection_rounds(
+        profile, compare::EstimatorKind::kBiased, criteria, cfg,
+        exec::IndexRange{0, cfg.p_grid.size() * cfg.simulations}, rng));
   }
-  EXPECT_EQ(curves[0].rates, curves[1].rates);
-  EXPECT_EQ(curves[0].rates, curves[2].rates);
+  EXPECT_EQ(hits[0], hits[1]);
+  EXPECT_EQ(hits[0], hits[2]);
 }
 
 TEST(ExecDeterminism, RandomSearchParallelMatchesSerialBitwise) {

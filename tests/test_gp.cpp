@@ -57,7 +57,6 @@ TEST(Gp, RecoverSmoothFunction) {
 TEST(Gp, PredictBeforeFitThrows) {
   const GaussianProcess gp;
   EXPECT_THROW((void)gp.predict(std::vector<double>{0.5}), std::logic_error);
-  EXPECT_THROW((void)gp.log_marginal_likelihood(), std::logic_error);
 }
 
 TEST(Gp, DimMismatchThrows) {
@@ -75,27 +74,6 @@ TEST(Gp, DuplicatePointsHandledByJitter) {
   GaussianProcess gp;
   EXPECT_NO_THROW(gp.fit(x, y));
   EXPECT_NEAR(gp.predict(std::vector<double>{0.5}).mean, 1.0, 0.05);
-}
-
-TEST(Gp, LogMarginalLikelihoodPrefersGoodLengthScale) {
-  // For smooth data, a sane length scale should beat an absurdly small one.
-  constexpr std::size_t n = 15;
-  math::Matrix x{n, 1};
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x(i, 0) = static_cast<double>(i) / (n - 1);
-    y[i] = x(i, 0) * x(i, 0);
-  }
-  GpConfig good;
-  good.length_scale = 0.3;
-  GpConfig bad;
-  bad.length_scale = 0.001;
-  GaussianProcess gp_good{good};
-  GaussianProcess gp_bad{bad};
-  gp_good.fit(x, y);
-  gp_bad.fit(x, y);
-  EXPECT_GT(gp_good.log_marginal_likelihood(),
-            gp_bad.log_marginal_likelihood());
 }
 
 TEST(Gp, BadConfigThrows) {

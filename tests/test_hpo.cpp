@@ -157,18 +157,6 @@ TEST(NoisyGridSearch, VariesAcrossSeeds) {
   EXPECT_NE(a.trials[0].params.at("lr"), b.trials[0].params.at("lr"));
 }
 
-TEST(HpoResult, BestSoFarIsMonotone) {
-  rngx::Rng rng{10};
-  const RandomSearch algo;
-  const auto r = algo.optimize(demo_space(), quadratic_objective, 40, rng);
-  const auto curve = r.best_so_far();
-  ASSERT_EQ(curve.size(), 40u);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_LE(curve[i], curve[i - 1]);
-  }
-  EXPECT_DOUBLE_EQ(curve.back(), r.best_objective);
-}
-
 TEST(MakeHpoAlgorithm, FactoryNames) {
   EXPECT_EQ(make_hpo_algorithm("random_search")->name(), "random_search");
   EXPECT_EQ(make_hpo_algorithm("grid_search")->name(), "grid_search");

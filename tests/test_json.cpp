@@ -1,10 +1,16 @@
 // The io::Json layer: lossless round-trips (including full-64-bit seeds),
-// deterministic rendering, and actionable parse errors.
+// deterministic rendering, and actionable parse and file errors.
 #include "src/io/json.h"
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 namespace varbench::io {
 namespace {
@@ -98,6 +104,63 @@ TEST(Json, PrettyPrintingKeepsScalarArraysInline) {
   const std::string pretty = v.dump(2);
   EXPECT_NE(pretty.find("[\"a\", \"b\"]"), std::string::npos) << pretty;
   EXPECT_NE(pretty.find("[1, 2]"), std::string::npos) << pretty;
+}
+
+// ------------------------------------------------------------------ files
+
+namespace fs = std::filesystem;
+
+/// A fresh directory under the system temp dir, removed on destruction.
+class TempDir {
+ public:
+  TempDir()
+      : path_{fs::temp_directory_path() /
+              ("varbench_test_json_" + std::to_string(::getpid()))} {
+    fs::remove_all(path_);
+    fs::create_directories(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  [[nodiscard]] const fs::path& path() const { return path_; }
+
+ private:
+  fs::path path_;
+};
+
+TEST(Files, FailedAtomicWriteRemovesItsTempFile) {
+  const TempDir dir;
+  const std::string target = (dir.path() / "d").string();
+  fs::create_directory(target);  // a rename over a directory fails
+  try {
+    write_file_atomic(target, "{}\n");
+    FAIL() << "renamed a file over the directory " << target;
+  } catch (const JsonError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'" + target + ".tmp-"), std::string::npos) << what;
+    EXPECT_NE(what.find("to '" + target + "'"), std::string::npos) << what;
+  }
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp-"),
+              std::string::npos)
+        << entry.path();
+  }
+}
+
+TEST(Files, ReadErrorNamesThePathAndTheReason) {
+  const TempDir dir;
+  const std::string path = dir.path().string();
+  try {
+    (void)read_file(path);
+    FAIL() << "read a directory as a file";
+  } catch (const JsonError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'" + path + "'"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::strerror(EISDIR)), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -60,14 +60,6 @@ TEST(CholeskySolve, SolvesSystem) {
   for (std::size_t i = 0; i < 8; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
 }
 
-TEST(CholeskyLogDet, MatchesKnownDeterminant) {
-  // diag(4, 9) has det 36.
-  const Matrix a{{4.0, 0.0}, {0.0, 9.0}};
-  const auto l = cholesky(a);
-  ASSERT_TRUE(l.has_value());
-  EXPECT_NEAR(cholesky_log_det(*l), std::log(36.0), 1e-12);
-}
-
 TEST(SolveLower, ForwardSubstitution) {
   const Matrix l{{2.0, 0.0}, {1.0, 3.0}};
   const std::vector<double> b{4.0, 11.0};
@@ -83,34 +75,6 @@ TEST(SolveLowerTransposed, BackwardSubstitution) {
   const auto x = solve_lower_transposed(l, y);
   EXPECT_DOUBLE_EQ(x[1], 3.0);
   EXPECT_DOUBLE_EQ(x[0], 1.0);
-}
-
-TEST(SolveLinear, GeneralSystem) {
-  const Matrix a{{0.0, 2.0}, {3.0, 1.0}};  // needs pivoting
-  const std::vector<double> b{4.0, 5.0};
-  const auto x = solve_linear(a, b);
-  ASSERT_TRUE(x.has_value());
-  EXPECT_NEAR((*x)[1], 2.0, 1e-12);
-  EXPECT_NEAR((*x)[0], 1.0, 1e-12);
-}
-
-TEST(SolveLinear, SingularReturnsNullopt) {
-  const Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_FALSE(solve_linear(a, {1.0, 2.0}).has_value());
-}
-
-TEST(SolveLinear, RandomRoundTrip) {
-  rngx::Rng rng{11};
-  for (int trial = 0; trial < 5; ++trial) {
-    Matrix a{7, 7};
-    for (double& v : a.data()) v = rng.normal();
-    std::vector<double> x_true(7);
-    for (double& v : x_true) v = rng.normal();
-    const auto b = matvec(a, x_true);
-    const auto x = solve_linear(a, b);
-    ASSERT_TRUE(x.has_value());
-    for (std::size_t i = 0; i < 7; ++i) EXPECT_NEAR((*x)[i], x_true[i], 1e-8);
-  }
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // simulators — the equations are not just implemented, they are *checked*:
 //   Eq. 6:  MSE(µ̂(k)) = σ²/k for the ideal estimator
 //   Eq. 7:  Var(µ̃(k)|ξ) = V/k + (k−1)/k·ρ·V for the biased estimator
-//   §3.1:   the z-test minimum detectable difference shrinks as 1/√k
 //   App C:  P(A>B) ↔ mean-offset mapping under the normal model
 #include <gtest/gtest.h>
 
@@ -78,38 +77,6 @@ TEST(Equation6, IdealEstimatorMseIsSigmaSqOverK) {
                 sigma * sigma / static_cast<double>(k) * 0.12)
         << "k=" << k;
   }
-}
-
-TEST(Section31, MinimumDetectableShrinksAsSqrtK) {
-  // δ_min(k) · √k must be constant.
-  const double base =
-      stats::z_test_minimum_detectable(0.02, 0.02, 1, 0.05);
-  for (const std::size_t k : {4u, 9u, 25u, 100u}) {
-    const double d = stats::z_test_minimum_detectable(0.02, 0.02, k, 0.05);
-    EXPECT_NEAR(d * std::sqrt(static_cast<double>(k)), base, 1e-12);
-  }
-}
-
-TEST(Section31, ZTestFalsePositiveRateAtDelta) {
-  // If A == B, the probability that the observed mean difference exceeds
-  // the §3.1 threshold is exactly alpha (one-sided).
-  const double sigma = 0.05;
-  constexpr std::size_t k = 10;
-  const double threshold = stats::z_test_minimum_detectable(sigma, sigma, k,
-                                                            0.05);
-  rngx::Rng rng{13};
-  int exceed = 0;
-  constexpr int rounds = 20000;
-  for (int r = 0; r < rounds; ++r) {
-    double mean_a = 0.0;
-    double mean_b = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      mean_a += rng.normal(0.0, sigma);
-      mean_b += rng.normal(0.0, sigma);
-    }
-    if ((mean_a - mean_b) / k > threshold) ++exceed;
-  }
-  EXPECT_NEAR(static_cast<double>(exceed) / rounds, 0.05, 0.01);
 }
 
 TEST(AppendixC, PabOffsetMappingConsistentWithMannWhitney) {

@@ -125,17 +125,6 @@ TEST(RunHpo, HpoSeedChangesChosenParams) {
   EXPECT_NE(la.at("learning_rate"), lb.at("learning_rate"));
 }
 
-TEST(RunHpo, BadValidationFractionThrows) {
-  const auto pool = tiny_pool();
-  const auto pipeline = tiny_pipeline();
-  const hpo::RandomSearch algo;
-  HpoRunConfig cfg;
-  cfg.algorithm = &algo;
-  cfg.validation_fraction = 1.5;
-  EXPECT_THROW((void)run_hpo(pipeline, pool, cfg, rngx::VariationSeeds{}),
-               std::invalid_argument);
-}
-
 TEST(MeasureWithParams, UsesProvidedLambda) {
   const auto pool = tiny_pool();
   const auto pipeline = tiny_pipeline();

@@ -62,7 +62,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 // ------------------------------------------------ kernels == reference
 
 // The reference loops below are the textbook resampling each kernel
-// replaced: per-resample streams from exec::parallel_replicate, one
+// replaced: per-resample streams from exec::parallel_replicate_range, one
 // Rng::uniform_index draw per element, a materialized resample, then the
 // statistic itself. The kernels draw through fill_bootstrap_indices and
 // for_each_bootstrap_index instead, so these loops check those too.
@@ -70,8 +70,9 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 std::vector<double> reference_means(const exec::ExecContext& ctx,
                                     std::span<const double> x, rngx::Rng& rng,
                                     std::size_t count) {
-  return exec::parallel_replicate<double>(
-      ctx, count, rng, "bootstrap", [&](std::size_t, rngx::Rng& r) {
+  return exec::parallel_replicate_range<double>(
+      ctx, exec::IndexRange{0, count}, rng.next_u64(), "bootstrap",
+      [&](std::size_t, rngx::Rng& r) {
         std::vector<double> resample(x.size());
         for (double& v : resample) v = x[r.uniform_index(x.size())];
         return stats::mean(resample);
@@ -82,8 +83,9 @@ std::vector<double> reference_win_rates(const exec::ExecContext& ctx,
                                         std::span<const double> a,
                                         std::span<const double> b,
                                         rngx::Rng& rng, std::size_t count) {
-  return exec::parallel_replicate<double>(
-      ctx, count, rng, "paired_bootstrap", [&](std::size_t, rngx::Rng& r) {
+  return exec::parallel_replicate_range<double>(
+      ctx, exec::IndexRange{0, count}, rng.next_u64(), "paired_bootstrap",
+      [&](std::size_t, rngx::Rng& r) {
         std::vector<double> ra(a.size());
         std::vector<double> rb(b.size());
         for (std::size_t j = 0; j < a.size(); ++j) {
@@ -483,8 +485,9 @@ TEST(SignflipKernels, PairedPermutationTestMatchesTheScalarLoop) {
     for (const std::size_t count :
          {std::size_t{1}, block - 1, block, block + 1, 3 * block + 5}) {
       rngx::Rng want_rng{900 + count};
-      const auto extreme = exec::parallel_replicate<std::uint8_t>(
-          ctx, count, want_rng, "paired_permutation",
+      const auto extreme = exec::parallel_replicate_range<std::uint8_t>(
+          ctx, exec::IndexRange{0, count}, want_rng.next_u64(),
+          "paired_permutation",
           [&](std::size_t, rngx::Rng& r) -> std::uint8_t {
             double sum = 0.0;
             for (const double di : d) sum += r.bernoulli(0.5) ? di : -di;

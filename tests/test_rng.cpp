@@ -96,14 +96,6 @@ TEST(Rng, UniformIndexZeroThrows) {
   EXPECT_THROW((void)rng.uniform_index(0), std::invalid_argument);
 }
 
-TEST(Rng, UniformIntCoversInclusiveRange) {
-  Rng rng{9};
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) seen.insert(rng.uniform_int(-2, 2));
-  EXPECT_EQ(seen.size(), 5u);
-  EXPECT_TRUE(seen.count(-2) == 1 && seen.count(2) == 1);
-}
-
 TEST(Rng, NormalMomentsMatchStandard) {
   Rng rng{10};
   constexpr int n = 200000;

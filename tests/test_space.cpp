@@ -103,11 +103,5 @@ TEST(SearchSpace, ContainsDetectsMissingAndOutOfRange) {
       s.contains({{"lr", 0.01}, {"momentum", 0.7}, {"hidden", 100.0}}));
 }
 
-TEST(ValueOr, FallbackBehaviour) {
-  const ParamPoint p{{"a", 1.5}};
-  EXPECT_DOUBLE_EQ(value_or(p, "a", 9.0), 1.5);
-  EXPECT_DOUBLE_EQ(value_or(p, "b", 9.0), 9.0);
-}
-
 }  // namespace
 }  // namespace varbench::hpo
