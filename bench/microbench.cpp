@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "src/campaign/campaign.h"
 #include "src/campaign/subprocess.h"
 #include "src/campaign/work_queue.h"
 #include "src/casestudies/registry.h"
@@ -25,6 +26,7 @@
 #include "src/stats/resample_kernels.h"
 #include "src/stats/tests.h"
 #include "src/study/result_table.h"
+#include "src/study/study_spec.h"
 
 namespace varbench::benchutil {
 
@@ -223,6 +225,36 @@ std::vector<MicrobenchResult> run_campaign_microbenches(
         for (std::size_t i = 0; i < beats; ++i) queue.heartbeat(*ticket);
         const std::uint64_t ns = sw.elapsed_ns() / beats;
         queue.complete(*ticket);
+        return ns;
+      }));
+
+  // Whole task cycles: claim, spawn `varbench run`, reap, validate, promote,
+  // merge. The study takes about 2 ms a shard, so the time is process
+  // start-up plus how fast the coordinator notices an exit.
+  constexpr std::size_t kCycleTasks = 8;
+  study::StudySpec cycle_spec =
+      study::default_spec(study::StudyKind::kFig04EstimatorCost);
+  cycle_spec.threads = 1;
+  const campaign::WorkerLauncher launcher = campaign::subprocess_launcher(
+      campaign::current_executable("varbench"));
+  results.push_back(
+      min_of("campaign.worker_cycle", "ns/task", opts.repeats, [&] {
+        fs::remove_all(dir);
+        campaign::CampaignConfig cfg;
+        cfg.dir = dir.string();
+        cfg.shards = kCycleTasks;
+        cfg.workers = 2;
+        const Stopwatch sw;
+        const campaign::CampaignReport report =
+            campaign::run_campaign(cfg, {cycle_spec}, launcher);
+        const std::uint64_t ns = sw.elapsed_ns() / kCycleTasks;
+        if (!report.ok() || report.launched != kCycleTasks) {
+          throw std::runtime_error{
+              "microbench: campaign.worker_cycle did not run its " +
+              std::to_string(kCycleTasks) + " tasks cleanly" +
+              (report.failures.empty() ? std::string{}
+                                       : ": " + report.failures.front())};
+        }
         return ns;
       }));
 

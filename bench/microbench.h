@@ -33,9 +33,12 @@ struct MicrobenchResult {
 [[nodiscard]] std::vector<MicrobenchResult> run_exec_microbenches(
     const MicrobenchOptions& opts);
 
-/// campaign.ticket_cycle (enqueue → claim → complete per ticket) and
-/// campaign.heartbeat, on a throwaway work-queue directory under
-/// `scratch_dir` (removed afterwards).
+/// campaign.ticket_cycle (enqueue → claim → complete per ticket),
+/// campaign.heartbeat, and campaign.worker_cycle (ns per task of
+/// run_campaign over the 8 shards of the default fig04_estimator_cost spec,
+/// each a `run` of this executable through subprocess_launcher, at 2
+/// workers), on a throwaway directory under `scratch_dir` (removed
+/// afterwards).
 [[nodiscard]] std::vector<MicrobenchResult> run_campaign_microbenches(
     const MicrobenchOptions& opts, const std::string& scratch_dir);
 

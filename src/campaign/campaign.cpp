@@ -23,6 +23,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// The longest the reap loop sleeps between passes, and the heartbeat
+/// period of a held claim. A worker with an exit descriptor wakes the loop
+/// the moment it exits; stale-claim sweeps, foreign-artifact adoption,
+/// --task-timeout-ms checks and workers without a descriptor are served
+/// at least once per period.
+constexpr std::chrono::milliseconds kIdlePeriod{25};
+
 void event(const CampaignConfig& cfg, const char* fmt, ...) {
   if (cfg.events == nullptr) return;
   va_list args;
@@ -395,20 +402,18 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
             std::this_thread::sleep_for(std::chrono::milliseconds{1});
           }
         } else {
-          queue.heartbeat(it->ticket);
-          // Beat-to-beat period vs poll_interval: scheduling jitter of the
-          // reap loop.
-          if (sink.is_enabled(metrics::kCampaignHeartbeatJitterNs)) {
-            const auto beat = std::chrono::steady_clock::now();
-            const auto period = std::chrono::duration_cast<
-                std::chrono::nanoseconds>(beat - it->last_beat);
-            const auto target = std::chrono::duration_cast<
-                std::chrono::nanoseconds>(cfg.poll_interval);
-            const auto jitter_ns = period > target ? period - target
-                                                   : target - period;
-            sink.observe(metrics::kCampaignHeartbeatJitterNs,
-                         static_cast<std::uint64_t>(jitter_ns.count()));
-            it->last_beat = beat;
+          // Beat once per period: passes woken early by another worker's
+          // exit touch no claim.
+          const auto now = std::chrono::steady_clock::now();
+          if (now - it->last_beat >= kIdlePeriod) {
+            queue.heartbeat(it->ticket);
+            // How far past the heartbeat period this beat came.
+            sink.observe_lazy(metrics::kCampaignHeartbeatJitterNs, [&] {
+              return std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         now - it->last_beat - kIdlePeriod)
+                  .count();
+            });
+            it->last_beat = now;
           }
           ++it;
           continue;
@@ -569,7 +574,12 @@ CampaignReport run_campaign(const CampaignConfig& cfg,
       }
     }
 
-    if (!progressed) std::this_thread::sleep_for(cfg.poll_interval);
+    if (!progressed) {
+      std::vector<int> exit_fds;
+      exit_fds.reserve(active.size());
+      for (const Active& a : active) exit_fds.push_back(a.handle->exit_fd());
+      wait_for_exit(exit_fds, kIdlePeriod);
+    }
   }
 
   // Studies fully satisfied by reused artifacts never saw a completion
@@ -613,6 +623,7 @@ WorkerLauncher subprocess_launcher(std::string varbench_binary) {
       bool running() override { return process_.running(); }
       int exit_code() override { return process_.exit_code(); }
       void kill() override { process_.kill(); }
+      [[nodiscard]] int exit_fd() const override { return process_.exit_fd(); }
 
      private:
       Subprocess process_;

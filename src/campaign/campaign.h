@@ -30,12 +30,15 @@ namespace varbench::campaign {
 
 /// One schedulable unit: study `study_index` restricted to `spec.shard`.
 struct CampaignTask {
-  std::string id;  // "s<study>-<i>of<N>": file-name-safe and sort-stable
+  std::string id;  // "s<study>-<i>of<N>": file-name-safe, claimed in plan order
   std::size_t study_index = 0;
   study::StudySpec spec;
 };
 
-/// A started worker, polled by the coordinator.
+/// A started worker. Between passes the coordinator sleeps until some
+/// worker's exit_fd() polls readable or a 25 ms idle period ends, then asks
+/// each worker running(): a worker with a descriptor is reaped the moment
+/// it exits, one without is seen when the period ends.
 class WorkerHandle {
  public:
   virtual ~WorkerHandle() = default;
@@ -46,6 +49,9 @@ class WorkerHandle {
   /// running() must eventually turn false after this. Default: no-op, for
   /// launchers that finish synchronously.
   virtual void kill() {}
+  /// A descriptor that polls readable once the worker has exited, owned by
+  /// the handle; -1 (the default) when there is none.
+  [[nodiscard]] virtual int exit_fd() const { return -1; }
 };
 
 /// Start work on `task` (its spec is serialized at `spec_path`), writing
@@ -69,7 +75,6 @@ struct CampaignConfig {
   /// failed attempt — a hung (not crashed) worker must not stall the
   /// campaign forever. 0 disables the limit.
   std::chrono::milliseconds task_timeout{0};
-  std::chrono::milliseconds poll_interval{25};
   bool resume = false;       // required to reuse an initialized state dir
   std::FILE* events = nullptr;  // progress lines (CLI: stderr); null = quiet
   /// Format new shard artifacts and merged outputs are written in (kAuto

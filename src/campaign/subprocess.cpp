@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #ifdef _WIN32
@@ -11,7 +12,9 @@
 // Windows support is ever needed — every caller goes through this one file.
 #else
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -48,12 +51,18 @@ Subprocess Subprocess::spawn(const std::vector<std::string>&,
 bool Subprocess::running() { return false; }
 int Subprocess::wait() { return exit_code_; }
 void Subprocess::kill() {}
+void Subprocess::close_exit_fd() {}
 Subprocess::~Subprocess() = default;
 Subprocess::Subprocess(Subprocess&& other) noexcept { *this = std::move(other); }
 Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
   pid_ = std::exchange(other.pid_, -1);
   exit_code_ = other.exit_code_;
+  exit_fd_ = std::exchange(other.exit_fd_, -1);
   return *this;
+}
+
+void wait_for_exit(const std::vector<int>&, std::chrono::milliseconds timeout) {
+  std::this_thread::sleep_for(timeout);
 }
 
 std::string current_executable(const std::string& fallback) { return fallback; }
@@ -97,6 +106,11 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
 
   Subprocess p;
   p.pid_ = pid;
+#ifdef SYS_pidfd_open
+  // A pidfd is close-on-exec, so later children never inherit it. Where the
+  // kernel has no pidfd_open the call fails and exit_fd() stays -1.
+  p.exit_fd_ = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#endif
   return p;
 }
 
@@ -110,8 +124,10 @@ Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
       kill();
       wait();
     }
+    close_exit_fd();
     pid_ = std::exchange(other.pid_, -1);
     exit_code_ = other.exit_code_;
+    exit_fd_ = std::exchange(other.exit_fd_, -1);
   }
   return *this;
 }
@@ -121,6 +137,12 @@ Subprocess::~Subprocess() {
     kill();
     wait();
   }
+  close_exit_fd();
+}
+
+void Subprocess::close_exit_fd() {
+  if (exit_fd_ >= 0) ::close(exit_fd_);
+  exit_fd_ = -1;
 }
 
 bool Subprocess::running() {
@@ -148,6 +170,21 @@ int Subprocess::wait() {
 
 void Subprocess::kill() {
   if (pid_ > 0) ::kill(static_cast<pid_t>(pid_), SIGKILL);
+}
+
+void wait_for_exit(const std::vector<int>& exit_fds,
+                   std::chrono::milliseconds timeout) {
+  std::vector<pollfd> fds;
+  fds.reserve(exit_fds.size());
+  for (const int fd : exit_fds) fds.push_back(pollfd{fd, POLLIN, 0});
+  // poll() skips negative descriptors and returns early on EINTR, which
+  // counts as a wake. Any other failure sleeps instead: returning at once
+  // would turn the caller's loop into a spin.
+  if (::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+             static_cast<int>(timeout.count())) < 0 &&
+      errno != EINTR) {
+    std::this_thread::sleep_for(timeout);
+  }
 }
 
 std::string current_executable(const std::string& fallback) {

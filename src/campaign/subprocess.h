@@ -1,16 +1,19 @@
 // Minimal portable subprocess wrapper — the only place the campaign
-// coordinator touches process creation. The scheduling logic itself talks
+// coordinator touches processes: spawning them, reaping them, and sleeping
+// until one exits (wait_for_exit). The scheduling logic itself talks
 // to the WorkerLauncher abstraction (campaign.h), so everything above this
 // file is testable in-process; only subprocess_launcher() reaches here.
 #pragma once
 
+#include <chrono>
 #include <string>
 #include <vector>
 
 namespace varbench::campaign {
 
 /// One spawned child process. Move-only; the destructor of a still-running
-/// process kills it (a coordinator that unwinds must not leak workers).
+/// process kills it (a coordinator that unwinds must not leak workers) and
+/// closes its exit descriptor.
 class Subprocess {
  public:
   /// Start `argv` (argv[0] = program path, resolved through PATH) with
@@ -39,12 +42,25 @@ class Subprocess {
   /// Forcibly terminate (SIGKILL) a still-running child.
   void kill();
 
+  /// A close-on-exec descriptor that polls readable once the child has
+  /// exited (a Linux pidfd), for wait_for_exit(); -1 where the platform
+  /// cannot open one. Owned by this object; valid until it is destroyed.
+  [[nodiscard]] int exit_fd() const { return exit_fd_; }
+
  private:
   Subprocess() = default;
+  void close_exit_fd();
 
   long pid_ = -1;  // -1 → reaped or never started
   int exit_code_ = -1;
+  int exit_fd_ = -1;
 };
+
+/// Sleep until one of `exit_fds` polls readable (a child behind it has
+/// exited) or `timeout` passes; a signal also ends the wait. Negative
+/// descriptors are ignored, so with no valid one this is a plain sleep.
+void wait_for_exit(const std::vector<int>& exit_fds,
+                   std::chrono::milliseconds timeout);
 
 /// Absolute path of the currently running executable when the platform can
 /// tell us (/proc/self/exe on Linux), else `fallback` (typically argv[0]) —

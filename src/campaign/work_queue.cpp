@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <filesystem>
 #include <system_error>
+#include <tuple>
 
 #include "src/io/json.h"
 #include "src/io/spec_reader.h"
@@ -44,7 +46,33 @@ std::string task_of(const fs::path& file, std::string_view suffix) {
   return name.substr(0, name.size() - suffix.size());
 }
 
-/// Sorted task ids carrying `suffix` inside `dir` (missing dir → empty).
+/// Where a task id sorts in claim order: plan ids "s<k>-<i>of<N>" first,
+/// by (k, i), then any other name; text order breaks ties.
+using ClaimKey = std::tuple<bool, std::uint64_t, std::uint64_t,
+                            std::string_view>;
+ClaimKey claim_key(std::string_view id) {
+  std::string_view rest = id;
+  // `prefix` then an unsigned decimal, consumed from `rest` into `out`.
+  const auto field = [&rest](std::string_view prefix, std::uint64_t& out) {
+    if (!rest.starts_with(prefix)) return false;
+    rest.remove_prefix(prefix.size());
+    const auto [next, ec] =
+        std::from_chars(rest.data(), rest.data() + rest.size(), out);
+    rest.remove_prefix(static_cast<std::size_t>(next - rest.data()));
+    return ec == std::errc{};
+  };
+  std::uint64_t study = 0;
+  std::uint64_t shard = 0;
+  std::uint64_t count = 0;
+  if (field("s", study) && field("-", shard) && field("of", count) &&
+      rest.empty()) {
+    return {false, study, shard, id};
+  }
+  return {true, 0, 0, id};
+}
+
+/// Task ids carrying `suffix` inside `dir` (missing dir → empty), in claim
+/// order.
 std::vector<std::string> list_tasks(const fs::path& dir,
                                     std::string_view suffix) {
   std::vector<std::string> out;
@@ -53,7 +81,10 @@ std::vector<std::string> list_tasks(const fs::path& dir,
     const std::string id = task_of(entry.path(), suffix);
     if (!id.empty()) out.push_back(id);
   }
-  std::sort(out.begin(), out.end());
+  std::sort(out.begin(), out.end(),
+            [](const std::string& a, const std::string& b) {
+              return claim_key(a) < claim_key(b);
+            });
   return out;
 }
 

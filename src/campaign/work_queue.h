@@ -125,10 +125,11 @@ class WorkQueue {
   [[nodiscard]] bool is_queued(const std::string& task_id) const;
   [[nodiscard]] bool is_claimed(const std::string& task_id) const;
 
-  /// Claim the first queued task (lexicographic ticket order) via atomic
-  /// rename, stamping `owner` and the claim time into the claim — the one
-  /// time a claim body is written. Returns nullopt when the queue is empty
-  /// or every ticket was claimed by a racer first.
+  /// Claim the first queued task in plan order (ids "s<k>-<i>of<N>" by
+  /// study k, then shard i; any other id after them, in text order) via
+  /// atomic rename, stamping `owner` and the claim time into the claim —
+  /// the one time a claim body is written. Returns nullopt when the queue
+  /// is empty or every ticket was claimed by a racer first.
   [[nodiscard]] std::optional<Ticket> try_claim(const std::string& owner);
 
   /// Refresh the claim's heartbeat (mtime). No-op if the claim is gone.

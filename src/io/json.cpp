@@ -642,8 +642,12 @@ void write_file(const std::string& path, std::string_view content) {
     throw JsonError("cannot write '" + path + "': " + std::strerror(errno));
   }
   const std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  const bool bad = std::fclose(f) != 0 || n != content.size();
-  if (bad) throw JsonError("error writing '" + path + "'");
+  int reason = n != content.size() ? errno : 0;  // before fclose can reset it
+  const bool closed = std::fclose(f) == 0;
+  if (!closed && reason == 0) reason = errno;
+  if (!closed || n != content.size()) {
+    throw JsonError("error writing '" + path + "': " + std::strerror(reason));
+  }
 }
 
 void write_file_atomic(const std::string& path, std::string_view content) {

@@ -92,7 +92,8 @@ struct MetricDef {
     kCounter, "failed attempts that were requeued for retry")                \
   X(CampaignHeartbeatJitterNs, "campaign.heartbeat_jitter_ns", "campaign",   \
     "ns", kTimer,                                                            \
-    "absolute deviation of the reap loop period from poll_interval")         \
+    "how far a claim's beat-to-beat interval ran past the 25 ms heartbeat "  \
+    "period")                                                                \
   X(CampaignTasksLaunched, "campaign.tasks_launched", "campaign", "count",   \
     kCounter, "worker launches, including retries")                          \
   X(IoBytesMapped, "io.vbt_bytes_mapped", "io", "bytes", kCounter,           \

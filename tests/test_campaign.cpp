@@ -9,9 +9,11 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/campaign/campaign.h"
 #include "src/campaign/status.h"
@@ -21,6 +23,11 @@
 #include "src/report/artifact.h"
 #include "src/study/result_table.h"
 #include "src/study/study_runner.h"
+
+#ifndef _WIN32
+#include <poll.h>
+#include <sys/syscall.h>
+#endif
 
 namespace varbench::campaign {
 namespace {
@@ -66,7 +73,6 @@ CampaignConfig quick_config(const std::string& dir) {
   cfg.shards = 3;
   cfg.workers = 2;
   cfg.stale_after = 10min;  // never stale unless a test forces it
-  cfg.poll_interval = 1ms;
   return cfg;
 }
 
@@ -206,6 +212,30 @@ TEST(WorkQueueTest, StaleClaimsAreRequeuedFresshOnesKept) {
   EXPECT_EQ(reclaimed[0], "fresh");
   EXPECT_TRUE(q.is_queued("fresh"));
   EXPECT_TRUE(q.is_claimed("old"));  // ours, heartbeaten, untouched
+}
+
+TEST(WorkQueueTest, ClaimsFollowThePlanOrder) {
+  // Text order would claim s10-0of1 before s2-0of1, and s0-10of12 before
+  // s0-2of12. A name that is no plan id comes after every plan id.
+  const std::vector<study::StudySpec> twelve_studies(12, tiny_compare_spec());
+  const std::vector<CampaignTask> plans[] = {
+      plan_tasks(twelve_studies, 1), plan_tasks({tiny_compare_spec()}, 12)};
+  for (const std::vector<CampaignTask>& tasks : plans) {
+    const TempDir dir{"plan_order_" + tasks.back().id};
+    WorkQueue q{dir.str()};
+    q.enqueue(Ticket{"adhoc", 0, ""});
+    std::vector<std::string> expected;
+    for (const CampaignTask& t : tasks) {
+      q.enqueue(Ticket{t.id, 0, ""});
+      expected.push_back(t.id);
+    }
+    expected.push_back("adhoc");
+    std::vector<std::string> claimed;
+    while (const auto ticket = q.try_claim("me")) {
+      claimed.push_back(ticket->task_id);
+    }
+    EXPECT_EQ(claimed, expected);
+  }
 }
 
 // ----------------------------------------------------------- happy path
@@ -593,6 +623,45 @@ TEST(SubprocessTest, CapturesExitCodeAndLog) {
 
   auto missing = Subprocess::spawn({"/nonexistent-binary-xyz"}, log);
   EXPECT_EQ(missing.wait(), 127);
+}
+
+TEST(SubprocessTest, ExitDescriptorPollsReadableAtExit) {
+#ifndef SYS_pidfd_open
+  GTEST_SKIP() << "this platform has no pidfd_open";
+#else
+  const auto polls_readable = [](int fd, int timeout_ms) {
+    pollfd p{fd, POLLIN, 0};
+    return ::poll(&p, 1, timeout_ms) == 1 && (p.revents & POLLIN) != 0;
+  };
+  const TempDir dir{"exit_fd"};
+  const std::string log = dir.str() + "/out.log";
+  auto sleeper = Subprocess::spawn({"/bin/sh", "-c", "sleep 0.2"}, log);
+  ASSERT_GE(sleeper.exit_fd(), 0);
+  EXPECT_FALSE(polls_readable(sleeper.exit_fd(), 0));
+  ASSERT_TRUE(polls_readable(sleeper.exit_fd(), 10'000));
+  EXPECT_FALSE(sleeper.running());
+  EXPECT_EQ(sleeper.exit_code(), 0);
+
+  auto killed = Subprocess::spawn({"/bin/sh", "-c", "exec sleep 30"}, log);
+  ASSERT_GE(killed.exit_fd(), 0);
+  killed.kill();
+  ASSERT_TRUE(polls_readable(killed.exit_fd(), 10'000));
+  EXPECT_FALSE(killed.running());
+  EXPECT_EQ(killed.exit_code(), 137);
+
+  // A campaign spawns one worker per task: each descriptor must close with
+  // its Subprocess.
+  const auto open_fds = [] {
+    return std::distance(fs::directory_iterator{"/proc/self/fd"},
+                         fs::directory_iterator{});
+  };
+  const auto before = open_fds();
+  for (int i = 0; i < 64; ++i) {
+    auto child = Subprocess::spawn({"/bin/sh", "-c", "exit 0"}, log);
+    EXPECT_EQ(child.wait(), 0);
+  }
+  EXPECT_EQ(open_fds(), before);
+#endif
 }
 #endif
 

@@ -865,7 +865,6 @@ TEST(ColumnarInterchange, BinaryCampaignEndToEnd) {
   cfg.shards = 2;
   cfg.workers = 2;
   cfg.stale_after = 10min;
-  cfg.poll_interval = 1ms;
   cfg.format = ArtifactFormat::kBinary;
   const campaign::CampaignReport report =
       campaign::run_campaign(cfg, {spec}, campaign::in_process_launcher());

@@ -68,7 +68,6 @@ CampaignConfig figure_config(const std::string& dir) {
   cfg.shards = 2;
   cfg.workers = 2;
   cfg.stale_after = 10min;
-  cfg.poll_interval = 1ms;
   return cfg;
 }
 

@@ -163,5 +163,20 @@ TEST(Files, ReadErrorNamesThePathAndTheReason) {
   }
 }
 
+TEST(Files, WriteErrorNamesThePathAndTheReason) {
+  // /dev/full takes the open and fails every write with ENOSPC; 100,000
+  // bytes overflow stdio's buffer, so fwrite itself fails, not only fclose.
+  const std::string path = "/dev/full";
+  if (!fs::exists(path)) GTEST_SKIP() << path << " is missing";
+  try {
+    write_file(path, std::string(100'000, 'x'));
+    FAIL() << "wrote 100,000 bytes to " << path;
+  } catch (const JsonError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'" + path + "'"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::strerror(ENOSPC)), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace varbench::io

@@ -187,7 +187,6 @@ TEST(ReadStatus, FinishedCampaignReportsAllDone) {
   cfg.shards = 2;
   cfg.workers = 2;
   cfg.stale_after = 10min;
-  cfg.poll_interval = 1ms;
   const auto report = run_campaign(cfg, {spec}, in_process_launcher());
   ASSERT_TRUE(report.ok());
 

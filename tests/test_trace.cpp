@@ -420,7 +420,6 @@ campaign::CampaignConfig traced_config(const std::string& dir,
   cfg.shards = 2;
   cfg.workers = workers;
   cfg.stale_after = std::chrono::minutes{10};
-  cfg.poll_interval = std::chrono::milliseconds{1};
   cfg.trace = true;
   return cfg;
 }
